@@ -182,10 +182,35 @@ fn cache_structures(c: &mut Criterion) {
     c.bench_function("core/circular-log append 1k", |b| {
         b.iter(|| {
             let mut log = CircularLog::new(1 << 20);
+            let mut casualties = Vec::new();
             for i in 0..1_000u64 {
-                let _ = log.append(64, i);
+                let _ = log.append(64, i, &mut casualties);
             }
             black_box(log.resident_sectors())
+        })
+    });
+    // The wrapping regime of a small cache: the log holds ~48 entries,
+    // so every append overwrites clean residents, and every fourth entry
+    // stays pinned (dirty) for 64 appends — sometimes long enough for
+    // the head to come round and be blocked by it.
+    c.bench_function("core/circular-log append 1k, wrapping with pins", |b| {
+        b.iter(|| {
+            let mut log = CircularLog::new(48 * 41);
+            let mut casualties = Vec::new();
+            let (mut overwritten, mut blocked) = (0usize, 0u64);
+            for i in 0..1_000u64 {
+                match log.append_with_header(40, 1, i, &mut casualties) {
+                    Ok(_) => overwritten += casualties.len(),
+                    Err(_) => blocked += 1,
+                }
+                if i % 4 == 0 {
+                    log.protect(i);
+                }
+                if i >= 64 && (i - 64) % 4 == 0 {
+                    log.unprotect(i - 64);
+                }
+            }
+            black_box((overwritten, blocked))
         })
     });
     c.bench_function("core/eq1 model update 10k", |b| {

@@ -97,12 +97,15 @@ pub struct IBridgePolicy {
     t_table: Vec<f64>,
     stats: CacheStats,
     /// Return values remembered between `place` (decision) and
-    /// `read_admission` (post-read insertion).
-    pending_admissions: FxHashMap<(u64, u64), f64>,
+    /// `read_admission` (post-read insertion), keyed by the sub-request's
+    /// `(file, offset, len)`.
+    pending_admissions: FxHashMap<(FileHandle, u64, u64), f64>,
     flush_to_entry: FxHashMap<FlushId, EntryId>,
     next_flush: FlushId,
     /// Reused scratch for overlap invalidation (no per-write allocation).
     overlap_scratch: Vec<EntryId>,
+    /// Reused scratch for the clean entries a log append overwrites.
+    casualties: Vec<EntryId>,
     /// Set when the SSD device died: the policy runs disk-only from
     /// then on and the MDS drops this server from its broadcasts.
     degraded: bool,
@@ -170,6 +173,7 @@ impl IBridgePolicy {
             flush_to_entry: FxHashMap::default(),
             next_flush: 0,
             overlap_scratch: Vec::new(),
+            casualties: Vec::new(),
             degraded: false,
             next_log_seq: 0,
             backup: SegmentedLog::new(cfg.segment_bytes),
@@ -303,19 +307,19 @@ impl IBridgePolicy {
         }
         let id = self.table.next_id();
         let data_sectors = bytes_to_sectors(len);
-        match self
-            .log
-            .append_with_header(data_sectors, Self::record_sectors(), id)
-        {
-            Ok((extents, casualties)) => {
-                for c in casualties {
-                    if let Some(e) = self.table.remove(c) {
-                        self.stats.evictions += 1;
-                        self.retire_record(e.pending, e.log_seq);
-                    }
-                }
-                Some((id, extents))
+        let mut casualties = std::mem::take(&mut self.casualties);
+        let placed =
+            self.log
+                .append_with_header(data_sectors, Self::record_sectors(), id, &mut casualties);
+        for &c in &casualties {
+            if let Some(e) = self.table.remove(c) {
+                self.stats.evictions += 1;
+                self.retire_record(e.pending, e.log_seq);
             }
+        }
+        self.casualties = casualties;
+        match placed {
+            Ok(extents) => Some((id, extents)),
             Err(AppendError::TooLarge | AppendError::BlockedByDirty) => None,
         }
     }
@@ -748,13 +752,15 @@ impl IBridgePolicy {
         self.maint.scrub_repairs += (before - self.planned_damage.len()) as u64;
     }
 
-    /// Cross-checks the policy's live state: the mapping table's own
-    /// invariants, every entry's data sectors resident in the log, the
-    /// protected (pinned) set agreeing exactly with the dirty entries,
-    /// and no log residency for entries the table no longer knows.
+    /// Cross-checks the policy's live state: the mapping table's, the
+    /// backup's and the data log's own invariants, every entry's data
+    /// sectors resident in the log, the protected (pinned) set agreeing
+    /// exactly with the dirty entries, and no log residency for entries
+    /// the table no longer knows.
     pub fn audit(&self) -> Result<(), String> {
         self.table.audit()?;
         self.backup.audit()?;
+        self.log.audit()?;
         if self.enabled() {
             // Every non-pending entry's backup record must be findable:
             // live on the tail, or inside the checkpoint image.
@@ -862,7 +868,8 @@ impl CachePolicy for IBridgePolicy {
             let admit = candidate_class.is_some() && {
                 let ret = self.return_of(sub, disk_lbn);
                 if ret > 0.0 {
-                    self.pending_admissions.insert((sub.offset, sub.len), ret);
+                    self.pending_admissions
+                        .insert((sub.file, sub.offset, sub.len), ret);
                     true
                 } else {
                     false
@@ -928,7 +935,7 @@ impl CachePolicy for IBridgePolicy {
         let typ = Self::class_of(sub)?;
         let ret = self
             .pending_admissions
-            .remove(&(sub.offset, sub.len))
+            .remove(&(sub.file, sub.offset, sub.len))
             .unwrap_or(0.0);
         // The range may have been cached meanwhile (e.g. by a sibling
         // admission); never double-cache.
@@ -1754,6 +1761,28 @@ mod tests {
         p.audit().expect("after restart");
         p.ssd_lost(SimTime::ZERO);
         p.audit().expect("after ssd loss");
+    }
+
+    #[test]
+    fn concurrent_read_misses_on_two_files_keep_their_own_returns() {
+        let mut p = policy();
+        p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
+        // The same local range of two files, far apart on the disk: two
+        // different Eq. (1) returns, both admitted after the reads.
+        let a = frag(IoDir::Read, 2 << 20, KB);
+        let b = SubRequest {
+            file: FileHandle(2),
+            ..a.clone()
+        };
+        let ret_a = p.return_of(&a, 900_000_000);
+        p.place(SimTime::ZERO, &a, 900_000_000);
+        let ret_b = p.return_of(&b, 300_000_000);
+        p.place(SimTime::ZERO, &b, 300_000_000);
+        assert!(ret_a > 0.0 && ret_b > 0.0 && ret_a != ret_b);
+        let (id_a, _) = p.read_admission(SimTime::ZERO, &a).expect("admits a");
+        let (id_b, _) = p.read_admission(SimTime::ZERO, &b).expect("admits b");
+        assert_eq!(p.table.get(id_a).unwrap().ret, ret_a);
+        assert_eq!(p.table.get(id_b).unwrap().ret, ret_b);
     }
 
     #[test]

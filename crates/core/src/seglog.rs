@@ -36,8 +36,9 @@
 
 use crate::record::LogRecord;
 
-/// One fixed-size run of backup records. Ascending, gap-free-by-append
-/// sequence numbers within the segment; sealed segments are immutable.
+/// One fixed-size run of backup records. Consecutive sequence numbers
+/// within the segment (every backup append takes the next one), so a
+/// record is found by `seq - first_seq`; sealed segments are immutable.
 #[derive(Debug, Clone)]
 pub struct Segment {
     records: Vec<LogRecord>,
@@ -119,8 +120,8 @@ impl Segment {
     fn push(&mut self, rec: LogRecord) {
         debug_assert!(!self.sealed, "appending to a sealed segment");
         debug_assert!(
-            self.records.last().is_none_or(|l| l.seq < rec.seq),
-            "segment appends must carry increasing seqs"
+            self.records.last().is_none_or(|l| l.seq + 1 == rec.seq),
+            "segment appends must carry consecutive seqs"
         );
         let len = record_bytes(&rec);
         self.bytes += len;
@@ -129,10 +130,16 @@ impl Segment {
         self.dead.push(false);
     }
 
+    /// Index of the record carrying `seq`, if the segment holds it.
+    fn index_of(&self, seq: u64) -> Option<usize> {
+        let i = seq.checked_sub(self.first_seq()?)? as usize;
+        (i < self.records.len()).then_some(i)
+    }
+
     /// Marks the record carrying `seq` dead. Returns false when the
     /// segment does not hold it (or it is already dead).
     fn kill(&mut self, seq: u64) -> bool {
-        let Ok(i) = self.records.binary_search_by_key(&seq, |r| r.seq) else {
+        let Some(i) = self.index_of(seq) else {
             return false;
         };
         if self.dead[i] {
@@ -202,7 +209,8 @@ impl SegmentedLog {
         (self.segment_bytes as usize / LogRecord::encoded_len(0)).max(1)
     }
 
-    /// Appends a record (its `seq` must exceed every previous append).
+    /// Appends a record. Its `seq` must be one past the open segment's
+    /// last, and exceed every earlier append.
     /// Returns true when the append sealed the previously open segment.
     pub fn append(&mut self, rec: LogRecord) -> bool {
         self.appends_since_checkpoint += 1;
@@ -226,35 +234,33 @@ impl SegmentedLog {
         sealed
     }
 
+    /// Index of the retained segment whose range could hold `seq`:
+    /// segments hold ascending disjoint ranges, so it is the last one
+    /// starting at or before `seq`.
+    fn owner_of(&self, seq: u64) -> Option<usize> {
+        let i = self
+            .segments
+            .partition_point(|s| s.first_seq().is_some_and(|f| f <= seq) || s.records.is_empty());
+        i.checked_sub(1)
+    }
+
     /// Marks the retained record carrying `seq` dead (superseded).
     /// Tolerates sequence numbers not on retained media — the record
     /// may live in the checkpoint image or a condemned segment, both of
     /// which are replaced wholesale rather than patched.
     pub fn kill(&mut self, seq: u64) -> bool {
-        // Segments hold ascending disjoint ranges: the owner is the
-        // last segment starting at or before `seq`.
-        let i = self
-            .segments
-            .partition_point(|s| s.first_seq().is_some_and(|f| f <= seq) || s.records.is_empty());
-        if i == 0 {
-            return false;
+        match self.owner_of(seq) {
+            Some(i) => self.segments[i].kill(seq),
+            None => false,
         }
-        self.segments[i - 1].kill(seq)
     }
 
     /// Is `seq` a live (not superseded) record on the retained tail?
     pub fn is_live(&self, seq: u64) -> bool {
-        let i = self
-            .segments
-            .partition_point(|s| s.first_seq().is_some_and(|f| f <= seq) || s.records.is_empty());
-        if i == 0 {
-            return false;
-        }
-        let s = &self.segments[i - 1];
-        match s.records.binary_search_by_key(&seq, |r| r.seq) {
-            Ok(j) => !s.dead[j],
-            Err(_) => false,
-        }
+        self.owner_of(seq).is_some_and(|i| {
+            let s = &self.segments[i];
+            s.index_of(seq).is_some_and(|j| !s.dead[j])
+        })
     }
 
     /// Installs a checkpoint image covering everything up to
@@ -378,7 +384,8 @@ impl SegmentedLog {
     }
 
     /// Structural invariants: parallel dead bitmap, byte accounting,
-    /// strictly ascending disjoint seq ranges, only the last retained
+    /// consecutive seqs within a segment (the O(1) kill indexes by
+    /// them), ascending disjoint seq ranges, only the last retained
     /// segment open, retained media strictly newer than the checkpoint.
     pub fn audit(&self) -> Result<(), String> {
         let mut prev_last: Option<u64> = None;
@@ -400,8 +407,8 @@ impl SegmentedLog {
             if s.live_bytes > s.bytes {
                 return Err(format!("segment {i}: live exceeds total"));
             }
-            if !s.records.windows(2).all(|w| w[0].seq < w[1].seq) {
-                return Err(format!("segment {i}: seqs not ascending"));
+            if !s.records.windows(2).all(|w| w[0].seq + 1 == w[1].seq) {
+                return Err(format!("segment {i}: seqs not consecutive"));
             }
             if let (Some(prev), Some(first)) = (prev_last, s.first_seq()) {
                 if first <= prev {
@@ -493,6 +500,26 @@ mod tests {
         assert_eq!(s0.garbage_bytes(), 160);
         assert_eq!(l.live_records(), 4);
         l.audit().unwrap();
+    }
+
+    #[test]
+    fn kill_indexes_segments_left_after_a_middle_condemn() {
+        let mut l = log_with(9, 256);
+        l.condemn(1); // seqs 3..6 leave the retained tail
+        assert!(!l.kill(4));
+        assert!(l.kill(6));
+        assert!(!l.is_live(6));
+        assert!(l.is_live(7));
+        assert!(l.kill(2));
+        assert_eq!(l.live_records(), 4);
+        l.audit().unwrap();
+    }
+
+    #[test]
+    fn audit_requires_consecutive_seqs_within_a_segment() {
+        let mut l = log_with(3, 256);
+        l.segments[0].records[2].seq = 7;
+        assert!(l.audit().unwrap_err().contains("not consecutive"));
     }
 
     #[test]

@@ -18,6 +18,12 @@ cargo build --release
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark package's own checks: decorator transparency, hetero-pdes
+# threads 1 = 2, and every workload under the 5 ms invariant auditor
+# (which reaches the policy, backup and data-log audits).
+echo "== ibench checks"
+cargo test --locked --offline --manifest-path ibench/Cargo.toml
+
 echo "== expt --jobs parallel output identity"
 ./target/release/expt all >/tmp/ibridge_ci_j1.txt 2>/dev/null
 ./target/release/expt --jobs 4 all >/tmp/ibridge_ci_j4.txt 2>/dev/null

@@ -97,8 +97,9 @@ proptest! {
         appends in prop::collection::vec(1u64..256, 1..64),
     ) {
         let mut log = CircularLog::new(capacity);
+        let mut casualties = Vec::new();
         for (i, &sectors) in appends.iter().enumerate() {
-            if let Ok((extents, _)) = log.append(sectors.min(capacity), i as u64) {
+            if let Ok(extents) = log.append(sectors.min(capacity), i as u64, &mut casualties) {
                 let total: u64 = extents.iter().map(|e| e.sectors).sum();
                 prop_assert_eq!(total, sectors.min(capacity));
                 for e in &extents {
