@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ibridge_core::{CircularLog, DiskTimeModel, EntryType, MappingTable};
-use ibridge_des::{SimDuration, SimTime, Simulation};
+use ibridge_des::pdes::ShardedSimulation;
+use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::{DevOp, DiskModel, DiskProfile};
 use ibridge_iosched::{BlockRequest, Cfq, CfqConfig, Decision, Scheduler};
 use ibridge_localfs::{Extent, FileHandle};
@@ -13,12 +14,17 @@ use ibridge_pvfs::Layout;
 use ibridge_workloads::{AppProfile, Trace};
 use std::hint::black_box;
 
+/// A one-node calendar, as a single-shard cluster run uses it.
+fn calendar() -> ShardedSimulation<u64> {
+    ShardedSimulation::new(vec![0], SimDuration::from_nanos(1))
+}
+
 fn des_kernel(c: &mut Criterion) {
     c.bench_function("des/schedule+pop 10k events", |b| {
         b.iter(|| {
-            let mut sim: Simulation<u64> = Simulation::new();
+            let mut sim = calendar();
             for i in 0..10_000u64 {
-                sim.schedule_at(SimTime::from_nanos((i * 7919) % 1_000_000), i);
+                sim.schedule_at(0, 0, SimTime::from_nanos((i * 7919) % 1_000_000), i);
             }
             let mut acc = 0u64;
             while let Some((_, e)) = sim.pop() {
@@ -33,14 +39,14 @@ fn des_kernel(c: &mut Criterion) {
     // deadlines).
     c.bench_function("des/schedule+cancel+pop 1M events", |b| {
         b.iter(|| {
-            let mut sim: Simulation<u64> = Simulation::new();
+            let mut sim = calendar();
             let mut pending = std::collections::VecDeque::with_capacity(64);
             let mut acc = 0u64;
             let mut fired = 0u64;
             let mut i = 0u64;
             while fired < 1_000_000 {
                 let at = sim.now() + SimDuration::from_nanos((i * 7919) % 10_000 + 1);
-                pending.push_back(sim.schedule_at(at, i));
+                pending.push_back(sim.schedule_at(0, 0, at, i));
                 if pending.len() > 64 {
                     // Cancel the oldest still-tracked handle (may already
                     // have fired — cancellation must absorb both cases).
@@ -61,10 +67,10 @@ fn des_kernel(c: &mut Criterion) {
     // Fire-and-forget fast path: no cancellation handles at all.
     c.bench_function("des/post+pop 1M events", |b| {
         b.iter(|| {
-            let mut sim: Simulation<u64> = Simulation::new();
+            let mut sim = calendar();
             let mut acc = 0u64;
             for i in 0..1_000_000u64 {
-                sim.post_in(SimDuration::from_nanos((i * 7919) % 10_000 + 1), i);
+                sim.post_in(0, 0, SimDuration::from_nanos((i * 7919) % 10_000 + 1), i);
                 if i % 2 == 1 {
                     let (_, a) = sim.pop().expect("queue non-empty");
                     let (_, b) = sim.pop().expect("queue non-empty");

@@ -13,7 +13,7 @@
 use ibridge_bench::alloc_count;
 use ibridge_des::pdes::{LpPort, ShardedSimulation};
 use ibridge_des::rng::stream_rng;
-use ibridge_des::{SimDuration, SimTime, Simulation};
+use ibridge_des::{SimDuration, SimTime};
 use rand::Rng;
 use std::time::Instant;
 
@@ -34,14 +34,17 @@ fn main() {
     let window: u64 = get("--window", 256);
     let seed: u64 = get("--seed", 42);
 
-    let mut sim: Simulation<u64> = Simulation::new();
+    // One node on one LP: the calendar with its FIFO tie-break, as
+    // every single-shard cluster run uses it.
+    let mut sim: ShardedSimulation<u64> =
+        ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
     let mut rng = stream_rng(seed, 0);
     // Pending timers get cancelled and rescheduled like device rechecks.
     let mut cancel_me = Vec::new();
     let mut payload_sum = 0u64;
     let mut dispatched = 0u64;
     for i in 0..window {
-        sim.post_in(SimDuration::from_nanos(rng.gen_range(1..1000)), i);
+        sim.post_in(0, 0, SimDuration::from_nanos(rng.gen_range(1..1000)), i);
     }
     let a0 = alloc_count::snapshot();
     let t0 = Instant::now();
@@ -52,9 +55,11 @@ fn main() {
         // Keep the window full: one new timer per dispatch, and every
         // 16th event also schedules-then-cancels (the recheck pattern).
         let d = SimDuration::from_nanos(rng.gen_range(1..1000));
-        sim.post_in(d, payload.wrapping_add(1));
-        if dispatched % 16 == 0 {
+        sim.post_in(0, 0, d, payload.wrapping_add(1));
+        if dispatched.is_multiple_of(16) {
             let id = sim.schedule_at(
+                0,
+                0,
                 now + SimDuration::from_nanos(rng.gen_range(1..1000)),
                 u64::MAX,
             );
@@ -95,28 +100,23 @@ fn main() {
     );
 
     // PDES microbench: the same event volume as a cross-LP ping-pong
-    // ring through the sharded engine, swept over shard and thread
-    // counts. Every combination must print the same digest — the
-    // committed golden is itself a determinism proof for the threaded
-    // driver. Throughput goes to stderr like the serial figures.
+    // ring through the sharded engine, swept over shard counts. Every
+    // shard count must print the same digest — the committed golden is
+    // itself a sharding determinism proof. Runs are serial; the
+    // `threads=1` field keeps the golden's lines as they were.
+    // Throughput goes to stderr like the serial figures.
     for shards in [1usize, 2, 4, 8] {
-        for threads in [1usize, 4] {
-            let (digest, events, wall, windows, barriers) = pdes_ring(total, shards, threads);
-            println!(
-                "calbench pdes events={events} nodes={PDES_NODES} \
-                 shards={shards} threads={threads} digest={digest:016x}"
-            );
-            eprintln!(
-                "[calbench pdes shards={} threads={}: {:.0} events/s, {:.3}s wall, \
-                 {} window(s), {} barrier(s)]",
-                shards,
-                threads,
-                events as f64 / wall.max(1e-9),
-                wall,
-                windows,
-                barriers,
-            );
-        }
+        let (digest, events, wall) = pdes_ring(total, shards);
+        println!(
+            "calbench pdes events={events} nodes={PDES_NODES} \
+             shards={shards} threads=1 digest={digest:016x}"
+        );
+        eprintln!(
+            "[calbench pdes shards={}: {:.0} events/s, {:.3}s wall]",
+            shards,
+            events as f64 / wall.max(1e-9),
+            wall,
+        );
     }
 }
 
@@ -132,11 +132,9 @@ struct Hop {
 }
 
 /// Runs `total` ring-hop events over `PDES_NODES` nodes packed onto
-/// `shards` LPs with the given executor thread count. Returns the
-/// node-order digest (identical at any shards/threads combination),
-/// the events dispatched, the wall seconds, and the window/barrier
-/// counts of the threaded driver (0/0 when serial).
-fn pdes_ring(total: u64, shards: usize, threads: usize) -> (u64, u64, f64, u64, u64) {
+/// `shards` LPs. Returns the node-order digest (identical at any shard
+/// count), the events dispatched and the wall seconds.
+fn pdes_ring(total: u64, shards: usize) -> (u64, u64, f64) {
     const L: SimDuration = SimDuration::from_micros(1);
     let node_lp: Vec<u32> = (0..PDES_NODES)
         .map(|i| (i * shards / PDES_NODES) as u32)
@@ -165,7 +163,7 @@ fn pdes_ring(total: u64, shards: usize, threads: usize) -> (u64, u64, f64, u64, 
     // Per-node digest folds: each LP only ever touches the digests of
     // nodes it owns, so the folds see that node's events in its own
     // deterministic dispatch order; combining them in node order below
-    // gives one figure independent of how LPs interleaved globally.
+    // gives one figure independent of the LP grouping.
     let handler =
         |port: &mut LpPort<'_, Hop>, st: &mut [u64; PDES_NODES], now: SimTime, ev: Hop| {
             let d = &mut st[ev.node as usize];
@@ -192,20 +190,13 @@ fn pdes_ring(total: u64, shards: usize, threads: usize) -> (u64, u64, f64, u64, 
     let mut states = vec![[0u64; PDES_NODES]; sim.n_lps()];
     let before = sim.dispatched();
     let t0 = Instant::now();
-    let (windows, barriers) = if threads > 1 && sim.n_lps() > 1 {
-        let rep = sim.run_threaded(&mut states, threads, handler);
-        (rep.windows, rep.barriers)
-    } else {
-        sim.run_serial(&mut states, handler);
-        (0, 0)
-    };
+    sim.run_serial(&mut states, handler);
     let wall = t0.elapsed().as_secs_f64();
     let events = sim.dispatched() - before;
 
-    let mut digest = 0u64;
-    for node in 0..PDES_NODES {
+    let digest = (0..PDES_NODES).fold(0u64, |d, node| {
         let lp = node * shards / PDES_NODES;
-        digest = digest.wrapping_mul(31).wrapping_add(states[lp][node]);
-    }
-    (digest, events, wall, windows, barriers)
+        d.wrapping_mul(31).wrapping_add(states[lp][node])
+    });
+    (digest, events, wall)
 }

@@ -73,16 +73,6 @@ fn main() {
                 }
                 scale.shards = n;
             }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| die("--threads needs a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--threads needs an integer"));
-                if n == 0 {
-                    die("--threads must be at least 1");
-                }
-                scale.threads = n;
-            }
             "--bench-report" => {
                 let v = it
                     .next()
@@ -137,7 +127,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: expt [--full] [--seed N] [--jobs N] [--shards N] \
-                     [--threads N] [--mds-replicas N] \
+                     [--mds-replicas N] \
                      [--bench-report PATH] [--metrics] [--trace-out PATH] \
                      [--fault-plan NAME|FILE] \
                      [--audit] [--list] [--list-fault-plans] \
@@ -146,17 +136,13 @@ fn main() {
                      read as a plan file (see crates/faults). \
                      --shards splits each simulated cluster's data servers \
                      into N logical processes with their own event \
-                     calendars; output is byte-identical at any N. \
-                     --threads executes ready logical processes \
-                     concurrently inside each run on N worker threads \
-                     with deterministic window barriers (needs --shards \
-                     at least 2 to matter); output is byte-identical at \
-                     any N. \
+                     calendars, dispatched serially in one global order; \
+                     output is byte-identical at any N. \
                      --mds-replicas runs the metadata service as a \
                      raft-style replicated group of N (default 1, the \
                      single MDS); elections and failover are simulated \
                      in virtual time and output stays byte-identical at \
-                     any shard/thread/jobs level. \
+                     any shard/jobs level. \
                      --audit runs the online invariant auditor every 5ms \
                      of virtual time (read-only; output is unchanged). \
                      --metrics prints virtual-time latency tables after the \
@@ -288,14 +274,12 @@ fn write_bench_report(
         alloc_bytes: u64,
         peak_bytes: u64,
     }
-    // The baseline also forces --threads 1 --shards 1: `wall_s_jobs1`
-    // and `events_per_sec_jobs1` mean "the canonical serial engine, end
-    // to end", comparable across reports whatever sharding or threading
-    // the main pass used. Output is byte-identical at any shard or
-    // thread count, so the identity check below doubles as a
-    // shard/thread determinism gate.
+    // The baseline also forces --shards 1: `wall_s_jobs1` and
+    // `events_per_sec_jobs1` mean "one calendar, one job, end to end",
+    // comparable across reports whatever sharding the main pass used.
+    // Output is byte-identical at any shard count, so the identity check
+    // below doubles as a shard determinism gate.
     let serial_scale = Scale {
-        threads: 1,
         shards: 1,
         ..*scale
     };
@@ -321,52 +305,7 @@ fn write_bench_report(
         .collect();
     let seq_wall = seq_start.elapsed().as_secs_f64();
 
-    // A third rerun (still --jobs 1) with the requested --threads
-    // isolates the intra-run PDES driver from experiment-level
-    // parallelism: `events_per_sec_threaded` vs `events_per_sec_jobs1`
-    // is the threading speedup alone.
-    struct ThrRun {
-        out: String,
-        wall: f64,
-        events: u64,
-    }
-    let mut thr_windows = 0u64;
-    let mut thr_barriers = 0u64;
-    let threaded: Option<Vec<ThrRun>> = if scale.threads > 1 {
-        eprintln!(
-            "[bench-report: rerunning at --jobs 1 --threads {} for the \
-             threaded baseline]",
-            scale.threads
-        );
-        let (w0, b0) = ibridge_pvfs::total_window_counters();
-        let runs = chosen
-            .iter()
-            .map(|e| {
-                let t0 = Instant::now();
-                let ev0 = ibridge_pvfs::total_events_dispatched();
-                let out = (e.run)(scale);
-                ThrRun {
-                    out,
-                    wall: t0.elapsed().as_secs_f64(),
-                    events: ibridge_pvfs::total_events_dispatched() - ev0,
-                }
-            })
-            .collect();
-        let (w1, b1) = ibridge_pvfs::total_window_counters();
-        thr_windows = w1 - w0;
-        thr_barriers = b1 - b0;
-        Some(runs)
-    } else {
-        None
-    };
-    let thr_wall: Option<f64> = threaded
-        .as_ref()
-        .map(|runs| runs.iter().map(|r| r.wall).sum());
-
-    let identical = par_results.iter().zip(&seq).all(|((a, _), b)| *a == b.out)
-        && threaded
-            .as_ref()
-            .is_none_or(|runs| runs.iter().zip(&seq).all(|(a, b)| a.out == b.out));
+    let identical = par_results.iter().zip(&seq).all(|((a, _), b)| *a == b.out);
 
     let mut per = String::new();
     for (i, e) in chosen.iter().enumerate() {
@@ -379,14 +318,9 @@ fn write_bench_report(
         // jobs levels. `table1`/`table2` dispatch no simulator events at
         // all; rate and per-event figures are `null` there rather than a
         // fiction divided by 1.
-        let threaded_rate = match &threaded {
-            Some(runs) => per_event_rate(runs[i].events, runs[i].wall),
-            None => "null".to_string(),
-        };
         per.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"wall_s_jobs1\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {}, \"events_per_sec_jobs1\": {}, \
-             \"events_per_sec_threaded\": {threaded_rate}",
+             \"events\": {}, \"events_per_sec\": {}, \"events_per_sec_jobs1\": {}",
             e.name,
             par_results[i].1,
             s.wall,
@@ -411,12 +345,11 @@ fn write_bench_report(
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let note = if jobs.max(scale.threads) > host_cpus {
+    let note = if jobs > host_cpus {
         format!(
-            ",\n  \"note\": \"requested {jobs} jobs x {} threads but the host \
-             exposes only {host_cpus} CPU(s); jobs and threaded speedups are \
-             bounded by available parallelism\"",
-            scale.threads
+            ",\n  \"note\": \"requested {jobs} jobs but the host exposes only \
+             {host_cpus} CPU(s); the jobs speedup is bounded by available \
+             parallelism\""
         )
     } else {
         String::new()
@@ -492,40 +425,18 @@ fn write_bench_report(
         Some(reg) => format!(",\n{}", ibridge_bench::obs_report::json_fragment(reg)),
         None => String::new(),
     };
-    // Threading summary: wall/speedup of the threaded rerun and the
-    // barrier synchronisation density of its windows. All `null` when
-    // the report ran at --threads 1.
-    let threading = match thr_wall {
-        Some(tw) => format!(
-            ",\n  \"wall_s_threaded\": {tw:.3},\n  \
-             \"threaded_speedup\": {:.3},\n  \
-             \"windows\": {thr_windows},\n  \"barriers\": {thr_barriers},\n  \
-             \"barriers_per_window\": {}",
-            seq_wall / tw.max(1e-9),
-            if thr_windows == 0 {
-                "null".to_string()
-            } else {
-                format!("{:.4}", thr_barriers as f64 / thr_windows as f64)
-            },
-        ),
-        None => ",\n  \"wall_s_threaded\": null,\n  \"threaded_speedup\": null,\n  \
-                 \"windows\": null,\n  \"barriers\": null,\n  \
-                 \"barriers_per_window\": null"
-            .to_string(),
-    };
     let json = format!(
         "{{\n  \"jobs\": {jobs},\n  \"host_cpus\": {host_cpus},\n  \
-         \"seed\": {},\n  \"shards\": {},\n  \"threads\": {},\n  \
+         \"seed\": {},\n  \"shards\": {},\n  \
          \"experiments\": [{per}\n  ],\n  \
          \"wall_s\": {par_wall:.3},\n  \"wall_s_jobs1\": {seq_wall:.3},\n  \
-         \"speedup_vs_jobs1\": {:.3}{threading},\n  \
+         \"speedup_vs_jobs1\": {:.3},\n  \
          \"events_dispatched\": {events},\n  \
          \"events_per_sec\": {:.0},\n  \
          \"output_identical_to_jobs1\": {identical}{alloc_summary}\
          {fault_counters}{maint_counters}{obs_fragment}{note}\n}}\n",
         scale.seed,
         scale.shards,
-        scale.threads,
         seq_wall / par_wall.max(1e-9),
         events as f64 / par_wall.max(1e-9),
     );

@@ -71,12 +71,6 @@ pub struct Scale {
     /// order is intrinsic to the simulated system, so experiment output
     /// is byte-identical at any shard count.
     pub shards: usize,
-    /// Executor threads for the intra-run PDES driver (`expt
-    /// --threads`), forwarded to every cluster the experiments build.
-    /// At 1 (or with a single LP) the serial reference driver runs;
-    /// above 1 ready LPs execute concurrently between deterministic
-    /// window barriers. Output is byte-identical at any thread count.
-    pub threads: usize,
     /// A user-supplied fault plan (`expt --fault-plan ...`); the
     /// `faults` experiment adds a row for it next to the builtin plans.
     /// Leaked to `'static` by the CLI so `Scale` stays `Copy`.
@@ -103,7 +97,6 @@ impl Scale {
             page_cache: 512 << 10,
             seed: 42,
             shards: 1,
-            threads: 1,
             fault_plan: None,
             audit_interval: None,
             mds_replicas: 1,
@@ -120,7 +113,6 @@ impl Scale {
             page_cache: 8 << 20,
             seed: 42,
             shards: 1,
-            threads: 1,
             fault_plan: None,
             audit_interval: None,
             mds_replicas: 1,
@@ -139,7 +131,6 @@ pub fn build(system: System, n_servers: usize, scale: &Scale) -> Cluster {
         n_servers,
         seed: scale.seed,
         shards: scale.shards,
-        threads: scale.threads,
         audit_interval: scale.audit_interval,
         mds_replicas: scale.mds_replicas,
         server: ServerConfig {
@@ -167,7 +158,6 @@ pub fn build_ibridge_with(
         n_servers,
         seed: scale.seed,
         shards: scale.shards,
-        threads: scale.threads,
         audit_interval: scale.audit_interval,
         mds_replicas: scale.mds_replicas,
         threshold,

@@ -140,34 +140,6 @@ pub fn render(reg: &Registry) -> String {
         out.push_str(&t.block());
     }
 
-    // Threaded-PDES driver balance. Event counts are deterministic;
-    // the wall-share column is host wall-clock and varies run to run,
-    // so this table only appears when a threaded run happened — never
-    // in golden-compared serial output.
-    if !reg.pdes.is_empty() {
-        let p = &reg.pdes;
-        let mut t = Table::new(
-            "metrics: pdes threaded driver (wall% is host-dependent)",
-            &["lp", "events", "wall%"],
-        );
-        let total_wall: u64 = p.lp_wall_ns.iter().sum();
-        for (i, &ev) in p.lp_events.iter().enumerate() {
-            let wall = p.lp_wall_ns.get(i).copied().unwrap_or(0);
-            let share = if total_wall == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", wall as f64 / total_wall as f64 * 100.0)
-            };
-            t.row(&[i.to_string(), ev.to_string(), share]);
-        }
-        t.row(&[
-            format!("{} run(s)", p.runs),
-            format!("{} window(s)", p.windows),
-            format!("{} barrier(s)", p.barriers),
-        ]);
-        out.push_str(&t.block());
-    }
-
     // Replicated-MDS counters. Only appears when a run recorded MDS
     // activity (replicated group or stale-T degradation), so existing
     // golden-compared output is unchanged.
@@ -279,25 +251,6 @@ pub fn json_fragment(reg: &Registry) -> String {
         );
     }
     out.push_str("\n    }");
-    if !reg.pdes.is_empty() {
-        let p = &reg.pdes;
-        let join = |v: &[u64]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = write!(
-            out,
-            ",\n    \"pdes\": {{\"runs\": {}, \"windows\": {}, \"barriers\": {}, \
-             \"lp_events\": [{}], \"lp_wall_ns\": [{}]}}",
-            p.runs,
-            p.windows,
-            p.barriers,
-            join(&p.lp_events),
-            join(&p.lp_wall_ns),
-        );
-    }
     if !reg.mds.is_empty() {
         let m = &reg.mds;
         let _ = write!(

@@ -1,13 +1,11 @@
 //! Sharding the cluster into logical processes must not change any
 //! simulated result. Event order under `ibridge_des::pdes` is keyed by
 //! `(time, source node, per-node sequence)` — intrinsic to the simulated
-//! system, not to the LP grouping or to which executor thread ran an
-//! LP's window — so `--shards N` and `--threads T` may only change how
-//! the calendar is stored and who advances it, never what it
-//! dispatches. These tests run the same job matrix at shard counts
-//! 1/2/8 × thread counts 1/4 (and across `--jobs` levels, and under
-//! cross-LP fault plans) and require *identical* outputs — not
-//! approximately equal.
+//! system, not to the LP grouping — so `--shards N` may only change how
+//! the calendar is stored, never what it dispatches. These tests run
+//! the same job matrix at shard counts 1/2/8 (and across `--jobs`
+//! levels, and under cross-LP fault plans) and require *identical*
+//! outputs — not approximately equal.
 //!
 //! The fingerprint is the full `Debug` rendering of `RunStats`: Rust's
 //! `f64` Debug format is shortest-roundtrip, so two renderings are equal
@@ -22,35 +20,33 @@ use ibridge_workloads::{CheckpointWorkload, MpiIoTest};
 
 const KB: u64 = 1024;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-fn scale_with(seed: u64, shards: usize, threads: usize) -> Scale {
+fn scale_with(seed: u64, shards: usize) -> Scale {
     Scale {
         stream_bytes: 16 << 20,
         seed,
         shards,
-        threads,
         ..Scale::quick()
     }
 }
 
 /// One cell of the matrix: a full-stats fingerprint of a run at the
-/// given shard and executor-thread counts. 8 servers so `--shards 8`
-/// really builds 8 LPs (4 would silently clamp).
-fn run_cell((seed, system, size, shards, threads): (u64, System, u64, usize, usize)) -> String {
-    let scale = scale_with(seed, shards, threads);
+/// given shard count. 8 servers so `--shards 8` really builds 8 LPs (4
+/// would silently clamp).
+fn run_cell((seed, system, size, shards): (u64, System, u64, usize)) -> String {
+    let scale = scale_with(seed, shards);
     let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
     let span = w.span_bytes();
     let stats = run_once(system, 8, &scale, span, &mut w);
     format!("{stats:?}")
 }
 
-fn matrix(shards: usize, threads: usize) -> Vec<(u64, System, u64, usize, usize)> {
+fn matrix(shards: usize) -> Vec<(u64, System, u64, usize)> {
     let mut jobs = Vec::new();
     for seed in [42u64, 7, 1234] {
         for system in [System::Stock, System::IBridge] {
             for size in [64 * KB, 65 * KB] {
-                jobs.push((seed, system, size, shards, threads));
+                jobs.push((seed, system, size, shards));
             }
         }
     }
@@ -58,44 +54,31 @@ fn matrix(shards: usize, threads: usize) -> Vec<(u64, System, u64, usize, usize)
 }
 
 #[test]
-fn multi_seed_stats_identical_across_shard_and_thread_counts() {
-    let baseline: Vec<String> = matrix(1, 1).into_iter().map(run_cell).collect();
+fn multi_seed_stats_identical_across_shard_counts() {
+    let baseline: Vec<String> = matrix(1).into_iter().map(run_cell).collect();
     for shards in [2, 8] {
-        for threads in THREAD_COUNTS {
-            let cell: Vec<String> = matrix(shards, threads).into_iter().map(run_cell).collect();
-            assert_eq!(
-                cell, baseline,
-                "shards={shards} threads={threads} changed simulated results"
-            );
-        }
+        let cell: Vec<String> = matrix(shards).into_iter().map(run_cell).collect();
+        assert_eq!(cell, baseline, "shards={shards} changed simulated results");
     }
 }
 
 #[test]
 fn shard_identity_holds_at_any_jobs_level() {
-    // The full shards × threads × seeds × systems matrix through the
-    // worker pool at two budgets: no axis may perturb another. Threaded
-    // windows inside a run and `--jobs` workers across runs compose —
-    // both layers ride the same pool.
-    let all: Vec<(u64, System, u64, usize, usize)> = SHARD_COUNTS
-        .iter()
-        .flat_map(|&s| THREAD_COUNTS.iter().flat_map(move |&t| matrix(s, t)))
-        .collect();
+    // The full shards × seeds × systems matrix through the worker pool
+    // at two budgets: neither axis may perturb the other.
+    let all: Vec<(u64, System, u64, usize)> =
+        SHARD_COUNTS.iter().flat_map(|&s| matrix(s)).collect();
     let seq = par_map_jobs(1, all.clone(), run_cell);
     let par = par_map_jobs(8, all, run_cell);
     assert_eq!(seq, par, "--jobs changed results on a sharded cluster");
-    // And within each jobs level, the shard/thread axes themselves must
-    // collapse: every (shards, threads) block equals the first block
-    // (shards=1, threads=1).
-    let blocks = SHARD_COUNTS.len() * THREAD_COUNTS.len();
-    let per_block = seq.len() / blocks;
-    for b in 1..blocks {
-        let shards = SHARD_COUNTS[b / THREAD_COUNTS.len()];
-        let threads = THREAD_COUNTS[b % THREAD_COUNTS.len()];
+    // And within each jobs level, the shard axis itself must collapse:
+    // every shard-count block equals the first block (shards=1).
+    let per_block = seq.len() / SHARD_COUNTS.len();
+    for (b, shards) in SHARD_COUNTS.iter().enumerate().skip(1) {
         assert_eq!(
             seq[b * per_block..(b + 1) * per_block],
             seq[..per_block],
-            "shards={shards} threads={threads} diverged from shards=1 threads=1"
+            "shards={shards} diverged from shards=1"
         );
     }
 }
@@ -103,9 +86,9 @@ fn shard_identity_holds_at_any_jobs_level() {
 /// The fault probe from the `faults` experiment: a checkpoint workload
 /// long enough (hundreds of virtual milliseconds) that the builtin
 /// plans' fault windows land mid-run.
-fn fault_cell(plan_text: &str, seed: u64, shards: usize, threads: usize) -> String {
+fn fault_cell(plan_text: &str, seed: u64, shards: usize) -> String {
     let plan = FaultPlan::parse(plan_text).expect("parses");
-    let scale = scale_with(seed, shards, threads);
+    let scale = scale_with(seed, shards);
     let mut cluster = build(System::IBridge, 4, &scale);
     let mut w = CheckpointWorkload::new(
         FILE_A,
@@ -128,15 +111,14 @@ fn fault_cell(plan_text: &str, seed: u64, shards: usize, threads: usize) -> Stri
 /// The replicated-MDS probe: the `mds-ha` experiment's shape (4-server
 /// iBridge, 5 ms T-report cadence, 3-replica group) under a failover
 /// plan, so elections, log replication, leader-crash fencing and the
-/// broadcast fan-out all run while the matrix varies the driver knobs.
-fn mds_cell((plan_text, seed, shards, threads): (&str, u64, usize, usize)) -> String {
+/// broadcast fan-out all run while the matrix varies the shard count.
+fn mds_cell((plan_text, seed, shards): (&str, u64, usize)) -> String {
     let plan = FaultPlan::parse(plan_text).expect("parses");
-    let scale = scale_with(seed, shards, threads);
+    let scale = scale_with(seed, shards);
     let cfg = ibridge_pvfs::ClusterConfig {
         n_servers: 4,
         seed: scale.seed,
         shards: scale.shards,
-        threads: scale.threads,
         mds_replicas: 3,
         report_interval: SimDuration::from_millis(5),
         ..Default::default()
@@ -162,20 +144,14 @@ fn mds_cell((plan_text, seed, shards, threads): (&str, u64, usize, usize)) -> St
 }
 
 #[test]
-fn replicated_mds_identical_across_shard_thread_and_jobs_levels() {
+fn replicated_mds_identical_across_shard_and_jobs_levels() {
     let failover = builtin("mds-failover").expect("builtin");
     let partition = builtin("mds-partition").expect("builtin");
     for plan in [failover, partition] {
-        let baseline = mds_cell((plan, 42, 1, 1));
-        let mut cells = Vec::new();
-        for shards in [1usize, 4] {
-            for threads in [1usize, 4] {
-                cells.push((plan, 42u64, shards, threads));
-            }
-        }
-        // Across the shard × thread grid through the worker pool at two
-        // budgets: neither the PDES driver nor `--jobs` may perturb the
-        // replicated run.
+        let baseline = mds_cell((plan, 42, 1));
+        let cells = vec![(plan, 42u64, 1usize), (plan, 42, 4)];
+        // Across shard counts through the worker pool at two budgets:
+        // neither sharding nor `--jobs` may perturb the replicated run.
         let seq = par_map_jobs(1, cells.clone(), mds_cell);
         let par = par_map_jobs(8, cells, mds_cell);
         assert_eq!(
@@ -185,20 +161,20 @@ fn replicated_mds_identical_across_shard_thread_and_jobs_levels() {
         for (i, cell) in seq.iter().enumerate() {
             assert_eq!(
                 cell, &baseline,
-                "grid point {i} diverged from shards=1 threads=1\nplan:\n{plan}"
+                "grid point {i} diverged from shards=1\nplan:\n{plan}"
             );
         }
     }
 }
 
 #[test]
-fn fault_plans_identical_across_shard_and_thread_counts() {
+fn fault_plans_identical_across_shard_counts() {
     // "crash" kills and restarts a server (crash teardown, drain kicks
     // and restart recovery all cross the LP boundary); "net" drops,
     // delays and duplicates messages on the client↔server links (every
     // impairment draw rides a cross-LP hop); the combined plan runs
     // both at once so a crash lands while impaired replies are still in
-    // flight. All must be byte-stable at any shards × threads point.
+    // flight. All must be byte-stable at any shard count.
     let crash = builtin("crash").expect("builtin");
     let net = builtin("net").expect("builtin");
     let combined = "retry timeout=60ms backoff=2 max=10\n\
@@ -206,15 +182,13 @@ fn fault_plans_identical_across_shard_and_thread_counts() {
          net from=40ms until=400ms drop=0.05 delay=0.10 delay-by=3ms dup=0.03\n";
     for plan in [crash, net, combined] {
         for seed in [42u64, 7] {
-            let baseline = fault_cell(plan, seed, 1, 1);
+            let baseline = fault_cell(plan, seed, 1);
             for shards in [2, 8] {
-                for threads in THREAD_COUNTS {
-                    assert_eq!(
-                        fault_cell(plan, seed, shards, threads),
-                        baseline,
-                        "seed={seed} shards={shards} threads={threads} diverged\nplan:\n{plan}"
-                    );
-                }
+                assert_eq!(
+                    fault_cell(plan, seed, shards),
+                    baseline,
+                    "seed={seed} shards={shards} diverged\nplan:\n{plan}"
+                );
             }
         }
     }

@@ -1,72 +1,44 @@
-//! Conservative parallel-DES engine: the cluster sharded into logical
-//! processes (LPs), each owning its own slab calendar, synchronised by
-//! time-window barriers and exchanging cross-LP events through
-//! deterministic per-(src, dst) ordered queues.
+//! The event calendar: the simulated system sharded into logical
+//! processes (LPs), each owning its own slab calendar, dispatched in one
+//! global intrinsic order.
 //!
 //! # Model
 //!
 //! The simulated system is partitioned into *nodes* (a client
 //! coordinator, individual data servers); each node is statically
-//! assigned to one LP. Events execute on the LP that owns their
-//! destination node. An event whose source and destination share an LP
-//! goes straight onto that LP's calendar; an event that crosses LPs is a
-//! *fabric message* and is buffered in the sending LP's per-destination
-//! outbox until the next window barrier.
-//!
-//! The drivers advance virtual time in windows of width equal to the
-//! **lookahead** — the minimum cross-LP event latency, in this codebase
-//! the network's per-message floor (`overhead + propagation latency`).
-//! Within a window `[T, T + L)` every ready LP's calendar is exhausted;
-//! at the barrier all outboxes are flushed into the destination
-//! calendars and the next window starts at the earliest pending event.
-//! Because a message sent at `s ≥ T` arrives at `s + L ≥ T + L`, no
-//! message can ever land inside a window that is already executing — the
-//! conservative-PDES safety condition, enforced by an assertion on every
-//! cross-LP post.
+//! assigned to one LP. Every post names its source and destination node,
+//! and the event is queued on the calendar of the LP that owns the
+//! destination. An event that crosses LPs is a *fabric message*: it must
+//! land at least one **lookahead** in the future — the minimum cross-LP
+//! event latency, in this codebase the network's per-message floor
+//! (`overhead + propagation latency`). An assertion on every cross-LP
+//! post enforces this conservative-PDES safety condition, so no LP's
+//! state can depend on another LP's events of the current lookahead
+//! window.
 //!
 //! # Determinism: intrinsic event order
 //!
 //! Events are ordered by `(timestamp, source node, per-node sequence)`.
 //! The sequence number is drawn from a counter owned by the *posting
 //! node*, never from a global insertion counter, so an event's position
-//! in the total order is an intrinsic property of the simulated system —
-//! independent of how nodes are grouped into LPs *and* of which thread
-//! executes which LP. Two drivers share this machinery:
+//! in the total order is an intrinsic property of the simulated system,
+//! independent of how nodes are grouped into LPs.
+//! [`run_serial`](ShardedSimulation::run_serial) (and the incremental
+//! [`pop`](ShardedSimulation::pop)) dispatch the globally smallest
+//! `(at, key)` among all LP calendar heads, one event at a time. That is
+//! what keeps every stat, trace and golden byte-identical at any
+//! `--shards`/`--jobs` combination. On a single node the order reduces
+//! to time, then FIFO among same-instant posts.
 //!
-//! * [`run_serial`](ShardedSimulation::run_serial) (and the incremental
-//!   [`pop`](ShardedSimulation::pop)) dispatch the globally smallest
-//!   `(at, key)` among all LP calendar heads — one event at a time, in
-//!   the exact global order. This is the reference semantics.
-//! * [`run_threaded`](ShardedSimulation::run_threaded) executes every
-//!   LP that has events inside the current window concurrently on a
-//!   pool of scoped worker threads. Each LP still dispatches *its own*
-//!   events in `(at, key)` order; LPs only interact through fabric
-//!   messages, which the lookahead keeps out of the executing window.
-//!   Per-LP state is therefore a function of the per-LP event sequence
-//!   alone, and that sequence is identical under both drivers — which
-//!   is what keeps every stat, trace and golden byte-identical at any
-//!   `--shards`/`--jobs`/thread combination.
-//!
-//! # Adaptive window batching
-//!
-//! A fixed-width window pays one barrier per lookahead of virtual time
-//! even when only one LP has anything to do. The threaded driver
-//! therefore widens the window whenever a single LP is ready: that LP
-//! may safely run until the earliest instant any *other* LP could send
-//! it a message (`second-earliest head + lookahead`, or forever if no
-//! other LP has events). Idle gaps are jumped the same way — the next
-//! window always opens at the earliest pending event, never at the end
-//! of the previous one. [`WindowReport`] counts windows and true
-//! multi-LP barriers so the synchronisation overhead is attributable.
+//! Runs are serial by design. A threaded driver that executed ready LPs
+//! concurrently between window barriers lost to this one on every
+//! measured workload (DESIGN.md, "Why runs are serial").
 
 use crate::{EventId, SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::binary_heap::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtOrd};
-use std::sync::{Condvar, Mutex};
 
-/// Sentinel slot for non-cancellable events (mirrors the serial
-/// calendar's fast path).
+/// Sentinel slot for non-cancellable events: they skip the slab.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Bits of an [`EventId`] slot word reserved for the slab index; the
@@ -111,76 +83,25 @@ impl<E> Ord for Keyed<E> {
     }
 }
 
-/// A buffered cross-LP message awaiting the window barrier.
-struct Msg<E> {
-    at: SimTime,
-    key: u64,
-    event: E,
-}
-
 const SEQ_BITS: u32 = 48;
 
-/// "No pending outbox message": later than any representable instant.
-const T_INF: SimTime = SimTime::from_nanos(u64::MAX);
-
-/// One logical process: a slab calendar plus its outbound fabric
-/// queues. Everything an LP touches while executing a window lives
-/// here, so a window execution needs no access to any other LP.
+/// One logical process: a slab calendar. Cancellable events are always
+/// LP-local, so each LP owns its own cancellation slab.
 struct LpCal<E> {
     heap: BinaryHeap<Keyed<E>>,
-    /// Outbound cross-LP messages, one FIFO per destination LP,
-    /// flushed at barriers in (src, dst) order.
-    outbox: Vec<Vec<Msg<E>>>,
-    outbox_dirty: bool,
-    /// Earliest arrival time across all buffered outbox messages
-    /// (`T_INF` when the outbox is empty). Bounds how far a window may
-    /// run: once this LP has sent a message arriving at `t`, another LP
-    /// can react and reach back by `t + lookahead`, so no event at or
-    /// beyond that instant may execute before the next barrier.
-    outbox_min: SimTime,
-    /// Per-node post counters (the intrinsic sequence source), indexed
-    /// by global node id; only this LP's nodes are ever touched.
-    node_seq: Vec<u64>,
-    /// Cancellation slab. Cancellable events are always LP-local, so
-    /// each LP owns its own slab and windows never contend on it.
     slots: Vec<Slot>,
     free: Vec<u32>,
     tombstones: usize,
-    /// This LP's local clock: the timestamp of its last dispatched
-    /// event (monotone within the LP).
-    now: SimTime,
-    dispatched: u64,
-    /// Wall-clock nanoseconds spent executing this LP's windows during
-    /// the current [`run_threaded`](ShardedSimulation::run_threaded)
-    /// call. Diagnostic only — never feeds back into virtual time.
-    wall_ns: u64,
 }
 
 impl<E> LpCal<E> {
-    fn new(n_lps: usize, n_nodes: usize) -> Self {
+    fn new() -> Self {
         LpCal {
             heap: BinaryHeap::new(),
-            outbox: (0..n_lps).map(|_| Vec::new()).collect(),
-            outbox_dirty: false,
-            outbox_min: T_INF,
-            node_seq: vec![0; n_nodes],
             slots: Vec::new(),
             free: Vec::new(),
             tombstones: 0,
-            now: SimTime::ZERO,
-            dispatched: 0,
-            wall_ns: 0,
         }
-    }
-
-    /// Draws the next intrinsic key for `src` (a node this LP owns).
-    #[inline]
-    fn alloc_key(&mut self, src: u16) -> u64 {
-        let seq = &mut self.node_seq[src as usize];
-        let key = ((src as u64) << SEQ_BITS) | *seq;
-        debug_assert!(*seq < (1 << SEQ_BITS), "per-node sequence exhausted");
-        *seq += 1;
-        key
     }
 
     fn alloc_slot(&mut self) -> u32 {
@@ -237,7 +158,7 @@ impl<E> LpCal<E> {
         }
     }
 
-    /// Pops the cleaned head, advancing the LP clock.
+    /// Pops the cleaned head.
     #[inline]
     fn pop_head(&mut self) -> Keyed<E> {
         let k = self.heap.pop().expect("head vanished");
@@ -246,143 +167,65 @@ impl<E> LpCal<E> {
             let was_cancelled = self.retire_slot(k.slot);
             debug_assert!(!was_cancelled);
         }
-        debug_assert!(k.at >= self.now, "calendar yielded an event in the past");
-        self.now = k.at;
-        self.dispatched += 1;
         k
     }
 }
 
-/// Synchronisation statistics of one
-/// [`run_threaded`](ShardedSimulation::run_threaded) call.
-#[derive(Debug, Clone, Default)]
-pub struct WindowReport {
-    /// Rounds executed (each opens at the earliest pending event).
-    pub windows: u64,
-    /// Rounds in which more than one LP was ready — the true barrier
-    /// synchronisations. `windows - barriers` rounds were widened
-    /// single-LP windows that skipped the barrier entirely.
-    pub barriers: u64,
-    /// Events dispatched per LP.
-    pub lp_events: Vec<u64>,
-    /// Wall-clock nanoseconds spent executing each LP's windows.
-    /// Diagnostic only: host-dependent, never part of golden output.
-    pub lp_wall_ns: Vec<u64>,
-}
-
-impl WindowReport {
-    /// Barriers per window — the fraction of rounds that needed
-    /// multi-LP synchronisation. Deterministic for a given (workload,
-    /// shards) pair at any thread count.
-    pub fn barriers_per_window(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.barriers as f64 / self.windows as f64
-        }
-    }
-}
-
 /// The per-LP face of the engine handed to event handlers by
-/// [`run_serial`](ShardedSimulation::run_serial) and
-/// [`run_threaded`](ShardedSimulation::run_threaded). All posts must
-/// originate from a node this LP owns; same-LP events go straight onto
-/// the LP's calendar, cross-LP events into its outbox (flushed at the
-/// next barrier — which the lookahead check makes indistinguishable
-/// from immediate delivery).
+/// [`run_serial`](ShardedSimulation::run_serial). Posts must originate
+/// from a node the executing LP owns (checked in debug builds); they
+/// obey the same routing and lookahead rules as posts made on the
+/// engine directly.
 pub struct LpPort<'a, E> {
-    lp: &'a mut LpCal<E>,
+    sim: &'a mut ShardedSimulation<E>,
     lp_idx: u32,
-    node_lp: &'a [u32],
-    lookahead: SimDuration,
 }
 
 impl<E> LpPort<'_, E> {
-    /// This LP's current virtual time.
+    /// The current virtual time: the timestamp of the event being
+    /// handled.
     pub fn now(&self) -> SimTime {
-        self.lp.now
+        self.sim.now
     }
 
     /// The simulation's cross-LP lookahead: the earliest a message posted
     /// now may take effect on another LP is `now() + lookahead()`.
     pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
+        self.sim.lookahead
     }
 
     #[inline]
-    fn check_route(&self, src: u16, dst: u16, at: SimTime) -> usize {
-        let src_lp = self.node_lp[src as usize];
-        debug_assert_eq!(src_lp, self.lp_idx, "post from a node this LP does not own");
-        let dst_lp = self.node_lp[dst as usize] as usize;
-        if dst_lp == self.lp_idx as usize {
-            assert!(
-                at >= self.lp.now,
-                "event scheduled in the past: at={at:?} now={:?}",
-                self.lp.now
-            );
-        } else {
-            // The conservative safety condition: a cross-LP event must
-            // not land inside a window that may already be executing.
-            assert!(
-                at >= self.lp.now + self.lookahead,
-                "cross-LP event violates lookahead: at={at:?} now={:?} lookahead={:?}",
-                self.lp.now,
-                self.lookahead
-            );
-        }
-        dst_lp
+    fn check_owner(&self, src: u16) {
+        debug_assert_eq!(
+            self.sim.owner(src) as u32,
+            self.lp_idx,
+            "post from a node this LP does not own"
+        );
     }
 
     /// Posts `event` from node `src` onto node `dst` at absolute time
     /// `at` (fire-and-forget). Same-LP posts only require `at >= now`;
     /// cross-LP posts must respect the lookahead.
     pub fn post_at(&mut self, src: u16, dst: u16, at: SimTime, event: E) {
-        let dst_lp = self.check_route(src, dst, at);
-        let key = self.lp.alloc_key(src);
-        if dst_lp == self.lp_idx as usize {
-            self.lp.heap.push(Keyed {
-                at,
-                key,
-                slot: NO_SLOT,
-                event,
-            });
-        } else {
-            self.lp.outbox[dst_lp].push(Msg { at, key, event });
-            self.lp.outbox_dirty = true;
-            self.lp.outbox_min = self.lp.outbox_min.min(at);
-        }
+        self.check_owner(src);
+        self.sim.post_at(src, dst, at, event);
     }
 
     /// [`post_at`](Self::post_at) after a delay from now.
     pub fn post_in(&mut self, src: u16, dst: u16, d: SimDuration, event: E) {
-        self.post_at(src, dst, self.lp.now + d, event);
+        self.post_at(src, dst, self.sim.now + d, event);
     }
 
     /// [`post_at`](Self::post_at) at the current instant (same-LP only
     /// in practice — a cross-LP post at `now` violates the lookahead).
     pub fn post_now(&mut self, src: u16, dst: u16, event: E) {
-        self.post_at(src, dst, self.lp.now, event);
+        self.post_at(src, dst, self.sim.now, event);
     }
 
     /// Cancellable post; `src` and `dst` must both live on this LP.
     pub fn schedule_at(&mut self, src: u16, dst: u16, at: SimTime, event: E) -> EventId {
-        let dst_lp = self.check_route(src, dst, at);
-        assert_eq!(
-            dst_lp, self.lp_idx as usize,
-            "cancellable events must stay within one LP"
-        );
-        let key = self.lp.alloc_key(src);
-        let slot = self.lp.alloc_slot();
-        self.lp.heap.push(Keyed {
-            at,
-            key,
-            slot,
-            event,
-        });
-        EventId::pack(
-            (self.lp_idx << SLOT_BITS) | slot,
-            self.lp.slots[slot as usize].gen,
-        )
+        self.check_owner(src);
+        self.sim.schedule_at(src, dst, at, event)
     }
 
     /// Cancels a previously scheduled event on this LP; no-op if it
@@ -393,20 +236,25 @@ impl<E> LpPort<'_, E> {
             self.lp_idx,
             "cancel of another LP's event"
         );
-        self.lp.cancel(id.slot() & SLOT_MASK, id.gen());
+        self.sim.cancel(id);
     }
 }
 
-/// The sharded simulation. Same contract as [`crate::Simulation`] —
-/// virtual clock, typed events, cancellation — but every post names the
-/// *source* and *destination* node so the engine can route events to LP
-/// calendars and order them intrinsically.
+/// The simulation: virtual clock, typed events and cancellation, with
+/// every post naming its *source* and *destination* node so the engine
+/// can route events to LP calendars and order them intrinsically. A
+/// single-node engine (`ShardedSimulation::new(vec![0], lookahead)`) is
+/// a plain calendar with FIFO tie-breaking.
 pub struct ShardedSimulation<E> {
     lps: Vec<LpCal<E>>,
     /// Node → owning LP.
     node_lp: Vec<u32>,
+    /// Per-node post counters (the intrinsic sequence source), indexed
+    /// by node id.
+    node_seq: Vec<u64>,
     lookahead: SimDuration,
     now: SimTime,
+    dispatched: u64,
 }
 
 impl<E> ShardedSimulation<E> {
@@ -416,7 +264,8 @@ impl<E> ShardedSimulation<E> {
     /// # Panics
     ///
     /// Panics on an empty map, a non-contiguous LP numbering, or a zero
-    /// lookahead (a zero-width window could never make progress).
+    /// lookahead (a cross-LP event could then land at the instant it was
+    /// sent).
     pub fn new(node_lp: Vec<u32>, lookahead: SimDuration) -> Self {
         assert!(!node_lp.is_empty(), "sharded simulation needs nodes");
         assert!(node_lp.len() < (1 << 16), "node id space is 16 bits");
@@ -431,24 +280,24 @@ impl<E> ShardedSimulation<E> {
             "LP numbering must be contiguous from 0"
         );
         ShardedSimulation {
-            lps: (0..n_lps)
-                .map(|_| LpCal::new(n_lps, node_lp.len()))
-                .collect(),
+            lps: (0..n_lps).map(|_| LpCal::new()).collect(),
+            node_seq: vec![0; node_lp.len()],
             node_lp,
             lookahead,
             now: SimTime::ZERO,
+            dispatched: 0,
         }
     }
 
     /// Current virtual time (the timestamp of the last dispatched
-    /// event; after a threaded run, of the globally last event).
+    /// event).
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of events dispatched so far, across all LPs.
     pub fn dispatched(&self) -> u64 {
-        self.lps.iter().map(|l| l.dispatched).sum()
+        self.dispatched
     }
 
     /// Number of logical processes.
@@ -456,21 +305,17 @@ impl<E> ShardedSimulation<E> {
         self.lps.len()
     }
 
-    /// The window width / minimum cross-LP latency.
+    /// The minimum cross-LP latency.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
 
-    /// Pending events across all calendars and outboxes.
+    /// Pending (not yet fired, not cancelled) events across all
+    /// calendars.
     pub fn pending(&self) -> usize {
         let heaps: usize = self.lps.iter().map(|l| l.heap.len()).sum();
-        let queued: usize = self
-            .lps
-            .iter()
-            .flat_map(|l| l.outbox.iter().map(|q| q.len()))
-            .sum::<usize>();
         let tombstones: usize = self.lps.iter().map(|l| l.tombstones).sum();
-        heaps + queued - tombstones
+        heaps - tombstones
     }
 
     #[inline]
@@ -478,6 +323,8 @@ impl<E> ShardedSimulation<E> {
         self.node_lp[node as usize] as usize
     }
 
+    /// Checks the causality rules for a post and returns the `(source,
+    /// destination)` LPs.
     #[inline]
     fn route(&self, src: u16, dst: u16, at: SimTime) -> (usize, usize) {
         let src_lp = self.owner(src);
@@ -489,6 +336,8 @@ impl<E> ShardedSimulation<E> {
                 self.now
             );
         } else {
+            // The conservative safety condition: a cross-LP event must
+            // not land inside the sender's current lookahead window.
             assert!(
                 at >= self.now + self.lookahead,
                 "cross-LP event violates lookahead: at={at:?} now={:?} lookahead={:?}",
@@ -499,13 +348,23 @@ impl<E> ShardedSimulation<E> {
         (src_lp, dst_lp)
     }
 
+    /// Draws the next intrinsic key for `src`.
+    #[inline]
+    fn alloc_key(&mut self, src: u16) -> u64 {
+        let seq = &mut self.node_seq[src as usize];
+        let key = ((src as u64) << SEQ_BITS) | *seq;
+        debug_assert!(*seq < (1 << SEQ_BITS), "per-node sequence exhausted");
+        *seq += 1;
+        key
+    }
+
     /// Posts `event` from node `src` onto node `dst` at absolute time
-    /// `at` (fire-and-forget). Outside a driver the engine holds every
-    /// calendar, so cross-LP events are inserted eagerly — insertion
-    /// timing is invisible because dispatch order is keyed, not FIFO.
+    /// `at` (fire-and-forget: the event cannot be cancelled, and it
+    /// costs no slab bookkeeping). Same-LP posts only require
+    /// `at >= now`; cross-LP posts must respect the lookahead.
     pub fn post_at(&mut self, src: u16, dst: u16, at: SimTime, event: E) {
-        let (src_lp, dst_lp) = self.route(src, dst, at);
-        let key = self.lps[src_lp].alloc_key(src);
+        let (_, dst_lp) = self.route(src, dst, at);
+        let key = self.alloc_key(src);
         self.lps[dst_lp].heap.push(Keyed {
             at,
             key,
@@ -531,12 +390,13 @@ impl<E> ShardedSimulation<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `src` and `dst` live on different LPs.
+    /// Panics if `src` and `dst` live on different LPs, or if `at` is
+    /// in the past.
     pub fn schedule_at(&mut self, src: u16, dst: u16, at: SimTime, event: E) -> EventId {
         let (src_lp, dst_lp) = self.route(src, dst, at);
         assert_eq!(src_lp, dst_lp, "cancellable events must stay within one LP");
+        let key = self.alloc_key(src);
         let lp = &mut self.lps[dst_lp];
-        let key = lp.alloc_key(src);
         let slot = lp.alloc_slot();
         lp.heap.push(Keyed {
             at,
@@ -559,506 +419,52 @@ impl<E> ShardedSimulation<E> {
         }
     }
 
-    /// Flushes one LP's outbox rows into the destination calendars, in
-    /// destination order. Only called between windows (or after a
-    /// serial dispatch), when no LP is executing.
-    fn flush_lp_outbox(&mut self, src: usize) {
-        if !self.lps[src].outbox_dirty {
-            return;
-        }
-        self.lps[src].outbox_dirty = false;
-        self.lps[src].outbox_min = T_INF;
-        for dst in 0..self.lps.len() {
-            if self.lps[src].outbox[dst].is_empty() {
-                continue;
-            }
-            let mut row = std::mem::take(&mut self.lps[src].outbox[dst]);
-            for m in row.drain(..) {
-                self.lps[dst].heap.push(Keyed {
-                    at: m.at,
-                    key: m.key,
-                    slot: NO_SLOT,
-                    event: m.event,
-                });
-            }
-            // Hand the drained buffer back so its capacity is reused.
-            self.lps[src].outbox[dst] = row;
-        }
-    }
-
-    /// Index, head time and head key of the LP holding the globally
-    /// smallest `(at, key)`.
-    fn global_min(&mut self) -> Option<(usize, SimTime, u64)> {
+    /// Pops the globally smallest `(at, key)` among the LP calendar
+    /// heads, advancing the clock; returns it with its LP.
+    #[inline]
+    fn pop_next(&mut self) -> Option<(usize, SimTime, E)> {
         let mut best: Option<(usize, SimTime, u64)> = None;
-        for i in 0..self.lps.len() {
-            if let Some((at, key)) = self.lps[i].clean_head() {
+        for (i, lp) in self.lps.iter_mut().enumerate() {
+            if let Some((at, key)) = lp.clean_head() {
                 if best.is_none_or(|(_, bat, bkey)| (at, key) < (bat, bkey)) {
                     best = Some((i, at, key));
                 }
             }
         }
-        best
+        let (i, at, _) = best?;
+        let k = self.lps[i].pop_head();
+        debug_assert!(at >= self.now, "calendar yielded an event in the past");
+        self.now = at;
+        self.dispatched += 1;
+        Some((i, at, k.event))
     }
 
     /// Pops the next event in global intrinsic order, advancing the
     /// clock. Returns `None` when every calendar is empty. This is the
-    /// incremental face of the serial driver (used by tests and
-    /// microbenches); [`run_serial`](Self::run_serial) is the loop form
-    /// that also hands out an [`LpPort`].
+    /// incremental face of the driver (used by tests, benches and
+    /// single-node callers); [`run_serial`](Self::run_serial) is the
+    /// loop form that also hands out an [`LpPort`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        debug_assert!(
-            self.lps.iter().all(|l| !l.outbox_dirty),
-            "pop with unflushed outboxes"
-        );
-        let (i, _, _) = self.global_min()?;
-        let k = self.lps[i].pop_head();
-        self.now = k.at;
-        Some((k.at, k.event))
-    }
-
-    /// Timestamp of the next pending event without popping it (includes
-    /// events still buffered in outboxes).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let heads = (0..self.lps.len())
-            .filter_map(|i| self.lps[i].clean_head().map(|(at, _)| at))
-            .min();
-        let queued = self
-            .lps
-            .iter()
-            .flat_map(|l| l.outbox.iter())
-            .flat_map(|q| q.iter().map(|m| m.at))
-            .min();
-        match (heads, queued) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.pop_next().map(|(_, at, event)| (at, event))
     }
 
     /// Runs the calendar to exhaustion, dispatching events one at a
     /// time in exact global `(at, key)` order. The handler receives an
-    /// [`LpPort`] for the executing LP plus that LP's slice of caller
-    /// state. This is the reference driver: byte-identical to
-    /// [`run_threaded`](Self::run_threaded) for any handler whose
-    /// cross-LP effects flow through fabric messages.
+    /// [`LpPort`] for the LP that owns the event plus that LP's slice of
+    /// caller state.
     pub fn run_serial<S>(
         &mut self,
         states: &mut [S],
         mut handler: impl FnMut(&mut LpPort<'_, E>, &mut S, SimTime, E),
     ) {
         assert_eq!(states.len(), self.lps.len(), "one state per LP");
-        while let Some((i, at, _)) = self.global_min() {
-            let k = self.lps[i].pop_head();
-            self.now = at;
+        while let Some((i, at, event)) = self.pop_next() {
             let mut port = LpPort {
-                lp: &mut self.lps[i],
+                sim: self,
                 lp_idx: i as u32,
-                node_lp: &self.node_lp,
-                lookahead: self.lookahead,
             };
-            handler(&mut port, &mut states[i], at, k.event);
-            // Deliver the event's fabric messages before choosing the
-            // next head, preserving the exact global order.
-            self.flush_lp_outbox(i);
+            handler(&mut port, &mut states[i], at, event);
         }
-    }
-
-    /// Runs the calendar to exhaustion with ready LPs executing
-    /// concurrently on `threads` scoped worker threads (the calling
-    /// thread participates, so `threads: 4` means four executors).
-    ///
-    /// Each round the driver finds the earliest head `t_min`, marks
-    /// every LP with a head before `t_min + lookahead` ready, and
-    /// executes all ready LPs to the window end; at the barrier all
-    /// outboxes are flushed in (src, dst) order and the next round
-    /// opens at the new earliest head. A round with exactly one ready
-    /// LP skips the worker pool entirely and widens its window to the
-    /// second-earliest head plus the lookahead — the adaptive batching
-    /// that amortises barriers over idle gaps and single-LP phases.
-    /// Every window is additionally capped by the executing LP's own
-    /// earliest buffered send plus the lookahead: past that instant a
-    /// peer could already have reacted to the send, so the LP pauses
-    /// there and the next barrier delivers any response first. The cap
-    /// only ever binds in widened windows (in a multi-LP round it lies
-    /// beyond the shared window end by construction).
-    ///
-    /// With `threads: 1` the same window schedule runs inline, so
-    /// window/barrier counts — and, as always, every observable output
-    /// — are identical at any thread count.
-    pub fn run_threaded<S, F>(
-        &mut self,
-        states: &mut [S],
-        threads: usize,
-        handler: F,
-    ) -> WindowReport
-    where
-        E: Send,
-        S: Send,
-        F: Fn(&mut LpPort<'_, E>, &mut S, SimTime, E) + Sync,
-    {
-        let n = self.lps.len();
-        assert_eq!(states.len(), n, "one state per LP");
-        let threads = threads.max(1);
-        let before: Vec<u64> = self.lps.iter().map(|l| l.dispatched).collect();
-        for lp in &mut self.lps {
-            lp.wall_ns = 0;
-        }
-        let mut report = WindowReport {
-            windows: 0,
-            barriers: 0,
-            lp_events: vec![0; n],
-            lp_wall_ns: vec![0; n],
-        };
-
-        if threads == 1 || n == 1 {
-            self.run_windows_inline(states, &handler, &mut report);
-        } else {
-            self.run_windows_pooled(states, threads, &handler, &mut report);
-        }
-
-        // Advance the global clock past everything that executed, and
-        // bring every LP clock up to it so the next run starts from one
-        // consistent instant regardless of driver.
-        let max_now = self.lps.iter().map(|l| l.now).max().unwrap_or(self.now);
-        self.now = self.now.max(max_now);
-        for lp in &mut self.lps {
-            lp.now = self.now;
-        }
-        for (i, lp) in self.lps.iter().enumerate() {
-            report.lp_events[i] = lp.dispatched - before[i];
-            report.lp_wall_ns[i] = lp.wall_ns;
-        }
-        report
-    }
-
-    /// One window of one LP: dispatch every event before `wend`.
-    fn run_lp_window<S, F>(
-        lp: &mut LpCal<E>,
-        lp_idx: usize,
-        node_lp: &[u32],
-        lookahead: SimDuration,
-        state: &mut S,
-        wend: SimTime,
-        handler: &F,
-    ) where
-        F: Fn(&mut LpPort<'_, E>, &mut S, SimTime, E),
-    {
-        let t0 = std::time::Instant::now();
-        while let Some((at, _)) = lp.clean_head() {
-            // The static window end, tightened by this LP's own sends:
-            // a message arriving elsewhere at `t` can provoke a reply
-            // landing here at `t + lookahead`, so execution must pause
-            // there until the next barrier delivers whatever came back.
-            let cap = if lp.outbox_min == T_INF {
-                wend
-            } else {
-                wend.min(lp.outbox_min + lookahead)
-            };
-            if at >= cap {
-                break;
-            }
-            let k = lp.pop_head();
-            let mut port = LpPort {
-                lp,
-                lp_idx: lp_idx as u32,
-                node_lp,
-                lookahead,
-            };
-            handler(&mut port, state, at, k.event);
-        }
-        lp.wall_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Computes the ready set for the next round. Returns `(window
-    /// end, ready LPs)`; an empty ready set means the calendar is
-    /// exhausted. A single-LP round's window is widened to the
-    /// second-earliest head plus the lookahead (`u64::MAX` when no
-    /// other LP has events).
-    fn plan_round(&mut self, ready: &mut Vec<usize>) -> Option<SimTime> {
-        ready.clear();
-        let mut t_min: Option<SimTime> = None;
-        let mut t_second: Option<SimTime> = None;
-        for i in 0..self.lps.len() {
-            if let Some((at, _)) = self.lps[i].clean_head() {
-                match t_min {
-                    None => t_min = Some(at),
-                    Some(m) if at < m => {
-                        t_second = Some(m);
-                        t_min = Some(at);
-                    }
-                    Some(_) => match t_second {
-                        None => t_second = Some(at),
-                        Some(s) if at < s => t_second = Some(at),
-                        Some(_) => {}
-                    },
-                }
-            }
-        }
-        let t_min = t_min?;
-        let wend = t_min + self.lookahead;
-        for i in 0..self.lps.len() {
-            if let Some((at, _)) = self.lps[i].clean_head() {
-                if at < wend {
-                    ready.push(i);
-                }
-            }
-        }
-        if ready.len() == 1 {
-            // Adaptive widening: the lone ready LP may run until the
-            // earliest instant any other LP could reach it.
-            Some(match t_second {
-                Some(s) => s + self.lookahead,
-                None => SimTime::from_nanos(u64::MAX),
-            })
-        } else {
-            Some(wend)
-        }
-    }
-
-    /// The window schedule executed inline (threads = 1): identical
-    /// rounds, no worker pool.
-    fn run_windows_inline<S, F>(&mut self, states: &mut [S], handler: &F, report: &mut WindowReport)
-    where
-        F: Fn(&mut LpPort<'_, E>, &mut S, SimTime, E),
-    {
-        let mut ready: Vec<usize> = Vec::with_capacity(self.lps.len());
-        loop {
-            let Some(wend) = self.plan_round(&mut ready) else {
-                return;
-            };
-            report.windows += 1;
-            if ready.len() > 1 {
-                report.barriers += 1;
-            }
-            for &i in &ready {
-                Self::run_lp_window(
-                    &mut self.lps[i],
-                    i,
-                    &self.node_lp,
-                    self.lookahead,
-                    &mut states[i],
-                    wend,
-                    handler,
-                );
-            }
-            for &i in &ready {
-                self.flush_lp_outbox(i);
-            }
-        }
-    }
-
-    /// The window schedule executed on a pool of scoped workers that
-    /// live for the whole run; rounds are published through a condvar
-    /// epoch and claimed via an atomic cursor over the ready list.
-    fn run_windows_pooled<S, F>(
-        &mut self,
-        states: &mut [S],
-        threads: usize,
-        handler: &F,
-        report: &mut WindowReport,
-    ) where
-        E: Send,
-        S: Send,
-        F: Fn(&mut LpPort<'_, E>, &mut S, SimTime, E) + Sync,
-    {
-        let n = self.lps.len();
-        let node_lp: &[u32] = &self.node_lp;
-        let lookahead = self.lookahead;
-        let mut ready: Vec<usize> = Vec::with_capacity(n);
-
-        // Round control published to the workers. `ready_buf` is a
-        // fixed-size claim list so publishing a round allocates
-        // nothing. `cursor` packs `(epoch << 32) | next claim index`:
-        // a worker that overslept into a later round sees the epoch
-        // mismatch and backs off without consuming a claim, so a stale
-        // wakeup can never execute an LP against the wrong window end.
-        struct Round {
-            epoch: u64,
-            wend: SimTime,
-            ready_len: usize,
-            shutdown: bool,
-        }
-        let ctl = Mutex::new(Round {
-            epoch: 0,
-            wend: SimTime::ZERO,
-            ready_len: 0,
-            shutdown: false,
-        });
-        let start_cv = Condvar::new();
-        let done_cv = Condvar::new();
-        let cursor = AtomicU64::new(0);
-        let left = AtomicUsize::new(0);
-        let ready_buf: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-
-        // Every LP is wrapped once; a round's claim protocol hands each
-        // ready LP to exactly one executor, and between rounds only the
-        // main thread touches them (workers are parked on `start_cv`).
-        let slots: Vec<Mutex<(&mut LpCal<E>, &mut S)>> = self
-            .lps
-            .iter_mut()
-            .zip(states.iter_mut())
-            .map(Mutex::new)
-            .collect();
-
-        let run_round = |my_epoch: u64, wend: SimTime, ready_len: usize| {
-            loop {
-                // Epoch-checked claim: back off (without consuming an
-                // index) the moment the round we woke for is over.
-                let cur = cursor.load(AtOrd::Acquire);
-                if cur >> 32 != my_epoch & 0xFFFF_FFFF {
-                    return;
-                }
-                let k = (cur & 0xFFFF_FFFF) as usize;
-                if k >= ready_len {
-                    return;
-                }
-                if cursor
-                    .compare_exchange_weak(cur, cur + 1, AtOrd::AcqRel, AtOrd::Acquire)
-                    .is_err()
-                {
-                    continue;
-                }
-                let i = ready_buf[k].load(AtOrd::Relaxed);
-                let mut guard = slots[i].lock().expect("LP slot poisoned");
-                let (lp, state) = &mut *guard;
-                Self::run_lp_window(lp, i, node_lp, lookahead, &mut **state, wend, handler);
-                drop(guard);
-                if left.fetch_sub(1, AtOrd::AcqRel) == 1 {
-                    // Last LP of the round: wake the main thread. The
-                    // lock round-trip pairs with its cond-wait.
-                    let _g = ctl.lock().expect("round control poisoned");
-                    done_cv.notify_all();
-                }
-            }
-        };
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads - 1 {
-                scope.spawn(|| {
-                    let mut seen = 0u64;
-                    loop {
-                        let mut g = ctl.lock().expect("round control poisoned");
-                        while g.epoch == seen && !g.shutdown {
-                            g = start_cv.wait(g).expect("round control poisoned");
-                        }
-                        if g.shutdown {
-                            return;
-                        }
-                        seen = g.epoch;
-                        let (wend, ready_len) = (g.wend, g.ready_len);
-                        drop(g);
-                        run_round(seen, wend, ready_len);
-                    }
-                });
-            }
-
-            let mut epoch = 0u64;
-            loop {
-                // Between rounds the workers are parked, so locking
-                // each slot briefly is uncontended.
-                ready.clear();
-                let mut t_min: Option<(SimTime, usize)> = None;
-                let mut t_second: Option<SimTime> = None;
-                for (i, slot) in slots.iter().enumerate() {
-                    let mut guard = slot.lock().expect("LP slot poisoned");
-                    if let Some((at, _)) = guard.0.clean_head() {
-                        match t_min {
-                            None => t_min = Some((at, i)),
-                            Some((m, _)) if at < m => {
-                                t_second = Some(m);
-                                t_min = Some((at, i));
-                            }
-                            Some(_) => match t_second {
-                                None => t_second = Some(at),
-                                Some(s) if at < s => t_second = Some(at),
-                                Some(_) => {}
-                            },
-                        }
-                    }
-                }
-                let Some((t_min, _)) = t_min else { break };
-                let mut wend = t_min + lookahead;
-                for (i, slot) in slots.iter().enumerate() {
-                    let mut guard = slot.lock().expect("LP slot poisoned");
-                    if let Some((at, _)) = guard.0.clean_head() {
-                        if at < wend {
-                            ready.push(i);
-                        }
-                    }
-                }
-                report.windows += 1;
-                if ready.len() == 1 {
-                    // Single ready LP: widen the window and run inline —
-                    // no worker wakeup, no barrier.
-                    wend = match t_second {
-                        Some(s) => s + lookahead,
-                        None => SimTime::from_nanos(u64::MAX),
-                    };
-                    let i = ready[0];
-                    let mut guard = slots[i].lock().expect("LP slot poisoned");
-                    let (lp, state) = &mut *guard;
-                    Self::run_lp_window(lp, i, node_lp, lookahead, &mut **state, wend, handler);
-                } else {
-                    report.barriers += 1;
-                    for (k, &i) in ready.iter().enumerate() {
-                        ready_buf[k].store(i, AtOrd::Relaxed);
-                    }
-                    left.store(ready.len(), AtOrd::Release);
-                    epoch += 1;
-                    cursor.store((epoch & 0xFFFF_FFFF) << 32, AtOrd::Release);
-                    {
-                        let mut g = ctl.lock().expect("round control poisoned");
-                        g.epoch = epoch;
-                        g.wend = wend;
-                        g.ready_len = ready.len();
-                        start_cv.notify_all();
-                    }
-                    // Participate, then wait for stragglers.
-                    run_round(epoch, wend, ready.len());
-                    let mut g = ctl.lock().expect("round control poisoned");
-                    while left.load(AtOrd::Acquire) != 0 {
-                        g = done_cv.wait(g).expect("round control poisoned");
-                    }
-                    drop(g);
-                }
-                // Barrier: flush every ready LP's outbox, (src, dst)
-                // order, before planning the next round.
-                for &i in &ready {
-                    let mut rows: Vec<(usize, Vec<Msg<E>>)> = Vec::new();
-                    {
-                        let mut guard = slots[i].lock().expect("LP slot poisoned");
-                        if guard.0.outbox_dirty {
-                            guard.0.outbox_dirty = false;
-                            guard.0.outbox_min = T_INF;
-                            for dst in 0..n {
-                                if !guard.0.outbox[dst].is_empty() {
-                                    rows.push((dst, std::mem::take(&mut guard.0.outbox[dst])));
-                                }
-                            }
-                        }
-                    }
-                    for (dst, mut row) in rows.drain(..) {
-                        {
-                            let mut guard = slots[dst].lock().expect("LP slot poisoned");
-                            for m in row.drain(..) {
-                                guard.0.heap.push(Keyed {
-                                    at: m.at,
-                                    key: m.key,
-                                    slot: NO_SLOT,
-                                    event: m.event,
-                                });
-                            }
-                        }
-                        // Return the drained buffer's capacity.
-                        let mut guard = slots[i].lock().expect("LP slot poisoned");
-                        guard.0.outbox[dst] = row;
-                    }
-                }
-            }
-
-            let mut g = ctl.lock().expect("round control poisoned");
-            g.shutdown = true;
-            start_cv.notify_all();
-        });
     }
 }
 
@@ -1086,7 +492,24 @@ mod tests {
     }
 
     #[test]
-    fn cross_lp_messages_cross_the_barrier() {
+    fn single_node_same_instant_events_fire_fifo() {
+        // One node: the per-node sequence is the insertion order, across
+        // both the cancellable and the fire-and-forget family.
+        let mut sim: ShardedSimulation<u32> = ShardedSimulation::new(vec![0], L);
+        for i in 0..100 {
+            if i % 3 == 0 {
+                sim.schedule_at(0, 0, at(7), i);
+            } else {
+                sim.post_at(0, 0, at(7), i);
+            }
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(sim.now(), at(7));
+    }
+
+    #[test]
+    fn cross_lp_messages_reach_the_destination_lp() {
         let mut sim: ShardedSimulation<&'static str> = ShardedSimulation::new(vec![0, 1], L);
         sim.post_at(0, 0, at(1), "local");
         sim.post_at(0, 1, at(12), "fabric");
@@ -1102,6 +525,15 @@ mod tests {
     fn cross_lp_post_inside_lookahead_panics() {
         let mut sim: ShardedSimulation<()> = ShardedSimulation::new(vec![0, 1], L);
         sim.post_at(0, 1, at(5), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn scheduling_in_the_past_panics() {
+        let mut sim: ShardedSimulation<()> = ShardedSimulation::new(vec![0], L);
+        sim.schedule_at(0, 0, at(5), ());
+        sim.pop();
+        sim.schedule_at(0, 0, at(1), ());
     }
 
     #[test]
@@ -1149,18 +581,48 @@ mod tests {
         assert_eq!(sim.pending(), 1);
         assert_eq!(sim.pop().unwrap().1, 2);
         assert!(sim.pop().is_none());
-        // Cancel after fire is a no-op.
+        // A second cancel of the same handle is a no-op.
         sim.cancel(a);
     }
 
     #[test]
-    fn windows_jump_over_idle_gaps() {
+    fn cancel_after_fire_is_noop() {
+        // The fired event's slot is recycled; the stale handle must not
+        // cancel the event that inherited it, nor skew `pending`.
+        let mut sim: ShardedSimulation<u32> = ShardedSimulation::new(vec![0], L);
+        let a = sim.schedule_at(0, 0, at(1), 1);
+        assert_eq!(sim.pop().unwrap().1, 1);
+        sim.cancel(a);
+        assert_eq!(sim.pending(), 0);
+        sim.schedule_at(0, 0, at(2), 2);
+        sim.cancel(a);
+        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.pop().unwrap().1, 2);
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn pending_counts_exclude_cancelled() {
+        let mut sim: ShardedSimulation<u32> = ShardedSimulation::new(vec![0, 1], L);
+        let ids: Vec<_> = (0..10).map(|i| sim.schedule_at(0, 0, at(i), 0)).collect();
+        sim.post_at(0, 1, at(100), 0);
+        for id in ids.iter().take(5) {
+            sim.cancel(*id);
+            sim.cancel(*id);
+        }
+        assert_eq!(sim.pending(), 6);
+        assert_eq!(std::iter::from_fn(|| sim.pop()).count(), 6);
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn idle_gaps_cost_no_dispatches() {
         let mut sim: ShardedSimulation<u32> = ShardedSimulation::new(vec![0, 1], L);
         sim.post_at(0, 0, at(1), 1);
         sim.post_at(0, 0, at(1_000_000), 2); // a second later
         assert_eq!(sim.pop().unwrap().1, 1);
         assert_eq!(sim.pop().unwrap().1, 2);
-        // Two events, two dispatches — no window-tick spinning between.
+        // Two events, two dispatches — nothing ticks through the gap.
         assert_eq!(sim.dispatched(), 2);
     }
 
@@ -1170,13 +632,6 @@ mod tests {
         let mut sim: ShardedSimulation<()> = ShardedSimulation::new(vec![0, 1], L);
         sim.schedule_at(0, 1, at(100), ());
     }
-
-    // ------------------------------------------------------------------
-    // Threaded-driver tests. The reference workload is a ping-pong
-    // script whose per-node event digests must be identical under the
-    // serial driver and the threaded driver at any shard/thread count.
-    // Handlers receive the destination node inside the event, as real
-    // callers do — the engine does not pass it.
 
     fn mix(h: u64, v: u64) -> u64 {
         // splitmix64 finalizer: order-sensitive fold.
@@ -1193,11 +648,10 @@ mod tests {
         hops: u32,
     }
 
-    fn pingpong2(
-        node_lp: Vec<u32>,
-        threads: Option<usize>,
-        events: u64,
-    ) -> (Vec<u64>, WindowReport) {
+    /// A ping-pong script through `run_serial`; returns one digest per
+    /// node. Handlers receive the destination node inside the event, as
+    /// real callers do — the engine does not pass it.
+    fn pingpong(node_lp: Vec<u32>, events: u64) -> Vec<u64> {
         let n_nodes = node_lp.len();
         let n_lps = *node_lp.iter().max().unwrap() as usize + 1;
         let mut sim: ShardedSimulation<Hop> = ShardedSimulation::new(node_lp, L);
@@ -1209,7 +663,7 @@ mod tests {
             sim.post_at(0, to, t, Hop { to, id: b, hops });
         }
         let mut states: Vec<Vec<u64>> = (0..n_lps).map(|_| vec![0u64; n_nodes]).collect();
-        let handler = |port: &mut LpPort<'_, Hop>, st: &mut Vec<u64>, now: SimTime, ev: Hop| {
+        sim.run_serial(&mut states, |port, st, now, ev| {
             let node = ev.to;
             st[node as usize] = mix(st[node as usize], ev.id ^ (now - SimTime::ZERO).as_nanos());
             if ev.hops > 0 {
@@ -1225,16 +679,9 @@ mod tests {
                     },
                 );
             }
-        };
-        let report = match threads {
-            None => {
-                sim.run_serial(&mut states, handler);
-                WindowReport::default()
-            }
-            Some(t) => sim.run_threaded(&mut states, t, handler),
-        };
-        // Per-node digests: each node is owned by exactly one LP, so
-        // summing the per-LP vectors merges without collisions.
+        });
+        // Each node is owned by exactly one LP, so merging the per-LP
+        // vectors never collides.
         let mut merged = vec![0u64; n_nodes];
         for st in &states {
             for (n, d) in st.iter().enumerate() {
@@ -1244,73 +691,29 @@ mod tests {
                 }
             }
         }
-        (merged, report)
+        merged
     }
 
     #[test]
-    fn threaded_driver_matches_serial_at_any_thread_count() {
-        let map = vec![0u32, 1, 1, 2, 2, 3];
-        let (serial, _) = pingpong2(map.clone(), None, 4096);
-        for threads in [1, 2, 4] {
-            let (threaded, report) = pingpong2(map.clone(), Some(threads), 4096);
-            assert_eq!(serial, threaded, "threads={threads} diverged");
-            assert!(report.windows > 0);
-            assert_eq!(report.lp_events.iter().sum::<u64>() > 0, true);
-        }
-    }
-
-    #[test]
-    fn threaded_driver_matches_serial_at_any_sharding() {
+    fn run_serial_is_identical_at_any_sharding() {
         let maps = [
             vec![0u32, 0, 0, 0, 0, 0],
             vec![0, 0, 0, 1, 1, 1],
+            vec![0, 1, 1, 2, 2, 3],
             vec![0, 1, 2, 3, 4, 5],
         ];
-        let reference = pingpong2(maps[0].clone(), None, 4096).0;
+        let reference = pingpong(maps[0].clone(), 4096);
+        assert!(reference.iter().all(|&d| d != 0));
         for map in maps {
-            let (digests, _) = pingpong2(map, Some(4), 4096);
-            assert_eq!(reference, digests);
+            assert_eq!(pingpong(map, 4096), reference);
         }
-    }
-
-    #[test]
-    fn window_counts_are_thread_invariant() {
-        let map = vec![0u32, 1, 2, 3];
-        let (_, r1) = pingpong2(map.clone(), Some(1), 2048);
-        let (_, r4) = pingpong2(map, Some(4), 2048);
-        assert_eq!(r1.windows, r4.windows);
-        assert_eq!(r1.barriers, r4.barriers);
-        assert!(r1.barriers <= r1.windows);
-        assert!(r1.barriers_per_window() <= 1.0);
-    }
-
-    #[test]
-    fn single_ready_lp_widens_the_window() {
-        // One LP busy, the other idle until much later: the busy LP's
-        // events must run without a barrier per lookahead.
-        let mut sim: ShardedSimulation<u32> = ShardedSimulation::new(vec![0, 1], L);
-        for i in 0..100u64 {
-            sim.post_at(0, 0, at(i), i as u32);
-        }
-        sim.post_at(0, 1, at(10_000), 999);
-        let mut states = vec![0u64, 0u64];
-        let report = sim.run_threaded(&mut states, 2, |_port, st: &mut u64, _now, _ev| {
-            *st += 1;
-        });
-        assert_eq!(states[0], 100);
-        assert_eq!(states[1], 1);
-        // 100 events in the first LP at 1µs spacing would cost ~10
-        // barriers at fixed 10µs windows; widening collapses them into
-        // one window (plus the far event's own).
-        assert!(report.barriers == 0, "no multi-LP round: {report:?}");
-        assert!(report.windows <= 3, "widening failed: {report:?}");
     }
 
     #[test]
     fn run_serial_delivers_cross_lp_posts_in_exact_order() {
         // An event posts cross-LP at exactly now + L; the destination
         // LP has a later local event. The fabric message must dispatch
-        // first even though it was buffered in an outbox.
+        // first.
         let mut sim: ShardedSimulation<&'static str> = ShardedSimulation::new(vec![0, 1], L);
         sim.post_at(0, 0, at(0), "kick");
         sim.post_at(1, 1, at(50), "late-local");

@@ -1,17 +1,23 @@
 //! Property-based tests of the DES kernel.
 
+use ibridge_des::pdes::ShardedSimulation;
 use ibridge_des::stats::{Ewma, Histogram, MeanTracker};
-use ibridge_des::{SimDuration, SimTime, Simulation};
+use ibridge_des::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// A one-node calendar: FIFO among same-instant events.
+fn calendar() -> ShardedSimulation<usize> {
+    ShardedSimulation::new(vec![0], SimDuration::from_nanos(1))
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO order
     /// among equal timestamps, regardless of insertion order.
     #[test]
     fn calendar_orders_any_schedule(times in prop::collection::vec(0u64..1_000, 1..200)) {
-        let mut sim: Simulation<usize> = Simulation::new();
+        let mut sim = calendar();
         for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_nanos(t), i);
+            sim.schedule_at(0, 0, SimTime::from_nanos(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
         let mut popped = 0;
@@ -35,11 +41,11 @@ proptest! {
         times in prop::collection::vec(0u64..1_000, 1..100),
         cancel_mask in prop::collection::vec(any::<bool>(), 100),
     ) {
-        let mut sim: Simulation<usize> = Simulation::new();
+        let mut sim = calendar();
         let ids: Vec<_> = times
             .iter()
             .enumerate()
-            .map(|(i, &t)| sim.schedule_at(SimTime::from_nanos(t), i))
+            .map(|(i, &t)| sim.schedule_at(0, 0, SimTime::from_nanos(t), i))
             .collect();
         let mut expect: Vec<usize> = Vec::new();
         for (i, id) in ids.iter().enumerate() {

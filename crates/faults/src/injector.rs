@@ -223,9 +223,8 @@ pub struct FaultInjector {
 /// as the owning [`FaultInjector`], but drawing outcomes from a stream
 /// seeded by `(experiment seed, node)`. Each simulated node owns one,
 /// so the outcome sequence for a node's traffic depends only on the
-/// order *that node* sends messages — invariant under sharding and
-/// threading, where the global interleaving of sends across nodes is
-/// not deterministic enough to share one RNG.
+/// order *that node* sends messages — invariant under sharding, which
+/// regroups nodes into logical processes.
 #[derive(Debug)]
 pub struct NetDecider {
     windows: Arc<[(SimDuration, SimDuration, Impairment)]>,

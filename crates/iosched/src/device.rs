@@ -460,7 +460,7 @@ impl BlockDevice {
 mod tests {
     use super::*;
     use crate::{Cfq, CfqConfig, Noop};
-    use ibridge_des::Simulation;
+    use ibridge_des::pdes::ShardedSimulation;
     use ibridge_device::{DiskProfile, IoDir, SsdProfile};
 
     fn ssd_dev() -> BlockDevice {
@@ -481,7 +481,7 @@ mod tests {
         BlockRequest::new(IoDir::Read, lbn, sectors, stream, now, tag)
     }
 
-    /// Drives a block device to completion through a Simulation,
+    /// Drives a block device to completion through a one-node calendar,
     /// returning finished requests with their completion times.
     fn run(
         dev: &mut BlockDevice,
@@ -492,16 +492,13 @@ mod tests {
             Done,
             Recheck(u64),
         }
-        let mut sim: Simulation<Ev> = Simulation::new();
-        let push = |sim: &mut Simulation<Ev>, actions: &mut dyn Iterator<Item = Action>| {
+        let mut sim: ShardedSimulation<Ev> =
+            ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
+        let push = |sim: &mut ShardedSimulation<Ev>, actions: &mut dyn Iterator<Item = Action>| {
             for a in actions {
                 match a {
-                    Action::CompleteAt(t) => {
-                        sim.schedule_at(t, Ev::Done);
-                    }
-                    Action::RecheckAt(t, g) => {
-                        sim.schedule_at(t, Ev::Recheck(g));
-                    }
+                    Action::CompleteAt(t) => sim.post_at(0, 0, t, Ev::Done),
+                    Action::RecheckAt(t, g) => sim.post_at(0, 0, t, Ev::Recheck(g)),
                 }
             }
         };

@@ -23,7 +23,7 @@
 //! drawn from per-replica RNG streams (`streams::MDS`, keyed on
 //! `(seed, replica)` alone), the entire protocol — elections, message
 //! interleavings, commit points — is byte-identical at any
-//! `--shards`×`--threads`×`--jobs` combination.
+//! `--shards`×`--jobs` combination.
 //!
 //! Replica-to-replica messages pay realistic network cost: each replica
 //! owns an [`ibridge_net::Link`] whose serialise+transmit+propagate

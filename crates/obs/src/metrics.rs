@@ -165,38 +165,14 @@ impl ServerAgg {
     }
 }
 
-/// Parallel-engine aggregates: window/barrier counts of the threaded
-/// PDES driver and the per-LP load split. Virtual-time counters
-/// (`windows`, `barriers`, `lp_events`) are deterministic; `lp_wall_ns`
-/// is host wall-clock and varies run to run — report it for balance
-/// diagnosis, never compare it across runs.
+/// Inert: the per-LP wall time of the removed threaded PDES driver.
+/// Runs are serial, so nothing records it and `lp_wall_ns` stays empty.
+/// Kept only because the `ibench` package still reads it; remove it
+/// together with ibench's `des.lp_busy_ms.*` metrics.
 #[derive(Debug, Clone, Default)]
 pub struct PdesAgg {
-    /// Threaded runs recorded.
-    pub runs: u64,
-    /// Synchronization windows executed.
-    pub windows: u64,
-    /// Barrier waits (windows × participating LPs).
-    pub barriers: u64,
-    /// Events dispatched per LP, keyed by LP index.
-    pub lp_events: Vec<u64>,
-    /// Wall-clock ns each LP spent executing handlers (host-dependent).
+    /// Always empty.
     pub lp_wall_ns: Vec<u64>,
-}
-
-impl PdesAgg {
-    fn merge(&mut self, o: &PdesAgg) {
-        self.runs += o.runs;
-        self.windows += o.windows;
-        self.barriers += o.barriers;
-        merge_by_index(&mut self.lp_events, &o.lp_events);
-        merge_by_index(&mut self.lp_wall_ns, &o.lp_wall_ns);
-    }
-
-    /// True if no threaded run has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.runs == 0
-    }
 }
 
 /// Replicated-metadata-service aggregates: election/failover counters
@@ -310,15 +286,6 @@ impl MaintAgg {
     }
 }
 
-fn merge_by_index(a: &mut Vec<u64>, b: &[u64]) {
-    if a.len() < b.len() {
-        a.resize(b.len(), 0);
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-}
-
 /// The full metrics registry.
 #[derive(Debug, Clone)]
 pub struct Registry {
@@ -330,7 +297,7 @@ pub struct Registry {
     pub class_bytes: [u64; N_CLASSES],
     /// Per-server aggregates, keyed by server id.
     pub servers: BTreeMap<u16, ServerAgg>,
-    /// Threaded-PDES driver aggregates.
+    /// Never recorded (see [`PdesAgg`]).
     pub pdes: PdesAgg,
     /// Replicated-MDS aggregates.
     pub mds: MdsAgg,
@@ -356,7 +323,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.phases.iter().all(|h| h.count() == 0)
             && self.servers.is_empty()
-            && self.pdes.is_empty()
             && self.mds.is_empty()
             && self.maint.is_empty()
     }
@@ -375,7 +341,6 @@ impl Registry {
         for (&s, agg) in &o.servers {
             self.servers.entry(s).or_default().merge(agg);
         }
-        self.pdes.merge(&o.pdes);
         self.mds.merge(&o.mds);
         self.maint.merge(&o.maint);
     }
@@ -462,21 +427,6 @@ pub fn record_ti(server: u16, pred_ns: u64, meas_ns: u64) {
         agg.ti_pred_ns += pred_ns;
         agg.ti_meas_ns += meas_ns;
         agg.ti_runs += 1;
-    });
-}
-
-/// Records one threaded-PDES run: window/barrier counts and the per-LP
-/// event/wall-time split. No-op unless metrics are on.
-pub fn record_pdes(windows: u64, barriers: u64, lp_events: &[u64], lp_wall_ns: &[u64]) {
-    if !crate::metrics_on() {
-        return;
-    }
-    with_local(|r| {
-        r.pdes.runs += 1;
-        r.pdes.windows += windows;
-        r.pdes.barriers += barriers;
-        merge_by_index(&mut r.pdes.lp_events, lp_events);
-        merge_by_index(&mut r.pdes.lp_wall_ns, lp_wall_ns);
     });
 }
 

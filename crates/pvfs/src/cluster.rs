@@ -12,11 +12,10 @@
 //! warms the iBridge cache before read experiments (the paper relies on
 //! the same effect across repeated production runs).
 //!
-//! # Threading model
+//! # Logical processes
 //!
-//! The cluster's state is partitioned along logical-process boundaries
-//! so ready LPs can execute concurrently on the parallel-DES worker
-//! pool (`ClusterConfig::threads`):
+//! The cluster's state is partitioned along logical-process (LP)
+//! boundaries (`ClusterConfig::shards`):
 //!
 //! * the **coordinator LP** owns the clients and the metadata server —
 //!   the workload, per-process bookkeeping, the in-flight parent table,
@@ -34,8 +33,8 @@
 //! per-node RNG streams ([`ibridge_faults::NetDecider`]), so the dice
 //! rolled by one LP are independent of any other LP's schedule. Event
 //! keys are intrinsic `(time, source node, per-node sequence)`, so every
-//! stat, trace and golden is byte-identical at any `shards`/`threads`
-//! combination.
+//! stat, trace and golden is byte-identical at any shard count. Runs
+//! dispatch serially on one calendar (see `ibridge_des::pdes`).
 
 use crate::layout::Layout;
 use crate::policy::{BitRotTarget, CachePolicy, CacheStats, LogCorruption, MaintStats};
@@ -61,8 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Calendar events dispatched by every [`Cluster::run`] in this process,
-/// across all threads — the implementation-throughput denominator for the
-/// harness's `--bench-report` (events per wall-second).
+/// across all `--jobs` workers — the implementation-throughput
+/// denominator for the harness's `--bench-report` (events per
+/// wall-second).
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total calendar events dispatched by all cluster runs so far in this
@@ -72,21 +72,12 @@ pub fn total_events_dispatched() -> u64 {
     TOTAL_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Synchronisation rounds executed by threaded runs (each round opens at
-/// the earliest pending event across LPs).
-static TOTAL_WINDOWS: AtomicU64 = AtomicU64::new(0);
-/// Rounds that needed a true multi-LP barrier; `windows - barriers`
-/// rounds were widened single-LP windows that skipped the barrier.
-static TOTAL_BARRIERS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(windows, barriers)` of every threaded run so far —
-/// zero until a run actually takes the threaded driver (`threads > 1`,
-/// more than one LP, tracing off). Monotone, updated once per run.
+/// Always `(0, 0)`: the `(windows, barriers)` of the removed threaded
+/// driver. Runs are serial, so there are no windows to count. Kept only
+/// because the `ibench` package still reads it; remove it together with
+/// ibench's `des.windows` metric.
 pub fn total_window_counters() -> (u64, u64) {
-    (
-        TOTAL_WINDOWS.load(Ordering::Relaxed),
-        TOTAL_BARRIERS.load(Ordering::Relaxed),
-    )
+    (0, 0)
 }
 
 static TOTAL_RETRIES: AtomicU64 = AtomicU64::new(0);
@@ -194,8 +185,8 @@ pub struct ClusterConfig {
     /// the coordinator LP, in virtual time): T reports and steering
     /// updates go through a majority-committed log, and the group
     /// survives leader crashes and partitions via deterministic
-    /// seeded elections. Output stays byte-identical at any
-    /// `shards`/`threads` combination either way.
+    /// seeded elections. Output stays byte-identical at any shard
+    /// count either way.
     pub mds_replicas: usize,
     /// Interval of the writeback daemon's idle check.
     pub writeback_interval: SimDuration,
@@ -213,14 +204,10 @@ pub struct ClusterConfig {
     /// any shard count (see `ibridge_des::pdes`). Clamped to
     /// `n_servers`.
     pub shards: usize,
-    /// Worker threads of the intra-run parallel-DES driver. With more
-    /// than one thread and more than one LP (`shards > 1` builds the
-    /// coordinator plus server-group LPs), ready LPs execute
-    /// concurrently between deterministic window barriers; every output
-    /// is byte-identical at any thread count. `1` (the default) runs
-    /// the serial driver. Span tracing forces the serial driver — the
-    /// tracer's buffer merge is fork-path-based — while metrics stay
-    /// thread-safe either way.
+    /// Ignored: runs are serial at any value. This was the thread count
+    /// of the removed threaded driver; the field stays only because the
+    /// `ibench` package still sets it, and goes with ibench's
+    /// `Spec::threads`.
     pub threads: usize,
     /// Virtual-time cadence of the online invariant auditor: every
     /// elapsed interval each shard cross-checks its live servers'
@@ -361,11 +348,11 @@ struct PendingJob {
 /// Recycling pool for the `Box<PendingJob>` riding every `SubArrive`
 /// message: without it each sub-request costs a heap allocation at the
 /// coordinator that the receiving shard immediately frees. The pool is
-/// thread-local so it needs no synchronisation under the threaded
-/// driver (each worker's pool self-balances; serial runs reach steady
-/// state after the first in-flight wave). Pool membership is invisible
-/// to the simulation — a recycled box is fully overwritten before
-/// reuse, so output is identical with or without pooling.
+/// thread-local so concurrent `--jobs` runs need no synchronisation
+/// (each run reaches steady state after its first in-flight wave).
+/// Pool membership is invisible to the simulation — a recycled box is
+/// fully overwritten before reuse, so output is identical with or
+/// without pooling.
 const PJ_POOL_CAP: usize = 1024;
 thread_local! {
     // The boxes themselves are the resource being recycled (they ride
@@ -837,12 +824,10 @@ impl Cluster {
         assert!(cfg.n_servers > 0, "cluster needs at least one server");
         // LP map: coordinator (clients + MDS) is LP 0; the servers are
         // split into `shards` contiguous groups, one LP each. The
-        // lookahead — the engine's window width — is the fabric's
-        // per-message latency floor, the fastest any event can cross
-        // between LPs. `shards: 1` means unsharded: everything on a
-        // single LP, where the engine skips the barrier machinery
-        // entirely. Event order is intrinsic, so the split changes no
-        // output either way.
+        // lookahead is the fabric's per-message latency floor, the
+        // fastest any event can cross between LPs. `shards: 1` means
+        // unsharded: everything on a single LP. Event order is
+        // intrinsic, so the split changes no output either way.
         let groups = cfg.shards.clamp(1, cfg.n_servers);
         let node_lp: Vec<u32> = if groups == 1 {
             vec![0; cfg.n_servers + 1]
@@ -909,8 +894,8 @@ impl Cluster {
     ///
     /// Each node gets its own impairment-decision RNG stream, so the
     /// dice one LP rolls are independent of every other LP's schedule —
-    /// the property that keeps faulty runs byte-identical at any
-    /// `shards`/`threads` combination.
+    /// the property that keeps faulty runs byte-identical at any shard
+    /// count.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.injector = (!plan.is_faultless()).then(|| FaultInjector::new(plan, self.cfg.seed));
         let seed = self.cfg.seed;
@@ -966,12 +951,6 @@ impl Cluster {
     ///
     /// State (file allocations, cache contents, device head positions)
     /// persists across calls, enabling warm-cache measurements.
-    ///
-    /// The run executes on the serial driver, or — when
-    /// `ClusterConfig::threads > 1`, the cluster has more than one LP
-    /// and span tracing is off — on the scoped worker pool with
-    /// deterministic window barriers. Output is byte-identical either
-    /// way.
     pub fn run(&mut self, workload: &mut dyn Workload) -> RunStats {
         let n_procs = workload.procs();
         assert!(n_procs > 0, "workload has no processes");
@@ -1195,37 +1174,9 @@ impl Cluster {
             }
         }
 
-        let handler = |port: &mut LpPort<'_, Ev>, st: &mut LpState<'_>, now: SimTime, ev: Ev| {
+        sim.run_serial(&mut states, |port, st, now, ev| {
             dispatch(&shared, port, st, now, ev);
-        };
-        // Span tracing forces the serial driver: the tracer's task
-        // buffers merge along the engine's fork path, which only the
-        // serial driver maintains. Metrics merge on scoped-thread exit
-        // and are safe under either driver.
-        #[cfg(feature = "obs")]
-        let tracing = ibridge_obs::tracing_on();
-        #[cfg(not(feature = "obs"))]
-        let tracing = false;
-        let threads = cfg.threads.max(1);
-        let report = if threads > 1 && sim.n_lps() > 1 && !tracing {
-            Some(sim.run_threaded(&mut states, threads, handler))
-        } else {
-            sim.run_serial(&mut states, handler);
-            None
-        };
-        if let Some(rep) = &report {
-            TOTAL_WINDOWS.fetch_add(rep.windows, Ordering::Relaxed);
-            TOTAL_BARRIERS.fetch_add(rep.barriers, Ordering::Relaxed);
-            #[cfg(feature = "obs")]
-            if ibridge_obs::metrics_on() {
-                ibridge_obs::metrics::record_pdes(
-                    rep.windows,
-                    rep.barriers,
-                    &rep.lp_events,
-                    &rep.lp_wall_ns,
-                );
-            }
-        }
+        });
 
         let mut states = states.into_iter();
         let first = states.next().expect("coordinator LP state");
@@ -1562,7 +1513,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                             // Kick the end-of-run drain. The kick crosses
                             // the fabric like any other message — one
                             // lookahead ahead — so it lands identically
-                            // at every shard/thread count. Scheduled MDS
+                            // at every shard count. Scheduled MDS
                             // faults can no longer matter; cancel them so
                             // the calendar drains to empty.
                             let l = port.lookahead();
@@ -2250,7 +2201,7 @@ fn shard_tail(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Sim
 /// Routes one client→server sub-request message through the armed
 /// network impairments (a straight delivery when no plan is armed). The
 /// job record travels inside the message; its id is allocated here so
-/// the id sequence is identical at any shard/thread count.
+/// the id sequence is identical at any shard count.
 #[allow(clippy::too_many_arguments)]
 fn post_sub_arrival(
     sh: &Shared,
@@ -3001,12 +2952,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_runs_match_serial_at_any_shard_and_thread_count() {
-        let run = |shards: usize, threads: usize| {
+    fn runs_match_at_any_shard_count() {
+        let run = |shards: usize| {
             let cfg = ClusterConfig {
                 n_servers: 8,
                 shards,
-                threads,
                 ..Default::default()
             };
             let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
@@ -3015,25 +2965,22 @@ mod tests {
             let stats = c.run(&mut w);
             format!("{stats:?}")
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         for &shards in &[1usize, 2, 4] {
-            for &threads in &[1usize, 2, 4] {
-                assert_eq!(
-                    run(shards, threads),
-                    reference,
-                    "shards={shards} threads={threads} diverged from serial"
-                );
-            }
+            assert_eq!(
+                run(shards),
+                reference,
+                "shards={shards} diverged from one shard"
+            );
         }
     }
 
     #[test]
-    fn threaded_faulty_runs_match_single_threaded() {
-        let run = |shards: usize, threads: usize| {
+    fn faulty_runs_match_at_any_shard_count() {
+        let run = |shards: usize| {
             let cfg = ClusterConfig {
                 n_servers: 4,
                 shards,
-                threads,
                 ..Default::default()
             };
             let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
@@ -3049,13 +2996,13 @@ mod tests {
             let s = c.run(&mut w);
             (s.elapsed, s.events_dispatched, s.faults)
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert!(!reference.2.is_zero());
-        for &(shards, threads) in &[(2usize, 1usize), (2, 4), (4, 2)] {
+        for &shards in &[2usize, 4] {
             assert_eq!(
-                run(shards, threads),
+                run(shards),
                 reference,
-                "shards={shards} threads={threads} diverged under faults"
+                "shards={shards} diverged under faults"
             );
         }
     }
@@ -3099,12 +3046,11 @@ mod tests {
     }
 
     #[test]
-    fn replicated_mds_runs_match_at_any_shard_and_thread_count() {
-        let run = |shards: usize, threads: usize| {
+    fn replicated_mds_runs_match_at_any_shard_count() {
+        let run = |shards: usize| {
             let cfg = ClusterConfig {
                 n_servers: 4,
                 shards,
-                threads,
                 mds_replicas: 3,
                 ..Default::default()
             };
@@ -3113,17 +3059,13 @@ mod tests {
             let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
             format!("{:?}", c.run(&mut w))
         };
-        let reference = run(1, 1);
-        assert_eq!(
-            run(1, 1),
-            reference,
-            "replicated runs must be deterministic"
-        );
-        for &(shards, threads) in &[(2usize, 2usize), (4, 4), (4, 1)] {
+        let reference = run(1);
+        assert_eq!(run(1), reference, "replicated runs must be deterministic");
+        for &shards in &[2usize, 4] {
             assert_eq!(
-                run(shards, threads),
+                run(shards),
                 reference,
-                "shards={shards} threads={threads} diverged with a replicated MDS"
+                "shards={shards} diverged with a replicated MDS"
             );
         }
     }

@@ -256,9 +256,8 @@ pub enum BitRotTarget {
 
 /// Decision-making interface of the server-side cache.
 ///
-/// `Send` because each server — and therefore its policy — lives on a
-/// logical process that may execute on any worker thread of the
-/// parallel-DES pool.
+/// `Send` keeps a cluster, which owns every server's policy, movable
+/// between threads.
 pub trait CachePolicy: std::fmt::Debug + Send {
     /// Routes an arriving sub-request. `disk_lbn` is the first device
     /// sector the request would touch on the primary device — the λ of

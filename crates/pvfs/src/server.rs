@@ -997,7 +997,7 @@ mod tests {
     use super::*;
     use crate::proto::ReqClass;
     use crate::StockPolicy;
-    use ibridge_des::Simulation;
+    use ibridge_des::pdes::ShardedSimulation;
     use ibridge_localfs::ExtentList;
 
     fn server() -> DataServer {
@@ -1042,14 +1042,15 @@ mod tests {
             Done(DevKind),
             Recheck(DevKind, u64),
         }
-        let mut sim: Simulation<Ev> = Simulation::new();
+        let mut sim: ShardedSimulation<Ev> =
+            ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
         let mut done = Vec::new();
-        let push = |sim: &mut Simulation<Ev>, out: &ServerOut| {
+        let push = |sim: &mut ShardedSimulation<Ev>, out: &ServerOut| {
             for (kind, a) in &out.dev_actions {
                 match a {
-                    Action::CompleteAt(t) => sim.schedule_at(*t, Ev::Done(*kind)),
-                    Action::RecheckAt(t, g) => sim.schedule_at(*t, Ev::Recheck(*kind, *g)),
-                };
+                    Action::CompleteAt(t) => sim.post_at(0, 0, *t, Ev::Done(*kind)),
+                    Action::RecheckAt(t, g) => sim.post_at(0, 0, *t, Ev::Recheck(*kind, *g)),
+                }
             }
         };
         done.extend(initial.done_jobs.iter().copied());

@@ -33,9 +33,9 @@ impl WorkItem {
 
 /// A multi-process I/O program.
 ///
-/// `Send` because the coordinator logical process that drives the
-/// workload may execute on any worker thread of the parallel-DES pool;
-/// implementations are plain data plus seeded RNG state.
+/// `Send` keeps workloads movable between threads (for example into a
+/// `--jobs` worker); implementations are plain data plus seeded RNG
+/// state.
 pub trait Workload: Send {
     /// Number of processes.
     fn procs(&self) -> usize;

@@ -104,8 +104,9 @@ def allocs(e):
     return e.get("allocs_per_event")
 
 def thr_rate(e):
-    # Intra-run threaded rate (PR 7+); null when the report ran at
-    # --threads 1 or predates the field.
+    # Intra-run threaded rate: only reports written while the threaded
+    # driver existed (BENCH_pr7.json) carry it; null or absent
+    # everywhere else.
     return e.get("events_per_sec_threaded")
 
 def fmt(x, unit=""):

@@ -18,9 +18,10 @@ cargo build --release
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
-# The benchmark package's own checks: decorator transparency, hetero-pdes
-# threads 1 = 2, and every workload under the 5 ms invariant auditor
-# (which reaches the policy, backup and data-log audits).
+# The benchmark package's own checks: decorator transparency and every
+# workload under the 5 ms invariant auditor (which reaches the policy,
+# backup and data-log audits). Its "threads 1 = 2" check holds
+# trivially now: runs are serial and `ClusterConfig::threads` is ignored.
 echo "== ibench checks"
 cargo test --locked --offline --manifest-path ibench/Cargo.toml
 
@@ -34,11 +35,6 @@ echo "== shard identity (fig3 --shards 1 vs --shards 4)"
 ./target/release/expt --shards 4 --jobs 4 fig3 >/tmp/ibridge_ci_s4.txt 2>/dev/null
 cmp /tmp/ibridge_ci_s1.txt /tmp/ibridge_ci_s4.txt
 
-echo "== threaded shard identity (fig3 --shards 4 --threads 1 vs --threads 4)"
-./target/release/expt --shards 4 --threads 4 fig3 >/tmp/ibridge_ci_s4t4.txt 2>/dev/null
-cmp /tmp/ibridge_ci_s4.txt /tmp/ibridge_ci_s4t4.txt
-cmp /tmp/ibridge_ci_s1.txt /tmp/ibridge_ci_s4t4.txt
-
 echo "== goldens (calbench, fault/recovery/perf smokes, obs metrics)"
 ./scripts/check-goldens.sh
 
@@ -51,10 +47,10 @@ echo "== fault-matrix jobs identity (fixed seed; auditor armed)"
   >/tmp/ibridge_ci_faults_j8.txt 2>/dev/null
 cmp goldens/faults_smoke.txt /tmp/ibridge_ci_faults_j8.txt
 
-echo "== fault-matrix threaded identity (--shards 4 --threads 4 vs golden)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit --fault-plan chaos faults \
-  >/tmp/ibridge_ci_faults_thr.txt 2>/dev/null
-cmp goldens/faults_smoke.txt /tmp/ibridge_ci_faults_thr.txt
+echo "== fault-matrix shard identity (--shards 4 vs golden)"
+./target/release/expt --seed 7 --shards 4 --audit --fault-plan chaos faults \
+  >/tmp/ibridge_ci_faults_s4.txt 2>/dev/null
+cmp goldens/faults_smoke.txt /tmp/ibridge_ci_faults_s4.txt
 
 echo "== corruption-matrix jobs identity (torn-write/bit-rot recovery)"
 ./target/release/expt --seed 7 --jobs 8 --audit recovery \
@@ -64,32 +60,32 @@ cmp goldens/recovery_smoke.txt /tmp/ibridge_ci_recovery_j8.txt
 # Recovery matrix: the segmented-log maintenance experiment (compaction,
 # indexed checkpoints, idle-window scheduling, O(dirty) restart) and the
 # corruption matrix must reproduce their goldens under both parallel
-# jobs and the threaded sharded driver — maintenance runs inside the
-# simulation, so a single reordered tick would show up as byte drift.
+# jobs and four shards — maintenance runs inside the simulation, so a
+# single reordered tick would show up as byte drift.
 echo "== recovery-matrix: logmaint jobs identity (segmented log, O(dirty) restart)"
 ./target/release/expt --seed 7 --jobs 8 --audit logmaint \
   >/tmp/ibridge_ci_logmaint_j8.txt 2>/dev/null
 cmp goldens/logmaint_smoke.txt /tmp/ibridge_ci_logmaint_j8.txt
 
-echo "== recovery-matrix: logmaint threaded identity (--shards 4 --threads 4)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit logmaint \
-  >/tmp/ibridge_ci_logmaint_thr.txt 2>/dev/null
-cmp goldens/logmaint_smoke.txt /tmp/ibridge_ci_logmaint_thr.txt
+echo "== recovery-matrix: logmaint shard identity (--shards 4)"
+./target/release/expt --seed 7 --shards 4 --audit logmaint \
+  >/tmp/ibridge_ci_logmaint_s4.txt 2>/dev/null
+cmp goldens/logmaint_smoke.txt /tmp/ibridge_ci_logmaint_s4.txt
 
-echo "== recovery-matrix: corruption threaded identity (--shards 4 --threads 4)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit recovery \
-  >/tmp/ibridge_ci_recovery_thr.txt 2>/dev/null
-cmp goldens/recovery_smoke.txt /tmp/ibridge_ci_recovery_thr.txt
+echo "== recovery-matrix: corruption shard identity (--shards 4)"
+./target/release/expt --seed 7 --shards 4 --audit recovery \
+  >/tmp/ibridge_ci_recovery_s4.txt 2>/dev/null
+cmp goldens/recovery_smoke.txt /tmp/ibridge_ci_recovery_s4.txt
 
 echo "== mds-ha jobs identity (replicated metadata failover)"
 ./target/release/expt --seed 7 --jobs 8 --audit mds-ha \
   >/tmp/ibridge_ci_mds_j8.txt 2>/dev/null
 cmp goldens/mds_smoke.txt /tmp/ibridge_ci_mds_j8.txt
 
-echo "== mds-ha threaded identity (--shards 4 --threads 4 vs golden)"
-./target/release/expt --seed 7 --shards 4 --threads 4 --audit mds-ha \
-  >/tmp/ibridge_ci_mds_thr.txt 2>/dev/null
-cmp goldens/mds_smoke.txt /tmp/ibridge_ci_mds_thr.txt
+echo "== mds-ha shard identity (--shards 4 vs golden)"
+./target/release/expt --seed 7 --shards 4 --audit mds-ha \
+  >/tmp/ibridge_ci_mds_s4.txt 2>/dev/null
+cmp goldens/mds_smoke.txt /tmp/ibridge_ci_mds_s4.txt
 
 echo "== perf-smoke shard identity (summary --shards 8 vs golden)"
 ./target/release/expt --shards 8 summary >/tmp/ibridge_ci_perf_s8.txt 2>/dev/null
@@ -115,7 +111,7 @@ cargo build --release -p ibridge-bench --features count-allocs
 echo "== bench-diff vs BENCH_pr7.json (rates annotate, allocs/event gates)"
 # Fresh full-suite self-benchmark under the counting allocator, same
 # parameters as the committed baseline.
-./target/release/expt --seed 42 --jobs 8 --shards 4 --threads 4 \
+./target/release/expt --seed 42 --jobs 8 --shards 4 \
   --bench-report /tmp/ibridge_ci_bench_fresh.json all >/dev/null 2>&1
 # Wall-clock rates are host-noisy (same-binary reruns drift by tens of
 # percent on shared runners): print the comparison for review, never
