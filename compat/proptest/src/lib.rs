@@ -149,7 +149,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Strategy for `Vec<T>` with a length range; see [`vec`].
+    /// Strategy for `Vec<T>` with a length range; see [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -5,8 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ibridge_core::{CircularLog, DiskTimeModel, EntryType, MappingTable};
-use ibridge_des::pdes::ShardedSimulation;
-use ibridge_des::{SimDuration, SimTime};
+use ibridge_des::{SimDuration, SimTime, Simulation};
 use ibridge_device::{DevOp, DiskModel, DiskProfile};
 use ibridge_iosched::{BlockRequest, Cfq, CfqConfig, Decision, Scheduler};
 use ibridge_localfs::{Extent, FileHandle};
@@ -14,9 +13,9 @@ use ibridge_pvfs::Layout;
 use ibridge_workloads::{AppProfile, Trace};
 use std::hint::black_box;
 
-/// A one-node calendar, as a single-shard cluster run uses it.
-fn calendar() -> ShardedSimulation<u64> {
-    ShardedSimulation::new(vec![0], SimDuration::from_nanos(1))
+/// A one-node calendar: FIFO among same-instant events.
+fn calendar() -> Simulation<u64> {
+    Simulation::new(1, SimDuration::from_nanos(1))
 }
 
 fn des_kernel(c: &mut Criterion) {

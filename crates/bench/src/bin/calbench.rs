@@ -2,8 +2,9 @@
 //!
 //! Dispatches a fixed number of events (default 10⁶) through the DES
 //! calendar while keeping a rolling window of pending timers, the same
-//! push/pop/cancel mix a cluster run produces. Stdout is a deterministic
-//! digest that CI compares against a committed golden; wall-clock
+//! push/pop/cancel mix a cluster run produces, then the same event
+//! volume as a message ring across eight nodes. Stdout holds deterministic
+//! digests that CI compares against a committed golden; wall-clock
 //! figures go to stderr so timing noise never fails the gate.
 //!
 //! ```text
@@ -11,9 +12,8 @@
 //! ```
 
 use ibridge_bench::alloc_count;
-use ibridge_des::pdes::{LpPort, ShardedSimulation};
 use ibridge_des::rng::stream_rng;
-use ibridge_des::{SimDuration, SimTime};
+use ibridge_des::{SimDuration, SimTime, Simulation};
 use rand::Rng;
 use std::time::Instant;
 
@@ -34,10 +34,8 @@ fn main() {
     let window: u64 = get("--window", 256);
     let seed: u64 = get("--seed", 42);
 
-    // One node on one LP: the calendar with its FIFO tie-break, as
-    // every single-shard cluster run uses it.
-    let mut sim: ShardedSimulation<u64> =
-        ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
+    // One node: the calendar with its FIFO tie-break.
+    let mut sim: Simulation<u64> = Simulation::new(1, SimDuration::from_nanos(1));
     let mut rng = stream_rng(seed, 0);
     // Pending timers get cancelled and rescheduled like device rechecks.
     let mut cancel_me = Vec::new();
@@ -99,29 +97,19 @@ fn main() {
         }
     );
 
-    // PDES microbench: the same event volume as a cross-LP ping-pong
-    // ring through the sharded engine, swept over shard counts. Every
-    // shard count must print the same digest — the committed golden is
-    // itself a sharding determinism proof. Runs are serial; the
-    // `threads=1` field keeps the golden's lines as they were.
-    // Throughput goes to stderr like the serial figures.
-    for shards in [1usize, 2, 4, 8] {
-        let (digest, events, wall) = pdes_ring(total, shards);
-        println!(
-            "calbench pdes events={events} nodes={PDES_NODES} \
-             shards={shards} threads=1 digest={digest:016x}"
-        );
-        eprintln!(
-            "[calbench pdes shards={}: {:.0} events/s, {:.3}s wall]",
-            shards,
-            events as f64 / wall.max(1e-9),
-            wall,
-        );
-    }
+    // The same event volume as a message ring: every hop crosses
+    // between nodes, so every post passes the network-floor check.
+    let (digest, events, wall) = ring(total);
+    println!("calbench pdes events={events} nodes={RING_NODES} digest={digest:016x}");
+    eprintln!(
+        "[calbench ring: {:.0} events/s, {:.3}s wall]",
+        events as f64 / wall.max(1e-9),
+        wall,
+    );
 }
 
-/// Nodes in the PDES ring (LP counts divide into this).
-const PDES_NODES: usize = 8;
+/// Nodes in the ring.
+const RING_NODES: usize = 8;
 
 /// One hop of the ring: the payload visits `node`, folds into its
 /// digest, and forwards a mutated payload to the next node.
@@ -131,21 +119,17 @@ struct Hop {
     payload: u64,
 }
 
-/// Runs `total` ring-hop events over `PDES_NODES` nodes packed onto
-/// `shards` LPs. Returns the node-order digest (identical at any shard
-/// count), the events dispatched and the wall seconds.
-fn pdes_ring(total: u64, shards: usize) -> (u64, u64, f64) {
+/// Runs `total` ring-hop events over `RING_NODES` nodes. Returns the
+/// node-order digest, the events dispatched and the wall seconds.
+fn ring(total: u64) -> (u64, u64, f64) {
     const L: SimDuration = SimDuration::from_micros(1);
-    let node_lp: Vec<u32> = (0..PDES_NODES)
-        .map(|i| (i * shards / PDES_NODES) as u32)
-        .collect();
-    let mut sim: ShardedSimulation<Hop> = ShardedSimulation::new(node_lp, L);
+    let mut sim: Simulation<Hop> = Simulation::new(RING_NODES, L);
 
-    // Four starters per node; each chain's hop budget splits `total`
-    // exactly, so every combination dispatches the same event count.
-    let starters = (PDES_NODES * 4) as u64;
+    // Four starters per node; the chains' hop budgets split `total`
+    // exactly.
+    let starters = (RING_NODES * 4) as u64;
     let hops = (total / starters).max(1) as u32 - 1;
-    for n in 0..PDES_NODES as u16 {
+    for n in 0..RING_NODES as u16 {
         for k in 0..4u64 {
             sim.post_at(
                 n,
@@ -160,43 +144,36 @@ fn pdes_ring(total: u64, shards: usize) -> (u64, u64, f64) {
         }
     }
 
-    // Per-node digest folds: each LP only ever touches the digests of
-    // nodes it owns, so the folds see that node's events in its own
-    // deterministic dispatch order; combining them in node order below
-    // gives one figure independent of the LP grouping.
-    let handler =
-        |port: &mut LpPort<'_, Hop>, st: &mut [u64; PDES_NODES], now: SimTime, ev: Hop| {
-            let d = &mut st[ev.node as usize];
-            *d = d.wrapping_mul(31).wrapping_add(ev.payload ^ now.as_nanos());
-            if ev.hops > 0 {
-                let dst = ((ev.node as usize + 1) % PDES_NODES) as u16;
-                let at = now + L + SimDuration::from_nanos(ev.payload % 997);
-                port.post_at(
-                    ev.node,
-                    dst,
-                    at,
-                    Hop {
-                        node: dst,
-                        hops: ev.hops - 1,
-                        payload: ev
-                            .payload
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407),
-                    },
-                );
-            }
-        };
-
-    let mut states = vec![[0u64; PDES_NODES]; sim.n_lps()];
+    // Per-node digest folds, combined in node order below.
+    let mut st = [0u64; RING_NODES];
     let before = sim.dispatched();
     let t0 = Instant::now();
-    sim.run_serial(&mut states, handler);
+    sim.run(|sim, now, ev| {
+        let d = &mut st[ev.node as usize];
+        *d = d.wrapping_mul(31).wrapping_add(ev.payload ^ now.as_nanos());
+        if ev.hops > 0 {
+            let dst = ((ev.node as usize + 1) % RING_NODES) as u16;
+            let at = now + L + SimDuration::from_nanos(ev.payload % 997);
+            sim.post_at(
+                ev.node,
+                dst,
+                at,
+                Hop {
+                    node: dst,
+                    hops: ev.hops - 1,
+                    payload: ev
+                        .payload
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407),
+                },
+            );
+        }
+    });
     let wall = t0.elapsed().as_secs_f64();
     let events = sim.dispatched() - before;
 
-    let digest = (0..PDES_NODES).fold(0u64, |d, node| {
-        let lp = node * shards / PDES_NODES;
-        d.wrapping_mul(31).wrapping_add(states[lp][node])
-    });
+    let digest = st
+        .iter()
+        .fold(0u64, |d, &n| d.wrapping_mul(31).wrapping_add(n));
     (digest, events, wall)
 }

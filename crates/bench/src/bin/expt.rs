@@ -39,8 +39,8 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => {
-                // Only the data-size knobs change; seed/shards/fault
-                // flags given earlier on the command line survive.
+                // Only the data-size knobs change; seed/fault flags
+                // given earlier on the command line survive.
                 let full = Scale::full();
                 scale = Scale {
                     stream_bytes: full.stream_bytes,
@@ -62,16 +62,6 @@ fn main() {
                     die("--jobs must be at least 1");
                 }
                 runpar::set_jobs(n);
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| die("--shards needs a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--shards needs an integer"));
-                if n == 0 {
-                    die("--shards must be at least 1");
-                }
-                scale.shards = n;
             }
             "--bench-report" => {
                 let v = it
@@ -126,7 +116,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: expt [--full] [--seed N] [--jobs N] [--shards N] \
+                    "usage: expt [--full] [--seed N] [--jobs N] \
                      [--mds-replicas N] \
                      [--bench-report PATH] [--metrics] [--trace-out PATH] \
                      [--fault-plan NAME|FILE] \
@@ -134,15 +124,11 @@ fn main() {
                      <experiment|all>...\n\
                      fault plans: builtin names are {}; anything else is \
                      read as a plan file (see crates/faults). \
-                     --shards splits each simulated cluster's data servers \
-                     into N logical processes with their own event \
-                     calendars, dispatched serially in one global order; \
-                     output is byte-identical at any N. \
                      --mds-replicas runs the metadata service as a \
                      raft-style replicated group of N (default 1, the \
                      single MDS); elections and failover are simulated \
                      in virtual time and output stays byte-identical at \
-                     any shard/jobs level. \
+                     any jobs level. \
                      --audit runs the online invariant auditor every 5ms \
                      of virtual time (read-only; output is unchanged). \
                      --metrics prints virtual-time latency tables after the \
@@ -274,15 +260,6 @@ fn write_bench_report(
         alloc_bytes: u64,
         peak_bytes: u64,
     }
-    // The baseline also forces --shards 1: `wall_s_jobs1` and
-    // `events_per_sec_jobs1` mean "one calendar, one job, end to end",
-    // comparable across reports whatever sharding the main pass used.
-    // Output is byte-identical at any shard count, so the identity check
-    // below doubles as a shard determinism gate.
-    let serial_scale = Scale {
-        shards: 1,
-        ..*scale
-    };
     let seq_start = Instant::now();
     let seq: Vec<SeqRun> = chosen
         .iter()
@@ -291,7 +268,7 @@ fn write_bench_report(
             let ev0 = ibridge_pvfs::total_events_dispatched();
             let a0 = alloc_count::snapshot();
             alloc_count::reset_peak();
-            let out = (e.run)(&serial_scale);
+            let out = (e.run)(scale);
             let a1 = alloc_count::snapshot();
             SeqRun {
                 out,
@@ -427,7 +404,7 @@ fn write_bench_report(
     };
     let json = format!(
         "{{\n  \"jobs\": {jobs},\n  \"host_cpus\": {host_cpus},\n  \
-         \"seed\": {},\n  \"shards\": {},\n  \
+         \"seed\": {},\n  \
          \"experiments\": [{per}\n  ],\n  \
          \"wall_s\": {par_wall:.3},\n  \"wall_s_jobs1\": {seq_wall:.3},\n  \
          \"speedup_vs_jobs1\": {:.3},\n  \
@@ -436,7 +413,6 @@ fn write_bench_report(
          \"output_identical_to_jobs1\": {identical}{alloc_summary}\
          {fault_counters}{maint_counters}{obs_fragment}{note}\n}}\n",
         scale.seed,
-        scale.shards,
         seq_wall / par_wall.max(1e-9),
         events as f64 / par_wall.max(1e-9),
     );

@@ -12,7 +12,6 @@ const KB: u64 = 1024;
 fn stock_with(scale: &Scale, server: ServerConfig) -> Cluster {
     let cfg = ClusterConfig {
         seed: scale.seed,
-        shards: scale.shards,
         server,
         ..Default::default()
     };
@@ -128,7 +127,6 @@ fn network(scale: &Scale) -> String {
         for ibridge_on in [false, true] {
             let cfg = ClusterConfig {
                 seed: scale.seed,
-                shards: scale.shards,
                 link: link.clone(),
                 ..Default::default()
             };
@@ -230,7 +228,6 @@ fn eq3_degraded(scale: &Scale) -> String {
     for (label, eq3_on) in [("with Eq.3", true), ("without Eq.3", false)] {
         let cfg = ClusterConfig {
             seed: scale.seed,
-            shards: scale.shards,
             flag_fragments: true,
             server: ServerConfig {
                 with_cache_dev: true,
@@ -381,7 +378,6 @@ fn anticipation(scale: &Scale) -> String {
     for (label, idle_ms) in [("anticipation 8ms", 8u64), ("no anticipation", 0)] {
         let cfg = ClusterConfig {
             seed: scale.seed,
-            shards: scale.shards,
             server: ServerConfig {
                 cfq: CfqConfig {
                     slice_idle: ibridge_des::SimDuration::from_millis(idle_ms),

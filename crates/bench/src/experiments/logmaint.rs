@@ -21,7 +21,7 @@
 //!    the pre-segmentation O(log) behaviour.
 //!
 //! Everything is virtual-time or pure policy arithmetic, so the output
-//! is byte-identical at any `--jobs`/`--shards` level.
+//! is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
 use crate::{Scale, Table, FILE_A};
@@ -53,7 +53,6 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> (RunStats, MaintStats) {
     let cfg = ClusterConfig {
         n_servers: 4,
         seed: scale.seed,
-        shards: scale.shards,
         audit_interval: scale.audit_interval,
         report_interval: SimDuration::from_millis(20),
         flag_fragments: true,

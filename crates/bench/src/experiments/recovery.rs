@@ -49,7 +49,6 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
     let cfg = ClusterConfig {
         n_servers: 4,
         seed: scale.seed,
-        shards: scale.shards,
         audit_interval: scale.audit_interval,
         report_interval: SimDuration::from_millis(20),
         server: ServerConfig {

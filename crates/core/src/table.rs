@@ -682,6 +682,9 @@ mod tests {
         assert_eq!(t.find_overlaps(F, 2000, 10).len(), 0);
     }
 
+    // The overlap check is a `debug_assert!`, compiled out of release
+    // builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "over an existing entry")]
     fn overlapping_insert_panics() {

@@ -9,22 +9,20 @@
 //! The kernel is deliberately small and generic:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`pdes::ShardedSimulation`] — the one event calendar: a clock plus
-//!   per-shard calendars with an intrinsic `(time, source node,
-//!   per-node sequence)` tie-break and cancellation.
+//! * [`Simulation`] — the event calendar: a clock plus one binary heap
+//!   with an intrinsic `(time, source node, per-node sequence)`
+//!   tie-break, cancellation, and the network-floor check on every
+//!   cross-node post.
 //! * [`rng`] — reproducible per-stream random number generators.
 //! * [`stats`] — counters, EWMA (the paper's 1/8–7/8 decay), histograms.
 //!
 //! # Example
 //!
 //! ```
-//! use ibridge_des::pdes::ShardedSimulation;
-//! use ibridge_des::SimDuration;
+//! use ibridge_des::{SimDuration, Simulation};
 //!
-//! // One node on one shard; the lookahead only constrains posts
-//! // between shards.
-//! let mut sim: ShardedSimulation<&'static str> =
-//!     ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
+//! // One node; the lookahead only constrains posts between nodes.
+//! let mut sim: Simulation<&'static str> = Simulation::new(1, SimDuration::from_nanos(1));
 //! sim.post_in(0, 0, SimDuration::from_millis(5), "second");
 //! sim.post_in(0, 0, SimDuration::from_millis(1), "first");
 //! let (t, ev) = sim.pop().unwrap();
@@ -32,12 +30,13 @@
 //! assert_eq!(t.as_nanos(), 1_000_000);
 //! ```
 
+mod calendar;
 pub mod fxhash;
-pub mod pdes;
 pub mod rng;
 pub mod stats;
 mod time;
 
+pub use calendar::Simulation;
 pub use time::{SimDuration, SimTime};
 
 /// Opaque handle to a scheduled event, used for cancellation.

@@ -61,13 +61,12 @@ pub mod streams {
     /// Per-node network-impairment deciders: each simulated node draws
     /// its outcomes from `stream_rng(derive_seed(seed, FAULTS_NET),
     /// node)`, so the draw sequence is a function of (seed, node)
-    /// alone — independent of how nodes are sharded into logical
-    /// processes.
+    /// and of the order that node sends messages alone.
     pub const FAULTS_NET: u64 = 9;
     /// Replicated-MDS election timeouts: each replica draws from
     /// `stream_rng(derive_seed(seed, MDS), replica)`, so election
     /// outcomes are a function of (seed, replica) alone — byte-identical
-    /// at any `--shards`/`--jobs` combination.
+    /// at any `--jobs` level.
     pub const MDS: u64 = 10;
 }
 

@@ -1,13 +1,12 @@
 //! Property-based tests of the DES kernel.
 
-use ibridge_des::pdes::ShardedSimulation;
 use ibridge_des::stats::{Ewma, Histogram, MeanTracker};
-use ibridge_des::{SimDuration, SimTime};
+use ibridge_des::{SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 
 /// A one-node calendar: FIFO among same-instant events.
-fn calendar() -> ShardedSimulation<usize> {
-    ShardedSimulation::new(vec![0], SimDuration::from_nanos(1))
+fn calendar() -> Simulation<usize> {
+    Simulation::new(1, SimDuration::from_nanos(1))
 }
 
 proptest! {

@@ -175,9 +175,9 @@ impl FaultStats {
         *self == FaultStats::default()
     }
 
-    /// Adds `other`'s counters into `self`. Purely additive, so folding
-    /// per-LP stats in LP order gives the same totals the old single
-    /// accumulator produced — merge order never shows.
+    /// Adds `other`'s counters into `self`. Purely additive, so the
+    /// coordinator's and the servers' stats fold into the same totals in
+    /// either order.
     pub fn absorb(&mut self, other: &FaultStats) {
         self.crashes += other.crashes;
         self.restarts += other.restarts;
@@ -223,8 +223,7 @@ pub struct FaultInjector {
 /// as the owning [`FaultInjector`], but drawing outcomes from a stream
 /// seeded by `(experiment seed, node)`. Each simulated node owns one,
 /// so the outcome sequence for a node's traffic depends only on the
-/// order *that node* sends messages — invariant under sharding, which
-/// regroups nodes into logical processes.
+/// order *that node* sends messages, not on any other node's traffic.
 #[derive(Debug)]
 pub struct NetDecider {
     windows: Arc<[(SimDuration, SimDuration, Impairment)]>,

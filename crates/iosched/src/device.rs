@@ -460,7 +460,7 @@ impl BlockDevice {
 mod tests {
     use super::*;
     use crate::{Cfq, CfqConfig, Noop};
-    use ibridge_des::pdes::ShardedSimulation;
+    use ibridge_des::Simulation;
     use ibridge_device::{DiskProfile, IoDir, SsdProfile};
 
     fn ssd_dev() -> BlockDevice {
@@ -492,9 +492,8 @@ mod tests {
             Done,
             Recheck(u64),
         }
-        let mut sim: ShardedSimulation<Ev> =
-            ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
-        let push = |sim: &mut ShardedSimulation<Ev>, actions: &mut dyn Iterator<Item = Action>| {
+        let mut sim: Simulation<Ev> = Simulation::new(1, SimDuration::from_nanos(1));
+        let push = |sim: &mut Simulation<Ev>, actions: &mut dyn Iterator<Item = Action>| {
             for a in actions {
                 match a {
                     Action::CompleteAt(t) => sim.post_at(0, 0, t, Ev::Done),

@@ -12,29 +12,26 @@
 //! warms the iBridge cache before read experiments (the paper relies on
 //! the same effect across repeated production runs).
 //!
-//! # Logical processes
+//! # Coordinator and servers
 //!
-//! The cluster's state is partitioned along logical-process (LP)
-//! boundaries (`ClusterConfig::shards`):
+//! The cluster's state is split in two halves, and the event type alone
+//! decides which half handles an event:
 //!
-//! * the **coordinator LP** owns the clients and the metadata server —
-//!   the workload, per-process bookkeeping, the in-flight parent table,
-//!   the retry protocol and the MDS T-value table ([`CoordPersist`] is
-//!   its cross-run state);
-//! * each **server shard LP** owns a contiguous group of data servers —
-//!   their devices, policies, links, crash/epoch state and in-flight
-//!   job table (a [`ShardPersist`] of [`ServerCell`]s).
+//! * the **coordinator** (`CoordLp`) owns the clients and the metadata
+//!   server: the workload, per-process bookkeeping, the in-flight parent
+//!   table, the retry protocol and the MDS T-value table;
+//! * the **servers** (`ServerLp`) own the data servers: their devices,
+//!   policies, links, crash/epoch state and in-flight job table.
 //!
-//! No LP ever touches another LP's state: every interaction crosses the
-//! fabric as an event posted at least one lookahead in the future
-//! (requests carry their [`PendingJob`] in the message; SSD loss steers
-//! the MDS off via [`Ev::SteerOff`]; the end-of-run drain is kicked by
-//! cross-LP `DrainTick`s). Probabilistic network impairments draw from
-//! per-node RNG streams ([`ibridge_faults::NetDecider`]), so the dice
-//! rolled by one LP are independent of any other LP's schedule. Event
-//! keys are intrinsic `(time, source node, per-node sequence)`, so every
-//! stat, trace and golden is byte-identical at any shard count. Runs
-//! dispatch serially on one calendar (see `ibridge_des::pdes`).
+//! Neither half touches the other's state. Every interaction crosses the
+//! fabric as a message posted at least one network floor in the future:
+//! requests carry their job record in the message, an SSD loss steers the
+//! MDS off with a message, and the coordinator kicks the end-of-run drain
+//! with one. [`ibridge_des::Simulation`] asserts that floor on every post
+//! between two nodes. Probabilistic network impairments draw from
+//! per-node RNG streams ([`ibridge_faults::NetDecider`]). Event keys are
+//! intrinsic `(time, source node, per-node sequence)`, so every stat,
+//! trace and golden is byte-identical at any `--jobs` level.
 
 use crate::layout::Layout;
 use crate::policy::{BitRotTarget, CachePolicy, CacheStats, LogCorruption, MaintStats};
@@ -42,9 +39,8 @@ use crate::proto::{FileRequest, SubRequest};
 use crate::server::{DataServer, DevKind, JobId, ServerConfig, ServerOut};
 use crate::workload::Workload;
 use ibridge_des::fxhash::FxHashMap as HashMap;
-use ibridge_des::pdes::{LpPort, ShardedSimulation};
 use ibridge_des::stats::{Histogram, MeanTracker};
-use ibridge_des::{EventId, SimDuration, SimTime};
+use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
 use ibridge_faults::{
     FaultDev, FaultInjector, FaultPlan, FaultStats, NetDecider, RetryConfig, RotTarget, TimedFault,
 };
@@ -182,11 +178,10 @@ pub struct ClusterConfig {
     /// Metadata-service replicas. `1` (the default) is the classic
     /// single MDS — a SPOF whose crash degrades clients to stale T
     /// values. `> 1` runs a raft-style replicated group (entirely on
-    /// the coordinator LP, in virtual time): T reports and steering
+    /// the coordinator, in virtual time): T reports and steering
     /// updates go through a majority-committed log, and the group
     /// survives leader crashes and partitions via deterministic
-    /// seeded elections. Output stays byte-identical at any shard
-    /// count either way.
+    /// seeded elections.
     pub mds_replicas: usize,
     /// Interval of the writeback daemon's idle check.
     pub writeback_interval: SimDuration,
@@ -197,12 +192,10 @@ pub struct ClusterConfig {
     pub client_jitter: SimDuration,
     /// Experiment seed (jitter and any stochastic workload draws).
     pub seed: u64,
-    /// Number of data-server shards (logical processes). The servers
-    /// are split into this many contiguous groups, each owning its own
-    /// calendar; clients and the MDS form a coordinator LP. Event order
-    /// — and therefore every observable output — is byte-identical at
-    /// any shard count (see `ibridge_des::pdes`). Clamped to
-    /// `n_servers`.
+    /// Ignored: every run dispatches on one calendar at any value. This
+    /// was the number of data-server shards of the removed sharded
+    /// calendar; the field stays only because the `ibench` package still
+    /// sets it, and goes with ibench's hetero-pdes `shards: 2`.
     pub shards: usize,
     /// Ignored: runs are serial at any value. This was the thread count
     /// of the removed threaded driver; the field stays only because the
@@ -210,7 +203,7 @@ pub struct ClusterConfig {
     /// `Spec::threads`.
     pub threads: usize,
     /// Virtual-time cadence of the online invariant auditor: every
-    /// elapsed interval each shard cross-checks its live servers'
+    /// elapsed interval the auditor cross-checks every live server's
     /// policy invariants and the process-epoch monotonicity, aborting
     /// with a structured diagnostic on the first violation. `None`
     /// disables auditing. The auditor is synchronous and read-only — it
@@ -241,7 +234,7 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Node id of the client/MDS coordinator LP.
+/// Node id of the client/MDS coordinator.
 const COORD: u16 = 0;
 
 /// Node id of data server `s` (the coordinator is node 0).
@@ -256,8 +249,9 @@ enum Ev {
     /// Think time elapsed; issue the request.
     Issue { proc: usize, req: FileRequest },
     /// Sub-request message reached its server, carrying the cluster-side
-    /// job record with it — the job table is owned by the server's LP,
-    /// so the record travels in the message instead of being shared.
+    /// job record with it — the job table is owned by the servers' half
+    /// of the state, so the record travels in the message instead of
+    /// being shared.
     SubArrive {
         server: usize,
         job: JobId,
@@ -315,7 +309,7 @@ enum Ev {
         table: Arc<[f64]>,
     },
     /// An intra-MDS-group raft message or timer (replicated MDS only).
-    /// The whole group lives on the coordinator LP, so these are
+    /// The whole group lives on the coordinator, so these are
     /// coordinator self-posts whose order is intrinsic.
     Mds(MdsMsg),
     /// Re-proposal of a metadata update that found no reachable MDS
@@ -329,7 +323,7 @@ enum Ev {
     DrainTick { server: usize },
     /// A server lost its SSD: the MDS zeroes that server's T slot so
     /// fragments stop being steered at it. The table lives on the
-    /// coordinator LP, one lookahead away from the failing server.
+    /// coordinator, one lookahead away from the failing server.
     SteerOff { server: usize },
 }
 
@@ -347,7 +341,7 @@ struct PendingJob {
 
 /// Recycling pool for the `Box<PendingJob>` riding every `SubArrive`
 /// message: without it each sub-request costs a heap allocation at the
-/// coordinator that the receiving shard immediately frees. The pool is
+/// coordinator that the receiving server immediately frees. The pool is
 /// thread-local so concurrent `--jobs` runs need no synchronisation
 /// (each run reaches steady state after its first in-flight wave).
 /// Pool membership is invisible to the simulation — a recycled box is
@@ -602,8 +596,8 @@ fn clamp_fault(f: TimedFault, n: usize) -> TimedFault {
 }
 
 /// The data server a fault targets, or `None` for MDS faults — the
-/// static routing key that decides which LP's calendar a scheduled
-/// fault is seeded onto.
+/// static routing key that decides which node posts a scheduled fault
+/// and which half of the state handles it.
 fn fault_server(f: &TimedFault) -> Option<usize> {
     match *f {
         TimedFault::Crash { server }
@@ -741,7 +735,7 @@ impl RunStats {
     }
 }
 
-/// Cross-run state owned by the coordinator LP: the clients' RNG and id
+/// Cross-run state owned by the coordinator: the clients' RNG and id
 /// counters, and the metadata server.
 struct CoordPersist {
     mds_link: Link,
@@ -764,7 +758,7 @@ struct CoordPersist {
     decider: Option<NetDecider>,
 }
 
-/// Cross-run state of one data server, owned by its shard LP.
+/// Cross-run state of one data server.
 struct ServerCell {
     server: DataServer,
     /// Server → client reply link.
@@ -787,19 +781,12 @@ struct ServerCell {
     decider: Option<NetDecider>,
 }
 
-/// One shard: a contiguous group of data servers sharing an LP.
-struct ShardPersist {
-    /// Global id of the first server in `cells`.
-    lo: usize,
-    cells: Vec<ServerCell>,
-}
-
 /// The simulated cluster.
 pub struct Cluster {
     cfg: ClusterConfig,
-    sim: ShardedSimulation<Ev>,
+    sim: Simulation<Ev>,
     coord: CoordPersist,
-    shards: Vec<ShardPersist>,
+    servers: Vec<ServerCell>,
     /// Armed fault schedule; `None` keeps every fault path inert so an
     /// unarmed cluster is byte-identical to one that never saw a plan.
     injector: Option<FaultInjector>,
@@ -822,35 +809,8 @@ impl Cluster {
         make_policy: impl Fn(usize) -> Box<dyn CachePolicy>,
     ) -> Self {
         assert!(cfg.n_servers > 0, "cluster needs at least one server");
-        // LP map: coordinator (clients + MDS) is LP 0; the servers are
-        // split into `shards` contiguous groups, one LP each. The
-        // lookahead is the fabric's per-message latency floor, the
-        // fastest any event can cross between LPs. `shards: 1` means
-        // unsharded: everything on a single LP. Event order is
-        // intrinsic, so the split changes no output either way.
-        let groups = cfg.shards.clamp(1, cfg.n_servers);
-        let node_lp: Vec<u32> = if groups == 1 {
-            vec![0; cfg.n_servers + 1]
-        } else {
-            std::iter::once(0)
-                .chain((0..cfg.n_servers).map(|s| 1 + (s * groups / cfg.n_servers) as u32))
-                .collect()
-        };
-        let mut shards: Vec<ShardPersist> = (0..groups)
-            .map(|_| ShardPersist {
-                lo: 0,
-                cells: Vec::new(),
-            })
-            .collect();
-        for s in 0..cfg.n_servers {
-            // Same contiguous split as `node_lp`; floor division is
-            // surjective for `groups <= n_servers`, so no group is empty.
-            let g = s * groups / cfg.n_servers;
-            let sh = &mut shards[g];
-            if sh.cells.is_empty() {
-                sh.lo = s;
-            }
-            sh.cells.push(ServerCell {
+        let servers = (0..cfg.n_servers)
+            .map(|s| ServerCell {
                 server: DataServer::new(s, make_server(s), make_policy(s)),
                 link: Link::new(cfg.link.clone()),
                 down: false,
@@ -860,8 +820,8 @@ impl Cluster {
                 degraded_since: SimTime::ZERO,
                 bcast_version: 0,
                 decider: None,
-            });
-        }
+            })
+            .collect();
         Cluster {
             coord: CoordPersist {
                 mds_link: Link::new(cfg.link.clone()),
@@ -879,8 +839,11 @@ impl Cluster {
                 next_parent: 0,
                 decider: None,
             },
-            sim: ShardedSimulation::new(node_lp, cfg.link.lookahead()),
-            shards,
+            // Node 0 is the coordinator, nodes 1..=n the servers; the
+            // fabric's per-message floor is the fastest any event can
+            // cross between them.
+            sim: Simulation::new(cfg.n_servers + 1, cfg.link.lookahead()),
+            servers,
             injector: None,
             cfg,
         }
@@ -893,19 +856,15 @@ impl Cluster {
     /// saw a plan. Server ids in the plan are taken modulo `n_servers`.
     ///
     /// Each node gets its own impairment-decision RNG stream, so the
-    /// dice one LP rolls are independent of every other LP's schedule —
-    /// the property that keeps faulty runs byte-identical at any shard
-    /// count.
+    /// dice one node rolls are independent of every other node's
+    /// traffic.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.injector = (!plan.is_faultless()).then(|| FaultInjector::new(plan, self.cfg.seed));
         let seed = self.cfg.seed;
         let inj = self.injector.as_ref();
         self.coord.decider = inj.and_then(|inj| inj.net_decider(seed, COORD));
-        for sh in &mut self.shards {
-            let lo = sh.lo;
-            for (i, cell) in sh.cells.iter_mut().enumerate() {
-                cell.decider = inj.and_then(|inj| inj.net_decider(seed, srv_node(lo + i)));
-            }
+        for (s, cell) in self.servers.iter_mut().enumerate() {
+            cell.decider = inj.and_then(|inj| inj.net_decider(seed, srv_node(s)));
         }
     }
 
@@ -921,9 +880,7 @@ impl Cluster {
 
     /// Direct server access (inspection in tests/harness).
     pub fn server(&self, i: usize) -> &DataServer {
-        let g = i * self.shards.len() / self.cfg.n_servers;
-        let sh = &self.shards[g];
-        &sh.cells[i - sh.lo].server
+        &self.servers[i].server
     }
 
     /// Preallocates a striped file of `logical_bytes` across the servers
@@ -933,15 +890,12 @@ impl Cluster {
         let layout = Layout::new(self.cfg.stripe_unit, self.cfg.n_servers);
         let su = layout.stripe_unit;
         let units = logical_bytes.div_ceil(su);
-        for sh in &mut self.shards {
-            for (i, cell) in sh.cells.iter_mut().enumerate() {
-                let s = sh.lo + i;
-                // Units owned by server s among 0..units.
-                let owned = units / layout.n_servers as u64
-                    + u64::from(units % layout.n_servers as u64 > s as u64);
-                if owned > 0 {
-                    cell.server.preallocate(file, owned * su);
-                }
+        for (s, cell) in self.servers.iter_mut().enumerate() {
+            // Units owned by server s among 0..units.
+            let owned = units / layout.n_servers as u64
+                + u64::from(units % layout.n_servers as u64 > s as u64);
+            if owned > 0 {
+                cell.server.preallocate(file, owned * su);
             }
         }
     }
@@ -955,7 +909,6 @@ impl Cluster {
         let n_procs = workload.procs();
         assert!(n_procs > 0, "workload has no processes");
         let n_servers = self.cfg.n_servers;
-        let groups = self.shards.len();
         let start = self.sim.now();
         let dispatched_before = self.sim.dispatched();
         let layout = self.layout();
@@ -970,28 +923,23 @@ impl Cluster {
             .map(|inj| inj.retry().clone())
             .unwrap_or_default();
         let mut coord_fault_ids: Vec<EventId> = Vec::new();
-        let mut shard_fault_ids: Vec<Vec<Vec<EventId>>> = self
-            .shards
-            .iter()
-            .map(|sh| vec![Vec::new(); sh.cells.len()])
-            .collect();
+        let mut server_fault_ids: Vec<Vec<EventId>> = vec![Vec::new(); n_servers];
         if let Some(inj) = self.injector.as_mut() {
             // `arm` hands the timeline out exactly once, so a cluster
             // re-run without re-arming does not re-inject old faults.
             let timeline: Vec<(SimDuration, TimedFault)> = inj.arm().to_vec();
             for (off, f) in timeline {
-                // Each fault is seeded directly onto the calendar of the
-                // LP owning its target (static routing — fault targets
-                // are known when the plan is armed). Cancellable: the
-                // run drains the calendar to empty, so faults pending
-                // past their target's quiescence are unscheduled.
+                // Each fault is posted by and onto the node it targets
+                // (fault targets are known when the plan is armed).
+                // Cancellable: the run drains the calendar to empty, so
+                // faults pending past their target's quiescence are
+                // unscheduled.
                 let f = clamp_fault(f, n_servers);
                 match fault_server(&f) {
                     Some(s) => {
                         let node = srv_node(s);
                         let id = self.sim.schedule_at(node, node, start + off, Ev::Fault(f));
-                        let g = s * groups / n_servers;
-                        shard_fault_ids[g][s - self.shards[g].lo].push(id);
+                        server_fault_ids[s].push(id);
                     }
                     None => {
                         let id = self
@@ -1002,15 +950,13 @@ impl Cluster {
                 }
             }
         }
-        for sh in &mut self.shards {
-            for cell in &mut sh.cells {
-                // Degradation persisting from an earlier run (e.g. a
-                // lost SSD) accrues from this run's start.
-                if cell.degraded_depth > 0 {
-                    cell.degraded_since = start;
-                }
-                cell.server.prepare_run();
+        for cell in &mut self.servers {
+            // Degradation persisting from an earlier run (e.g. a lost
+            // SSD) accrues from this run's start.
+            if cell.degraded_depth > 0 {
+                cell.degraded_since = start;
             }
+            cell.server.prepare_run();
         }
 
         // Observability. Recording is read-only with respect to the
@@ -1021,9 +967,8 @@ impl Cluster {
         ibridge_obs::trace::run_begin();
         #[cfg(feature = "obs")]
         let obs_dev0: Vec<ibridge_iosched::DevStats> = if ibridge_obs::metrics_on() {
-            self.shards
+            self.servers
                 .iter()
-                .flat_map(|sh| sh.cells.iter())
                 .map(|c| c.server.primary().stats())
                 .collect()
         } else {
@@ -1067,14 +1012,14 @@ impl Cluster {
             }
         }
 
-        // Split the cluster into its per-LP states. From here on no
-        // code path touches state across an LP boundary: the handler
-        // closure sees exactly one LP's state per event.
+        // Split the cluster into its two halves. From here on no code
+        // path touches state across the split: each event is handled by
+        // the coordinator or by the servers, never both.
         let Cluster {
             cfg,
             sim,
             coord,
-            shards,
+            servers,
             ..
         } = self;
         let cfg: &ClusterConfig = cfg;
@@ -1085,7 +1030,7 @@ impl Cluster {
             faults,
             start,
         };
-        let co = CoordLp {
+        let mut co = CoordLp {
             p: coord,
             workload,
             retry,
@@ -1113,113 +1058,46 @@ impl Cluster {
             mds_shutdown: false,
             mds_acts: Vec::new(),
         };
-        fn mk_shard<'r>(
-            cfg: &ClusterConfig,
-            start: SimTime,
-            p: &'r mut ShardPersist,
-            fault_ids: Vec<Vec<EventId>>,
-        ) -> ShardLp<'r> {
-            #[cfg(not(feature = "audit"))]
-            let _ = cfg;
-            let n_cells = p.cells.len();
-            ShardLp {
-                #[cfg(feature = "audit")]
-                next_audit: cfg.audit_interval.map(|iv| start + iv),
-                #[cfg(feature = "audit")]
-                audit_epochs: p.cells.iter().map(|c| c.srv_epoch).collect(),
-                #[cfg(feature = "audit")]
-                audits: 0,
-                jobs: HashMap::default(),
-                out: ServerOut::default(),
-                fstats: FaultStats::default(),
-                draining: false,
-                was_quiescent: false,
-                quiesced_at: start,
-                fault_ids,
-                cell_was_q: vec![false; n_cells],
-                lost_jobs: Vec::new(),
-                p,
-            }
-        }
-        let single = sim.n_lps() == 1;
-        let mut fault_buckets = shard_fault_ids.into_iter();
-        let mut states: Vec<LpState<'_>> =
-            Vec::with_capacity(if single { 1 } else { 1 + shards.len() });
-        if single {
-            let sh = shards.first_mut().expect("at least one shard");
-            states.push(LpState {
-                coord: Some(co),
-                shard: Some(mk_shard(
-                    cfg,
-                    start,
-                    sh,
-                    fault_buckets.next().expect("bucket"),
-                )),
-            });
-        } else {
-            states.push(LpState {
-                coord: Some(co),
-                shard: None,
-            });
-            for sh in shards.iter_mut() {
-                states.push(LpState {
-                    coord: None,
-                    shard: Some(mk_shard(
-                        cfg,
-                        start,
-                        sh,
-                        fault_buckets.next().expect("bucket"),
-                    )),
-                });
-            }
-        }
-
-        sim.run_serial(&mut states, |port, st, now, ev| {
-            dispatch(&shared, port, st, now, ev);
-        });
-
-        let mut states = states.into_iter();
-        let first = states.next().expect("coordinator LP state");
-        let (co, mut shs): (CoordLp, Vec<ShardLp>) = if single {
-            (
-                first.coord.expect("coordinator state"),
-                vec![first.shard.expect("shard state")],
-            )
-        } else {
-            (
-                first.coord.expect("coordinator state"),
-                states.map(|st| st.shard.expect("shard state")).collect(),
-            )
+        let mut lp = ServerLp {
+            #[cfg(feature = "audit")]
+            next_audit: cfg.audit_interval.map(|iv| start + iv),
+            #[cfg(feature = "audit")]
+            audit_epochs: servers.iter().map(|c| c.srv_epoch).collect(),
+            #[cfg(feature = "audit")]
+            audits: 0,
+            jobs: HashMap::default(),
+            out: ServerOut::default(),
+            fstats: FaultStats::default(),
+            draining: false,
+            was_quiescent: false,
+            quiesced_at: start,
+            fault_ids: server_fault_ids,
+            cell_was_q: vec![false; n_servers],
+            lost_jobs: Vec::new(),
+            cells: servers,
         };
+
+        sim.run(|sim, now, ev| dispatch(&shared, sim, &mut co, &mut lp, now, ev));
 
         // The calendar ran to empty; trailing impaired messages
         // (delayed or duplicated replies) may dispatch after the last
         // meaningful work, so the run's end is bookkept: the last
-        // client completion and each shard's drain quiescence.
-        let mut end = co.client_done_at;
-        for s in &shs {
-            end = end.max(s.quiesced_at);
-        }
+        // client completion and the servers' drain quiescence.
+        let end = co.client_done_at.max(lp.quiesced_at);
 
         // A final audit closes the run: recovered state must be sound
         // at quiescence, not just at the last cadence tick.
         #[cfg(feature = "audit")]
         if cfg.audit_interval.is_some() {
-            let mut audits: u64 = 1;
-            for s in &mut shs {
-                shard_audit(s, end);
-                audits += s.audits;
-            }
-            TOTAL_AUDITS.fetch_add(audits, Ordering::Relaxed);
+            audit_servers(&mut lp, end);
+            TOTAL_AUDITS.fetch_add(1 + lp.audits, Ordering::Relaxed);
         }
 
         let events_dispatched = sim.dispatched() - dispatched_before;
         TOTAL_EVENTS.fetch_add(events_dispatched, Ordering::Relaxed);
 
         let mut fstats = co.fstats;
-        for s in &shs {
-            fstats.absorb(&s.fstats);
-        }
+        fstats.absorb(&lp.fstats);
 
         // Close out the replicated group for this run: accrue any
         // still-open leaderless window to `end`, then fold the per-run
@@ -1256,14 +1134,12 @@ impl Cluster {
                 commits: mds_run.commits,
             });
         }
-        for s in &mut shs {
-            for cell in &mut s.p.cells {
-                // Close degradation windows still open at run end (a
-                // lost SSD degrades the server for the rest of its life).
-                if cell.degraded_depth > 0 {
-                    fstats.degraded += end - cell.degraded_since;
-                    cell.degraded_since = end;
-                }
+        for cell in lp.cells.iter_mut() {
+            // Close degradation windows still open at run end (a lost
+            // SSD degrades the server for the rest of its life).
+            if cell.degraded_depth > 0 {
+                fstats.degraded += end - cell.degraded_since;
+                cell.degraded_since = end;
             }
         }
 
@@ -1274,19 +1150,14 @@ impl Cluster {
         // — those runs contribute no sample.
         #[cfg(feature = "obs")]
         if ibridge_obs::metrics_on() {
-            let mut s_id = 0usize;
-            for sh in &shs {
-                for cell in &sh.p.cells {
-                    let pred_s = cell.server.policy().report_t();
-                    let st = cell.server.primary().stats();
-                    let d0 = &obs_dev0[s_id];
-                    if pred_s > 0.0 && st.requests > d0.requests && st.busy >= d0.busy {
-                        let meas =
-                            (st.busy.as_nanos() - d0.busy.as_nanos()) / (st.requests - d0.requests);
-                        let pred = (pred_s * 1e9).round() as u64;
-                        ibridge_obs::metrics::record_ti(s_id as u16, pred, meas);
-                    }
-                    s_id += 1;
+            for (s_id, (cell, d0)) in lp.cells.iter().zip(&obs_dev0).enumerate() {
+                let pred_s = cell.server.policy().report_t();
+                let st = cell.server.primary().stats();
+                if pred_s > 0.0 && st.requests > d0.requests && st.busy >= d0.busy {
+                    let meas =
+                        (st.busy.as_nanos() - d0.busy.as_nanos()) / (st.requests - d0.requests);
+                    let pred = (pred_s * 1e9).round() as u64;
+                    ibridge_obs::metrics::record_ti(s_id as u16, pred, meas);
                 }
             }
         }
@@ -1304,9 +1175,9 @@ impl Cluster {
             TOTAL_MDS_LEADER_CHANGES.fetch_add(fstats.mds_leader_changes, Ordering::Relaxed);
             TOTAL_MDS_RECOVERY_NS.fetch_add(fstats.mds_recovery_ticks, Ordering::Relaxed);
         }
-        let servers: Vec<ServerRunStats> = shs
+        let servers: Vec<ServerRunStats> = lp
+            .cells
             .iter()
-            .flat_map(|sh| sh.p.cells.iter())
             .map(|cell| {
                 let s = &cell.server;
                 let (ra_hits, ra_bytes) = s.readahead_hits();
@@ -1379,8 +1250,7 @@ impl Cluster {
     }
 }
 
-/// Read-only run parameters shared by every LP's handler (captured by
-/// reference in the `Fn + Sync` dispatch closure).
+/// Read-only run parameters shared by both handlers.
 struct Shared<'c> {
     cfg: &'c ClusterConfig,
     layout: Layout,
@@ -1391,7 +1261,7 @@ struct Shared<'c> {
     start: SimTime,
 }
 
-/// Per-run state of the coordinator LP (clients + MDS).
+/// Per-run state of the coordinator (clients + MDS).
 struct CoordLp<'r> {
     p: &'r mut CoordPersist,
     workload: &'r mut dyn Workload,
@@ -1428,28 +1298,25 @@ struct CoordLp<'r> {
     mds_acts: Vec<MdsAction>,
 }
 
-/// Per-run state of one server-shard LP.
-struct ShardLp<'r> {
-    p: &'r mut ShardPersist,
-    /// In-flight jobs of this shard's servers (records arrive inside
+/// Per-run state of the data servers.
+struct ServerLp<'r> {
+    cells: &'r mut [ServerCell],
+    /// In-flight jobs of every server (records arrive inside
     /// `SubArrive` messages).
     jobs: HashMap<JobId, PendingJob>,
     /// Reused across every calendar event: after warm-up the event loop
     /// performs no allocation for server output handling.
     out: ServerOut,
     fstats: FaultStats,
-    /// The end-of-run drain reached this shard.
+    /// The end-of-run drain reached the servers.
     draining: bool,
     /// All cells quiescent at the last event (transition detector for
     /// `quiesced_at`).
     was_quiescent: bool,
-    /// When this shard last became quiescent during the drain.
+    /// When the servers last became quiescent during the drain.
     quiesced_at: SimTime,
     /// Pending scheduled faults per cell, cancelled when that server
-    /// reaches quiescence during the drain. Bucketed per cell — not per
-    /// shard — because a server's quiescence transition happens at the
-    /// same virtual time at any shard count, keeping the cancellation
-    /// set (and so the dispatched-event count) shard-invariant.
+    /// reaches quiescence during the drain.
     fault_ids: Vec<Vec<EventId>>,
     cell_was_q: Vec<bool>,
     lost_jobs: Vec<JobId>,
@@ -1461,17 +1328,16 @@ struct ShardLp<'r> {
     audits: u64,
 }
 
-/// One LP's state: the coordinator part, the shard part, or — when the
-/// whole cluster shares a single LP (`shards: 1`) — both.
-struct LpState<'r> {
-    coord: Option<CoordLp<'r>>,
-    shard: Option<ShardLp<'r>>,
-}
-
-/// Routes one event to the owning side of its LP's state. Static: the
-/// event type alone decides coordinator vs shard, so the split is the
-/// same on a single shared LP as on many.
-fn dispatch(sh: &Shared, port: &mut LpPort<'_, Ev>, st: &mut LpState<'_>, now: SimTime, ev: Ev) {
+/// Routes one event to the half of the state that owns it. Static: the
+/// event type alone decides coordinator vs servers.
+fn dispatch(
+    sh: &Shared,
+    sim: &mut Simulation<Ev>,
+    co: &mut CoordLp,
+    lp: &mut ServerLp,
+    now: SimTime,
+    ev: Ev,
+) {
     match ev {
         Ev::Wake { .. }
         | Ev::Issue { .. }
@@ -1480,24 +1346,17 @@ fn dispatch(sh: &Shared, port: &mut LpPort<'_, Ev>, st: &mut LpState<'_>, now: S
         | Ev::ReportArrive { .. }
         | Ev::SteerOff { .. }
         | Ev::Mds(_)
-        | Ev::MdsRetry { .. } => {
-            let co = st.coord.as_mut().expect("coordinator event on server LP");
-            coord_event(sh, port, co, now, ev);
-        }
-        Ev::Fault(ref f) if fault_server(f).is_none() => {
-            let co = st.coord.as_mut().expect("coordinator event on server LP");
-            coord_event(sh, port, co, now, ev);
-        }
+        | Ev::MdsRetry { .. } => coord_event(sh, sim, co, now, ev),
+        Ev::Fault(ref f) if fault_server(f).is_none() => coord_event(sh, sim, co, now, ev),
         _ => {
-            let lp = st.shard.as_mut().expect("server event on coordinator LP");
-            shard_event(sh, port, lp, now, ev);
-            shard_tail(sh, port, lp, now);
+            server_event(sh, sim, lp, now, ev);
+            server_tail(sh, sim, lp, now);
         }
     }
 }
 
-/// Handles one client/MDS event on the coordinator LP.
-fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: SimTime, ev: Ev) {
+/// Handles one client/MDS event on the coordinator.
+fn coord_event(sh: &Shared, sim: &mut Simulation<Ev>, co: &mut CoordLp, now: SimTime, ev: Ev) {
     match ev {
         Ev::Wake { proc } => {
             debug_assert_eq!(co.proc_state[proc], ProcState::Running);
@@ -1511,14 +1370,13 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         if !co.drain_kicked {
                             co.drain_kicked = true;
                             // Kick the end-of-run drain. The kick crosses
-                            // the fabric like any other message — one
-                            // lookahead ahead — so it lands identically
-                            // at every shard count. Scheduled MDS
-                            // faults can no longer matter; cancel them so
-                            // the calendar drains to empty.
-                            let l = port.lookahead();
+                            // the fabric like any other message, one
+                            // lookahead ahead. Scheduled MDS faults can
+                            // no longer matter; cancel them so the
+                            // calendar drains to empty.
+                            let l = sim.lookahead();
                             for server in 0..sh.cfg.n_servers {
-                                port.post_at(
+                                sim.post_at(
                                     COORD,
                                     srv_node(server),
                                     now + l,
@@ -1526,7 +1384,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                                 );
                             }
                             for id in co.fault_ids.drain(..) {
-                                port.cancel(id);
+                                sim.cancel(id);
                             }
                             // Stop replicated-MDS timers from re-arming:
                             // pending Mds/MdsRetry events become no-ops.
@@ -1534,7 +1392,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         }
                     } else if co.use_barrier {
                         // A departing process may release the barrier.
-                        maybe_release_barrier(port, &mut co.proc_state, &co.barrier_mask);
+                        maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);
                     }
                 }
                 Some(item) => {
@@ -1546,7 +1404,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     };
                     let delay = item.think + jitter;
                     if delay > SimDuration::ZERO {
-                        port.post_in(
+                        sim.post_in(
                             COORD,
                             COORD,
                             delay,
@@ -1556,7 +1414,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                             },
                         );
                     } else {
-                        port.post_now(
+                        sim.post_now(
                             COORD,
                             COORD,
                             Ev::Issue {
@@ -1606,7 +1464,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 #[cfg(feature = "obs")]
                 obs_net_req(now, arrive, proc, parent, sub_idx, server);
                 if sh.faults {
-                    let tid = port.schedule_at(
+                    let tid = sim.schedule_at(
                         COORD,
                         COORD,
                         now + co.retry.timeout,
@@ -1621,7 +1479,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 }
                 post_sub_arrival(
                     sh,
-                    port,
+                    sim,
                     co,
                     now,
                     arrive,
@@ -1660,7 +1518,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         } else {
                             st.done = true;
                             if let Some(id) = st.timeout.take() {
-                                port.cancel(id);
+                                sim.cancel(id);
                             }
                         }
                     }
@@ -1690,9 +1548,9 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     debug_assert_eq!(p.proc, proc);
                     if co.use_barrier && co.barrier_mask[proc] {
                         co.proc_state[proc] = ProcState::AtBarrier;
-                        maybe_release_barrier(port, &mut co.proc_state, &co.barrier_mask);
+                        maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);
                     } else {
-                        port.post_now(COORD, COORD, Ev::Wake { proc });
+                        sim.post_now(COORD, COORD, Ev::Wake { proc });
                     }
                 }
             }
@@ -1713,7 +1571,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         // Give up: surface an error completion so
                         // the application makes progress.
                         co.fstats.failed_subs += 1;
-                        port.post_now(
+                        sim.post_now(
                             COORD,
                             COORD,
                             Ev::Reply {
@@ -1729,7 +1587,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                             .retry
                             .timeout
                             .mul_f64(co.retry.backoff.powi(st.attempt as i32));
-                        st.timeout = Some(port.schedule_at(
+                        st.timeout = Some(sim.schedule_at(
                             COORD,
                             COORD,
                             now + wait,
@@ -1748,7 +1606,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 obs_net_req(now, arrive, rproc, parent, sub_idx, server);
                 post_sub_arrival(
                     sh,
-                    port,
+                    sim,
                     co,
                     now,
                     arrive,
@@ -1764,7 +1622,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
             if co.p.mds.is_some() {
                 // Replicated path: the report becomes a log entry; the
                 // table mutates (and broadcasts) only at commit.
-                mds_propose(sh, port, co, now, MdsEntry::TReport { server, t }, 0);
+                mds_propose(sh, sim, co, now, MdsEntry::TReport { server, t }, 0);
             } else if co.p.mds_down {
                 // The MDS is down: the report is lost and no
                 // broadcast goes out. Servers keep serving with
@@ -1774,14 +1632,14 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                 co.p.mds_table[server] = t;
                 co.p.mds_version += 1;
                 let version = co.p.mds_version;
-                mds_broadcast(sh, port, co, now, version);
+                mds_broadcast(sh, sim, co, now, version);
             }
         }
         Ev::SteerOff { server } => {
             // The MDS stops steering fragments at a server that lost
             // its SSD.
             if co.p.mds.is_some() {
-                mds_propose(sh, port, co, now, MdsEntry::SteerOff { server }, 0);
+                mds_propose(sh, sim, co, now, MdsEntry::SteerOff { server }, 0);
             } else {
                 co.p.mds_table[server] = 0.0;
             }
@@ -1797,13 +1655,13 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     .as_mut()
                     .expect("MDS message without a replicated group")
                     .handle(now, msg, &mut acts);
-                mds_apply(sh, port, co, now, &mut acts);
+                mds_apply(sh, sim, co, now, &mut acts);
                 co.mds_acts = acts;
             }
         }
         Ev::MdsRetry { entry, attempt } => {
             if !co.mds_shutdown {
-                mds_propose(sh, port, co, now, entry, attempt);
+                mds_propose(sh, sim, co, now, entry, attempt);
             }
         }
         Ev::Fault(fault) => match fault {
@@ -1814,7 +1672,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     if g.crash_leader(now, &mut acts).is_some() {
                         co.fstats.mds_crashes += 1;
                     }
-                    mds_apply(sh, port, co, now, &mut acts);
+                    mds_apply(sh, sim, co, now, &mut acts);
                     co.mds_acts = acts;
                 } else if !co.p.mds_down {
                     co.p.mds_down = true;
@@ -1829,7 +1687,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                         let mut acts = std::mem::take(&mut co.mds_acts);
                         acts.clear();
                         g.restart_crashed(now, &mut acts);
-                        mds_apply(sh, port, co, now, &mut acts);
+                        mds_apply(sh, sim, co, now, &mut acts);
                         co.mds_acts = acts;
                     }
                 } else if co.p.mds_down {
@@ -1843,7 +1701,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     acts.clear();
                     g.partition_leader(now, &mut acts);
                     co.fstats.mds_crashes += 1;
-                    mds_apply(sh, port, co, now, &mut acts);
+                    mds_apply(sh, sim, co, now, &mut acts);
                     co.mds_acts = acts;
                 } else if !co.p.mds_down {
                     // Degenerate single-MDS partition: unreachable is
@@ -1858,7 +1716,7 @@ fn coord_event(sh: &Shared, port: &mut LpPort<'_, Ev>, co: &mut CoordLp, now: Si
                     acts.clear();
                     g.heal(now, &mut acts);
                     co.fstats.mds_restarts += 1;
-                    mds_apply(sh, port, co, now, &mut acts);
+                    mds_apply(sh, sim, co, now, &mut acts);
                     co.mds_acts = acts;
                 } else if co.p.mds_down {
                     co.p.mds_down = false;
@@ -1888,7 +1746,7 @@ fn mds_unreachable(co: &CoordLp) -> bool {
 /// broadcast — the same degradation signal as the single-MDS path.
 fn mds_propose(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
+    sim: &mut Simulation<Ev>,
     co: &mut CoordLp,
     now: SimTime,
     entry: MdsEntry,
@@ -1903,13 +1761,13 @@ fn mds_propose(
             .as_mut()
             .expect("MDS proposal without a replicated group")
             .propose(now, entry.clone(), &mut acts);
-    mds_apply(sh, port, co, now, &mut acts);
+    mds_apply(sh, sim, co, now, &mut acts);
     co.mds_acts = acts;
     if !accepted {
         if attempt >= MDS_RETRY_MAX {
             co.fstats.stalled_broadcasts += 1;
         } else {
-            port.post_at(
+            sim.post_at(
                 COORD,
                 COORD,
                 now + MDS_RETRY_BACKOFF,
@@ -1927,7 +1785,7 @@ fn mds_propose(
 /// broadcasts the new version), and traces leadership changes.
 fn mds_apply(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
+    sim: &mut Simulation<Ev>,
     co: &mut CoordLp,
     now: SimTime,
     acts: &mut Vec<MdsAction>,
@@ -1935,7 +1793,7 @@ fn mds_apply(
     for a in acts.drain(..) {
         match a {
             MdsAction::Deliver { at, msg } => {
-                port.post_at(COORD, COORD, at, Ev::Mds(msg));
+                sim.post_at(COORD, COORD, at, Ev::Mds(msg));
             }
             MdsAction::Commit {
                 index,
@@ -1950,7 +1808,7 @@ fn mds_apply(
                     MdsEntry::TReport { server, t } => {
                         co.p.mds_table[server] = t;
                         co.p.mds_version = index;
-                        mds_broadcast(sh, port, co, now, index);
+                        mds_broadcast(sh, sim, co, now, index);
                     }
                     MdsEntry::SteerOff { server } => {
                         co.p.mds_table[server] = 0.0;
@@ -1972,7 +1830,7 @@ fn mds_apply(
 /// the metadata `version` that produced it.
 fn mds_broadcast(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
+    sim: &mut Simulation<Ev>,
     co: &mut CoordLp,
     now: SimTime,
     version: u64,
@@ -1981,7 +1839,7 @@ fn mds_broadcast(
     let table: Arc<[f64]> = Arc::from(co.p.mds_table.as_slice());
     for dest in 0..sh.cfg.n_servers {
         let arrive = co.p.mds_link.send(now, 64 * sh.cfg.n_servers as u64);
-        port.post_at(
+        sim.post_at(
             COORD,
             srv_node(dest),
             arrive,
@@ -1994,35 +1852,33 @@ fn mds_broadcast(
     }
 }
 
-/// Handles one data-server event on its shard LP.
-fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, ev: Ev) {
+/// Handles one data-server event.
+fn server_event(sh: &Shared, sim: &mut Simulation<Ev>, lp: &mut ServerLp, now: SimTime, ev: Ev) {
     match ev {
         Ev::SubArrive {
             server,
             job,
             mut pj,
         } => {
-            let ci = server - lp.p.lo;
-            if lp.p.cells[ci].down {
+            if lp.cells[server].down {
                 // The message reached a dead endpoint; the
                 // client's timeout recovers it.
                 lp.fstats.dropped_messages += 1;
                 pj_recycle(pj);
             } else {
-                let exec_at = lp.p.cells[ci].server.cpu_admit(now);
+                let exec_at = lp.cells[server].server.cpu_admit(now);
                 #[cfg(feature = "obs")]
                 obs_srv_queue(now, exec_at, server, job);
-                let epoch = lp.p.cells[ci].srv_epoch;
+                let epoch = lp.cells[server].srv_epoch;
                 let pjv = std::mem::take(&mut *pj);
                 pj_recycle(pj);
                 lp.jobs.insert(job, pjv);
                 let node = srv_node(server);
-                port.post_at(node, node, exec_at, Ev::SubExec { server, job, epoch });
+                sim.post_at(node, node, exec_at, Ev::SubExec { server, job, epoch });
             }
         }
         Ev::SubExec { server, job, epoch } => {
-            let ci = server - lp.p.lo;
-            if epoch != lp.p.cells[ci].srv_epoch {
+            if epoch != lp.cells[server].srv_epoch {
                 // Admitted by a process instance that has since
                 // crashed.
                 lp.jobs.remove(&job);
@@ -2034,10 +1890,10 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
                 };
                 let mut out = std::mem::take(&mut lp.out);
                 out.clear();
-                lp.p.cells[ci]
+                lp.cells[server]
                     .server
                     .exec_subreq(now, job, proc as u64, sub, &mut out);
-                shard_server_out(sh, port, lp, now, server, &mut out);
+                post_server_out(sh, sim, lp, now, server, &mut out);
                 lp.out = out;
             }
         }
@@ -2046,19 +1902,18 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             kind,
             epoch,
         } => {
-            let ci = server - lp.p.lo;
-            if epoch != lp.p.cells[ci].dev_epoch[dev_idx(kind)] {
+            if epoch != lp.cells[server].dev_epoch[dev_idx(kind)] {
                 lp.fstats.stale_completions += 1;
             } else {
                 let mut out = std::mem::take(&mut lp.out);
                 out.clear();
-                lp.p.cells[ci].server.on_dev_complete(now, kind, &mut out);
-                if lp.draining && !lp.p.cells[ci].server.quiescent() {
+                lp.cells[server].server.on_dev_complete(now, kind, &mut out);
+                if lp.draining && !lp.cells[server].server.quiescent() {
                     // Appends into the same output; ordering matches
                     // the completion actions followed by the flush's.
-                    lp.p.cells[ci].server.writeback_tick(now, true, &mut out);
+                    lp.cells[server].server.writeback_tick(now, true, &mut out);
                 }
-                shard_server_out(sh, port, lp, now, server, &mut out);
+                post_server_out(sh, sim, lp, now, server, &mut out);
                 lp.out = out;
             }
         }
@@ -2068,38 +1923,36 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             gen,
             epoch,
         } => {
-            let ci = server - lp.p.lo;
-            if epoch != lp.p.cells[ci].dev_epoch[dev_idx(kind)] {
+            if epoch != lp.cells[server].dev_epoch[dev_idx(kind)] {
                 lp.fstats.stale_completions += 1;
             } else {
                 let mut out = std::mem::take(&mut lp.out);
                 out.clear();
-                lp.p.cells[ci]
+                lp.cells[server]
                     .server
                     .on_dev_recheck(now, kind, gen, &mut out);
-                shard_server_out(sh, port, lp, now, server, &mut out);
+                post_server_out(sh, sim, lp, now, server, &mut out);
                 lp.out = out;
             }
         }
         Ev::Fault(fault) => {
-            apply_shard_fault(port, lp, now, fault);
+            apply_server_fault(sim, lp, now, fault);
         }
         Ev::Report { server } => {
             // A crashed server cannot report; a degraded one
             // (lost SSD) stays silent so the MDS keeps its slot
             // zeroed and fragments stop being steered at it.
-            let ci = server - lp.p.lo;
             let node = srv_node(server);
             {
-                let cell = &mut lp.p.cells[ci];
+                let cell = &mut lp.cells[server];
                 if !cell.down && !cell.server.policy().is_degraded() {
                     let t = cell.server.policy().report_t();
                     let arrive = cell.link.send(now, 128);
-                    port.post_at(node, COORD, arrive, Ev::ReportArrive { server, t });
+                    sim.post_at(node, COORD, arrive, Ev::ReportArrive { server, t });
                 }
             }
             if !lp.draining {
-                port.post_in(node, node, sh.cfg.report_interval, Ev::Report { server });
+                sim.post_in(node, node, sh.cfg.report_interval, Ev::Report { server });
             }
         }
         Ev::Broadcast {
@@ -2107,8 +1960,7 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             version,
             table,
         } => {
-            let ci = server - lp.p.lo;
-            let cell = &mut lp.p.cells[ci];
+            let cell = &mut lp.cells[server];
             // Metadata versions are monotone: commits apply in log
             // order and the fan-out crosses one FIFO link per server.
             assert!(
@@ -2121,18 +1973,17 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
             }
         }
         Ev::WritebackTick { server } => {
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
+            if !lp.cells[server].down {
                 let mut out = std::mem::take(&mut lp.out);
                 out.clear();
-                lp.p.cells[ci].server.writeback_tick(now, false, &mut out);
+                lp.cells[server].server.writeback_tick(now, false, &mut out);
                 debug_assert!(out.done_jobs.is_empty());
-                shard_server_out(sh, port, lp, now, server, &mut out);
+                post_server_out(sh, sim, lp, now, server, &mut out);
                 lp.out = out;
             }
             if !lp.draining {
                 let node = srv_node(server);
-                port.post_in(
+                sim.post_in(
                     node,
                     node,
                     sh.cfg.writeback_interval,
@@ -2142,25 +1993,23 @@ fn shard_event(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Si
         }
         Ev::DrainTick { server } => {
             lp.draining = true;
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
+            if !lp.cells[server].down {
                 let mut out = std::mem::take(&mut lp.out);
                 out.clear();
-                lp.p.cells[ci].server.writeback_tick(now, true, &mut out);
+                lp.cells[server].server.writeback_tick(now, true, &mut out);
                 debug_assert!(out.done_jobs.is_empty());
-                shard_server_out(sh, port, lp, now, server, &mut out);
+                post_server_out(sh, sim, lp, now, server, &mut out);
                 lp.out = out;
             }
         }
-        _ => unreachable!("coordinator event routed to a server shard"),
+        _ => unreachable!("coordinator event routed to the servers"),
     }
 }
 
-/// Post-event bookkeeping of a shard: the audit cadence and the drain
-/// quiescence detector. Runs after every shard event, so a state change
-/// is observed at the event that caused it — the same virtual time at
-/// any shard count.
-fn shard_tail(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime) {
+/// Post-event bookkeeping of the servers: the audit cadence and the
+/// drain quiescence detector. Runs after every server event, so a state
+/// change is observed at the event that caused it.
+fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, lp: &mut ServerLp, now: SimTime) {
     // Online invariant auditor: piggybacked synchronously on event
     // dispatch (never posts events, never draws randomness), so the
     // calendar — and therefore every observable output — is
@@ -2168,7 +2017,7 @@ fn shard_tail(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Sim
     #[cfg(feature = "audit")]
     if let Some(due) = lp.next_audit {
         if now >= due {
-            shard_audit(lp, now);
+            audit_servers(lp, now);
             lp.audits += 1;
             let iv = sh.cfg.audit_interval.expect("auditor armed with interval");
             lp.next_audit = Some(now + iv);
@@ -2178,17 +2027,17 @@ fn shard_tail(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Sim
     let _ = sh;
     if lp.draining {
         let mut all_q = true;
-        for ci in 0..lp.p.cells.len() {
-            let q = lp.p.cells[ci].server.quiescent();
-            if q && !lp.cell_was_q[ci] {
+        for s in 0..lp.cells.len() {
+            let q = lp.cells[s].server.quiescent();
+            if q && !lp.cell_was_q[s] {
                 // This server just went quiescent: faults still
                 // scheduled against it can no longer affect the run;
                 // unschedule them so the calendar drains to empty.
-                for id in lp.fault_ids[ci].drain(..) {
-                    port.cancel(id);
+                for id in lp.fault_ids[s].drain(..) {
+                    sim.cancel(id);
                 }
             }
-            lp.cell_was_q[ci] = q;
+            lp.cell_was_q[s] = q;
             all_q &= q;
         }
         if all_q && !lp.was_quiescent {
@@ -2200,12 +2049,12 @@ fn shard_tail(sh: &Shared, port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: Sim
 
 /// Routes one client→server sub-request message through the armed
 /// network impairments (a straight delivery when no plan is armed). The
-/// job record travels inside the message; its id is allocated here so
-/// the id sequence is identical at any shard count.
+/// job record travels inside the message; its id is allocated here, on
+/// the coordinator.
 #[allow(clippy::too_many_arguments)]
 fn post_sub_arrival(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
+    sim: &mut Simulation<Ev>,
     co: &mut CoordLp,
     now: SimTime,
     arrive: SimTime,
@@ -2229,7 +2078,7 @@ fn post_sub_arrival(
     });
     match net_decision(&mut co.p.decider, now - sh.start) {
         NetDecision::Deliver => {
-            port.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
+            sim.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
         }
         NetDecision::Drop => {
             // The client's timeout retransmits; the record dies with
@@ -2239,7 +2088,7 @@ fn post_sub_arrival(
         }
         NetDecision::Delay(d) => {
             co.fstats.delayed_messages += 1;
-            port.post_at(COORD, node, arrive + d, Ev::SubArrive { server, job, pj });
+            sim.post_at(COORD, node, arrive + d, Ev::SubArrive { server, job, pj });
         }
         NetDecision::Duplicate => {
             co.fstats.duplicated_messages += 1;
@@ -2253,10 +2102,10 @@ fn post_sub_arrival(
                 server: pj.server,
                 sub_idx: pj.sub_idx,
             });
-            port.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
+            sim.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
             let job2 = co.p.next_job;
             co.p.next_job += 1;
-            port.post_at(
+            sim.post_at(
                 COORD,
                 node,
                 arrive,
@@ -2275,21 +2124,20 @@ fn post_sub_arrival(
 /// (device actions first, then replies in completion order) is part
 /// of the determinism contract: ties on the calendar break by the
 /// poster's sequence numbers.
-fn shard_server_out(
+fn post_server_out(
     sh: &Shared,
-    port: &mut LpPort<'_, Ev>,
-    lp: &mut ShardLp,
+    sim: &mut Simulation<Ev>,
+    lp: &mut ServerLp,
     now: SimTime,
     server: usize,
     out: &mut ServerOut,
 ) {
-    let ci = server - lp.p.lo;
     let node = srv_node(server);
     for (kind, action) in out.dev_actions.drain(..) {
-        let epoch = lp.p.cells[ci].dev_epoch[dev_idx(kind)];
+        let epoch = lp.cells[server].dev_epoch[dev_idx(kind)];
         match action {
             Action::CompleteAt(t) => {
-                port.post_at(
+                sim.post_at(
                     node,
                     node,
                     t,
@@ -2301,7 +2149,7 @@ fn shard_server_out(
                 );
             }
             Action::RecheckAt(t, gen) => {
-                port.post_at(
+                sim.post_at(
                     node,
                     node,
                     t,
@@ -2317,13 +2165,13 @@ fn shard_server_out(
     }
     for job in out.done_jobs.drain(..) {
         let pj = lp.jobs.remove(&job).expect("done job unknown to cluster");
-        let arrive = lp.p.cells[ci].link.send(now, pj.reply_bytes);
+        let arrive = lp.cells[server].link.send(now, pj.reply_bytes);
         let (proc, parent, sub_idx) = (pj.proc, pj.parent, pj.sub_idx);
         #[cfg(feature = "obs")]
         obs_net_reply(now, arrive, server, parent, sub_idx, pj.reply_bytes);
-        match net_decision(&mut lp.p.cells[ci].decider, now - sh.start) {
+        match net_decision(&mut lp.cells[server].decider, now - sh.start) {
             NetDecision::Deliver => {
-                port.post_at(
+                sim.post_at(
                     node,
                     COORD,
                     arrive,
@@ -2341,7 +2189,7 @@ fn shard_server_out(
             }
             NetDecision::Delay(d) => {
                 lp.fstats.delayed_messages += 1;
-                port.post_at(
+                sim.post_at(
                     node,
                     COORD,
                     arrive + d,
@@ -2355,7 +2203,7 @@ fn shard_server_out(
             NetDecision::Duplicate => {
                 lp.fstats.duplicated_messages += 1;
                 for _ in 0..2 {
-                    port.post_at(
+                    sim.post_at(
                         node,
                         COORD,
                         arrive,
@@ -2397,12 +2245,16 @@ fn degrade_end(fstats: &mut FaultStats, cell: &mut ServerCell, now: SimTime) {
     }
 }
 
-/// Applies one scheduled data-server fault on its shard LP.
-fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, fault: TimedFault) {
+/// Applies one scheduled data-server fault.
+fn apply_server_fault(
+    sim: &mut Simulation<Ev>,
+    lp: &mut ServerLp,
+    now: SimTime,
+    fault: TimedFault,
+) {
     match fault {
         TimedFault::Crash { server } => {
-            let ci = server - lp.p.lo;
-            let cell = &mut lp.p.cells[ci];
+            let cell = &mut lp.cells[server];
             if !cell.down {
                 cell.down = true;
                 lp.fstats.crashes += 1;
@@ -2418,8 +2270,7 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
             }
         }
         TimedFault::Restart { server } => {
-            let ci = server - lp.p.lo;
-            let cell = &mut lp.p.cells[ci];
+            let cell = &mut lp.cells[server];
             if cell.down {
                 cell.down = false;
                 lp.fstats.restarts += 1;
@@ -2429,35 +2280,34 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
                 lp.fstats.fsck_records_scanned += report.records_scanned;
                 lp.fstats.fsck_records_quarantined += report.records_quarantined;
                 lp.fstats.dirty_bytes_lost += report.dirty_bytes_lost;
-                degrade_end(&mut lp.fstats, &mut lp.p.cells[ci], now);
+                degrade_end(&mut lp.fstats, &mut lp.cells[server], now);
                 if lp.draining {
                     // Replayed dirty entries must still be written
                     // back for the run to quiesce. The restart runs
-                    // on the server's own LP, so the kick is local.
+                    // on the server's own node, so the kick is local.
                     let node = srv_node(server);
-                    port.post_now(node, node, Ev::DrainTick { server });
+                    sim.post_now(node, node, Ev::DrainTick { server });
                 }
             }
         }
         TimedFault::SsdLoss { server } => {
-            let ci = server - lp.p.lo;
-            if lp.p.cells[ci].server.cache().is_some() {
+            if lp.cells[server].server.cache().is_some() {
                 lp.fstats.ssd_losses += 1;
-                lp.p.cells[ci].dev_epoch[1] = lp.p.cells[ci].dev_epoch[1].wrapping_add(1);
+                lp.cells[server].dev_epoch[1] = lp.cells[server].dev_epoch[1].wrapping_add(1);
                 let mut lost_jobs = std::mem::take(&mut lp.lost_jobs);
                 lost_jobs.clear();
-                let lost = lp.p.cells[ci].server.lose_cache_dev(now, &mut lost_jobs);
+                let lost = lp.cells[server].server.lose_cache_dev(now, &mut lost_jobs);
                 lp.fstats.dirty_bytes_lost += lost;
                 for job in lost_jobs.drain(..) {
                     lp.jobs.remove(&job);
                 }
                 lp.lost_jobs = lost_jobs;
                 // Tell the MDS to stop steering fragments at this
-                // server; its table lives on the coordinator LP, one
+                // server; its table lives on the coordinator, one
                 // lookahead away.
                 let node = srv_node(server);
-                port.post_at(node, COORD, now + port.lookahead(), Ev::SteerOff { server });
-                degrade_start(&mut lp.p.cells[ci], now);
+                sim.post_at(node, COORD, now + sim.lookahead(), Ev::SteerOff { server });
+                degrade_start(&mut lp.cells[server], now);
             }
         }
         TimedFault::SlowStart {
@@ -2465,23 +2315,22 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
             dev,
             factor,
         } => {
-            let ci = server - lp.p.lo;
             lp.fstats.slow_windows += 1;
-            lp.p.cells[ci].server.set_slow_factor(devkind(dev), factor);
-            degrade_start(&mut lp.p.cells[ci], now);
+            lp.cells[server]
+                .server
+                .set_slow_factor(devkind(dev), factor);
+            degrade_start(&mut lp.cells[server], now);
         }
         TimedFault::SlowEnd { server, dev } => {
-            let ci = server - lp.p.lo;
-            lp.p.cells[ci].server.set_slow_factor(devkind(dev), 1.0);
-            degrade_end(&mut lp.fstats, &mut lp.p.cells[ci], now);
+            lp.cells[server].server.set_slow_factor(devkind(dev), 1.0);
+            degrade_end(&mut lp.fstats, &mut lp.cells[server], now);
         }
         TimedFault::TornWrite { server, records } => {
             // Fires immediately before its Crash (same instant, plan
             // order): the records are torn on media before the
             // restart's recovery fsck ever sees them.
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
-                lp.p.cells[ci]
+            if !lp.cells[server].down {
+                lp.cells[server]
                     .server
                     .corrupt_cache(now, LogCorruption::TornWrite { records });
                 lp.fstats.torn_writes += 1;
@@ -2493,14 +2342,13 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
             seed,
             target,
         } => {
-            let ci = server - lp.p.lo;
-            if !lp.p.cells[ci].down {
+            if !lp.cells[server].down {
                 let target = match target {
                     RotTarget::Any => BitRotTarget::Any,
                     RotTarget::Tail => BitRotTarget::Tail,
                     RotTarget::Checkpoint => BitRotTarget::Checkpoint,
                 };
-                let hit = lp.p.cells[ci].server.corrupt_cache(
+                let hit = lp.cells[server].server.corrupt_cache(
                     now,
                     LogCorruption::BitRot {
                         sectors,
@@ -2517,13 +2365,13 @@ fn apply_shard_fault(port: &mut LpPort<'_, Ev>, lp: &mut ShardLp, now: SimTime, 
         | TimedFault::MdsLeaderRestart
         | TimedFault::MdsPartitionStart
         | TimedFault::MdsPartitionHeal => {
-            unreachable!("MDS fault routed to a server shard")
+            unreachable!("MDS fault routed to the servers")
         }
     }
 }
 
 fn maybe_release_barrier(
-    port: &mut LpPort<'_, Ev>,
+    sim: &mut Simulation<Ev>,
     proc_state: &mut [ProcState],
     barrier_mask: &[bool],
 ) {
@@ -2538,42 +2386,38 @@ fn maybe_release_barrier(
     for (proc, st) in proc_state.iter_mut().enumerate() {
         if *st == ProcState::AtBarrier {
             *st = ProcState::Running;
-            port.post_now(COORD, COORD, Ev::Wake { proc });
+            sim.post_now(COORD, COORD, Ev::Wake { proc });
         }
     }
 }
 
-/// One pass of the online invariant auditor over a shard: cross-checks
+/// One pass of the online invariant auditor over the servers: cross-checks
 /// every live server's policy invariants (partition accounting,
 /// mapping-table index/LRU agreement, log residency — see
 /// `CachePolicy::audit`) and the monotonicity of process epochs since
 /// the previous pass. Aborts the simulation with a structured
 /// diagnostic on the first violation; a passing audit leaves no trace.
 #[cfg(feature = "audit")]
-fn shard_audit(lp: &mut ShardLp, now: SimTime) {
-    for (i, cell) in lp.p.cells.iter().enumerate() {
+fn audit_servers(lp: &mut ServerLp, now: SimTime) {
+    for (i, cell) in lp.cells.iter().enumerate() {
         if cell.down {
             continue;
         }
         if let Err(why) = cell.server.policy().audit() {
             panic!(
                 "invariant audit failed: time={:?} server={} down={} epoch={}: {}",
-                now,
-                lp.p.lo + i,
-                cell.down,
-                cell.srv_epoch,
-                why
+                now, i, cell.down, cell.srv_epoch, why
             );
         }
     }
     for (i, prev) in lp.audit_epochs.iter_mut().enumerate() {
-        let cur = lp.p.cells[i].srv_epoch;
+        let cur = lp.cells[i].srv_epoch;
         assert!(
             cur >= *prev,
             "invariant audit failed: time={:?} server={}: process epoch moved \
              backwards ({} -> {})",
             now,
-            lp.p.lo + i,
+            i,
             *prev,
             cur,
         );
@@ -2661,10 +2505,10 @@ mod tests {
     #[test]
     fn deterministic_across_identical_runs() {
         let run = || {
-            let mut c = small_cluster(4);
-            c.preallocate(FileHandle(1), 8 << 20);
-            let mut w = seq(IoDir::Read, 4, 65536, 8);
-            c.run(&mut w).elapsed
+            let mut c = small_cluster(8);
+            c.preallocate(FileHandle(1), 16 << 20);
+            let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
+            format!("{:?}", c.run(&mut w))
         };
         assert_eq!(run(), run());
     }
@@ -2952,62 +2796,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_match_at_any_shard_count() {
-        let run = |shards: usize| {
-            let cfg = ClusterConfig {
-                n_servers: 8,
-                shards,
-                ..Default::default()
-            };
-            let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-            c.preallocate(FileHandle(1), 16 << 20);
-            let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
-            let stats = c.run(&mut w);
-            format!("{stats:?}")
-        };
-        let reference = run(1);
-        for &shards in &[1usize, 2, 4] {
-            assert_eq!(
-                run(shards),
-                reference,
-                "shards={shards} diverged from one shard"
-            );
-        }
-    }
-
-    #[test]
-    fn faulty_runs_match_at_any_shard_count() {
-        let run = |shards: usize| {
-            let cfg = ClusterConfig {
-                n_servers: 4,
-                shards,
-                ..Default::default()
-            };
-            let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-            let plan = FaultPlan::parse(
-                "retry timeout=5ms backoff=2 max=12\n\
-                 crash server=1 at=2ms restart=20ms\n\
-                 net from=0ms until=60s drop=0.1 delay=0.1 delay-by=2ms dup=0.05",
-            )
-            .unwrap();
-            c.set_fault_plan(&plan);
-            c.preallocate(FileHandle(1), 8 << 20);
-            let mut w = seq(IoDir::Read, 2, 65536, 16);
-            let s = c.run(&mut w);
-            (s.elapsed, s.events_dispatched, s.faults)
-        };
-        let reference = run(1);
-        assert!(!reference.2.is_zero());
-        for &shards in &[2usize, 4] {
-            assert_eq!(
-                run(shards),
-                reference,
-                "shards={shards} diverged under faults"
-            );
-        }
-    }
-
-    #[test]
     fn replicated_mds_is_client_invisible_on_stock_clusters() {
         // All raft traffic is coordinator-local: without iBridge
         // steering there are no T-reports to replicate, so the client
@@ -3046,11 +2834,10 @@ mod tests {
     }
 
     #[test]
-    fn replicated_mds_runs_match_at_any_shard_count() {
-        let run = |shards: usize| {
+    fn replicated_mds_runs_are_deterministic() {
+        let run = || {
             let cfg = ClusterConfig {
                 n_servers: 4,
-                shards,
                 mds_replicas: 3,
                 ..Default::default()
             };
@@ -3059,15 +2846,7 @@ mod tests {
             let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
             format!("{:?}", c.run(&mut w))
         };
-        let reference = run(1);
-        assert_eq!(run(1), reference, "replicated runs must be deterministic");
-        for &shards in &[2usize, 4] {
-            assert_eq!(
-                run(shards),
-                reference,
-                "shards={shards} diverged with a replicated MDS"
-            );
-        }
+        assert_eq!(run(), run(), "replicated runs must be deterministic");
     }
 
     #[test]

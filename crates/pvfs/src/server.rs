@@ -997,7 +997,7 @@ mod tests {
     use super::*;
     use crate::proto::ReqClass;
     use crate::StockPolicy;
-    use ibridge_des::pdes::ShardedSimulation;
+    use ibridge_des::Simulation;
     use ibridge_localfs::ExtentList;
 
     fn server() -> DataServer {
@@ -1042,10 +1042,9 @@ mod tests {
             Done(DevKind),
             Recheck(DevKind, u64),
         }
-        let mut sim: ShardedSimulation<Ev> =
-            ShardedSimulation::new(vec![0], SimDuration::from_nanos(1));
+        let mut sim: Simulation<Ev> = Simulation::new(1, SimDuration::from_nanos(1));
         let mut done = Vec::new();
-        let push = |sim: &mut ShardedSimulation<Ev>, out: &ServerOut| {
+        let push = |sim: &mut Simulation<Ev>, out: &ServerOut| {
             for (kind, a) in &out.dev_actions {
                 match a {
                     Action::CompleteAt(t) => sim.post_at(0, 0, *t, Ev::Done(*kind)),
