@@ -306,7 +306,9 @@ macro_rules! proptest {
                     $(let $arg =
                         $crate::strategy::Strategy::sample(&($strat), &mut __proptest_rng);)+
                     // Allow `?` on TestCaseResult inside the body, as
-                    // upstream proptest does.
+                    // upstream proptest does: the closure is what lets `?`
+                    // and `prop_assert!` return from one case.
+                    #[allow(clippy::redundant_closure_call)]
                     let __proptest_outcome: $crate::test_runner::TestCaseResult =
                         (|| { $body Ok(()) })();
                     if let Err(e) = __proptest_outcome {

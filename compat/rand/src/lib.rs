@@ -299,7 +299,7 @@ mod tests {
         assert!((frac - 0.25).abs() < 0.01, "frac={frac}");
         let mut r2 = StdRng::seed_from_u64(12);
         assert!((0..100).all(|_| !r2.gen_bool(0.0)));
-        assert!((0..100).all(|_| r2.gen_bool(1.0)) || true);
+        assert!((0..100).all(|_| r2.gen_bool(1.0)));
     }
 
     #[test]

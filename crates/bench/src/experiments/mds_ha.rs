@@ -2,14 +2,16 @@
 //!
 //! The paper's testbed runs one PVFS2 metadata server; iBridge routes
 //! the per-server T-value reports (Eq. 1) through it, so its loss
-//! degrades clients to stale steering decisions until a restart. This
-//! experiment contrasts that single MDS with a raft-style replicated
-//! group (`--mds-replicas`, `crates/mds`): the same checkpoint workload
-//! runs under each MDS fault plan at 1 and 3 replicas, and the table
-//! reports the availability counters side by side — stalled/dropped
-//! T-broadcasts and stale-T client decisions for the single MDS versus
-//! elections, leader changes and leaderless (recovery) time for the
-//! group.
+//! degrades clients to stale steering decisions until a restart. The
+//! cluster runs that server as a one-replica raft-style group
+//! (`--mds-replicas`, `crates/mds`), which leads without elections. This
+//! experiment contrasts it with a three-replica group: the same
+//! checkpoint workload runs under each MDS fault plan at 1 and 3
+//! replicas, and the table reports the availability counters side by
+//! side — stalled/dropped T-broadcasts and stale-T client decisions for
+//! the single MDS versus elections, leader changes and leaderless
+//! (recovery) time for the larger group. (`mds-failover` is another name
+//! for `mds-crash`, so their rows match.)
 //!
 //! Election timeouts and fault schedules all derive from the experiment
 //! seed, so the table is byte-identical at any `--jobs` level.

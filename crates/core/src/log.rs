@@ -595,14 +595,15 @@ mod tests {
     /// capacity.
     type Op = (u8, u64, u64, u64);
 
-    fn ops(
-        len: std::ops::Range<usize>,
-    ) -> prop::collection::VecStrategy<(
+    /// The strategy drawing one [`Op`].
+    type OpStrategy = (
         std::ops::Range<u8>,
         std::ops::Range<u64>,
         std::ops::Range<u64>,
         std::ops::Range<u64>,
-    )> {
+    );
+
+    fn ops(len: std::ops::Range<usize>) -> prop::collection::VecStrategy<OpStrategy> {
         prop::collection::vec((0u8..5, 1u64..40, 1u64..3, 0u64..64), len)
     }
 

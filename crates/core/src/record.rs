@@ -307,7 +307,7 @@ mod tests {
             seq,
             entry: seq + 7,
             file: FileHandle(3),
-            offset: seq * 1 << 20,
+            offset: seq << 20,
             len: 3 * 1024,
             typ: if dirty {
                 EntryType::Fragment

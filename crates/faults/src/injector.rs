@@ -75,17 +75,13 @@ pub enum TimedFault {
         /// Which backup-media region the hits land in.
         target: RotTarget,
     },
-    /// The metadata server dies: T-value reports and broadcasts stall,
-    /// data servers keep serving with last-known T values.
+    /// The MDS leader replica crashes. A single MDS is then down: T-value
+    /// reports and broadcasts stall, and data servers keep serving with
+    /// last-known T values. A replicated group elects a new leader.
     MdsCrash,
-    /// The metadata server recovers; reporting resumes.
+    /// Every crashed MDS replica restarts, replaying the replicated log;
+    /// a single MDS leads again and reporting resumes.
     MdsRestart,
-    /// The current MDS leader replica crashes. With a replicated group
-    /// the survivors elect a new leader; with one replica this is
-    /// [`TimedFault::MdsCrash`].
-    MdsLeaderCrash,
-    /// The crashed MDS replica rejoins, replaying the replicated log.
-    MdsLeaderRestart,
     /// A partition isolates the MDS leader from its peers; the majority
     /// side fences it and elects a new leader.
     MdsPartitionStart,
@@ -140,19 +136,20 @@ pub struct FaultStats {
     pub mds_crashes: u64,
     /// Metadata-server restarts executed.
     pub mds_restarts: u64,
-    /// T-value reports dropped because the MDS was down.
+    /// Metadata updates (T reports, steer-offs) dropped because no MDS
+    /// quorum was reachable.
     pub stalled_broadcasts: u64,
     /// Client scheduling decisions (request issues) taken while the MDS
     /// was unreachable — i.e. taken on possibly-stale T values. This is
     /// the observable cost of `mds-crash`-style degradation.
     pub stale_t_decisions: u64,
-    /// MDS leader elections started (replicated-MDS runs only).
+    /// MDS leader elections started (a single MDS never holds one).
     pub mds_elections: u64,
-    /// Times the client-visible MDS leader changed (includes the leader
-    /// becoming unreachable).
+    /// Times a replica other than the previous MDS leader took the lead.
     pub mds_leader_changes: u64,
-    /// Virtual-time nanoseconds the replicated MDS spent without a
-    /// client-visible leader — the failover recovery window.
+    /// Virtual-time nanoseconds the MDS spent without a client-visible
+    /// leader after losing one while a quorum could elect another — the
+    /// failover recovery window (always 0 for a single MDS).
     pub mds_recovery_ticks: u64,
     /// Backup records scanned by restart recovery fscks.
     pub fsck_records_scanned: u64,
@@ -321,10 +318,6 @@ impl FaultInjector {
                 FaultSpec::MdsCrash { at, restart_after } => {
                     timeline.push((at, TimedFault::MdsCrash));
                     timeline.push((at + restart_after, TimedFault::MdsRestart));
-                }
-                FaultSpec::MdsFailover { at, restart_after } => {
-                    timeline.push((at, TimedFault::MdsLeaderCrash));
-                    timeline.push((at + restart_after, TimedFault::MdsLeaderRestart));
                 }
                 FaultSpec::MdsPartition { at, heal_after } => {
                     timeline.push((at, TimedFault::MdsPartitionStart));

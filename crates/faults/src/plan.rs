@@ -123,22 +123,13 @@ pub enum FaultSpec {
         /// (`target=any|tail|checkpoint`, default `any`).
         target: RotTarget,
     },
-    /// The metadata server dies at `at` and restarts `restart_after`
-    /// later. Data servers keep serving, but T-value broadcasts stall:
-    /// clients and servers degrade to last-known T values until the MDS
-    /// is back.
+    /// The MDS leader crashes at `at` and rejoins `restart_after` later,
+    /// replaying its replicated log (`mds-crash`, or its alias
+    /// `mds-failover`). A single MDS is down in between: data servers
+    /// keep serving, but T-value broadcasts stall and clients degrade to
+    /// last-known T values. With `--mds-replicas > 1` the surviving
+    /// replicas elect a new leader and metadata service continues.
     MdsCrash {
-        /// Crash instant.
-        at: SimDuration,
-        /// Downtime before the MDS restarts.
-        restart_after: SimDuration,
-    },
-    /// The current MDS *leader* crashes at `at` and rejoins
-    /// `restart_after` later, replaying its replicated log. With
-    /// `--mds-replicas > 1` the surviving replicas elect a new leader
-    /// and metadata service continues; with a single replica this
-    /// degenerates to [`FaultSpec::MdsCrash`].
-    MdsFailover {
         /// Crash instant.
         at: SimDuration,
         /// Downtime before the crashed replica rejoins.
@@ -147,8 +138,7 @@ pub enum FaultSpec {
     /// A network partition isolates the MDS leader from its peers at
     /// `at` and heals `heal_after` later. The majority side fences the
     /// stale leader (it cannot commit without a quorum) and elects a
-    /// fresh one; with a single replica this degenerates to a crash
-    /// that heals instead of restarting.
+    /// fresh one; a single MDS is unreachable until the heal.
     MdsPartition {
         /// Partition instant.
         at: SimDuration,
@@ -377,22 +367,12 @@ impl FaultPlan {
                         target,
                     });
                 }
-                "mds-crash" => {
+                "mds-crash" | "mds-failover" => {
                     let restart_after = args.duration("restart")?;
                     if restart_after == SimDuration::ZERO {
                         return Err(err("restart must be > 0".into()));
                     }
                     plan.specs.push(FaultSpec::MdsCrash {
-                        at: args.duration("at")?,
-                        restart_after,
-                    });
-                }
-                "mds-failover" => {
-                    let restart_after = args.duration("restart")?;
-                    if restart_after == SimDuration::ZERO {
-                        return Err(err("restart must be > 0".into()));
-                    }
-                    plan.specs.push(FaultSpec::MdsFailover {
                         at: args.duration("at")?,
                         restart_after,
                     });
@@ -837,9 +817,11 @@ mod tests {
              mds-partition at=90ms heal=60ms\n",
         )
         .expect("plan must parse");
+        // `mds-failover` is an alias: a leader crash is one fault at any
+        // replica count.
         assert_eq!(
             plan.specs[0],
-            FaultSpec::MdsFailover {
+            FaultSpec::MdsCrash {
                 at: SimDuration::from_millis(80),
                 restart_after: SimDuration::from_millis(120),
             }

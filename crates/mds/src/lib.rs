@@ -1,14 +1,16 @@
 //! Replicated metadata service: a raft-style state machine in virtual
 //! time.
 //!
-//! A single MDS is the one SPOF the fault model exposes: when it dies,
-//! T-value broadcasts stall and every client silently degrades to stale
-//! steering decisions. [`MdsGroup`] replaces it with a small (3- or
-//! 5-node) replica group running leader election with term numbers, a
-//! replicated log of metadata updates committed at majority, and
-//! failover that the fault injector can exercise (leader crash with
-//! restart replay, a partition isolating the leader with term-based
-//! fencing).
+//! Every T-value report and steering update of the cluster goes through
+//! one [`MdsGroup`]. The paper's testbed runs a single metadata server,
+//! which is a group of one replica: it is its own majority, so it leads
+//! from birth without an election and commits each proposal at once.
+//! When it dies, T-value broadcasts stall and every client silently
+//! degrades to stale steering decisions. A larger (3- or 5-node) group
+//! removes that SPOF: leader election with term numbers, a replicated
+//! log of metadata updates committed at majority, and failover that the
+//! fault injector can exercise (leader crash with restart replay, a
+//! partition isolating the leader with term-based fencing).
 //!
 //! # Host-driven, zero-clock design
 //!
@@ -64,7 +66,7 @@ const CTRL_BYTES: u64 = 64;
 const ENTRY_BYTES: u64 = 32;
 
 /// One metadata update carried by the replicated log.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Entry {
     /// Periodic T-value report from data server `server`.
     TReport {
@@ -210,7 +212,9 @@ pub struct MdsStats {
     /// Accessions of a replica that was not the previous incumbent.
     pub leader_changes: u64,
     /// Virtual-time nanoseconds spent without a client-visible leader
-    /// after having had one (the failover/recovery window).
+    /// after losing one while a quorum could elect another (the
+    /// failover/recovery window), and before a larger group's first
+    /// election.
     pub recovery_ticks: u64,
     /// Log entries replayed from durable state across restarts.
     pub log_replayed: u64,
@@ -303,13 +307,16 @@ pub struct MdsGroup {
     isolated: Option<ReplicaId>,
     /// Highest commit index already emitted as [`Action::Commit`].
     emitted: u64,
-    /// Open leaderless window start, if a leader has been lost.
+    /// Open leaderless window start, if a leader has been lost while a
+    /// quorum could elect another.
     leaderless_since: Option<SimTime>,
     stats: MdsStats,
 }
 
 impl MdsGroup {
     /// Builds a group of `cfg.replicas` followers; no timers armed yet.
+    /// A lone replica is its own majority: it leads from here on, with
+    /// no election and no timers at all.
     pub fn new(cfg: MdsConfig) -> Self {
         assert!(cfg.replicas >= 1, "MDS group needs at least one replica");
         assert!(
@@ -317,13 +324,14 @@ impl MdsGroup {
             "election timeout range must be non-empty"
         );
         let n = cfg.replicas;
+        let lone = n == 1;
         let mds_seed = derive_seed(cfg.seed, streams::MDS);
         let replicas = (0..n)
             .map(|id| Replica {
                 term: 0,
                 voted_for: None,
                 log: Vec::new(),
-                role: Role::Follower,
+                role: if lone { Role::Leader } else { Role::Follower },
                 commit: 0,
                 votes: 0,
                 timeout_gen: 0,
@@ -337,13 +345,13 @@ impl MdsGroup {
             cfg,
             replicas,
             links,
-            visible: None,
-            last_leader: None,
+            visible: lone.then_some(0),
+            last_leader: lone.then_some(0),
             isolated: None,
             emitted: 0,
-            // The group is born leaderless: the window until the first
-            // election closes counts toward recovery time.
-            leaderless_since: Some(SimTime::ZERO),
+            // A larger group is born leaderless: the window until the
+            // first election closes counts toward recovery time.
+            leaderless_since: (!lone).then_some(SimTime::ZERO),
             stats: MdsStats::default(),
         }
     }
@@ -372,23 +380,29 @@ impl MdsGroup {
         self.stats
     }
 
-    /// Arms every replica's first election timeout.
-    pub fn start(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        for id in 0..self.n() {
-            self.arm_timeout(now, id, out);
-        }
+    /// True when a majority of replicas is up and outside the partition,
+    /// i.e. when the group can elect a leader and commit. A lost leader
+    /// opens a recovery window only while this holds; with no quorum the
+    /// group is down until a restart or heal, not failing over.
+    pub fn quorum_reachable(&self) -> bool {
+        let reachable = (0..self.n())
+            .filter(|&i| self.replicas[i].role != Role::Down && self.isolated != Some(i))
+            .count();
+        reachable > self.n() / 2
     }
 
-    /// Re-arms the group's timers at the start of a new host run. The
-    /// host stops delivering MDS messages once a run drains (so the
-    /// calendar can empty), which drops the pending heartbeat/election
-    /// timers; this rebuilds them from the persistent roles. On a fresh
-    /// group this is identical to [`MdsGroup::start`].
+    /// Arms the group's timers at the start of a host run: every
+    /// replica's first election timeout on a fresh group. The host stops
+    /// delivering MDS messages once a run drains (so the calendar can
+    /// empty), which drops the pending heartbeat/election timers; this
+    /// rebuilds them from the persistent roles. A lone replica has no
+    /// timers to arm.
     pub fn resume(&mut self, now: SimTime, out: &mut Vec<Action>) {
         for id in 0..self.n() {
             match self.replicas[id].role {
                 Role::Down => {}
-                Role::Leader => self.arm_heartbeat(now, id, out),
+                Role::Leader if self.n() > 1 => self.arm_heartbeat(now, id, out),
+                Role::Leader => {}
                 Role::Follower | Role::Candidate => self.arm_timeout(now, id, out),
             }
         }
@@ -408,13 +422,27 @@ impl MdsGroup {
 
     /// Proposes a metadata update. Returns `false` when no leader is
     /// reachable (election in progress, leader crashed or isolated) —
-    /// the caller should back off and retry. On `true` the entry is
+    /// the caller should back off and retry while
+    /// [`MdsGroup::quorum_reachable`] holds. On `true` the entry is
     /// appended at the leader and replication starts immediately; a
-    /// matching [`Action::Commit`] arrives once a majority has it.
+    /// matching [`Action::Commit`] arrives once a majority has it. A lone
+    /// replica is that majority: it emits the commit at once and keeps no
+    /// log entry, since nothing would ever read one back.
     pub fn propose(&mut self, now: SimTime, entry: Entry, out: &mut Vec<Action>) -> bool {
         let Some(l) = self.visible else { return false };
         if self.replicas[l].role != Role::Leader {
             return false;
+        }
+        self.stats.proposals += 1;
+        if self.n() == 1 {
+            self.emitted += 1;
+            self.stats.commits += 1;
+            out.push(Action::Commit {
+                index: self.emitted,
+                proposed_at: now,
+                entry,
+            });
+            return true;
         }
         let term = self.replicas[l].term;
         self.replicas[l].log.push(LogEntry {
@@ -424,12 +452,7 @@ impl MdsGroup {
         });
         let last = self.replicas[l].last_index();
         self.replicas[l].match_index[l] = last;
-        self.stats.proposals += 1;
-        if self.n() == 1 {
-            self.advance_commit(l, out);
-        } else {
-            self.broadcast_append(now, l, out);
-        }
+        self.broadcast_append(now, l, out);
         true
     }
 
@@ -455,14 +478,22 @@ impl MdsGroup {
     }
 
     /// Restarts every crashed replica as a follower, replaying its
-    /// durable log. Returns the number of log entries replayed.
+    /// durable log. A lone replica goes straight back to the lead. Returns
+    /// the number of log entries replayed.
     pub fn restart_crashed(&mut self, now: SimTime, out: &mut Vec<Action>) -> u64 {
         let mut replayed = 0;
         for id in 0..self.n() {
             if self.replicas[id].role == Role::Down {
                 replayed += self.replicas[id].last_index();
-                self.replicas[id].role = Role::Follower;
-                self.arm_timeout(now, id, out);
+                if self.n() == 1 {
+                    self.replicas[id].role = Role::Leader;
+                    if self.isolated != Some(id) {
+                        self.gain_leader(now, id, out);
+                    }
+                } else {
+                    self.replicas[id].role = Role::Follower;
+                    self.arm_timeout(now, id, out);
+                }
             }
         }
         self.stats.log_replayed += replayed;
@@ -734,10 +765,6 @@ impl MdsGroup {
         let (term, last_index, last_term) = (r.term, r.last_index(), r.last_term());
         // Re-arm for the split-vote case.
         self.arm_timeout(now, id, out);
-        if self.n() == 1 {
-            self.become_leader(now, id, out);
-            return;
-        }
         for peer in 0..self.n() {
             if peer != id {
                 self.send(
@@ -770,12 +797,8 @@ impl MdsGroup {
         if self.isolated != Some(id) {
             self.gain_leader(now, id, out);
         }
-        if n > 1 {
-            self.broadcast_append(now, id, out);
-            self.arm_heartbeat(now, id, out);
-        } else {
-            self.advance_commit(id, out);
-        }
+        self.broadcast_append(now, id, out);
+        self.arm_heartbeat(now, id, out);
     }
 
     fn gain_leader(&mut self, now: SimTime, id: ReplicaId, out: &mut Vec<Action>) {
@@ -796,7 +819,9 @@ impl MdsGroup {
     fn lose_leader(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let term = self.visible.map_or(0, |l| self.replicas[l].term);
         self.visible = None;
-        if self.leaderless_since.is_none() {
+        // Without a quorum (a crashed lone replica, a majority down) the
+        // group is down until a restart or heal, not failing over.
+        if self.leaderless_since.is_none() && self.quorum_reachable() {
             self.leaderless_since = Some(now);
         }
         out.push(Action::LeaderChanged { leader: None, term });
@@ -850,7 +875,7 @@ impl MdsGroup {
             out.push(Action::Commit {
                 index: self.emitted,
                 proposed_at: e.at,
-                entry: e.entry.clone(),
+                entry: e.entry,
             });
         }
     }
@@ -886,7 +911,7 @@ mod tests {
                 leaders: Vec::new(),
             };
             let mut out = Vec::new();
-            h.group.start(h.now, &mut out);
+            h.group.resume(h.now, &mut out);
             h.absorb(out);
             h
         }
@@ -1052,18 +1077,53 @@ mod tests {
     }
 
     #[test]
-    fn single_replica_group_commits_immediately_and_crashes_hard() {
-        let mut h = Host::new(1, 42);
-        h.run_until(ms(10));
-        assert_eq!(h.group.leader(), Some(0));
-        assert!(h.propose(Entry::SteerOff { server: 3 }));
-        assert_eq!(h.commits.len(), 1, "n=1 majority is itself");
+    fn lone_replica_leads_without_elections_and_keeps_no_log() {
+        let mut g = MdsGroup::new(MdsConfig::new(1, 42, LinkConfig::qdr_infiniband()));
+        assert_eq!(g.leader(), Some(0), "leads before any message");
+        assert!(g.quorum_reachable());
         let mut out = Vec::new();
-        h.group.crash_leader(h.now, &mut out);
-        h.absorb(out);
-        assert!(!h.propose(Entry::TReport { server: 0, t: 1.0 }));
-        h.run_until(h.now + SimDuration::from_millis(20));
-        assert_eq!(h.group.leader(), None, "no failover without a peer");
+        g.resume(SimTime::ZERO, &mut out);
+        assert!(out.is_empty(), "no election timer, no heartbeat: {out:?}");
+
+        assert!(g.propose(ms(1), Entry::SteerOff { server: 3 }, &mut out));
+        assert!(
+            matches!(
+                out.as_slice(),
+                [Action::Commit {
+                    index: 1,
+                    entry: Entry::SteerOff { server: 3 },
+                    ..
+                }]
+            ),
+            "commits on propose: {out:?}"
+        );
+        assert!(g.replicas[0].log.is_empty(), "a lone replica keeps no log");
+
+        // Crash, then restart: refused while down, leading again after.
+        g.crash_leader(ms(2), &mut out);
+        assert_eq!(g.leader(), None);
+        assert!(!g.quorum_reachable());
+        assert!(!g.propose(ms(3), Entry::TReport { server: 0, t: 1.0 }, &mut out));
+        assert_eq!(g.restart_crashed(ms(10), &mut out), 0, "no log to replay");
+        assert_eq!(g.leader(), Some(0));
+
+        // Partition, then heal: the same, with the replica still up.
+        g.partition_leader(ms(11), &mut out);
+        assert_eq!(g.leader(), None);
+        assert!(!g.quorum_reachable());
+        assert!(!g.propose(ms(12), Entry::TReport { server: 0, t: 1.0 }, &mut out));
+        g.heal(ms(20), &mut out);
+        assert_eq!(g.leader(), Some(0));
+        assert!(g.propose(ms(21), Entry::TReport { server: 1, t: 2.0 }, &mut out));
+
+        g.finish(ms(30));
+        let s = g.stats();
+        assert_eq!((s.elections, s.leader_changes, s.recovery_ticks), (0, 0, 0));
+        assert_eq!((s.proposals, s.commits), (2, 2));
+        assert!(
+            !out.iter().any(|a| matches!(a, Action::Deliver { .. })),
+            "a lone replica sends and arms nothing: {out:?}"
+        );
     }
 
     #[test]

@@ -175,13 +175,13 @@ pub struct ClusterConfig {
     pub flag_fragments: bool,
     /// Interval of the per-server T-value report to the MDS (paper: 1 s).
     pub report_interval: SimDuration,
-    /// Metadata-service replicas. `1` (the default) is the classic
-    /// single MDS — a SPOF whose crash degrades clients to stale T
-    /// values. `> 1` runs a raft-style replicated group (entirely on
-    /// the coordinator, in virtual time): T reports and steering
-    /// updates go through a majority-committed log, and the group
-    /// survives leader crashes and partitions via deterministic
-    /// seeded elections.
+    /// Metadata-service replicas. T reports and steering updates always
+    /// go through a raft-style group that runs entirely on the
+    /// coordinator, in virtual time. `1` (the default) is the paper's
+    /// single MDS: a one-replica group that leads without elections and
+    /// commits on propose, and a SPOF whose crash degrades clients to
+    /// stale T values. `> 1` commits at majority and survives leader
+    /// crashes and partitions via deterministic seeded elections.
     pub mds_replicas: usize,
     /// Interval of the writeback daemon's idle check.
     pub writeback_interval: SimDuration,
@@ -300,30 +300,30 @@ enum Ev {
     ReportArrive { server: usize, t: f64 },
     /// The MDS broadcast reached a server. The table is shared: one
     /// snapshot per report, not one clone per destination server.
-    /// `version` is the metadata version the snapshot reflects (the
-    /// replicated log's commit index when the MDS is replicated, a
-    /// plain counter otherwise); servers assert it never regresses.
+    /// `version` is the metadata version the snapshot reflects (the MDS
+    /// group's commit index); servers assert it never regresses.
     Broadcast {
         server: usize,
         version: u64,
         table: Arc<[f64]>,
     },
-    /// An intra-MDS-group raft message or timer (replicated MDS only).
-    /// The whole group lives on the coordinator, so these are
+    /// An intra-MDS-group raft message or timer (a lone replica sends
+    /// none). The whole group lives on the coordinator, so these are
     /// coordinator self-posts whose order is intrinsic.
     Mds(MdsMsg),
-    /// Re-proposal of a metadata update that found no reachable MDS
-    /// leader: the client-facing path backs off and retries instead of
-    /// silently dropping the update.
-    MdsRetry { entry: MdsEntry, attempt: u32 },
+    /// Re-proposal of a metadata update that found no MDS leader while a
+    /// quorum could still elect one: the update waits out the failover
+    /// instead of being dropped.
+    MdsRetry { entry: MdsEntry },
     /// Periodic writeback-daemon check.
     WritebackTick { server: usize },
     /// End-of-run drain kick, posted by the coordinator to every server
     /// (and locally by a mid-drain restart).
     DrainTick { server: usize },
-    /// A server lost its SSD: the MDS zeroes that server's T slot so
-    /// fragments stop being steered at it. The table lives on the
-    /// coordinator, one lookahead away from the failing server.
+    /// A server lost its SSD: once the MDS commits the steer-off it
+    /// zeroes that server's T slot, so fragments stop being steered at
+    /// it. The table lives on the coordinator, one lookahead away from
+    /// the failing server.
     SteerOff { server: usize },
 }
 
@@ -588,8 +588,6 @@ fn clamp_fault(f: TimedFault, n: usize) -> TimedFault {
         },
         TimedFault::MdsCrash
         | TimedFault::MdsRestart
-        | TimedFault::MdsLeaderCrash
-        | TimedFault::MdsLeaderRestart
         | TimedFault::MdsPartitionStart
         | TimedFault::MdsPartitionHeal => f,
     }
@@ -609,8 +607,6 @@ fn fault_server(f: &TimedFault) -> Option<usize> {
         | TimedFault::BitRot { server, .. } => Some(server),
         TimedFault::MdsCrash
         | TimedFault::MdsRestart
-        | TimedFault::MdsLeaderCrash
-        | TimedFault::MdsLeaderRestart
         | TimedFault::MdsPartitionStart
         | TimedFault::MdsPartitionHeal => None,
     }
@@ -738,18 +734,14 @@ impl RunStats {
 /// Cross-run state owned by the coordinator: the clients' RNG and id
 /// counters, and the metadata server.
 struct CoordPersist {
+    /// Link the MDS broadcasts the T-table on.
     mds_link: Link,
+    /// The T-table as of the last commit: one slot per data server.
     mds_table: Vec<f64>,
-    /// Metadata server currently crashed: T-value reports are dropped
-    /// and broadcasts stall until its restart. (Single-MDS path only;
-    /// a replicated group tracks availability via its leader instead.)
-    mds_down: bool,
-    /// Replicated MDS group (`mds_replicas > 1`); `None` runs the
-    /// legacy single-MDS path byte-identically to before.
-    mds: Option<MdsGroup>,
-    /// Monotone metadata version stamped on broadcasts: the replicated
-    /// log's commit index, or a plain counter on the single-MDS path.
-    mds_version: u64,
+    /// The metadata service, `mds_replicas` strong. Every T report and
+    /// steer-off is proposed to it, and the table changes only at
+    /// commit; its commit index versions each broadcast.
+    mds: MdsGroup,
     jitter_rng: StdRng,
     next_job: u64,
     next_parent: u64,
@@ -826,11 +818,7 @@ impl Cluster {
             coord: CoordPersist {
                 mds_link: Link::new(cfg.link.clone()),
                 mds_table: vec![0.0; cfg.n_servers],
-                mds_down: false,
-                mds: (cfg.mds_replicas > 1).then(|| {
-                    MdsGroup::new(MdsConfig::new(cfg.mds_replicas, cfg.seed, cfg.link.clone()))
-                }),
-                mds_version: 0,
+                mds: MdsGroup::new(MdsConfig::new(cfg.mds_replicas, cfg.seed, cfg.link.clone())),
                 jitter_rng: ibridge_des::rng::stream_rng(
                     cfg.seed,
                     ibridge_des::rng::streams::CLIENT,
@@ -984,18 +972,16 @@ impl Cluster {
         for proc in 0..n_procs {
             self.sim.post_now(COORD, COORD, Ev::Wake { proc });
         }
-        // Re-arm the replicated-MDS group's timers for this run (the
-        // drain cancelled them at the end of the previous run). All
-        // raft traffic is coordinator-local, so these self-posts have
-        // no lookahead constraint.
-        let mds_before = self.coord.mds.as_ref().map(|g| g.stats());
-        if let Some(g) = self.coord.mds.as_mut() {
-            let mut acts = Vec::new();
-            g.resume(start, &mut acts);
-            for a in acts {
-                if let MdsAction::Deliver { at, msg } = a {
-                    self.sim.post_at(COORD, COORD, at, Ev::Mds(msg));
-                }
+        // Re-arm the MDS group's timers for this run (the drain
+        // cancelled them at the end of the previous run). All raft
+        // traffic is coordinator-local, so these self-posts have no
+        // lookahead constraint.
+        let mds_before = self.coord.mds.stats();
+        let mut acts = Vec::new();
+        self.coord.mds.resume(start, &mut acts);
+        for a in acts {
+            if let MdsAction::Deliver { at, msg } = a {
+                self.sim.post_at(COORD, COORD, at, Ev::Mds(msg));
             }
         }
         if ibridge {
@@ -1099,31 +1085,29 @@ impl Cluster {
         let mut fstats = co.fstats;
         fstats.absorb(&lp.fstats);
 
-        // Close out the replicated group for this run: accrue any
-        // still-open leaderless window to `end`, then fold the per-run
-        // stats delta (the group persists across runs) into the fault
-        // counters.
-        let mut mds_run = MdsStats::default();
-        if let Some(g) = co.p.mds.as_mut() {
-            g.finish(end);
-            let s = g.stats();
-            let b = mds_before.unwrap_or_default();
-            mds_run = MdsStats {
-                elections: s.elections - b.elections,
-                leader_changes: s.leader_changes - b.leader_changes,
-                recovery_ticks: s.recovery_ticks - b.recovery_ticks,
-                log_replayed: s.log_replayed - b.log_replayed,
-                proposals: s.proposals - b.proposals,
-                commits: s.commits - b.commits,
-            };
-            fstats.mds_elections += mds_run.elections;
-            fstats.mds_leader_changes += mds_run.leader_changes;
-            fstats.mds_recovery_ticks += mds_run.recovery_ticks;
-        }
+        // Close out the MDS group for this run: accrue any still-open
+        // leaderless window to `end`, then fold the per-run stats delta
+        // (the group persists across runs) into the fault counters.
+        co.p.mds.finish(end);
+        let s = co.p.mds.stats();
+        let b = mds_before;
+        let mds_run = MdsStats {
+            elections: s.elections - b.elections,
+            leader_changes: s.leader_changes - b.leader_changes,
+            recovery_ticks: s.recovery_ticks - b.recovery_ticks,
+            log_replayed: s.log_replayed - b.log_replayed,
+            proposals: s.proposals - b.proposals,
+            commits: s.commits - b.commits,
+        };
+        fstats.mds_elections += mds_run.elections;
+        fstats.mds_leader_changes += mds_run.leader_changes;
+        fstats.mds_recovery_ticks += mds_run.recovery_ticks;
         #[cfg(not(feature = "obs"))]
         let _ = mds_run;
+        // The MDS table is recorded for groups with peers, or when a
+        // single MDS's outage left clients steering on stale T values.
         #[cfg(feature = "obs")]
-        if ibridge_obs::metrics_on() && (co.p.mds.is_some() || fstats.stale_t_decisions > 0) {
+        if ibridge_obs::metrics_on() && (co.p.mds.n() > 1 || fstats.stale_t_decisions > 0) {
             ibridge_obs::metrics::record_mds(&ibridge_obs::metrics::MdsAgg {
                 runs: 1,
                 elections: mds_run.elections,
@@ -1291,7 +1275,7 @@ struct CoordLp<'r> {
     /// after warm-up the client path performs no allocation.
     pieces_scratch: Vec<(usize, u64, u64)>,
     subs_scratch: Vec<SubRequest>,
-    /// The end-of-run drain started: replicated-MDS timers stop
+    /// The end-of-run drain started: MDS timers and retries stop
     /// re-arming so the calendar can run to empty.
     mds_shutdown: bool,
     /// Scratch for MDS actions, reused across every MDS event.
@@ -1386,8 +1370,8 @@ fn coord_event(sh: &Shared, sim: &mut Simulation<Ev>, co: &mut CoordLp, now: Sim
                             for id in co.fault_ids.drain(..) {
                                 sim.cancel(id);
                             }
-                            // Stop replicated-MDS timers from re-arming:
-                            // pending Mds/MdsRetry events become no-ops.
+                            // Stop MDS timers from re-arming: pending
+                            // Mds/MdsRetry events become no-ops.
                             co.mds_shutdown = true;
                         }
                     } else if co.use_barrier {
@@ -1448,7 +1432,7 @@ fn coord_event(sh: &Shared, sim: &mut Simulation<Ev>, co: &mut CoordLp, now: Sim
             // With iBridge steering on, a request decomposed while the
             // metadata service is unreachable ran on a stale T-table:
             // the degradation `mds-crash`-style plans exist to surface.
-            if sh.ibridge && mds_unreachable(co) {
+            if sh.ibridge && co.p.mds.leader().is_none() {
                 co.fstats.stale_t_decisions += 1;
             }
             let pending = subs.len();
@@ -1619,109 +1603,48 @@ fn coord_event(sh: &Shared, sim: &mut Simulation<Ev>, co: &mut CoordLp, now: Sim
             }
         }
         Ev::ReportArrive { server, t } => {
-            if co.p.mds.is_some() {
-                // Replicated path: the report becomes a log entry; the
-                // table mutates (and broadcasts) only at commit.
-                mds_propose(sh, sim, co, now, MdsEntry::TReport { server, t }, 0);
-            } else if co.p.mds_down {
-                // The MDS is down: the report is lost and no
-                // broadcast goes out. Servers keep serving with
-                // their last-known T values until the restart.
-                co.fstats.stalled_broadcasts += 1;
-            } else {
-                co.p.mds_table[server] = t;
-                co.p.mds_version += 1;
-                let version = co.p.mds_version;
-                mds_broadcast(sh, sim, co, now, version);
-            }
+            // The report becomes a log entry; the table mutates (and
+            // broadcasts) only at commit.
+            mds_propose(sh, sim, co, now, MdsEntry::TReport { server, t });
         }
         Ev::SteerOff { server } => {
             // The MDS stops steering fragments at a server that lost
             // its SSD.
-            if co.p.mds.is_some() {
-                mds_propose(sh, sim, co, now, MdsEntry::SteerOff { server }, 0);
-            } else {
-                co.p.mds_table[server] = 0.0;
-            }
+            mds_propose(sh, sim, co, now, MdsEntry::SteerOff { server });
         }
         Ev::Mds(msg) => {
             // A raft message (timer or RPC delivery) inside the group.
             // After the drain kick the group is frozen: dropping the
             // message re-arms nothing, so the calendar runs to empty.
             if !co.mds_shutdown {
-                let mut acts = std::mem::take(&mut co.mds_acts);
-                acts.clear();
-                co.p.mds
-                    .as_mut()
-                    .expect("MDS message without a replicated group")
-                    .handle(now, msg, &mut acts);
-                mds_apply(sh, sim, co, now, &mut acts);
-                co.mds_acts = acts;
+                mds_call(sh, sim, co, now, |g, acts| g.handle(now, msg, acts));
             }
         }
-        Ev::MdsRetry { entry, attempt } => {
+        Ev::MdsRetry { entry } => {
             if !co.mds_shutdown {
-                mds_propose(sh, sim, co, now, entry, attempt);
+                mds_propose(sh, sim, co, now, entry);
             }
         }
         Ev::Fault(fault) => match fault {
-            TimedFault::MdsCrash | TimedFault::MdsLeaderCrash => {
-                if let Some(g) = co.p.mds.as_mut() {
-                    let mut acts = std::mem::take(&mut co.mds_acts);
-                    acts.clear();
-                    if g.crash_leader(now, &mut acts).is_some() {
-                        co.fstats.mds_crashes += 1;
-                    }
-                    mds_apply(sh, sim, co, now, &mut acts);
-                    co.mds_acts = acts;
-                } else if !co.p.mds_down {
-                    co.p.mds_down = true;
+            TimedFault::MdsCrash => {
+                if mds_call(sh, sim, co, now, |g, acts| g.crash_leader(now, acts)).is_some() {
                     co.fstats.mds_crashes += 1;
                 }
             }
-            TimedFault::MdsRestart | TimedFault::MdsLeaderRestart => {
-                if let Some(g) = co.p.mds.as_mut() {
-                    let rejoining = g.down_replicas() as u64;
-                    if rejoining > 0 {
-                        co.fstats.mds_restarts += rejoining;
-                        let mut acts = std::mem::take(&mut co.mds_acts);
-                        acts.clear();
-                        g.restart_crashed(now, &mut acts);
-                        mds_apply(sh, sim, co, now, &mut acts);
-                        co.mds_acts = acts;
-                    }
-                } else if co.p.mds_down {
-                    co.p.mds_down = false;
-                    co.fstats.mds_restarts += 1;
+            TimedFault::MdsRestart => {
+                let rejoining = co.p.mds.down_replicas() as u64;
+                if rejoining > 0 {
+                    co.fstats.mds_restarts += rejoining;
+                    mds_call(sh, sim, co, now, |g, acts| g.restart_crashed(now, acts));
                 }
             }
             TimedFault::MdsPartitionStart => {
-                if let Some(g) = co.p.mds.as_mut() {
-                    let mut acts = std::mem::take(&mut co.mds_acts);
-                    acts.clear();
-                    g.partition_leader(now, &mut acts);
-                    co.fstats.mds_crashes += 1;
-                    mds_apply(sh, sim, co, now, &mut acts);
-                    co.mds_acts = acts;
-                } else if !co.p.mds_down {
-                    // Degenerate single-MDS partition: unreachable is
-                    // indistinguishable from crashed until the heal.
-                    co.p.mds_down = true;
-                    co.fstats.mds_crashes += 1;
-                }
+                co.fstats.mds_crashes += 1;
+                mds_call(sh, sim, co, now, |g, acts| g.partition_leader(now, acts));
             }
             TimedFault::MdsPartitionHeal => {
-                if let Some(g) = co.p.mds.as_mut() {
-                    let mut acts = std::mem::take(&mut co.mds_acts);
-                    acts.clear();
-                    g.heal(now, &mut acts);
-                    co.fstats.mds_restarts += 1;
-                    mds_apply(sh, sim, co, now, &mut acts);
-                    co.mds_acts = acts;
-                } else if co.p.mds_down {
-                    co.p.mds_down = false;
-                    co.fstats.mds_restarts += 1;
-                }
+                co.fstats.mds_restarts += 1;
+                mds_call(sh, sim, co, now, |g, acts| g.heal(now, acts));
             }
             _ => unreachable!("server fault routed to the coordinator"),
         },
@@ -1729,55 +1652,46 @@ fn coord_event(sh: &Shared, sim: &mut Simulation<Ev>, co: &mut CoordLp, now: Sim
     }
 }
 
-/// True when iBridge clients cannot see a live metadata service: the
-/// single MDS is crashed, or the replicated group has no elected (and
-/// reachable) leader right now.
-fn mds_unreachable(co: &CoordLp) -> bool {
-    match co.p.mds.as_ref() {
-        Some(g) => g.leader().is_none(),
-        None => co.p.mds_down,
-    }
-}
-
-/// Proposes `entry` to the replicated group. With no visible leader the
-/// proposal is retried on a fixed coordinator-local backoff; a bounded
-/// number of attempts keeps an unelectable group (all replicas down)
-/// from ticking forever, and the give-up is accounted as a stalled
-/// broadcast — the same degradation signal as the single-MDS path.
+/// Proposes `entry` to the MDS group. A refused proposal is retried on
+/// a fixed coordinator-local backoff while a quorum could still elect a
+/// leader (a failover in progress). Otherwise the group is down until a
+/// restart or heal, and the update counts as a stalled broadcast at once.
 fn mds_propose(
     sh: &Shared,
     sim: &mut Simulation<Ev>,
     co: &mut CoordLp,
     now: SimTime,
     entry: MdsEntry,
-    attempt: u32,
 ) {
     const MDS_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(500);
-    const MDS_RETRY_MAX: u32 = 64;
+    if mds_call(sh, sim, co, now, |g, acts| g.propose(now, entry, acts)) {
+        return;
+    }
+    if co.p.mds.quorum_reachable() {
+        sim.post_at(
+            COORD,
+            COORD,
+            now + MDS_RETRY_BACKOFF,
+            Ev::MdsRetry { entry },
+        );
+    } else {
+        co.fstats.stalled_broadcasts += 1;
+    }
+}
+
+/// Runs one call into the MDS group and applies the actions it emits.
+fn mds_call<R>(
+    sh: &Shared,
+    sim: &mut Simulation<Ev>,
+    co: &mut CoordLp,
+    now: SimTime,
+    call: impl FnOnce(&mut MdsGroup, &mut Vec<MdsAction>) -> R,
+) -> R {
     let mut acts = std::mem::take(&mut co.mds_acts);
-    acts.clear();
-    let accepted =
-        co.p.mds
-            .as_mut()
-            .expect("MDS proposal without a replicated group")
-            .propose(now, entry.clone(), &mut acts);
+    let r = call(&mut co.p.mds, &mut acts);
     mds_apply(sh, sim, co, now, &mut acts);
     co.mds_acts = acts;
-    if !accepted {
-        if attempt >= MDS_RETRY_MAX {
-            co.fstats.stalled_broadcasts += 1;
-        } else {
-            sim.post_at(
-                COORD,
-                COORD,
-                now + MDS_RETRY_BACKOFF,
-                Ev::MdsRetry {
-                    entry,
-                    attempt: attempt + 1,
-                },
-            );
-        }
-    }
+    r
 }
 
 /// Applies a batch of group actions on the coordinator: schedules
@@ -1800,20 +1714,19 @@ fn mds_apply(
                 proposed_at,
                 entry,
             } => {
+                // A lone replica commits on propose: nothing replicates.
                 #[cfg(feature = "obs")]
-                obs_mds_replicate(proposed_at, now, index);
+                if co.p.mds.n() > 1 {
+                    obs_mds_replicate(proposed_at, now, index);
+                }
                 #[cfg(not(feature = "obs"))]
                 let _ = proposed_at;
                 match entry {
                     MdsEntry::TReport { server, t } => {
                         co.p.mds_table[server] = t;
-                        co.p.mds_version = index;
                         mds_broadcast(sh, sim, co, now, index);
                     }
-                    MdsEntry::SteerOff { server } => {
-                        co.p.mds_table[server] = 0.0;
-                        co.p.mds_version = index;
-                    }
+                    MdsEntry::SteerOff { server } => co.p.mds_table[server] = 0.0,
                 }
             }
             MdsAction::LeaderChanged { leader, term } => {
@@ -2361,8 +2274,6 @@ fn apply_server_fault(
         }
         TimedFault::MdsCrash
         | TimedFault::MdsRestart
-        | TimedFault::MdsLeaderCrash
-        | TimedFault::MdsLeaderRestart
         | TimedFault::MdsPartitionStart
         | TimedFault::MdsPartitionHeal => {
             unreachable!("MDS fault routed to the servers")
@@ -2901,5 +2812,35 @@ mod tests {
             stats.faults
         );
         assert!(stats.faults.mds_recovery_ticks > 0);
+    }
+
+    #[test]
+    fn steer_off_during_a_single_mds_outage_is_stalled() {
+        // An SSD loss steers the lost cache off through the MDS. While a
+        // one-replica MDS is down there is no quorum to wait for, so the
+        // steer-off is refused and counted as stalled at once (a stock
+        // cluster sends no T reports that could stall too).
+        let run = |plan: &str| {
+            let cfg = ClusterConfig {
+                n_servers: 2,
+                ..Default::default()
+            };
+            let mut c = Cluster::heterogeneous(
+                cfg,
+                |_| crate::server::ServerConfig {
+                    with_cache_dev: true,
+                    ..Default::default()
+                },
+                |_| Box::new(StockPolicy::new()),
+            );
+            c.set_fault_plan(&FaultPlan::parse(plan).unwrap());
+            c.preallocate(FileHandle(1), 8 << 20);
+            c.run(&mut seq(IoDir::Read, 2, 65536, 16)).faults
+        };
+        let up = run("ssd-loss server=0 at=2ms");
+        assert_eq!((up.ssd_losses, up.stalled_broadcasts), (1, 0));
+        let down = run("mds-crash at=1ms restart=60s\nssd-loss server=0 at=2ms");
+        assert_eq!((down.ssd_losses, down.mds_crashes), (1, 1));
+        assert_eq!(down.stalled_broadcasts, 1, "{down:?}");
     }
 }

@@ -103,12 +103,6 @@ def rate(e):
 def allocs(e):
     return e.get("allocs_per_event")
 
-def thr_rate(e):
-    # Intra-run threaded rate: only reports written while the threaded
-    # driver existed (BENCH_pr7.json) carry it; null or absent
-    # everywhere else.
-    return e.get("events_per_sec_threaded")
-
 def fmt(x, unit=""):
     if x is None:
         return "-"
@@ -129,17 +123,10 @@ if alloc_gate and all(new[n].get("allocs_per_event") is None for n in names):
         f"(build the new report with --features count-allocs)")
 
 w = max((len(n) for n in names), default=4)
-# The threaded column only renders when at least one side carries a
-# non-null threaded rate; it is informational (never gated — the jobs-1
-# serial rate is the apples-to-apples figure).
-have_thr = any(thr_rate(e) is not None for e in list(old.values()) + list(new.values()))
 print(f"{old_path} -> {new_path}  "
       f"(gate: rate ±{threshold:g}%, allocs +{alloc_threshold:g}%)")
-hdr = (f"{'name':{w}}  {'ev/s old':>12} {'ev/s new':>12} {'Δ':>8}   "
-       f"{'alloc/ev old':>12} {'alloc/ev new':>12} {'Δ':>8}")
-if have_thr:
-    hdr += f"   {'ev/s thr old':>12} {'ev/s thr new':>12}"
-print(hdr)
+print(f"{'name':{w}}  {'ev/s old':>12} {'ev/s new':>12} {'Δ':>8}   "
+      f"{'alloc/ev old':>12} {'alloc/ev new':>12} {'Δ':>8}")
 failures = []
 for n in names:
     r0, r1 = rate(old[n]), rate(new[n])
@@ -152,13 +139,10 @@ for n in names:
     if da is not None and da > alloc_threshold:
         failures.append(f"{n}: allocs/event grew {da:+.1f}%")
         mark += "  << allocs"
-    line = (f"{n:{w}}  {fmt(r0):>12} {fmt(r1):>12} "
-            f"{('%+.1f%%' % dr) if dr is not None else '-':>8}   "
-            f"{fmt(a0):>12} {fmt(a1):>12} "
-            f"{('%+.1f%%' % da) if da is not None else '-':>8}")
-    if have_thr:
-        line += f"   {fmt(thr_rate(old[n])):>12} {fmt(thr_rate(new[n])):>12}"
-    print(line + mark)
+    print(f"{n:{w}}  {fmt(r0):>12} {fmt(r1):>12} "
+          f"{('%+.1f%%' % dr) if dr is not None else '-':>8}   "
+          f"{fmt(a0):>12} {fmt(a1):>12} "
+          f"{('%+.1f%%' % da) if da is not None else '-':>8}{mark}")
 for n in missing:
     print(f"{n:{w}}  (only in one report)")
 
@@ -167,12 +151,6 @@ dt = delta(t0, t1)
 if dt is not None:
     print(f"\nsuite: {fmt(t0)} -> {fmt(t1)} ev/s ({dt:+.1f}%), "
           f"events {old_rep.get('events_dispatched')} -> {new_rep.get('events_dispatched')}")
-for tag, rep in (("old", old_rep), ("new", new_rep)):
-    sp, bpw = rep.get("threaded_speedup"), rep.get("barriers_per_window")
-    if sp is not None or bpw is not None:
-        print(f"threading ({tag}): threads={rep.get('threads')}, "
-              f"speedup {fmt(sp) if sp is not None else '-'}x, "
-              f"barriers/window {fmt(bpw) if bpw is not None else '-'}")
 
 if failures:
     print(f"\n{len(failures)} regression(s) beyond the gate:", file=sys.stderr)

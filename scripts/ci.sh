@@ -7,7 +7,7 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy -D warnings"
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

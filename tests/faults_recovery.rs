@@ -285,13 +285,13 @@ fn replicated_mds_failover_restores_fresh_t_values() {
     let plan = FaultPlan::parse("mds-failover at=10ms restart=25ms\n").unwrap();
     let single = mds_run(11, 1, &plan);
     let replicated = mds_run(11, 3, &plan);
-    // One replica: the legacy degradation (as in
-    // `mds_crash_degrades_to_stale_t_values`).
+    // One replica: no quorum while it is down, so reports are dropped
+    // (as in `mds_crash_degrades_to_stale_t_values`).
     assert_eq!(single.faults.mds_crashes, 1);
     assert_eq!(single.faults.mds_elections, 0);
     assert!(
         single.faults.stalled_broadcasts > 0,
-        "downtime must drop T-reports on the single-MDS path"
+        "downtime must drop T-reports on a single MDS"
     );
     // Three replicas: the crash forces a re-election onto a different
     // replica, and every report sent during the leaderless window is
@@ -312,7 +312,7 @@ fn replicated_mds_failover_restores_fresh_t_values() {
         "the group must not lose T-reports across the failover"
     );
     assert!(replicated.faults.mds_recovery_ticks > 0);
-    // Neither path loses data or requests.
+    // Neither group size loses data or requests.
     for stats in [&single, &replicated] {
         assert_eq!(stats.latency_hist_ms.total(), stats.requests);
         assert_eq!(stats.faults.failed_subs, 0);
