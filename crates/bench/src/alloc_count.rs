@@ -1,17 +1,17 @@
-//! Thread-local allocation counting for the self-benchmark report.
+//! Thread-local allocation counting for the `--bench-report` ledger.
 //!
 //! The `count-allocs` feature makes the `expt` binary install
 //! [`CountingAlloc`] as the global allocator; `--bench-report` then
-//! records, for each experiment of the sequential (`--jobs 1`) rerun,
-//! how many heap allocations the run performed, the bytes requested,
-//! and the peak live heap — turning "the hot path is allocation-free"
-//! from a claim into a regression-checked number.
+//! records, for each experiment, how many heap allocations the run
+//! performed, the bytes requested, and the peak live heap — turning "the
+//! hot path is allocation-free" from a claim into a regression-checked
+//! number.
 //!
 //! Counters are thread-local so worker threads never contend on them;
-//! the sequential rerun executes entirely on the calling thread (see
-//! `runpar::par_map`), which is what makes per-experiment attribution
-//! exact. Without the feature the allocator is never registered and the
-//! counters read zero.
+//! `--bench-report` runs at `--jobs 1`, where every experiment executes
+//! entirely on the calling thread (see `runpar::par_map`), which is what
+//! makes per-experiment attribution exact. Without the feature the
+//! allocator is never registered and the counters read zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

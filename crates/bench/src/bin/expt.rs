@@ -6,7 +6,7 @@
 //! expt --full all          # paper-scale data sizes (slow)
 //! expt --seed 7 table3     # different seed
 //! expt --jobs 4 all        # worker-pool size (output is identical)
-//! expt --bench-report B.json all   # also write a self-benchmark report
+//! expt --bench-report B.json all   # also write a ledger of the work done
 //! expt --metrics summary   # phase/class/server latency tables
 //! expt --trace-out T.json summary  # Chrome trace-event JSON
 //! expt --list              # what exists
@@ -16,14 +16,20 @@
 //! (individual data points parallelise too, against the same budget) and
 //! their rendered blocks print in catalogue order, so stdout is
 //! byte-identical at any `--jobs` level.
+//!
+//! `--bench-report` runs at `--jobs 1` in a `count-allocs` build and
+//! writes a ledger of deterministic work: per experiment and for the
+//! suite, simulator events, heap allocations, bytes allocated, peak live
+//! heap and allocations per event. It holds no wall-clock figure, so two
+//! runs of the same build write the same bytes.
 
 use ibridge_bench::experiments::{self, Experiment};
 use ibridge_bench::{alloc_count, runpar, Scale};
 use std::time::Instant;
 
 /// With `--features count-allocs`, every heap operation in this binary is
-/// counted per thread; `--bench-report` turns the counters into
-/// allocations-per-event figures (see `BENCH_pr2.json`).
+/// counted per thread; `--bench-report` turns the counters into a ledger
+/// (see `BENCH_baseline.json`).
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static COUNTING_ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
@@ -33,6 +39,7 @@ fn main() {
     let mut scale = Scale::quick();
     let mut selected: Vec<String> = Vec::new();
     let mut bench_report: Option<String> = None;
+    let mut jobs: Option<usize> = None;
     let mut trace_out: Option<String> = None;
     let mut show_metrics = false;
     let mut it = args.iter();
@@ -61,7 +68,7 @@ fn main() {
                 if n == 0 {
                     die("--jobs must be at least 1");
                 }
-                runpar::set_jobs(n);
+                jobs = Some(n);
             }
             "--bench-report" => {
                 let v = it
@@ -129,6 +136,9 @@ fn main() {
                      single MDS); elections and failover are simulated \
                      in virtual time and output stays byte-identical at \
                      any jobs level. \
+                     --bench-report writes a JSON ledger of events and \
+                     heap allocations per experiment; it runs at jobs 1 \
+                     and needs a build with --features count-allocs. \
                      --audit runs the online invariant auditor every 5ms \
                      of virtual time (read-only; output is unchanged). \
                      --metrics prints virtual-time latency tables after the \
@@ -170,30 +180,32 @@ fn main() {
         die("no experiment matched; try `expt --list`");
     }
 
-    let jobs = runpar::jobs();
+    if bench_report.is_some() {
+        // Allocation counters are thread-local, so only a pass that runs
+        // every experiment on this thread attributes them exactly.
+        if !alloc_count::enabled() {
+            die("--bench-report needs a build with --features count-allocs");
+        }
+        if jobs.is_some_and(|n| n > 1) {
+            die("--bench-report runs at --jobs 1 only");
+        }
+        jobs = Some(1);
+    }
+    if let Some(n) = jobs {
+        runpar::set_jobs(n);
+    }
+
     let start = Instant::now();
     let events_before = ibridge_pvfs::total_events_dispatched();
-    let results: Vec<(String, f64)> = runpar::par_map(chosen.clone(), |e| {
-        let t0 = Instant::now();
-        let out = (e.run)(&scale);
-        (out, t0.elapsed().as_secs_f64())
-    });
+    let results: Vec<(String, Work)> =
+        runpar::par_map(chosen.clone(), |e| measure(|| (e.run)(&scale)));
     let wall = start.elapsed().as_secs_f64();
     let events = ibridge_pvfs::total_events_dispatched() - events_before;
     for (e, (out, _)) in chosen.iter().zip(&results) {
         print!("### {} — {}\n\n{out}", e.name, e.what);
     }
-    // Observability flags go off before any `--bench-report` rerun so the
-    // `--jobs 1` baseline runs the same configuration as the parallel
-    // pass and does not double-count samples into the snapshot.
-    let metrics_snap = if show_metrics {
-        ibridge_obs::set_metrics(false);
-        Some(ibridge_obs::metrics::snapshot())
-    } else {
-        None
-    };
-    if let Some(reg) = &metrics_snap {
-        let rendered = ibridge_bench::obs_report::render(reg);
+    if show_metrics {
+        let rendered = ibridge_bench::obs_report::render(&ibridge_obs::metrics::snapshot());
         if rendered.is_empty() {
             println!("(metrics: nothing recorded — obs feature compiled out)\n");
         } else {
@@ -201,12 +213,9 @@ fn main() {
         }
     }
     eprintln!(
-        "[{} experiment(s) in {:.1}s wall, {} sim events, {:.0} events/s, jobs={}]",
+        "[{} experiment(s) in {wall:.1}s wall, {events} sim events, jobs={}]",
         chosen.len(),
-        wall,
-        events,
-        events as f64 / wall.max(1e-9),
-        jobs,
+        runpar::jobs(),
     );
 
     if let Some(path) = &trace_out {
@@ -219,223 +228,76 @@ fn main() {
         eprintln!("[trace: {} span(s) -> {path}]", trace.span_count());
     }
 
-    if let Some(path) = bench_report {
-        write_bench_report(
-            &path,
-            &scale,
-            jobs,
-            &chosen,
-            &results,
-            wall,
-            events,
-            metrics_snap.as_ref(),
-        );
+    if let Some(path) = &bench_report {
+        write_ledger(path, scale.seed, &chosen, &results);
     }
 }
 
-/// Reruns the chosen experiments at `--jobs 1`, checks byte-identity of
-/// the rendered output, and writes a JSON self-benchmark report.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_report(
-    path: &str,
-    scale: &Scale,
-    jobs: usize,
-    chosen: &[&Experiment],
-    par_results: &[(String, f64)],
-    par_wall: f64,
+/// Deterministic work: simulator events and heap activity.
+#[derive(Default)]
+struct Work {
     events: u64,
-    obs_metrics: Option<&ibridge_obs::metrics::Registry>,
-) {
-    eprintln!("[bench-report: rerunning at --jobs 1 for the baseline]");
-    runpar::set_jobs(1);
-    // At `--jobs 1` the runpar pool degenerates to a sequential map on
-    // this thread, so thread-local allocation counters and the global
-    // event counter attribute exactly to the experiment between the two
-    // snapshots.
-    struct SeqRun {
-        out: String,
-        wall: f64,
-        events: u64,
-        allocs: u64,
-        alloc_bytes: u64,
-        peak_bytes: u64,
-    }
-    let seq_start = Instant::now();
-    let seq: Vec<SeqRun> = chosen
-        .iter()
-        .map(|e| {
-            let t0 = Instant::now();
-            let ev0 = ibridge_pvfs::total_events_dispatched();
-            let a0 = alloc_count::snapshot();
-            alloc_count::reset_peak();
-            let out = (e.run)(scale);
-            let a1 = alloc_count::snapshot();
-            SeqRun {
-                out,
-                wall: t0.elapsed().as_secs_f64(),
-                events: ibridge_pvfs::total_events_dispatched() - ev0,
-                allocs: a1.allocs - a0.allocs,
-                alloc_bytes: a1.bytes - a0.bytes,
-                peak_bytes: a1.peak,
-            }
-        })
-        .collect();
-    let seq_wall = seq_start.elapsed().as_secs_f64();
+    allocs: u64,
+    alloc_bytes: u64,
+    /// How far the live heap rose above its level at the start.
+    peak_bytes: u64,
+}
 
-    let identical = par_results.iter().zip(&seq).all(|((a, _), b)| *a == b.out);
-
-    let mut per = String::new();
-    for (i, e) in chosen.iter().enumerate() {
-        if i > 0 {
-            per.push(',');
-        }
-        let s = &seq[i];
-        // Event counts are deterministic, so the jobs-1 rerun's count also
-        // describes the parallel pass and events/sec is meaningful at both
-        // jobs levels. `table1`/`table2` dispatch no simulator events at
-        // all; rate and per-event figures are `null` there rather than a
-        // fiction divided by 1.
-        per.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"wall_s_jobs1\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {}, \"events_per_sec_jobs1\": {}",
-            e.name,
-            par_results[i].1,
-            s.wall,
-            s.events,
-            per_event_rate(s.events, par_results[i].1),
-            per_event_rate(s.events, s.wall),
-        ));
-        if alloc_count::enabled() {
-            let per_event = if s.events == 0 {
-                "null".to_string()
-            } else {
-                format!("{:.3}", s.allocs as f64 / s.events as f64)
-            };
-            per.push_str(&format!(
-                ", \"allocs\": {}, \"alloc_bytes\": {}, \"peak_bytes\": {}, \
-                 \"allocs_per_event\": {per_event}",
-                s.allocs, s.alloc_bytes, s.peak_bytes,
-            ));
-        }
-        per.push('}');
-    }
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let note = if jobs > host_cpus {
-        format!(
-            ",\n  \"note\": \"requested {jobs} jobs but the host exposes only \
-             {host_cpus} CPU(s); the jobs speedup is bounded by available \
-             parallelism\""
-        )
-    } else {
-        String::new()
+/// Runs `f` and counts the work it did on the calling thread. Exact only
+/// at `--jobs 1`: at higher levels the event counter also counts other
+/// workers' runs, and nested tasks allocate on other threads.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, Work) {
+    alloc_count::reset_peak();
+    let ev0 = ibridge_pvfs::total_events_dispatched();
+    let a0 = alloc_count::snapshot();
+    let r = f();
+    let a1 = alloc_count::snapshot();
+    let work = Work {
+        events: ibridge_pvfs::total_events_dispatched() - ev0,
+        allocs: a1.allocs - a0.allocs,
+        alloc_bytes: a1.bytes - a0.bytes,
+        peak_bytes: a1.peak - a0.current,
     };
-    let alloc_summary = if alloc_count::enabled() {
-        let allocs: u64 = seq.iter().map(|s| s.allocs).sum();
-        let ev: u64 = seq.iter().map(|s| s.events).sum();
-        let per_event = if ev == 0 {
-            "null".to_string()
-        } else {
-            format!("{:.3}", allocs as f64 / ev as f64)
+    (r, work)
+}
+
+impl Work {
+    /// The ledger fields. `allocs_per_event` is `null` where no simulator
+    /// event ran (the pure table renders).
+    fn json(&self) -> String {
+        let per_event = match self.events {
+            0 => "null".to_string(),
+            ev => format!("{:.6}", self.allocs as f64 / ev as f64),
         };
         format!(
-            ",\n  \"counting_allocator\": true,\n  \"allocs_jobs1\": {allocs},\n  \
-             \"allocs_per_event_jobs1\": {per_event}"
+            "\"events\": {}, \"allocs\": {}, \"alloc_bytes\": {}, \"peak_bytes\": {}, \
+             \"allocs_per_event\": {per_event}",
+            self.events, self.allocs, self.alloc_bytes, self.peak_bytes
         )
-    } else {
-        ",\n  \"counting_allocator\": false".to_string()
-    };
-    let fc = ibridge_pvfs::total_fault_counters();
-    let fault_counters = format!(
-        ",\n  \"fault_counters\": {{\"retries\": {}, \"timeouts\": {}, \
-         \"dropped_messages\": {}, \"dirty_bytes_lost\": {}, \
-         \"degraded_s\": {:.3}, \"fsck_scanned\": {}, \
-         \"fsck_quarantined\": {}, \"stale_t_decisions\": {}, \
-         \"mds_elections\": {}, \"mds_leader_changes\": {}, \
-         \"mds_failover_recovery_ticks\": {}, \"audits\": {}}}",
-        fc.retries,
-        fc.timeouts,
-        fc.dropped_messages,
-        fc.dirty_bytes_lost,
-        fc.degraded_ns as f64 / 1e9,
-        fc.fsck_records_scanned,
-        fc.fsck_records_quarantined,
-        fc.stale_t_decisions,
-        fc.mds_elections,
-        fc.mds_leader_changes,
-        fc.mds_failover_recovery_ticks,
-        fc.audits,
-    );
-    // Backup-log maintenance totals (segmented log, checkpoints,
-    // compaction, scrub). All zero unless an iBridge run performed
-    // maintenance; gauges stay out (they are per-run, not monotone).
-    let mc = ibridge_pvfs::total_maint_counters();
-    let maint_counters = format!(
-        ",\n  \"maint_counters\": {{\"ticks\": {}, \"busy_skips\": {}, \
-         \"records_appended\": {}, \"tombstones\": {}, \"supersedes\": {}, \
-         \"backup_bytes\": {}, \"segments_sealed\": {}, \
-         \"segments_compacted\": {}, \"segments_reclaimed\": {}, \
-         \"records_rewritten\": {}, \"rewrite_bytes\": {}, \
-         \"checkpoints\": {}, \"checkpoint_records\": {}, \
-         \"checkpoint_bytes\": {}, \"scrub_segments\": {}, \
-         \"scrub_records\": {}, \"scrub_repairs\": {}}}",
-        mc.ticks,
-        mc.busy_skips,
-        mc.records_appended,
-        mc.tombstones,
-        mc.supersedes,
-        mc.backup_bytes,
-        mc.segments_sealed,
-        mc.segments_compacted,
-        mc.segments_reclaimed,
-        mc.records_rewritten,
-        mc.rewrite_bytes,
-        mc.checkpoints,
-        mc.checkpoint_records,
-        mc.checkpoint_bytes,
-        mc.scrub_segments,
-        mc.scrub_records,
-        mc.scrub_repairs,
-    );
-    let obs_fragment = match obs_metrics {
-        Some(reg) => format!(",\n{}", ibridge_bench::obs_report::json_fragment(reg)),
-        None => String::new(),
-    };
-    let json = format!(
-        "{{\n  \"jobs\": {jobs},\n  \"host_cpus\": {host_cpus},\n  \
-         \"seed\": {},\n  \
-         \"experiments\": [{per}\n  ],\n  \
-         \"wall_s\": {par_wall:.3},\n  \"wall_s_jobs1\": {seq_wall:.3},\n  \
-         \"speedup_vs_jobs1\": {:.3},\n  \
-         \"events_dispatched\": {events},\n  \
-         \"events_per_sec\": {:.0},\n  \
-         \"output_identical_to_jobs1\": {identical}{alloc_summary}\
-         {fault_counters}{maint_counters}{obs_fragment}{note}\n}}\n",
-        scale.seed,
-        seq_wall / par_wall.max(1e-9),
-        events as f64 / par_wall.max(1e-9),
-    );
-    if let Err(e) = std::fs::write(path, &json) {
-        die(&format!("cannot write {path}: {e}"));
-    }
-    eprintln!(
-        "[bench-report: {path} — speedup {:.2}x vs --jobs 1, identical={identical}]",
-        seq_wall / par_wall.max(1e-9)
-    );
-    if !identical {
-        die("output at --jobs N differs from --jobs 1 (determinism bug)");
     }
 }
 
-/// Events/sec as a JSON value: `null` for experiments that dispatch no
-/// simulator events (pure table renders), a rounded rate otherwise.
-fn per_event_rate(events: u64, wall_s: f64) -> String {
-    if events == 0 {
-        "null".to_string()
-    } else {
-        format!("{:.0}", events as f64 / wall_s.max(1e-9))
+/// Writes the `--bench-report` ledger: one entry per experiment, then the
+/// suite's totals (its peak is the highest experiment peak).
+fn write_ledger(path: &str, seed: u64, chosen: &[&Experiment], results: &[(String, Work)]) {
+    let mut suite = Work::default();
+    let mut rows = Vec::new();
+    for (e, (_, w)) in chosen.iter().zip(results) {
+        suite.events += w.events;
+        suite.allocs += w.allocs;
+        suite.alloc_bytes += w.alloc_bytes;
+        suite.peak_bytes = suite.peak_bytes.max(w.peak_bytes);
+        rows.push(format!("    {{\"name\": \"{}\", {}}}", e.name, w.json()));
     }
+    let json = format!(
+        "{{\n  \"seed\": {seed},\n  \"experiments\": [\n{}\n  ],\n  \"suite\": {{{}}}\n}}\n",
+        rows.join(",\n"),
+        suite.json()
+    );
+    if let Err(e) = std::fs::write(path, json) {
+        die(&format!("cannot write {path}: {e}"));
+    }
+    eprintln!("[bench-report: {path}]");
 }
 
 /// Resolves `--fault-plan`: a builtin name, else a plan file. Parse

@@ -1,14 +1,13 @@
 //! Rendering of the observability metrics registry.
 //!
 //! Turns an [`ibridge_obs::metrics::Registry`] snapshot into the text
-//! tables printed by `expt --metrics` and into the JSON fragment merged
-//! into `--bench-report`. All numbers are virtual-time nanoseconds from
-//! the registry; formatting picks a humane unit per value, and the
-//! output depends only on the (deterministic) registry contents.
+//! tables printed by `expt --metrics`. All numbers are virtual-time
+//! nanoseconds from the registry; formatting picks a humane unit per
+//! value, and the output depends only on the (deterministic) registry
+//! contents.
 
 use crate::Table;
 use ibridge_obs::metrics::{Phase, Registry, SubClass};
-use std::fmt::Write as _;
 
 /// Formats a nanosecond count with an adaptive unit (ns/µs/ms/s).
 fn fmt_ns(ns: u64) -> String {
@@ -206,101 +205,6 @@ pub fn render(reg: &Registry) -> String {
     out
 }
 
-/// The metrics registry as a JSON object fragment (no trailing comma or
-/// newline) for embedding in the `--bench-report` document. Empty
-/// registries produce `"obs_metrics": null`.
-pub fn json_fragment(reg: &Registry) -> String {
-    if reg.is_empty() {
-        return "  \"obs_metrics\": null".to_string();
-    }
-    let mut out = String::new();
-    out.push_str("  \"obs_metrics\": {\n    \"phases\": {\n");
-    let mut first = true;
-    for p in Phase::ALL {
-        let h = &reg.phases[p.idx()];
-        if h.count() == 0 {
-            continue;
-        }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "      \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-            p.name(),
-            h.count(),
-            h.sum(),
-            h.p50().unwrap_or(0),
-            h.p95().unwrap_or(0),
-            h.p99().unwrap_or(0),
-            h.max().unwrap_or(0)
-        );
-    }
-    out.push_str("\n    },\n    \"servers\": {\n");
-    let mut first = true;
-    for (&s, a) in &reg.servers {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "      \"{}\": {{\"subs\": {}, \"bytes\": {}, \"disk_subs\": {}, \"ssd_subs\": {}, \"ti_pred_ns\": {}, \"ti_meas_ns\": {}, \"ti_runs\": {}}}",
-            s, a.subs, a.bytes, a.disk_subs, a.ssd_subs, a.ti_pred_ns, a.ti_meas_ns, a.ti_runs
-        );
-    }
-    out.push_str("\n    }");
-    if !reg.mds.is_empty() {
-        let m = &reg.mds;
-        let _ = write!(
-            out,
-            ",\n    \"mds\": {{\"runs\": {}, \"elections\": {}, \"leader_changes\": {}, \
-             \"recovery_ticks\": {}, \"stale_t_decisions\": {}, \"proposals\": {}, \
-             \"commits\": {}}}",
-            m.runs,
-            m.elections,
-            m.leader_changes,
-            m.recovery_ticks,
-            m.stale_t_decisions,
-            m.proposals,
-            m.commits,
-        );
-    }
-    if !reg.maint.is_empty() {
-        let m = &reg.maint;
-        let _ = write!(
-            out,
-            ",\n    \"maint\": {{\"runs\": {}, \"ticks\": {}, \"busy_skips\": {}, \
-             \"records_appended\": {}, \"tombstones\": {}, \"supersedes\": {}, \
-             \"backup_bytes\": {}, \"segments_sealed\": {}, \"segments_compacted\": {}, \
-             \"segments_reclaimed\": {}, \"records_rewritten\": {}, \"rewrite_bytes\": {}, \
-             \"checkpoints\": {}, \"checkpoint_records\": {}, \"checkpoint_bytes\": {}, \
-             \"scrub_segments\": {}, \"scrub_records\": {}, \"scrub_repairs\": {}}}",
-            m.runs,
-            m.ticks,
-            m.busy_skips,
-            m.records_appended,
-            m.tombstones,
-            m.supersedes,
-            m.backup_bytes,
-            m.segments_sealed,
-            m.segments_compacted,
-            m.segments_reclaimed,
-            m.records_rewritten,
-            m.rewrite_bytes,
-            m.checkpoints,
-            m.checkpoint_records,
-            m.checkpoint_bytes,
-            m.scrub_segments,
-            m.scrub_records,
-            m.scrub_repairs,
-        );
-    }
-    out.push_str("\n  }");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +221,6 @@ mod tests {
     fn empty_registry_renders_empty() {
         let reg = Registry::new();
         assert!(render(&reg).is_empty());
-        assert_eq!(json_fragment(&reg), "  \"obs_metrics\": null");
     }
 
     #[test]
@@ -338,8 +241,5 @@ mod tests {
         assert!(s.contains("request"));
         assert!(s.contains("bulk"));
         assert!(s.contains("-10.0"), "residual missing: {s}");
-        let j = json_fragment(&reg);
-        assert!(j.contains("\"request\""));
-        assert!(j.contains("\"ti_runs\": 1"));
     }
 }

@@ -56,10 +56,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Calendar events dispatched by every [`Cluster::run`] in this process,
-/// across all `--jobs` workers — the implementation-throughput
-/// denominator for the harness's `--bench-report` (events per
-/// wall-second).
+/// across all `--jobs` workers. `expt` reads it for its progress line and
+/// its `--bench-report` ledger.
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Online invariant-auditor passes completed by every [`Cluster::run`] in
+/// this process (`ibench` checks that its audited runs really audit).
+static TOTAL_AUDITS: AtomicU64 = AtomicU64::new(0);
 
 /// Total calendar events dispatched by all cluster runs so far in this
 /// process (monotone; updated once per run, so it is cheap and safe to
@@ -76,84 +79,18 @@ pub fn total_window_counters() -> (u64, u64) {
     (0, 0)
 }
 
-static TOTAL_RETRIES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_TIMEOUTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DROPPED_MSGS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DIRTY_LOST: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DEGRADED_NS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FSCK_SCANNED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FSCK_QUARANTINED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_STALE_T: AtomicU64 = AtomicU64::new(0);
-static TOTAL_MDS_ELECTIONS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_MDS_LEADER_CHANGES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_MDS_RECOVERY_NS: AtomicU64 = AtomicU64::new(0);
-/// Auditor passes are counted even on faultless runs (the auditor is a
-/// verification knob, not a fault), so this lives outside the
-/// `is_zero`-gated flush below.
-static TOTAL_AUDITS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide backup-log maintenance totals (segmented log,
-/// checkpoints, compaction, scrub), folded once per run across servers.
-/// `None` until a run with a maintaining policy flushes counters.
-/// Counters only — per-run gauges are zeroed before folding.
-static TOTAL_MAINT: std::sync::Mutex<Option<MaintStats>> = std::sync::Mutex::new(None);
-
-/// Snapshot of the process-wide maintenance counters (monotone; updated
-/// once per run, like [`total_fault_counters`]). All-zero until an
-/// iBridge run with backup-log maintenance has completed.
-pub fn total_maint_counters() -> MaintStats {
-    TOTAL_MAINT.lock().unwrap().unwrap_or_default()
-}
-
-/// Process-wide fault/recovery totals, aggregated once per run across all
-/// threads (the harness's `--bench-report` pulls these next to the cache
-/// counters). All zero unless a fault plan was armed — except `audits`,
-/// which counts invariant-auditor passes on any run with auditing on.
+/// Process-wide totals, updated once per run. Fault and maintenance
+/// counts are per run: [`RunStats::faults`] and [`ServerRunStats::maint`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTotals {
-    /// Sub-request retransmissions.
-    pub retries: u64,
-    /// Client-side sub-request timeouts.
-    pub timeouts: u64,
-    /// Messages lost to crashes or injected network drops.
-    pub dropped_messages: u64,
-    /// Dirty bytes lost to SSD device failures.
-    pub dirty_bytes_lost: u64,
-    /// Summed per-server degraded time, nanoseconds.
-    pub degraded_ns: u64,
-    /// Backup records scanned by restart recovery fscks.
-    pub fsck_records_scanned: u64,
-    /// Backup records quarantined by restart recovery fscks.
-    pub fsck_records_quarantined: u64,
-    /// Client scheduling decisions taken while no metadata service was
-    /// reachable (stale-T degradation).
-    pub stale_t_decisions: u64,
-    /// Replicated-MDS leader elections started.
-    pub mds_elections: u64,
-    /// Client-visible MDS leader changes.
-    pub mds_leader_changes: u64,
-    /// Virtual-time nanoseconds the replicated MDS spent without a
-    /// client-visible leader (failover recovery windows).
-    pub mds_failover_recovery_ticks: u64,
     /// Online invariant-auditor passes completed.
     pub audits: u64,
 }
 
-/// Snapshot of the process-wide fault counters (monotone; updated once
-/// per run, like [`total_events_dispatched`]).
+/// Snapshot of the process-wide totals (monotone, like
+/// [`total_events_dispatched`]).
 pub fn total_fault_counters() -> FaultTotals {
     FaultTotals {
-        retries: TOTAL_RETRIES.load(Ordering::Relaxed),
-        timeouts: TOTAL_TIMEOUTS.load(Ordering::Relaxed),
-        dropped_messages: TOTAL_DROPPED_MSGS.load(Ordering::Relaxed),
-        dirty_bytes_lost: TOTAL_DIRTY_LOST.load(Ordering::Relaxed),
-        degraded_ns: TOTAL_DEGRADED_NS.load(Ordering::Relaxed),
-        fsck_records_scanned: TOTAL_FSCK_SCANNED.load(Ordering::Relaxed),
-        fsck_records_quarantined: TOTAL_FSCK_QUARANTINED.load(Ordering::Relaxed),
-        stale_t_decisions: TOTAL_STALE_T.load(Ordering::Relaxed),
-        mds_elections: TOTAL_MDS_ELECTIONS.load(Ordering::Relaxed),
-        mds_leader_changes: TOTAL_MDS_LEADER_CHANGES.load(Ordering::Relaxed),
-        mds_failover_recovery_ticks: TOTAL_MDS_RECOVERY_NS.load(Ordering::Relaxed),
         audits: TOTAL_AUDITS.load(Ordering::Relaxed),
     }
 }
@@ -208,8 +145,7 @@ pub struct ClusterConfig {
     /// with a structured diagnostic on the first violation. `None`
     /// disables auditing. The auditor is synchronous and read-only — it
     /// posts no events and draws no randomness, so an audited run is
-    /// byte-identical to an unaudited one. Requires the `audit` cargo
-    /// feature (on by default); without it the knob is ignored.
+    /// byte-identical to an unaudited one.
     pub audit_interval: Option<SimDuration>,
 }
 
@@ -1045,11 +981,8 @@ impl Cluster {
             mds_acts: Vec::new(),
         };
         let mut lp = ServerLp {
-            #[cfg(feature = "audit")]
             next_audit: cfg.audit_interval.map(|iv| start + iv),
-            #[cfg(feature = "audit")]
             audit_epochs: servers.iter().map(|c| c.srv_epoch).collect(),
-            #[cfg(feature = "audit")]
             audits: 0,
             jobs: HashMap::default(),
             out: ServerOut::default(),
@@ -1073,7 +1006,6 @@ impl Cluster {
 
         // A final audit closes the run: recovered state must be sound
         // at quiescence, not just at the last cadence tick.
-        #[cfg(feature = "audit")]
         if cfg.audit_interval.is_some() {
             audit_servers(&mut lp, end);
             TOTAL_AUDITS.fetch_add(1 + lp.audits, Ordering::Relaxed);
@@ -1146,19 +1078,6 @@ impl Cluster {
             }
         }
 
-        if !fstats.is_zero() {
-            TOTAL_RETRIES.fetch_add(fstats.retries, Ordering::Relaxed);
-            TOTAL_TIMEOUTS.fetch_add(fstats.timeouts, Ordering::Relaxed);
-            TOTAL_DROPPED_MSGS.fetch_add(fstats.dropped_messages, Ordering::Relaxed);
-            TOTAL_DIRTY_LOST.fetch_add(fstats.dirty_bytes_lost, Ordering::Relaxed);
-            TOTAL_DEGRADED_NS.fetch_add(fstats.degraded.as_nanos(), Ordering::Relaxed);
-            TOTAL_FSCK_SCANNED.fetch_add(fstats.fsck_records_scanned, Ordering::Relaxed);
-            TOTAL_FSCK_QUARANTINED.fetch_add(fstats.fsck_records_quarantined, Ordering::Relaxed);
-            TOTAL_STALE_T.fetch_add(fstats.stale_t_decisions, Ordering::Relaxed);
-            TOTAL_MDS_ELECTIONS.fetch_add(fstats.mds_elections, Ordering::Relaxed);
-            TOTAL_MDS_LEADER_CHANGES.fetch_add(fstats.mds_leader_changes, Ordering::Relaxed);
-            TOTAL_MDS_RECOVERY_NS.fetch_add(fstats.mds_recovery_ticks, Ordering::Relaxed);
-        }
         let servers: Vec<ServerRunStats> = lp
             .cells
             .iter()
@@ -1177,10 +1096,11 @@ impl Cluster {
                 }
             })
             .collect();
-        {
-            // Fold this run's maintenance counters into the process-wide
-            // totals. Gauges are per-run snapshots, not monotone — keep
-            // them out of the cumulative totals.
+        #[cfg(feature = "obs")]
+        if ibridge_obs::metrics_on() {
+            // Fold this run's maintenance counters across servers. Gauges
+            // are per-run snapshots, not monotone — keep them out of the
+            // registry's sums.
             let mut m = MaintStats::default();
             for s in &servers {
                 m.absorb(&s.maint);
@@ -1189,11 +1109,6 @@ impl Cluster {
             m.live_records = 0;
             m.live_backup_bytes = 0;
             if !m.is_zero() {
-                let mut tot = TOTAL_MAINT.lock().unwrap();
-                tot.get_or_insert_with(MaintStats::default).absorb(&m);
-            }
-            #[cfg(feature = "obs")]
-            if ibridge_obs::metrics_on() && !m.is_zero() {
                 ibridge_obs::metrics::record_maint(&ibridge_obs::metrics::MaintAgg {
                     runs: 1,
                     ticks: m.ticks,
@@ -1304,11 +1219,8 @@ struct ServerLp<'r> {
     fault_ids: Vec<Vec<EventId>>,
     cell_was_q: Vec<bool>,
     lost_jobs: Vec<JobId>,
-    #[cfg(feature = "audit")]
     next_audit: Option<SimTime>,
-    #[cfg(feature = "audit")]
     audit_epochs: Vec<u32>,
-    #[cfg(feature = "audit")]
     audits: u64,
 }
 
@@ -1927,7 +1839,6 @@ fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, lp: &mut ServerLp, now: Si
     // dispatch (never posts events, never draws randomness), so the
     // calendar — and therefore every observable output — is
     // byte-identical with auditing on or off.
-    #[cfg(feature = "audit")]
     if let Some(due) = lp.next_audit {
         if now >= due {
             audit_servers(lp, now);
@@ -1936,8 +1847,6 @@ fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, lp: &mut ServerLp, now: Si
             lp.next_audit = Some(now + iv);
         }
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = sh;
     if lp.draining {
         let mut all_q = true;
         for s in 0..lp.cells.len() {
@@ -2308,7 +2217,6 @@ fn maybe_release_barrier(
 /// `CachePolicy::audit`) and the monotonicity of process epochs since
 /// the previous pass. Aborts the simulation with a structured
 /// diagnostic on the first violation; a passing audit leaves no trace.
-#[cfg(feature = "audit")]
 fn audit_servers(lp: &mut ServerLp, now: SimTime) {
     for (i, cell) in lp.cells.iter().enumerate() {
         if cell.down {

@@ -28,12 +28,13 @@ cargo test -q --workspace
 echo "== ibench checks"
 cargo test --locked --offline --manifest-path ibench/Cargo.toml
 
-echo "== expt --jobs parallel output identity"
-./target/release/expt all >/tmp/ibridge_ci_j1.txt 2>/dev/null
+# The goldens step below regenerates goldens/expt_all.txt at the default
+# jobs level, and the ledger step runs `all` again at --jobs 1.
+echo "== expt --jobs 4 all vs goldens/expt_all.txt"
 ./target/release/expt --jobs 4 all >/tmp/ibridge_ci_j4.txt 2>/dev/null
-cmp /tmp/ibridge_ci_j1.txt /tmp/ibridge_ci_j4.txt
+cmp goldens/expt_all.txt /tmp/ibridge_ci_j4.txt
 
-echo "== goldens (calbench, fault/recovery/perf smokes, obs metrics)"
+echo "== goldens (expt all, calbench, fault/recovery/perf smokes, obs metrics)"
 ./scripts/check-goldens.sh
 
 # The goldens step just regenerated the jobs-1 fault/recovery/perf
@@ -73,43 +74,47 @@ echo "== trace-export determinism (fork-path merge, any --jobs)"
 cmp /tmp/ibridge_ci_trace_j1.json /tmp/ibridge_ci_trace_j8.json
 python3 -c "import json; d = json.load(open('/tmp/ibridge_ci_trace_j1.json')); assert d['traceEvents'], 'empty trace'"
 
-echo "== alloc parity (obs feature on vs compiled out; counting allocator)"
-# Absolute counts jitter by a few allocations per process, so the gate
-# is extra allocations per simulated event < 0.001 — a real hot-path
-# leak costs at least one allocation per event. Reports land in /tmp so
-# the working tree stays clean.
+# `--bench-report` writes a ledger of deterministic work (events and heap
+# allocations per experiment) from one --jobs 1 pass of a count-allocs
+# build, so two runs must write the same bytes.
+echo "== bench ledger determinism"
 cargo build --release -p ibridge-bench --features count-allocs
-./target/release/expt --bench-report /tmp/ibridge_ci_bench_obs_on.json summary \
-  >/dev/null 2>&1
+./target/release/expt --bench-report /tmp/ibridge_ci_bench_a.json summary >/dev/null 2>&1
+./target/release/expt --bench-report /tmp/ibridge_ci_bench_b.json summary >/dev/null 2>&1
+cmp /tmp/ibridge_ci_bench_a.json /tmp/ibridge_ci_bench_b.json
 
-echo "== bench-diff vs BENCH_pr7.json (rates annotate, allocs/event gates)"
-# Fresh full-suite self-benchmark under the counting allocator, at the
-# committed baseline's seed and jobs.
-./target/release/expt --seed 42 --jobs 8 \
-  --bench-report /tmp/ibridge_ci_bench_fresh.json all >/dev/null 2>&1
-# Wall-clock rates are host-noisy (same-binary reruns drift by tens of
-# percent on shared runners): print the comparison for review, never
-# fail on it.
-./scripts/bench-diff.sh BENCH_pr7.json /tmp/ibridge_ci_bench_fresh.json \
-  || echo "bench-diff: rate drift is informational only (host noise)"
-# allocs/event is deterministic, so it gates hard: +10% per experiment.
-# --threshold 101 disables the rate gate (a rate regression is bounded
-# at -100%), leaving allocs/event as the only failure condition.
-./scripts/bench-diff.sh BENCH_pr7.json /tmp/ibridge_ci_bench_fresh.json \
-  --threshold 101 --alloc-threshold 10 >/dev/null
+# allocs/event is deterministic, so it gates at +2 % per experiment
+# against the committed full-suite baseline. This pass's stdout is
+# `expt all` at --jobs 1, so it must match the golden too.
+echo "== bench-diff allocs/event gate vs BENCH_baseline.json"
+./target/release/expt --bench-report /tmp/ibridge_ci_bench_fresh.json all \
+  >/tmp/ibridge_ci_j1.txt 2>/dev/null
+cmp goldens/expt_all.txt /tmp/ibridge_ci_j1.txt
+./scripts/bench-diff.sh BENCH_baseline.json /tmp/ibridge_ci_bench_fresh.json
 
+echo "== bench-diff gate self-test (+3 % in one experiment; not a ledger)"
+python3 - BENCH_baseline.json /tmp/ibridge_ci_bench_raised.json <<'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))
+e = next(e for e in r["experiments"] if e["name"] == "fig11")
+e["allocs_per_event"] *= 1.03
+json.dump(r, open(sys.argv[2], "w"))
+PY
+rc=0
+./scripts/bench-diff.sh BENCH_baseline.json /tmp/ibridge_ci_bench_raised.json \
+  >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || { echo "bench-diff missed a 3 % rise (exit $rc)" >&2; exit 1; }
+echo '{"seed": 42}' >/tmp/ibridge_ci_bench_not_a_ledger.json
+rc=0
+./scripts/bench-diff.sh BENCH_baseline.json /tmp/ibridge_ci_bench_not_a_ledger.json \
+  >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "bench-diff accepted a non-ledger (exit $rc)" >&2; exit 1; }
+
+echo "== alloc parity (obs feature on vs compiled out; counting allocator)"
 cargo build --release -p ibridge-bench --no-default-features --features count-allocs
 ./target/release/expt --bench-report /tmp/ibridge_ci_bench_obs_off.json summary \
   >/dev/null 2>&1
-on=$(sed -n 's/.*"allocs_jobs1": \([0-9]*\).*/\1/p' /tmp/ibridge_ci_bench_obs_on.json)
-off=$(sed -n 's/.*"allocs_jobs1": \([0-9]*\).*/\1/p' /tmp/ibridge_ci_bench_obs_off.json)
-ev=$(sed -n 's/.*"events_dispatched": \([0-9]*\).*/\1/p' /tmp/ibridge_ci_bench_obs_on.json)
-echo "allocs: obs feature on = $on, compiled out = $off, events = $ev"
-awk -v a="$on" -v b="$off" -v e="$ev" 'BEGIN {
-  d = (a > b ? a - b : b - a) / e
-  printf "extra allocations per event: %.6f\n", d
-  exit (d < 0.001) ? 0 : 1
-}'
+./scripts/alloc-parity.sh /tmp/ibridge_ci_bench_a.json /tmp/ibridge_ci_bench_obs_off.json
 
 # Restore the default build so a following `expt` run has obs available.
 cargo build --release -p ibridge-bench

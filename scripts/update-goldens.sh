@@ -15,6 +15,7 @@ mkdir -p "$OUT"
 cargo build --release -q -p ibridge-bench
 
 ./target/release/calbench > "$OUT/calbench.txt"
+./target/release/expt all > "$OUT/expt_all.txt" 2>/dev/null
 ./target/release/expt --seed 7 --audit --fault-plan chaos faults \
   > "$OUT/faults_smoke.txt" 2>/dev/null
 ./target/release/expt --seed 7 --audit recovery \
