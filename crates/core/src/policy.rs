@@ -32,8 +32,8 @@ use ibridge_des::SimTime;
 use ibridge_device::{bytes_to_sectors, DiskProfile, Lbn};
 use ibridge_localfs::{ExtentList, FileHandle};
 use ibridge_pvfs::{
-    BitRotTarget, CachePolicy, CacheStats, EntryId, FlushId, FlushOp, LogCorruption, MaintStats,
-    Placement, ReqClass, RestartReport, SubRequest,
+    CachePolicy, CacheStats, EntryId, FlushId, FlushOp, LogCorruption, MaintStats, Placement,
+    ReqClass, RestartReport, RotTarget, SubRequest,
 };
 
 /// Configuration of one server's iBridge instance.
@@ -1174,9 +1174,9 @@ impl CachePolicy for IBridgePolicy {
                 let covers = self.backup.covers_seq();
                 let in_ckpt = |s: u64| covers.is_some_and(|c| s <= c);
                 let eligible: Vec<u64> = match target {
-                    BitRotTarget::Any => seqs,
-                    BitRotTarget::Tail => seqs.into_iter().filter(|&s| !in_ckpt(s)).collect(),
-                    BitRotTarget::Checkpoint => seqs.into_iter().filter(|&s| in_ckpt(s)).collect(),
+                    RotTarget::Any => seqs,
+                    RotTarget::Tail => seqs.into_iter().filter(|&s| !in_ckpt(s)).collect(),
+                    RotTarget::Checkpoint => seqs.into_iter().filter(|&s| in_ckpt(s)).collect(),
                 };
                 if eligible.is_empty() {
                     return 0;
@@ -1190,7 +1190,7 @@ impl CachePolicy for IBridgePolicy {
                     self.planned_damage.push(PlannedDamage::FlipBit {
                         seq: eligible[idx],
                         bit,
-                        checkpoint: matches!(target, BitRotTarget::Checkpoint),
+                        checkpoint: matches!(target, RotTarget::Checkpoint),
                     });
                 }
                 hit.len() as u64
@@ -1726,7 +1726,7 @@ mod tests {
                 LogCorruption::BitRot {
                     sectors: 3,
                     seed,
-                    target: BitRotTarget::Any,
+                    target: RotTarget::Any,
                 },
             );
             let r = p.server_restart(SimTime::ZERO);

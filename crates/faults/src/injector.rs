@@ -90,6 +90,26 @@ pub enum TimedFault {
     MdsPartitionHeal,
 }
 
+impl TimedFault {
+    /// The data server this fault targets, or `None` for an MDS fault.
+    /// Mutable so a cluster can fold a plan's server ids into its range.
+    pub fn server_mut(&mut self) -> Option<&mut usize> {
+        match self {
+            TimedFault::Crash { server }
+            | TimedFault::Restart { server }
+            | TimedFault::SsdLoss { server }
+            | TimedFault::SlowStart { server, .. }
+            | TimedFault::SlowEnd { server, .. }
+            | TimedFault::TornWrite { server, .. }
+            | TimedFault::BitRot { server, .. } => Some(server),
+            TimedFault::MdsCrash
+            | TimedFault::MdsRestart
+            | TimedFault::MdsPartitionStart
+            | TimedFault::MdsPartitionHeal => None,
+        }
+    }
+}
+
 /// Fault-injection and recovery counters for one run, reported next to
 /// the cache statistics. `degraded` is the union of per-server degraded
 /// intervals (down, fail-slow, or running without its SSD) summed over
@@ -170,39 +190,6 @@ impl FaultStats {
     /// plan (or no plan) must produce.
     pub fn is_zero(&self) -> bool {
         *self == FaultStats::default()
-    }
-
-    /// Adds `other`'s counters into `self`. Purely additive, so the
-    /// coordinator's and the servers' stats fold into the same totals in
-    /// either order.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
-        self.ssd_losses += other.ssd_losses;
-        self.slow_windows += other.slow_windows;
-        self.dropped_messages += other.dropped_messages;
-        self.delayed_messages += other.delayed_messages;
-        self.duplicated_messages += other.duplicated_messages;
-        self.timeouts += other.timeouts;
-        self.retries += other.retries;
-        self.failed_subs += other.failed_subs;
-        self.duplicate_replies += other.duplicate_replies;
-        self.stale_completions += other.stale_completions;
-        self.dirty_bytes_lost += other.dirty_bytes_lost;
-        self.clean_entries_dropped += other.clean_entries_dropped;
-        self.pending_entries_dropped += other.pending_entries_dropped;
-        self.torn_writes += other.torn_writes;
-        self.rotted_records += other.rotted_records;
-        self.mds_crashes += other.mds_crashes;
-        self.mds_restarts += other.mds_restarts;
-        self.stalled_broadcasts += other.stalled_broadcasts;
-        self.stale_t_decisions += other.stale_t_decisions;
-        self.mds_elections += other.mds_elections;
-        self.mds_leader_changes += other.mds_leader_changes;
-        self.mds_recovery_ticks += other.mds_recovery_ticks;
-        self.fsck_records_scanned += other.fsck_records_scanned;
-        self.fsck_records_quarantined += other.fsck_records_quarantined;
-        self.degraded += other.degraded;
     }
 }
 
@@ -552,27 +539,44 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_counters_additively() {
-        let mut a = FaultStats {
-            crashes: 1,
-            retries: 5,
-            degraded: SimDuration::from_millis(30),
-            ..FaultStats::default()
-        };
-        let b = FaultStats {
-            crashes: 2,
-            dropped_messages: 7,
-            degraded: SimDuration::from_millis(70),
-            ..FaultStats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.crashes, 3);
-        assert_eq!(a.retries, 5);
-        assert_eq!(a.dropped_messages, 7);
-        assert_eq!(a.degraded, SimDuration::from_millis(100));
-        let mut z = FaultStats::default();
-        z.absorb(&FaultStats::default());
-        assert!(z.is_zero(), "absorbing zero leaves zero");
+    fn server_mut_targets_the_server_of_every_server_fault() {
+        let dev = FaultDev::Primary;
+        let server_faults = [
+            TimedFault::Crash { server: 9 },
+            TimedFault::Restart { server: 9 },
+            TimedFault::SsdLoss { server: 9 },
+            TimedFault::SlowStart {
+                server: 9,
+                dev,
+                factor: 2.0,
+            },
+            TimedFault::SlowEnd { server: 9, dev },
+            TimedFault::TornWrite {
+                server: 9,
+                records: 1,
+            },
+            TimedFault::BitRot {
+                server: 9,
+                sectors: 1,
+                seed: 3,
+                target: RotTarget::Any,
+            },
+        ];
+        for mut f in server_faults {
+            let name = format!("{f:?}");
+            let s = f.server_mut().expect("a server fault has a target");
+            assert_eq!(*s, 9, "{name}");
+            *s %= 4;
+            assert_eq!(f.server_mut().copied(), Some(1), "{name}");
+        }
+        for mut f in [
+            TimedFault::MdsCrash,
+            TimedFault::MdsRestart,
+            TimedFault::MdsPartitionStart,
+            TimedFault::MdsPartitionHeal,
+        ] {
+            assert!(f.server_mut().is_none(), "{f:?}");
+        }
     }
 
     #[test]

@@ -152,10 +152,11 @@ pub enum FaultSpec {
 /// checkpoint image; plans can rot either specifically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RotTarget {
-    /// Any resident backup record (the default).
+    /// Any resident backup record, tail and checkpoint alike (the
+    /// default).
     #[default]
     Any,
-    /// Log-tail records only.
+    /// Log-tail records only (seqs newer than the checkpoint covers).
     Tail,
     /// Checkpoint-image records only.
     Checkpoint,

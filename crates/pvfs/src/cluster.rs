@@ -12,29 +12,30 @@
 //! warms the iBridge cache before read experiments (the paper relies on
 //! the same effect across repeated production runs).
 //!
-//! # Coordinator and servers
+//! # Nodes and the job table
 //!
-//! The cluster's state is split in two halves, and the event type alone
-//! decides which half handles an event:
+//! The calendar has one node for the clients and the metadata service
+//! (node 0, the coordinator) and one per data server. A run keeps all of
+//! its state in one place and handles every event with one `match`, but
+//! an effect on another node happens only through a posted event: a
+//! sub-request, a reply, a T report, a broadcast, a steer-off or the
+//! drain kick. [`ibridge_des::Simulation`] asserts on every post between
+//! two nodes that it lands at least one network floor in the future.
 //!
-//! * the **coordinator** (`CoordLp`) owns the clients and the metadata
-//!   server: the workload, per-process bookkeeping, the in-flight parent
-//!   table, the retry protocol and the MDS T-value table;
-//! * the **servers** (`ServerLp`) own the data servers: their devices,
-//!   policies, links, crash/epoch state and in-flight job table.
-//!
-//! Neither half touches the other's state. Every interaction crosses the
-//! fabric as a message posted at least one network floor in the future:
-//! requests carry their job record in the message, an SSD loss steers the
-//! MDS off with a message, and the coordinator kicks the end-of-run drain
-//! with one. [`ibridge_des::Simulation`] asserts that floor on every post
-//! between two nodes. Probabilistic network impairments draw from
-//! per-node RNG streams ([`ibridge_faults::NetDecider`]). Event keys are
-//! intrinsic `(time, source node, per-node sequence)`, so every stat,
-//! trace and golden is byte-identical at any `--jobs` level.
+//! The job table holds the payload of every sub-request message in
+//! flight, so a message carries only its job id. The client inserts one
+//! record per copy the fabric delivers (a dropped message gets none).
+//! The server takes the record's sub-request when its CPU admits the job
+//! and removes the record when it replies. A message that reaches a dead
+//! server, a job queued by a process that has since crashed, and a job
+//! in the custody of a crashed server or a lost SSD lose their records
+//! too. Probabilistic network impairments draw from per-node RNG streams
+//! ([`ibridge_faults::NetDecider`]). Event keys are intrinsic `(time,
+//! source node, per-node sequence)`, so every stat, trace and golden is
+//! byte-identical at any `--jobs` level.
 
 use crate::layout::Layout;
-use crate::policy::{BitRotTarget, CachePolicy, CacheStats, LogCorruption, MaintStats};
+use crate::policy::{CachePolicy, CacheStats, LogCorruption, MaintStats};
 use crate::proto::{FileRequest, SubRequest};
 use crate::server::{DataServer, DevKind, JobId, ServerConfig, ServerOut};
 use crate::workload::Workload;
@@ -42,7 +43,7 @@ use ibridge_des::fxhash::FxHashMap as HashMap;
 use ibridge_des::stats::{Histogram, MeanTracker};
 use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
 use ibridge_faults::{
-    FaultDev, FaultInjector, FaultPlan, FaultStats, NetDecider, RetryConfig, RotTarget, TimedFault,
+    FaultDev, FaultInjector, FaultPlan, FaultStats, NetDecider, RetryConfig, TimedFault,
 };
 use ibridge_iosched::{Action, DevStats};
 use ibridge_localfs::FileHandle;
@@ -54,46 +55,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Calendar events dispatched by every [`Cluster::run`] in this process,
-/// across all `--jobs` workers. `expt` reads it for its progress line and
-/// its `--bench-report` ledger.
-static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Online invariant-auditor passes completed by every [`Cluster::run`] in
-/// this process (`ibench` checks that its audited runs really audit).
-static TOTAL_AUDITS: AtomicU64 = AtomicU64::new(0);
-
-/// Total calendar events dispatched by all cluster runs so far in this
-/// process (monotone; updated once per run, so it is cheap and safe to
-/// poll from another thread).
-pub fn total_events_dispatched() -> u64 {
-    TOTAL_EVENTS.load(Ordering::Relaxed)
-}
-
-/// Always `(0, 0)`: the `(windows, barriers)` of the removed threaded
-/// driver. Runs are serial, so there are no windows to count. Kept only
-/// because the `ibench` package still reads it; remove it together with
-/// ibench's `des.windows` metric.
-pub fn total_window_counters() -> (u64, u64) {
-    (0, 0)
-}
-
-/// Process-wide totals, updated once per run. Fault and maintenance
-/// counts are per run: [`RunStats::faults`] and [`ServerRunStats::maint`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTotals {
-    /// Online invariant-auditor passes completed.
-    pub audits: u64,
-}
-
-/// Snapshot of the process-wide totals (monotone, like
-/// [`total_events_dispatched`]).
-pub fn total_fault_counters() -> FaultTotals {
-    FaultTotals {
-        audits: TOTAL_AUDITS.load(Ordering::Relaxed),
-    }
-}
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -142,10 +103,11 @@ pub struct ClusterConfig {
     /// Virtual-time cadence of the online invariant auditor: every
     /// elapsed interval the auditor cross-checks every live server's
     /// policy invariants and the process-epoch monotonicity, aborting
-    /// with a structured diagnostic on the first violation. `None`
-    /// disables auditing. The auditor is synchronous and read-only — it
-    /// posts no events and draws no randomness, so an audited run is
-    /// byte-identical to an unaudited one.
+    /// with a structured diagnostic on the first violation. The final
+    /// audit at the end of the run also checks that no in-flight record
+    /// is left over. `None` disables auditing. The auditor is synchronous
+    /// and read-only — it posts no events and draws no randomness, so an
+    /// audited run is byte-identical to an unaudited one.
     pub audit_interval: Option<SimDuration>,
 }
 
@@ -184,15 +146,9 @@ enum Ev {
     Wake { proc: usize },
     /// Think time elapsed; issue the request.
     Issue { proc: usize, req: FileRequest },
-    /// Sub-request message reached its server, carrying the cluster-side
-    /// job record with it — the job table is owned by the servers' half
-    /// of the state, so the record travels in the message instead of
-    /// being shared.
-    SubArrive {
-        server: usize,
-        job: JobId,
-        pj: Box<PendingJob>,
-    },
+    /// Sub-request message reached its server; its record waits in the
+    /// job table under `job`.
+    SubArrive { server: usize, job: JobId },
     /// Server CPU admitted the sub-request. `epoch` is the server's
     /// process epoch at admission: a crash bumps it, so executions queued
     /// by the dead process are discarded instead of acting on the
@@ -263,7 +219,10 @@ enum Ev {
     SteerOff { server: usize },
 }
 
-#[derive(Debug, Default)]
+/// A record of the job table: one sub-request message in flight, from
+/// the moment the client sends it until the server replies or the job is
+/// lost.
+#[derive(Debug, Clone)]
 struct PendingJob {
     /// Taken (moved into the server) when the CPU admits the job; the
     /// reply size is precomputed so the reply path never needs it back.
@@ -275,400 +234,8 @@ struct PendingJob {
     sub_idx: u32,
 }
 
-/// Recycling pool for the `Box<PendingJob>` riding every `SubArrive`
-/// message: without it each sub-request costs a heap allocation at the
-/// coordinator that the receiving server immediately frees. The pool is
-/// thread-local so concurrent `--jobs` runs need no synchronisation
-/// (each run reaches steady state after its first in-flight wave).
-/// Pool membership is invisible to the simulation — a recycled box is
-/// fully overwritten before reuse, so output is identical with or
-/// without pooling.
-const PJ_POOL_CAP: usize = 1024;
-thread_local! {
-    // The boxes themselves are the resource being recycled (they ride
-    // inside `Ev::SubArrive`), so `Vec<Box<_>>` is the point here.
-    #[allow(clippy::vec_box)]
-    static PJ_POOL: std::cell::RefCell<Vec<Box<PendingJob>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn pj_box(pj: PendingJob) -> Box<PendingJob> {
-    PJ_POOL.with(|p| match p.borrow_mut().pop() {
-        Some(mut b) => {
-            *b = pj;
-            b
-        }
-        None => Box::new(pj),
-    })
-}
-
-fn pj_recycle(b: Box<PendingJob>) {
-    PJ_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < PJ_POOL_CAP {
-            p.push(b);
-        }
-    });
-}
-
-/// Client-side in-flight record of one sub-request, kept only while a
-/// fault plan is armed: the original message for retransmission, the
-/// attempt count, and the pending timeout timer.
-#[derive(Debug)]
-struct SubTrack {
-    sub: SubRequest,
-    attempt: u32,
-    done: bool,
-    timeout: Option<EventId>,
-}
-
-#[derive(Debug)]
-struct ParentState {
-    proc: usize,
-    pending: usize,
-    issued_at: SimTime,
-    /// In-flight table for retry/dedup; empty when no plan is armed.
-    subs: Vec<SubTrack>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ProcState {
-    Running,
-    AtBarrier,
-    Done,
-}
-
-// Observability hooks. Each is one relaxed atomic load when the
-// corresponding collector is off; none touches the calendar or the RNG.
-
-/// Client → server request hop: `NetRequest` metric + `net:req` span.
-#[cfg(feature = "obs")]
-fn obs_net_req(
-    now: SimTime,
-    arrive: SimTime,
-    proc: usize,
-    parent: u64,
-    sub_idx: u32,
-    server: usize,
-) {
-    use ibridge_obs::{metrics, trace};
-    let d = (arrive - now).as_nanos();
-    metrics::record_phase(metrics::Phase::NetRequest, d);
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: now.as_nanos(),
-            dur_ns: d,
-            node: trace::CLIENT_NODE,
-            lane: proc as u16,
-            name: "net:req",
-            id: trace::span_id(parent, sub_idx),
-            aux: server as u64,
-        });
-    }
-}
-
-/// Server CPU admission queue: `SrvQueue` metric + `srv:queue` span.
-#[cfg(feature = "obs")]
-fn obs_srv_queue(now: SimTime, exec_at: SimTime, server: usize, job: JobId) {
-    use ibridge_obs::{metrics, trace};
-    let d = (exec_at - now).as_nanos();
-    metrics::record_phase(metrics::Phase::SrvQueue, d);
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: now.as_nanos(),
-            dur_ns: d,
-            node: trace::server_node(server),
-            lane: 0,
-            name: "srv:queue",
-            id: job,
-            aux: 0,
-        });
-    }
-}
-
-/// Server → client reply hop: `NetReply` metric + `net:reply` span.
-#[cfg(feature = "obs")]
-fn obs_net_reply(
-    now: SimTime,
-    arrive: SimTime,
-    server: usize,
-    parent: u64,
-    sub_idx: u32,
-    reply_bytes: u64,
-) {
-    use ibridge_obs::{metrics, trace};
-    let d = (arrive - now).as_nanos();
-    metrics::record_phase(metrics::Phase::NetReply, d);
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: now.as_nanos(),
-            dur_ns: d,
-            node: trace::server_node(server),
-            lane: 0,
-            name: "net:reply",
-            id: trace::span_id(parent, sub_idx),
-            aux: reply_bytes,
-        });
-    }
-}
-
-/// Trace lane for replicated-MDS spans on the client node — far above
-/// any real process lane, so MDS activity sorts into its own swimlane.
-#[cfg(feature = "obs")]
-const MDS_TRACE_LANE: u16 = u16::MAX;
-
-/// One replicated log entry, proposal → majority commit:
-/// `mds:replicate` span (id = commit index).
-#[cfg(feature = "obs")]
-fn obs_mds_replicate(proposed_at: SimTime, committed_at: SimTime, index: u64) {
-    use ibridge_obs::trace;
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: proposed_at.as_nanos(),
-            dur_ns: (committed_at - proposed_at).as_nanos(),
-            node: trace::CLIENT_NODE,
-            lane: MDS_TRACE_LANE,
-            name: "mds:replicate",
-            id: index,
-            aux: 0,
-        });
-    }
-}
-
-/// A leadership change in the MDS group: `mds:leader` span (id = term,
-/// aux = elected replica, or `u64::MAX` for "leaderless").
-#[cfg(feature = "obs")]
-fn obs_mds_leader(now: SimTime, leader: Option<usize>, term: u64) {
-    use ibridge_obs::trace;
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: now.as_nanos(),
-            dur_ns: 0,
-            node: trace::CLIENT_NODE,
-            lane: MDS_TRACE_LANE,
-            name: "mds:leader",
-            id: term,
-            aux: leader.map_or(u64::MAX, |l| l as u64),
-        });
-    }
-}
-
-/// Whole client request, issue → last sub-reply: `Request` metric +
-/// `request` span.
-#[cfg(feature = "obs")]
-fn obs_request_done(issued_at: SimTime, wait: SimDuration, proc: usize, parent: u64) {
-    use ibridge_obs::{metrics, trace};
-    let d = wait.as_nanos();
-    metrics::record_phase(metrics::Phase::Request, d);
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: issued_at.as_nanos(),
-            dur_ns: d,
-            node: trace::CLIENT_NODE,
-            lane: proc as u16,
-            name: "request",
-            id: parent,
-            aux: 0,
-        });
-    }
-}
-
-fn dev_idx(kind: DevKind) -> usize {
-    match kind {
-        DevKind::Primary => 0,
-        DevKind::Cache => 1,
-    }
-}
-
-fn devkind(dev: FaultDev) -> DevKind {
-    match dev {
-        FaultDev::Primary => DevKind::Primary,
-        FaultDev::Cache => DevKind::Cache,
-    }
-}
-
-/// Folds a plan's server id into the cluster's range so one plan file
-/// works across cluster sizes.
-fn clamp_fault(f: TimedFault, n: usize) -> TimedFault {
-    match f {
-        TimedFault::Crash { server } => TimedFault::Crash { server: server % n },
-        TimedFault::Restart { server } => TimedFault::Restart { server: server % n },
-        TimedFault::SsdLoss { server } => TimedFault::SsdLoss { server: server % n },
-        TimedFault::SlowStart {
-            server,
-            dev,
-            factor,
-        } => TimedFault::SlowStart {
-            server: server % n,
-            dev,
-            factor,
-        },
-        TimedFault::SlowEnd { server, dev } => TimedFault::SlowEnd {
-            server: server % n,
-            dev,
-        },
-        TimedFault::TornWrite { server, records } => TimedFault::TornWrite {
-            server: server % n,
-            records,
-        },
-        TimedFault::BitRot {
-            server,
-            sectors,
-            seed,
-            target,
-        } => TimedFault::BitRot {
-            server: server % n,
-            sectors,
-            seed,
-            target,
-        },
-        TimedFault::MdsCrash
-        | TimedFault::MdsRestart
-        | TimedFault::MdsPartitionStart
-        | TimedFault::MdsPartitionHeal => f,
-    }
-}
-
-/// The data server a fault targets, or `None` for MDS faults — the
-/// static routing key that decides which node posts a scheduled fault
-/// and which half of the state handles it.
-fn fault_server(f: &TimedFault) -> Option<usize> {
-    match *f {
-        TimedFault::Crash { server }
-        | TimedFault::Restart { server }
-        | TimedFault::SsdLoss { server }
-        | TimedFault::SlowStart { server, .. }
-        | TimedFault::SlowEnd { server, .. }
-        | TimedFault::TornWrite { server, .. }
-        | TimedFault::BitRot { server, .. } => Some(server),
-        TimedFault::MdsCrash
-        | TimedFault::MdsRestart
-        | TimedFault::MdsPartitionStart
-        | TimedFault::MdsPartitionHeal => None,
-    }
-}
-
-/// Per-server statistics captured at the end of a run.
-#[derive(Debug, Clone)]
-pub struct ServerRunStats {
-    /// Primary device counters.
-    pub primary: DevStats,
-    /// Cache device counters (if configured).
-    pub cache: Option<DevStats>,
-    /// Policy counters.
-    pub policy: CacheStats,
-    /// Backup-log maintenance counters (segmented log, checkpoints,
-    /// compaction, scrub) — all zero for policies without a backup log.
-    pub maint: MaintStats,
-    /// Dispatch-size histogram of primary-device reads (sectors).
-    pub primary_reads: Histogram,
-    /// Dispatch-size histogram of primary-device writes (sectors).
-    pub primary_writes: Histogram,
-    /// Readahead page-cache hits served without device I/O.
-    pub ra_hits: u64,
-    /// Bytes of those hits.
-    pub ra_bytes: u64,
-}
-
-/// Results of one workload run.
-#[derive(Debug, Clone)]
-pub struct RunStats {
-    /// Wall time to full quiescence (includes the writeback drain, as
-    /// the paper's methodology requires).
-    pub elapsed: SimDuration,
-    /// Wall time until the last process finished its last request.
-    pub client_elapsed: SimDuration,
-    /// Client-level bytes moved.
-    pub bytes: u64,
-    /// Client-level requests issued.
-    pub requests: u64,
-    /// Per-request completion latency, milliseconds.
-    pub latency_ms: MeanTracker,
-    /// Latency distribution, bucketed in whole milliseconds
-    /// (percentiles via [`Histogram::quantile`]).
-    pub latency_hist_ms: Histogram,
-    /// Total time processes spent waiting on I/O (summed across procs).
-    pub io_time: SimDuration,
-    /// Total compute (think) time (summed across procs).
-    pub think_time: SimDuration,
-    /// Calendar events dispatched during this run (simulator work, not a
-    /// property of the simulated system).
-    pub events_dispatched: u64,
-    /// Bytes moved by each process (heterogeneous-workload accounting).
-    pub proc_bytes: Vec<u64>,
-    /// When each process finished, relative to run start.
-    pub proc_done: Vec<SimDuration>,
-    /// Per-server breakdown.
-    pub servers: Vec<ServerRunStats>,
-    /// Fault/recovery counters (all zero unless a plan was armed).
-    pub faults: FaultStats,
-}
-
-impl RunStats {
-    /// Aggregate throughput over the full run (drain included), MB/s.
-    pub fn throughput_mbps(&self) -> f64 {
-        if self.elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.bytes as f64 / self.elapsed.as_secs_f64() / 1e6
-    }
-
-    /// Throughput over the client phase only, MB/s.
-    pub fn client_throughput_mbps(&self) -> f64 {
-        if self.client_elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.bytes as f64 / self.client_elapsed.as_secs_f64() / 1e6
-    }
-
-    /// Fraction of client bytes served by the SSD caches.
-    pub fn ssd_served_fraction(&self) -> f64 {
-        let ssd: u64 = self.servers.iter().map(|s| s.policy.bytes_ssd).sum();
-        let disk: u64 = self.servers.iter().map(|s| s.policy.bytes_disk).sum();
-        if ssd + disk == 0 {
-            0.0
-        } else {
-            ssd as f64 / (ssd + disk) as f64
-        }
-    }
-
-    /// Combined dispatch histogram of all primary devices (reads).
-    pub fn combined_read_hist(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in &self.servers {
-            h.merge(&s.primary_reads);
-        }
-        h
-    }
-
-    /// Combined dispatch histogram of all primary devices (writes).
-    pub fn combined_write_hist(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in &self.servers {
-            h.merge(&s.primary_writes);
-        }
-        h
-    }
-
-    /// Throughput of a subset of processes, MB/s: their bytes over the
-    /// time the slowest of them took (per-benchmark numbers in
-    /// heterogeneous runs, cf. Fig. 12).
-    pub fn group_throughput_mbps(&self, procs: std::ops::Range<usize>) -> f64 {
-        let bytes: u64 = self.proc_bytes[procs.clone()].iter().sum();
-        let slowest = self.proc_done[procs]
-            .iter()
-            .max()
-            .copied()
-            .unwrap_or(SimDuration::ZERO);
-        if slowest == SimDuration::ZERO {
-            return 0.0;
-        }
-        bytes as f64 / slowest.as_secs_f64() / 1e6
-    }
-}
-
-/// Cross-run state owned by the coordinator: the clients' RNG and id
-/// counters, and the metadata server.
+/// Cross-run state of the coordinator: the clients' RNG and id counters,
+/// and the metadata server.
 struct CoordPersist {
     /// Link the MDS broadcasts the T-table on.
     mds_link: Link,
@@ -846,32 +413,25 @@ impl Cluster {
             .as_ref()
             .map(|inj| inj.retry().clone())
             .unwrap_or_default();
-        let mut coord_fault_ids: Vec<EventId> = Vec::new();
-        let mut server_fault_ids: Vec<Vec<EventId>> = vec![Vec::new(); n_servers];
+        let mut fault_ids: Vec<Vec<EventId>> = vec![Vec::new(); n_servers + 1];
         if let Some(inj) = self.injector.as_mut() {
             // `arm` hands the timeline out exactly once, so a cluster
             // re-run without re-arming does not re-inject old faults.
-            let timeline: Vec<(SimDuration, TimedFault)> = inj.arm().to_vec();
-            for (off, f) in timeline {
-                // Each fault is posted by and onto the node it targets
-                // (fault targets are known when the plan is armed).
-                // Cancellable: the run drains the calendar to empty, so
-                // faults pending past their target's quiescence are
-                // unscheduled.
-                let f = clamp_fault(f, n_servers);
-                match fault_server(&f) {
+            for &(off, mut f) in inj.arm() {
+                // Each fault is posted by and onto the node it targets.
+                // Server ids fold into the cluster's range so one plan
+                // file works across cluster sizes. Cancellable: the run
+                // drains the calendar to empty, so faults pending past
+                // their target's quiescence are unscheduled.
+                let node = match f.server_mut() {
                     Some(s) => {
-                        let node = srv_node(s);
-                        let id = self.sim.schedule_at(node, node, start + off, Ev::Fault(f));
-                        server_fault_ids[s].push(id);
+                        *s %= n_servers;
+                        srv_node(*s)
                     }
-                    None => {
-                        let id = self
-                            .sim
-                            .schedule_at(COORD, COORD, start + off, Ev::Fault(f));
-                        coord_fault_ids.push(id);
-                    }
-                }
+                    None => COORD,
+                };
+                let id = self.sim.schedule_at(node, node, start + off, Ev::Fault(f));
+                fault_ids[usize::from(node)].push(id);
             }
         }
         for cell in &mut self.servers {
@@ -934,9 +494,6 @@ impl Cluster {
             }
         }
 
-        // Split the cluster into its two halves. From here on no code
-        // path touches state across the split: each event is handled by
-        // the coordinator or by the servers, never both.
         let Cluster {
             cfg,
             sim,
@@ -945,15 +502,13 @@ impl Cluster {
             ..
         } = self;
         let cfg: &ClusterConfig = cfg;
-        let shared = Shared {
+        let mut run = Run {
             cfg,
             layout,
             ibridge,
             faults,
             start,
-        };
-        let mut co = CoordLp {
-            p: coord,
+            coord,
             workload,
             retry,
             client_links,
@@ -961,6 +516,7 @@ impl Cluster {
             proc_iter: vec![0u64; n_procs],
             active: n_procs,
             parents: HashMap::default(),
+            jobs: HashMap::default(),
             latency_ms: MeanTracker::new(),
             latency_hist_ms: Histogram::new(),
             io_time: SimDuration::ZERO,
@@ -972,56 +528,48 @@ impl Cluster {
             proc_done: vec![SimDuration::ZERO; n_procs],
             use_barrier,
             barrier_mask,
-            drain_kicked: false,
-            fault_ids: coord_fault_ids,
-            fstats: FaultStats::default(),
-            pieces_scratch: Vec::new(),
-            subs_scratch: Vec::new(),
-            mds_shutdown: false,
-            mds_acts: Vec::new(),
-        };
-        let mut lp = ServerLp {
-            next_audit: cfg.audit_interval.map(|iv| start + iv),
-            audit_epochs: servers.iter().map(|c| c.srv_epoch).collect(),
-            audits: 0,
-            jobs: HashMap::default(),
-            out: ServerOut::default(),
+            fault_ids,
             fstats: FaultStats::default(),
             draining: false,
             was_quiescent: false,
             quiesced_at: start,
-            fault_ids: server_fault_ids,
             cell_was_q: vec![false; n_servers],
+            next_audit: cfg.audit_interval.map(|iv| start + iv),
+            audit_epochs: servers.iter().map(|c| c.srv_epoch).collect(),
+            audits: 0,
+            pieces_scratch: Vec::new(),
+            subs_scratch: Vec::new(),
+            out: ServerOut::default(),
             lost_jobs: Vec::new(),
+            mds_acts: Vec::new(),
             cells: servers,
         };
 
-        sim.run(|sim, now, ev| dispatch(&shared, sim, &mut co, &mut lp, now, ev));
+        sim.run(|sim, now, ev| run.handle(sim, now, ev));
 
         // The calendar ran to empty; trailing impaired messages
         // (delayed or duplicated replies) may dispatch after the last
         // meaningful work, so the run's end is bookkept: the last
         // client completion and the servers' drain quiescence.
-        let end = co.client_done_at.max(lp.quiesced_at);
+        let end = run.client_done_at.max(run.quiesced_at);
 
         // A final audit closes the run: recovered state must be sound
         // at quiescence, not just at the last cadence tick.
         if cfg.audit_interval.is_some() {
-            audit_servers(&mut lp, end);
-            TOTAL_AUDITS.fetch_add(1 + lp.audits, Ordering::Relaxed);
+            run.audit_end(end);
+            TOTAL_AUDITS.fetch_add(1 + run.audits, Ordering::Relaxed);
         }
 
         let events_dispatched = sim.dispatched() - dispatched_before;
         TOTAL_EVENTS.fetch_add(events_dispatched, Ordering::Relaxed);
 
-        let mut fstats = co.fstats;
-        fstats.absorb(&lp.fstats);
+        let mut fstats = run.fstats;
 
         // Close out the MDS group for this run: accrue any still-open
         // leaderless window to `end`, then fold the per-run stats delta
         // (the group persists across runs) into the fault counters.
-        co.p.mds.finish(end);
-        let s = co.p.mds.stats();
+        run.coord.mds.finish(end);
+        let s = run.coord.mds.stats();
         let b = mds_before;
         let mds_run = MdsStats {
             elections: s.elections - b.elections,
@@ -1034,12 +582,10 @@ impl Cluster {
         fstats.mds_elections += mds_run.elections;
         fstats.mds_leader_changes += mds_run.leader_changes;
         fstats.mds_recovery_ticks += mds_run.recovery_ticks;
-        #[cfg(not(feature = "obs"))]
-        let _ = mds_run;
         // The MDS table is recorded for groups with peers, or when a
         // single MDS's outage left clients steering on stale T values.
         #[cfg(feature = "obs")]
-        if ibridge_obs::metrics_on() && (co.p.mds.n() > 1 || fstats.stale_t_decisions > 0) {
+        if ibridge_obs::metrics_on() && (run.coord.mds.n() > 1 || fstats.stale_t_decisions > 0) {
             ibridge_obs::metrics::record_mds(&ibridge_obs::metrics::MdsAgg {
                 runs: 1,
                 elections: mds_run.elections,
@@ -1050,7 +596,7 @@ impl Cluster {
                 commits: mds_run.commits,
             });
         }
-        for cell in lp.cells.iter_mut() {
+        for cell in run.cells.iter_mut() {
             // Close degradation windows still open at run end (a lost
             // SSD degrades the server for the rest of its life).
             if cell.degraded_depth > 0 {
@@ -1066,7 +612,7 @@ impl Cluster {
         // — those runs contribute no sample.
         #[cfg(feature = "obs")]
         if ibridge_obs::metrics_on() {
-            for (s_id, (cell, d0)) in lp.cells.iter().zip(&obs_dev0).enumerate() {
+            for (s_id, (cell, d0)) in run.cells.iter().zip(&obs_dev0).enumerate() {
                 let pred_s = cell.server.policy().report_t();
                 let st = cell.server.primary().stats();
                 if pred_s > 0.0 && st.requests > d0.requests && st.busy >= d0.busy {
@@ -1078,7 +624,7 @@ impl Cluster {
             }
         }
 
-        let servers: Vec<ServerRunStats> = lp
+        let servers: Vec<ServerRunStats> = run
             .cells
             .iter()
             .map(|cell| {
@@ -1133,43 +679,45 @@ impl Cluster {
         }
         RunStats {
             elapsed: end - start,
-            client_elapsed: co.client_done_at - start,
-            bytes: co.bytes,
-            requests: co.requests,
-            latency_ms: co.latency_ms,
-            latency_hist_ms: co.latency_hist_ms,
-            io_time: co.io_time,
-            think_time: co.think_time,
+            client_elapsed: run.client_done_at - start,
+            bytes: run.bytes,
+            requests: run.requests,
+            latency_ms: run.latency_ms,
+            latency_hist_ms: run.latency_hist_ms,
+            io_time: run.io_time,
+            think_time: run.think_time,
             events_dispatched,
-            proc_bytes: co.proc_bytes,
-            proc_done: co.proc_done,
+            proc_bytes: run.proc_bytes,
+            proc_done: run.proc_done,
             servers,
             faults: fstats,
         }
     }
 }
 
-/// Read-only run parameters shared by both handlers.
-struct Shared<'c> {
-    cfg: &'c ClusterConfig,
+/// The state of one [`Cluster::run`]: the cluster's cross-run state, on
+/// loan for the run, and everything the run adds on top.
+struct Run<'r> {
+    cfg: &'r ClusterConfig,
     layout: Layout,
     ibridge: bool,
     /// A plan is armed: track sub-requests for timeout/retry/dedup.
     faults: bool,
     /// This run's start time (net-impairment windows are relative to it).
     start: SimTime,
-}
-
-/// Per-run state of the coordinator (clients + MDS).
-struct CoordLp<'r> {
-    p: &'r mut CoordPersist,
+    coord: &'r mut CoordPersist,
+    cells: &'r mut [ServerCell],
     workload: &'r mut dyn Workload,
     retry: RetryConfig,
     client_links: Vec<Link>,
     proc_state: Vec<ProcState>,
     proc_iter: Vec<u64>,
+    /// Processes not yet done. When the last one finishes the client
+    /// kicks the end-of-run drain.
     active: usize,
     parents: HashMap<u64, ParentState>,
+    /// The job table: every sub-request message in flight, by job id.
+    jobs: HashMap<JobId, PendingJob>,
     latency_ms: MeanTracker,
     latency_hist_ms: Histogram,
     io_time: SimDuration,
@@ -1181,850 +729,1033 @@ struct CoordLp<'r> {
     proc_done: Vec<SimDuration>,
     use_barrier: bool,
     barrier_mask: Vec<bool>,
-    drain_kicked: bool,
-    /// Pending scheduled MDS faults, cancelled at the drain kick so the
-    /// calendar can run to empty.
-    fault_ids: Vec<EventId>,
-    fstats: FaultStats,
-    /// Scratch for request decomposition, reused across every Issue:
-    /// after warm-up the client path performs no allocation.
-    pieces_scratch: Vec<(usize, u64, u64)>,
-    subs_scratch: Vec<SubRequest>,
-    /// The end-of-run drain started: MDS timers and retries stop
-    /// re-arming so the calendar can run to empty.
-    mds_shutdown: bool,
-    /// Scratch for MDS actions, reused across every MDS event.
-    mds_acts: Vec<MdsAction>,
-}
-
-/// Per-run state of the data servers.
-struct ServerLp<'r> {
-    cells: &'r mut [ServerCell],
-    /// In-flight jobs of every server (records arrive inside
-    /// `SubArrive` messages).
-    jobs: HashMap<JobId, PendingJob>,
-    /// Reused across every calendar event: after warm-up the event loop
-    /// performs no allocation for server output handling.
-    out: ServerOut,
+    /// Pending scheduled faults per node: the MDS's (node 0) are
+    /// cancelled at the drain kick, a server's when it reaches
+    /// quiescence during the drain, so the calendar can run to empty.
+    fault_ids: Vec<Vec<EventId>>,
     fstats: FaultStats,
     /// The end-of-run drain reached the servers.
     draining: bool,
-    /// All cells quiescent at the last event (transition detector for
-    /// `quiesced_at`).
+    /// All cells quiescent at the last server event (transition detector
+    /// for `quiesced_at`).
     was_quiescent: bool,
     /// When the servers last became quiescent during the drain.
     quiesced_at: SimTime,
-    /// Pending scheduled faults per cell, cancelled when that server
-    /// reaches quiescence during the drain.
-    fault_ids: Vec<Vec<EventId>>,
     cell_was_q: Vec<bool>,
-    lost_jobs: Vec<JobId>,
     next_audit: Option<SimTime>,
     audit_epochs: Vec<u32>,
     audits: u64,
+    /// Scratch reused across events: after warm-up the event loop
+    /// performs no allocation for request decomposition, server output
+    /// or MDS actions.
+    pieces_scratch: Vec<(usize, u64, u64)>,
+    subs_scratch: Vec<SubRequest>,
+    out: ServerOut,
+    lost_jobs: Vec<JobId>,
+    mds_acts: Vec<MdsAction>,
 }
 
-/// Routes one event to the half of the state that owns it. Static: the
-/// event type alone decides coordinator vs servers.
-fn dispatch(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    co: &mut CoordLp,
-    lp: &mut ServerLp,
-    now: SimTime,
-    ev: Ev,
-) {
-    match ev {
-        Ev::Wake { .. }
-        | Ev::Issue { .. }
-        | Ev::Reply { .. }
-        | Ev::SubTimeout { .. }
-        | Ev::ReportArrive { .. }
-        | Ev::SteerOff { .. }
-        | Ev::Mds(_)
-        | Ev::MdsRetry { .. } => coord_event(sh, sim, co, now, ev),
-        Ev::Fault(ref f) if fault_server(f).is_none() => coord_event(sh, sim, co, now, ev),
-        _ => {
-            server_event(sh, sim, lp, now, ev);
-            server_tail(sh, sim, lp, now);
-        }
-    }
-}
-
-/// Handles one client/MDS event on the coordinator.
-fn coord_event(sh: &Shared, sim: &mut Simulation<Ev>, co: &mut CoordLp, now: SimTime, ev: Ev) {
-    match ev {
-        Ev::Wake { proc } => {
-            debug_assert_eq!(co.proc_state[proc], ProcState::Running);
-            match co.workload.next(proc, co.proc_iter[proc]) {
-                None => {
-                    co.proc_state[proc] = ProcState::Done;
-                    co.proc_done[proc] = now - sh.start;
-                    co.active -= 1;
-                    if co.active == 0 {
-                        co.client_done_at = now;
-                        if !co.drain_kicked {
-                            co.drain_kicked = true;
-                            // Kick the end-of-run drain. The kick crosses
-                            // the fabric like any other message, one
-                            // lookahead ahead. Scheduled MDS faults can
-                            // no longer matter; cancel them so the
-                            // calendar drains to empty.
-                            let l = sim.lookahead();
-                            for server in 0..sh.cfg.n_servers {
-                                sim.post_at(
-                                    COORD,
-                                    srv_node(server),
-                                    now + l,
-                                    Ev::DrainTick { server },
-                                );
-                            }
-                            for id in co.fault_ids.drain(..) {
-                                sim.cancel(id);
-                            }
-                            // Stop MDS timers from re-arming: pending
-                            // Mds/MdsRetry events become no-ops.
-                            co.mds_shutdown = true;
-                        }
-                    } else if co.use_barrier {
-                        // A departing process may release the barrier.
-                        maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);
-                    }
-                }
-                Some(item) => {
-                    co.proc_iter[proc] += 1;
-                    co.think_time += item.think;
-                    let jitter = match sh.cfg.client_jitter.as_nanos() {
-                        0 => SimDuration::ZERO,
-                        max => SimDuration::from_nanos(co.p.jitter_rng.gen_range(0..max)),
-                    };
-                    let delay = item.think + jitter;
-                    if delay > SimDuration::ZERO {
-                        sim.post_in(
-                            COORD,
-                            COORD,
-                            delay,
-                            Ev::Issue {
-                                proc,
-                                req: item.req,
-                            },
-                        );
-                    } else {
-                        sim.post_now(
-                            COORD,
-                            COORD,
-                            Ev::Issue {
-                                proc,
-                                req: item.req,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        Ev::Issue { proc, req } => {
-            assert!(req.len > 0, "zero-length file request");
-            let mut pieces = std::mem::take(&mut co.pieces_scratch);
-            let mut subs = std::mem::take(&mut co.subs_scratch);
-            sh.layout.sub_requests_into(
-                req.dir,
-                req.file,
-                req.offset,
-                req.len,
-                sh.cfg.threshold,
-                sh.ibridge,
-                &mut pieces,
-                &mut subs,
-            );
-            let parent = co.p.next_parent;
-            co.p.next_parent += 1;
-            co.requests += 1;
-            co.bytes += req.len;
-            co.proc_bytes[proc] += req.len;
-            // With iBridge steering on, a request decomposed while the
-            // metadata service is unreachable ran on a stale T-table:
-            // the degradation `mds-crash`-style plans exist to surface.
-            if sh.ibridge && co.p.mds.leader().is_none() {
-                co.fstats.stale_t_decisions += 1;
-            }
-            let pending = subs.len();
-            let mut tracks: Vec<SubTrack> = Vec::new();
-            if sh.faults {
-                tracks.reserve(pending);
-            }
-            for (idx, sub) in subs.drain(..).enumerate() {
-                let arrive = co.client_links[proc].send(now, sub.request_bytes());
-                let server = sub.server;
-                let reply_bytes = sub.reply_bytes();
-                let sub_idx = idx as u32;
-                #[cfg(feature = "obs")]
-                obs_net_req(now, arrive, proc, parent, sub_idx, server);
-                if sh.faults {
-                    let tid = sim.schedule_at(
-                        COORD,
-                        COORD,
-                        now + co.retry.timeout,
-                        Ev::SubTimeout { parent, sub_idx },
-                    );
-                    tracks.push(SubTrack {
-                        sub: sub.clone(),
-                        attempt: 0,
-                        done: false,
-                        timeout: Some(tid),
-                    });
-                }
-                post_sub_arrival(
-                    sh,
-                    sim,
-                    co,
-                    now,
-                    arrive,
-                    sub,
-                    reply_bytes,
-                    proc,
-                    parent,
-                    sub_idx,
-                );
-            }
-            co.pieces_scratch = pieces;
-            co.subs_scratch = subs;
-            co.parents.insert(
+impl Run<'_> {
+    /// Handles one event. Client and MDS events return from the `match`;
+    /// server events fall through to the servers' post-event tail.
+    fn handle(&mut self, sim: &mut Simulation<Ev>, now: SimTime, ev: Ev) {
+        match ev {
+            Ev::Wake { proc } => return self.wake(sim, now, proc),
+            Ev::Issue { proc, req } => return self.issue(sim, now, proc, req),
+            Ev::Reply {
+                proc,
                 parent,
-                ParentState {
-                    proc,
-                    pending,
-                    issued_at: now,
-                    subs: tracks,
-                },
-            );
-        }
-        Ev::Reply {
-            proc,
-            parent,
-            sub_idx,
-        } => {
-            let mut duplicate = false;
-            if sh.faults {
-                match co.parents.get_mut(&parent) {
-                    None => duplicate = true,
-                    Some(p) => {
-                        let st = &mut p.subs[sub_idx as usize];
-                        if st.done {
-                            duplicate = true;
-                        } else {
-                            st.done = true;
-                            if let Some(id) = st.timeout.take() {
-                                sim.cancel(id);
-                            }
-                        }
-                    }
-                }
-                if duplicate {
-                    co.fstats.duplicate_replies += 1;
-                }
+                sub_idx,
+            } => return self.reply(sim, now, proc, parent, sub_idx),
+            Ev::SubTimeout { parent, sub_idx } => {
+                return self.sub_timeout(sim, now, parent, sub_idx)
             }
-            if !duplicate {
-                let done = {
-                    let p = co
-                        .parents
-                        .get_mut(&parent)
-                        .expect("reply for unknown parent");
-                    p.pending -= 1;
-                    p.pending == 0
-                };
-                if done {
-                    let p = co.parents.remove(&parent).expect("checked above");
-                    let wait = now - p.issued_at;
-                    #[cfg(feature = "obs")]
-                    obs_request_done(p.issued_at, wait, proc, parent);
-                    co.io_time += wait;
-                    co.latency_ms.record(wait.as_millis_f64());
-                    co.latency_hist_ms
-                        .record(wait.as_millis_f64().round() as u64);
-                    debug_assert_eq!(p.proc, proc);
-                    if co.use_barrier && co.barrier_mask[proc] {
-                        co.proc_state[proc] = ProcState::AtBarrier;
-                        maybe_release_barrier(sim, &mut co.proc_state, &co.barrier_mask);
-                    } else {
-                        sim.post_now(COORD, COORD, Ev::Wake { proc });
-                    }
+            Ev::ReportArrive { server, t } => {
+                // The report becomes a log entry; the table mutates (and
+                // broadcasts) only at commit.
+                return self.mds_propose(sim, now, MdsEntry::TReport { server, t });
+            }
+            Ev::SteerOff { server } => {
+                // The MDS stops steering fragments at a server that lost
+                // its SSD.
+                return self.mds_propose(sim, now, MdsEntry::SteerOff { server });
+            }
+            Ev::Mds(msg) => {
+                // A raft message (timer or RPC delivery) inside the group.
+                // After the drain kick the group is frozen: dropping the
+                // message re-arms nothing, so the calendar runs to empty.
+                if self.active > 0 {
+                    self.mds_call(sim, now, |g, acts| g.handle(now, msg, acts));
+                }
+                return;
+            }
+            Ev::MdsRetry { entry } => {
+                if self.active > 0 {
+                    self.mds_propose(sim, now, entry);
+                }
+                return;
+            }
+            Ev::Fault(mut fault) => {
+                // An MDS fault runs on the coordinator and skips the
+                // servers' tail.
+                let mds = fault.server_mut().is_none();
+                self.fault(sim, now, fault);
+                if mds {
+                    return;
                 }
             }
-        }
-        Ev::SubTimeout { parent, sub_idx } => {
-            // A fired timer whose sub completed in the same
-            // instant was already cancelled; the defensive check
-            // keeps leftover timers from a previous run harmless.
-            let mut resend: Option<SubRequest> = None;
-            let mut rproc = 0usize;
-            if let Some(p) = co.parents.get_mut(&parent) {
-                let proc = p.proc;
-                let st = &mut p.subs[sub_idx as usize];
-                if !st.done {
-                    st.timeout = None;
-                    co.fstats.timeouts += 1;
-                    if st.attempt >= co.retry.max_retries {
-                        // Give up: surface an error completion so
-                        // the application makes progress.
-                        co.fstats.failed_subs += 1;
-                        sim.post_now(
-                            COORD,
-                            COORD,
-                            Ev::Reply {
-                                proc,
-                                parent,
-                                sub_idx,
-                            },
-                        );
-                    } else {
-                        st.attempt += 1;
-                        co.fstats.retries += 1;
-                        let wait = co
-                            .retry
-                            .timeout
-                            .mul_f64(co.retry.backoff.powi(st.attempt as i32));
-                        st.timeout = Some(sim.schedule_at(
-                            COORD,
-                            COORD,
-                            now + wait,
-                            Ev::SubTimeout { parent, sub_idx },
-                        ));
-                        resend = Some(st.sub.clone());
-                        rproc = proc;
-                    }
-                }
-            }
-            if let Some(sub) = resend {
-                let arrive = co.client_links[rproc].send(now, sub.request_bytes());
-                let server = sub.server;
-                let reply_bytes = sub.reply_bytes();
-                #[cfg(feature = "obs")]
-                obs_net_req(now, arrive, rproc, parent, sub_idx, server);
-                post_sub_arrival(
-                    sh,
-                    sim,
-                    co,
-                    now,
-                    arrive,
-                    sub,
-                    reply_bytes,
-                    rproc,
-                    parent,
-                    sub_idx,
-                );
-            }
-        }
-        Ev::ReportArrive { server, t } => {
-            // The report becomes a log entry; the table mutates (and
-            // broadcasts) only at commit.
-            mds_propose(sh, sim, co, now, MdsEntry::TReport { server, t });
-        }
-        Ev::SteerOff { server } => {
-            // The MDS stops steering fragments at a server that lost
-            // its SSD.
-            mds_propose(sh, sim, co, now, MdsEntry::SteerOff { server });
-        }
-        Ev::Mds(msg) => {
-            // A raft message (timer or RPC delivery) inside the group.
-            // After the drain kick the group is frozen: dropping the
-            // message re-arms nothing, so the calendar runs to empty.
-            if !co.mds_shutdown {
-                mds_call(sh, sim, co, now, |g, acts| g.handle(now, msg, acts));
-            }
-        }
-        Ev::MdsRetry { entry } => {
-            if !co.mds_shutdown {
-                mds_propose(sh, sim, co, now, entry);
-            }
-        }
-        Ev::Fault(fault) => match fault {
-            TimedFault::MdsCrash => {
-                if mds_call(sh, sim, co, now, |g, acts| g.crash_leader(now, acts)).is_some() {
-                    co.fstats.mds_crashes += 1;
-                }
-            }
-            TimedFault::MdsRestart => {
-                let rejoining = co.p.mds.down_replicas() as u64;
-                if rejoining > 0 {
-                    co.fstats.mds_restarts += rejoining;
-                    mds_call(sh, sim, co, now, |g, acts| g.restart_crashed(now, acts));
-                }
-            }
-            TimedFault::MdsPartitionStart => {
-                co.fstats.mds_crashes += 1;
-                mds_call(sh, sim, co, now, |g, acts| g.partition_leader(now, acts));
-            }
-            TimedFault::MdsPartitionHeal => {
-                co.fstats.mds_restarts += 1;
-                mds_call(sh, sim, co, now, |g, acts| g.heal(now, acts));
-            }
-            _ => unreachable!("server fault routed to the coordinator"),
-        },
-        _ => unreachable!("server event routed to the coordinator"),
-    }
-}
-
-/// Proposes `entry` to the MDS group. A refused proposal is retried on
-/// a fixed coordinator-local backoff while a quorum could still elect a
-/// leader (a failover in progress). Otherwise the group is down until a
-/// restart or heal, and the update counts as a stalled broadcast at once.
-fn mds_propose(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    co: &mut CoordLp,
-    now: SimTime,
-    entry: MdsEntry,
-) {
-    const MDS_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(500);
-    if mds_call(sh, sim, co, now, |g, acts| g.propose(now, entry, acts)) {
-        return;
-    }
-    if co.p.mds.quorum_reachable() {
-        sim.post_at(
-            COORD,
-            COORD,
-            now + MDS_RETRY_BACKOFF,
-            Ev::MdsRetry { entry },
-        );
-    } else {
-        co.fstats.stalled_broadcasts += 1;
-    }
-}
-
-/// Runs one call into the MDS group and applies the actions it emits.
-fn mds_call<R>(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    co: &mut CoordLp,
-    now: SimTime,
-    call: impl FnOnce(&mut MdsGroup, &mut Vec<MdsAction>) -> R,
-) -> R {
-    let mut acts = std::mem::take(&mut co.mds_acts);
-    let r = call(&mut co.p.mds, &mut acts);
-    mds_apply(sh, sim, co, now, &mut acts);
-    co.mds_acts = acts;
-    r
-}
-
-/// Applies a batch of group actions on the coordinator: schedules
-/// message deliveries, applies committed entries to the T-table (and
-/// broadcasts the new version), and traces leadership changes.
-fn mds_apply(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    co: &mut CoordLp,
-    now: SimTime,
-    acts: &mut Vec<MdsAction>,
-) {
-    for a in acts.drain(..) {
-        match a {
-            MdsAction::Deliver { at, msg } => {
-                sim.post_at(COORD, COORD, at, Ev::Mds(msg));
-            }
-            MdsAction::Commit {
-                index,
-                proposed_at,
-                entry,
-            } => {
-                // A lone replica commits on propose: nothing replicates.
-                #[cfg(feature = "obs")]
-                if co.p.mds.n() > 1 {
-                    obs_mds_replicate(proposed_at, now, index);
-                }
-                #[cfg(not(feature = "obs"))]
-                let _ = proposed_at;
-                match entry {
-                    MdsEntry::TReport { server, t } => {
-                        co.p.mds_table[server] = t;
-                        mds_broadcast(sh, sim, co, now, index);
-                    }
-                    MdsEntry::SteerOff { server } => co.p.mds_table[server] = 0.0,
-                }
-            }
-            MdsAction::LeaderChanged { leader, term } => {
-                #[cfg(feature = "obs")]
-                obs_mds_leader(now, leader, term);
-                #[cfg(not(feature = "obs"))]
-                let _ = (leader, term);
-            }
-        }
-    }
-}
-
-/// Fans the current T-table snapshot out to every server, stamped with
-/// the metadata `version` that produced it.
-fn mds_broadcast(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    co: &mut CoordLp,
-    now: SimTime,
-    version: u64,
-) {
-    // One shared snapshot for the whole broadcast fan-out.
-    let table: Arc<[f64]> = Arc::from(co.p.mds_table.as_slice());
-    for dest in 0..sh.cfg.n_servers {
-        let arrive = co.p.mds_link.send(now, 64 * sh.cfg.n_servers as u64);
-        sim.post_at(
-            COORD,
-            srv_node(dest),
-            arrive,
+            Ev::SubArrive { server, job } => self.sub_arrive(sim, now, server, job),
+            Ev::SubExec { server, job, epoch } => self.sub_exec(sim, now, server, job, epoch),
+            Ev::DevComplete {
+                server,
+                kind,
+                epoch,
+            } => self.dev_complete(sim, now, server, kind, epoch),
+            Ev::DevRecheck {
+                server,
+                kind,
+                gen,
+                epoch,
+            } => self.dev_recheck(sim, now, server, kind, gen, epoch),
+            Ev::Report { server } => self.report(sim, now, server),
             Ev::Broadcast {
-                server: dest,
+                server,
                 version,
-                table: Arc::clone(&table),
-            },
-        );
+                table,
+            } => self.broadcast(server, version, &table),
+            Ev::WritebackTick { server } => self.writeback_tick(sim, now, server),
+            Ev::DrainTick { server } => self.drain_tick(sim, now, server),
+        }
+        self.server_tail(sim, now);
     }
 }
 
-/// Handles one data-server event.
-fn server_event(sh: &Shared, sim: &mut Simulation<Ev>, lp: &mut ServerLp, now: SimTime, ev: Ev) {
-    match ev {
-        Ev::SubArrive {
-            server,
-            job,
-            mut pj,
-        } => {
-            if lp.cells[server].down {
-                // The message reached a dead endpoint; the
-                // client's timeout recovers it.
-                lp.fstats.dropped_messages += 1;
-                pj_recycle(pj);
-            } else {
-                let exec_at = lp.cells[server].server.cpu_admit(now);
-                #[cfg(feature = "obs")]
-                obs_srv_queue(now, exec_at, server, job);
-                let epoch = lp.cells[server].srv_epoch;
-                let pjv = std::mem::take(&mut *pj);
-                pj_recycle(pj);
-                lp.jobs.insert(job, pjv);
-                let node = srv_node(server);
-                sim.post_at(node, node, exec_at, Ev::SubExec { server, job, epoch });
-            }
-        }
-        Ev::SubExec { server, job, epoch } => {
-            if epoch != lp.cells[server].srv_epoch {
-                // Admitted by a process instance that has since
-                // crashed.
-                lp.jobs.remove(&job);
-                lp.fstats.stale_completions += 1;
-            } else {
-                let (sub, proc) = {
-                    let pj = lp.jobs.get_mut(&job).expect("executing unknown job");
-                    (pj.sub.take().expect("job executed twice"), pj.proc)
-                };
-                let mut out = std::mem::take(&mut lp.out);
-                out.clear();
-                lp.cells[server]
-                    .server
-                    .exec_subreq(now, job, proc as u64, sub, &mut out);
-                post_server_out(sh, sim, lp, now, server, &mut out);
-                lp.out = out;
-            }
-        }
-        Ev::DevComplete {
-            server,
-            kind,
-            epoch,
-        } => {
-            if epoch != lp.cells[server].dev_epoch[dev_idx(kind)] {
-                lp.fstats.stale_completions += 1;
-            } else {
-                let mut out = std::mem::take(&mut lp.out);
-                out.clear();
-                lp.cells[server].server.on_dev_complete(now, kind, &mut out);
-                if lp.draining && !lp.cells[server].server.quiescent() {
-                    // Appends into the same output; ordering matches
-                    // the completion actions followed by the flush's.
-                    lp.cells[server].server.writeback_tick(now, true, &mut out);
-                }
-                post_server_out(sh, sim, lp, now, server, &mut out);
-                lp.out = out;
-            }
-        }
-        Ev::DevRecheck {
-            server,
-            kind,
-            gen,
-            epoch,
-        } => {
-            if epoch != lp.cells[server].dev_epoch[dev_idx(kind)] {
-                lp.fstats.stale_completions += 1;
-            } else {
-                let mut out = std::mem::take(&mut lp.out);
-                out.clear();
-                lp.cells[server]
-                    .server
-                    .on_dev_recheck(now, kind, gen, &mut out);
-                post_server_out(sh, sim, lp, now, server, &mut out);
-                lp.out = out;
-            }
-        }
-        Ev::Fault(fault) => {
-            apply_server_fault(sim, lp, now, fault);
-        }
-        Ev::Report { server } => {
-            // A crashed server cannot report; a degraded one
-            // (lost SSD) stays silent so the MDS keeps its slot
-            // zeroed and fragments stop being steered at it.
-            let node = srv_node(server);
-            {
-                let cell = &mut lp.cells[server];
-                if !cell.down && !cell.server.policy().is_degraded() {
-                    let t = cell.server.policy().report_t();
-                    let arrive = cell.link.send(now, 128);
-                    sim.post_at(node, COORD, arrive, Ev::ReportArrive { server, t });
-                }
-            }
-            if !lp.draining {
-                sim.post_in(node, node, sh.cfg.report_interval, Ev::Report { server });
-            }
-        }
-        Ev::Broadcast {
-            server,
-            version,
-            table,
-        } => {
-            let cell = &mut lp.cells[server];
-            // Metadata versions are monotone: commits apply in log
-            // order and the fan-out crosses one FIFO link per server.
-            assert!(
-                version >= cell.bcast_version,
-                "MDS broadcast version moved backwards at server {server}"
-            );
-            cell.bcast_version = version;
-            if !cell.down {
-                cell.server.policy_mut().receive_broadcast(&table);
-            }
-        }
-        Ev::WritebackTick { server } => {
-            if !lp.cells[server].down {
-                let mut out = std::mem::take(&mut lp.out);
-                out.clear();
-                lp.cells[server].server.writeback_tick(now, false, &mut out);
-                debug_assert!(out.done_jobs.is_empty());
-                post_server_out(sh, sim, lp, now, server, &mut out);
-                lp.out = out;
-            }
-            if !lp.draining {
-                let node = srv_node(server);
-                sim.post_in(
-                    node,
-                    node,
-                    sh.cfg.writeback_interval,
-                    Ev::WritebackTick { server },
-                );
-            }
-        }
-        Ev::DrainTick { server } => {
-            lp.draining = true;
-            if !lp.cells[server].down {
-                let mut out = std::mem::take(&mut lp.out);
-                out.clear();
-                lp.cells[server].server.writeback_tick(now, true, &mut out);
-                debug_assert!(out.done_jobs.is_empty());
-                post_server_out(sh, sim, lp, now, server, &mut out);
-                lp.out = out;
-            }
-        }
-        _ => unreachable!("coordinator event routed to the servers"),
+/// Calendar events dispatched by every [`Cluster::run`] in this process,
+/// across all `--jobs` workers. `expt` reads it for its progress line and
+/// its `--bench-report` ledger.
+static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Online invariant-auditor passes completed by every [`Cluster::run`] in
+/// this process (`ibench` checks that its audited runs really audit).
+static TOTAL_AUDITS: AtomicU64 = AtomicU64::new(0);
+
+/// Total calendar events dispatched by all cluster runs so far in this
+/// process (monotone; updated once per run, so it is cheap and safe to
+/// poll from another thread).
+pub fn total_events_dispatched() -> u64 {
+    TOTAL_EVENTS.load(Ordering::Relaxed)
+}
+
+/// Always `(0, 0)`: the `(windows, barriers)` of the removed threaded
+/// driver. Runs are serial, so there are no windows to count. Kept only
+/// because the `ibench` package still reads it; remove it together with
+/// ibench's `des.windows` metric.
+pub fn total_window_counters() -> (u64, u64) {
+    (0, 0)
+}
+
+/// Process-wide totals, updated once per run. Fault and maintenance
+/// counts are per run: [`RunStats::faults`] and [`ServerRunStats::maint`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultTotals {
+    /// Online invariant-auditor passes completed.
+    pub audits: u64,
+}
+
+/// Snapshot of the process-wide totals (monotone, like
+/// [`total_events_dispatched`]).
+pub fn total_fault_counters() -> FaultTotals {
+    FaultTotals {
+        audits: TOTAL_AUDITS.load(Ordering::Relaxed),
     }
 }
 
-/// Post-event bookkeeping of the servers: the audit cadence and the
-/// drain quiescence detector. Runs after every server event, so a state
-/// change is observed at the event that caused it.
-fn server_tail(sh: &Shared, sim: &mut Simulation<Ev>, lp: &mut ServerLp, now: SimTime) {
-    // Online invariant auditor: piggybacked synchronously on event
-    // dispatch (never posts events, never draws randomness), so the
-    // calendar — and therefore every observable output — is
-    // byte-identical with auditing on or off.
-    if let Some(due) = lp.next_audit {
-        if now >= due {
-            audit_servers(lp, now);
-            lp.audits += 1;
-            let iv = sh.cfg.audit_interval.expect("auditor armed with interval");
-            lp.next_audit = Some(now + iv);
+/// Per-server statistics captured at the end of a run.
+#[derive(Debug, Clone)]
+pub struct ServerRunStats {
+    /// Primary device counters.
+    pub primary: DevStats,
+    /// Cache device counters (if configured).
+    pub cache: Option<DevStats>,
+    /// Policy counters.
+    pub policy: CacheStats,
+    /// Backup-log maintenance counters (segmented log, checkpoints,
+    /// compaction, scrub) — all zero for policies without a backup log.
+    pub maint: MaintStats,
+    /// Dispatch-size histogram of primary-device reads (sectors).
+    pub primary_reads: Histogram,
+    /// Dispatch-size histogram of primary-device writes (sectors).
+    pub primary_writes: Histogram,
+    /// Readahead page-cache hits served without device I/O.
+    pub ra_hits: u64,
+    /// Bytes of those hits.
+    pub ra_bytes: u64,
+}
+
+/// Results of one workload run.
+#[derive(Debug, Clone)]
+pub struct RunStats {
+    /// Wall time to full quiescence (includes the writeback drain, as
+    /// the paper's methodology requires).
+    pub elapsed: SimDuration,
+    /// Wall time until the last process finished its last request.
+    pub client_elapsed: SimDuration,
+    /// Client-level bytes moved.
+    pub bytes: u64,
+    /// Client-level requests issued.
+    pub requests: u64,
+    /// Per-request completion latency, milliseconds.
+    pub latency_ms: MeanTracker,
+    /// Latency distribution, bucketed in whole milliseconds
+    /// (percentiles via [`Histogram::quantile`]).
+    pub latency_hist_ms: Histogram,
+    /// Total time processes spent waiting on I/O (summed across procs).
+    pub io_time: SimDuration,
+    /// Total compute (think) time (summed across procs).
+    pub think_time: SimDuration,
+    /// Calendar events dispatched during this run (simulator work, not a
+    /// property of the simulated system).
+    pub events_dispatched: u64,
+    /// Bytes moved by each process (heterogeneous-workload accounting).
+    pub proc_bytes: Vec<u64>,
+    /// When each process finished, relative to run start.
+    pub proc_done: Vec<SimDuration>,
+    /// Per-server breakdown.
+    pub servers: Vec<ServerRunStats>,
+    /// Fault/recovery counters (all zero unless a plan was armed).
+    pub faults: FaultStats,
+}
+
+impl RunStats {
+    /// Aggregate throughput over the full run (drain included), MB/s.
+    pub fn throughput_mbps(&self) -> f64 {
+        if self.elapsed == SimDuration::ZERO {
+            return 0.0;
+        }
+        self.bytes as f64 / self.elapsed.as_secs_f64() / 1e6
+    }
+
+    /// Throughput over the client phase only, MB/s.
+    pub fn client_throughput_mbps(&self) -> f64 {
+        if self.client_elapsed == SimDuration::ZERO {
+            return 0.0;
+        }
+        self.bytes as f64 / self.client_elapsed.as_secs_f64() / 1e6
+    }
+
+    /// Fraction of client bytes served by the SSD caches.
+    pub fn ssd_served_fraction(&self) -> f64 {
+        let ssd: u64 = self.servers.iter().map(|s| s.policy.bytes_ssd).sum();
+        let disk: u64 = self.servers.iter().map(|s| s.policy.bytes_disk).sum();
+        if ssd + disk == 0 {
+            0.0
+        } else {
+            ssd as f64 / (ssd + disk) as f64
         }
     }
-    if lp.draining {
-        let mut all_q = true;
-        for s in 0..lp.cells.len() {
-            let q = lp.cells[s].server.quiescent();
-            if q && !lp.cell_was_q[s] {
-                // This server just went quiescent: faults still
-                // scheduled against it can no longer affect the run;
-                // unschedule them so the calendar drains to empty.
-                for id in lp.fault_ids[s].drain(..) {
-                    sim.cancel(id);
-                }
-            }
-            lp.cell_was_q[s] = q;
-            all_q &= q;
+
+    /// Combined dispatch histogram of all primary devices (reads).
+    pub fn combined_read_hist(&self) -> Histogram {
+        let mut h = Histogram::new();
+        for s in &self.servers {
+            h.merge(&s.primary_reads);
         }
-        if all_q && !lp.was_quiescent {
-            lp.quiesced_at = now;
+        h
+    }
+
+    /// Combined dispatch histogram of all primary devices (writes).
+    pub fn combined_write_hist(&self) -> Histogram {
+        let mut h = Histogram::new();
+        for s in &self.servers {
+            h.merge(&s.primary_writes);
         }
-        lp.was_quiescent = all_q;
+        h
+    }
+
+    /// Throughput of a subset of processes, MB/s: their bytes over the
+    /// time the slowest of them took (per-benchmark numbers in
+    /// heterogeneous runs, cf. Fig. 12).
+    pub fn group_throughput_mbps(&self, procs: std::ops::Range<usize>) -> f64 {
+        let bytes: u64 = self.proc_bytes[procs.clone()].iter().sum();
+        let slowest = self.proc_done[procs]
+            .iter()
+            .max()
+            .copied()
+            .unwrap_or(SimDuration::ZERO);
+        if slowest == SimDuration::ZERO {
+            return 0.0;
+        }
+        bytes as f64 / slowest.as_secs_f64() / 1e6
     }
 }
 
-/// Routes one client→server sub-request message through the armed
-/// network impairments (a straight delivery when no plan is armed). The
-/// job record travels inside the message; its id is allocated here, on
-/// the coordinator.
-#[allow(clippy::too_many_arguments)]
-fn post_sub_arrival(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    co: &mut CoordLp,
+/// Client-side in-flight record of one sub-request, kept only while a
+/// fault plan is armed: the original message for retransmission, the
+/// attempt count, and the pending timeout timer.
+#[derive(Debug)]
+struct SubTrack {
+    sub: SubRequest,
+    attempt: u32,
+    done: bool,
+    timeout: Option<EventId>,
+}
+
+#[derive(Debug)]
+struct ParentState {
+    proc: usize,
+    pending: usize,
+    issued_at: SimTime,
+    /// In-flight table for retry/dedup; empty when no plan is armed.
+    subs: Vec<SubTrack>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ProcState {
+    Running,
+    AtBarrier,
+    Done,
+}
+
+// Observability hooks. Each is one relaxed atomic load when the
+// corresponding collector is off; none touches the calendar or the RNG.
+
+/// Client → server request hop: `NetRequest` metric + `net:req` span.
+#[cfg(feature = "obs")]
+fn obs_net_req(
     now: SimTime,
     arrive: SimTime,
-    sub: SubRequest,
-    reply_bytes: u64,
     proc: usize,
     parent: u64,
     sub_idx: u32,
+    server: usize,
 ) {
-    let server = sub.server;
-    let node = srv_node(server);
-    let job = co.p.next_job;
-    co.p.next_job += 1;
-    let pj = pj_box(PendingJob {
-        sub: Some(sub),
-        reply_bytes,
-        proc,
-        parent,
-        server,
-        sub_idx,
-    });
-    match net_decision(&mut co.p.decider, now - sh.start) {
-        NetDecision::Deliver => {
-            sim.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
+    use ibridge_obs::{metrics, trace};
+    let d = (arrive - now).as_nanos();
+    metrics::record_phase(metrics::Phase::NetRequest, d);
+    if ibridge_obs::tracing_on() {
+        trace::record(trace::Span {
+            ts_ns: now.as_nanos(),
+            dur_ns: d,
+            node: trace::CLIENT_NODE,
+            lane: proc as u16,
+            name: "net:req",
+            id: trace::span_id(parent, sub_idx),
+            aux: server as u64,
+        });
+    }
+}
+
+/// Whole client request, issue → last sub-reply: `Request` metric +
+/// `request` span.
+#[cfg(feature = "obs")]
+fn obs_request_done(issued_at: SimTime, wait: SimDuration, proc: usize, parent: u64) {
+    use ibridge_obs::{metrics, trace};
+    let d = wait.as_nanos();
+    metrics::record_phase(metrics::Phase::Request, d);
+    if ibridge_obs::tracing_on() {
+        trace::record(trace::Span {
+            ts_ns: issued_at.as_nanos(),
+            dur_ns: d,
+            node: trace::CLIENT_NODE,
+            lane: proc as u16,
+            name: "request",
+            id: parent,
+            aux: 0,
+        });
+    }
+}
+
+/// Clients: issuing requests as sub-requests, collecting replies,
+/// retransmitting on timeout, and barriers.
+impl Run<'_> {
+    fn wake(&mut self, sim: &mut Simulation<Ev>, now: SimTime, proc: usize) {
+        debug_assert_eq!(self.proc_state[proc], ProcState::Running);
+        let Some(item) = self.workload.next(proc, self.proc_iter[proc]) else {
+            self.proc_state[proc] = ProcState::Done;
+            self.proc_done[proc] = now - self.start;
+            self.active -= 1;
+            if self.active == 0 {
+                self.client_done_at = now;
+                // Kick the end-of-run drain. The kick crosses the fabric
+                // like any other message, one lookahead ahead. Scheduled
+                // MDS faults can no longer matter; cancel them so the
+                // calendar drains to empty.
+                let l = sim.lookahead();
+                for server in 0..self.cfg.n_servers {
+                    sim.post_at(COORD, srv_node(server), now + l, Ev::DrainTick { server });
+                }
+                for id in self.fault_ids[usize::from(COORD)].drain(..) {
+                    sim.cancel(id);
+                }
+            } else if self.use_barrier {
+                // A departing process may release the barrier.
+                self.maybe_release_barrier(sim);
+            }
+            return;
+        };
+        self.proc_iter[proc] += 1;
+        self.think_time += item.think;
+        let jitter = match self.cfg.client_jitter.as_nanos() {
+            0 => SimDuration::ZERO,
+            max => SimDuration::from_nanos(self.coord.jitter_rng.gen_range(0..max)),
+        };
+        sim.post_in(
+            COORD,
+            COORD,
+            item.think + jitter,
+            Ev::Issue {
+                proc,
+                req: item.req,
+            },
+        );
+    }
+
+    fn issue(&mut self, sim: &mut Simulation<Ev>, now: SimTime, proc: usize, req: FileRequest) {
+        assert!(req.len > 0, "zero-length file request");
+        let mut pieces = std::mem::take(&mut self.pieces_scratch);
+        let mut subs = std::mem::take(&mut self.subs_scratch);
+        self.layout.sub_requests_into(
+            req.dir,
+            req.file,
+            req.offset,
+            req.len,
+            self.cfg.threshold,
+            self.ibridge,
+            &mut pieces,
+            &mut subs,
+        );
+        let parent = self.coord.next_parent;
+        self.coord.next_parent += 1;
+        self.requests += 1;
+        self.bytes += req.len;
+        self.proc_bytes[proc] += req.len;
+        // With iBridge steering on, a request decomposed while the
+        // metadata service is unreachable ran on a stale T-table: the
+        // degradation `mds-crash`-style plans exist to surface.
+        if self.ibridge && self.coord.mds.leader().is_none() {
+            self.fstats.stale_t_decisions += 1;
         }
-        NetDecision::Drop => {
-            // The client's timeout retransmits; the record dies with
-            // the message, so the server never learns the job id.
-            co.fstats.dropped_messages += 1;
-            pj_recycle(pj);
+        let pending = subs.len();
+        let mut tracks: Vec<SubTrack> = Vec::new();
+        if self.faults {
+            tracks.reserve(pending);
         }
-        NetDecision::Delay(d) => {
-            co.fstats.delayed_messages += 1;
-            sim.post_at(COORD, node, arrive + d, Ev::SubArrive { server, job, pj });
+        for (idx, sub) in subs.drain(..).enumerate() {
+            let sub_idx = idx as u32;
+            if self.faults {
+                let tid = sim.schedule_at(
+                    COORD,
+                    COORD,
+                    now + self.retry.timeout,
+                    Ev::SubTimeout { parent, sub_idx },
+                );
+                tracks.push(SubTrack {
+                    sub: sub.clone(),
+                    attempt: 0,
+                    done: false,
+                    timeout: Some(tid),
+                });
+            }
+            self.send_sub(sim, now, proc, parent, sub_idx, sub);
         }
-        NetDecision::Duplicate => {
-            co.fstats.duplicated_messages += 1;
-            // The copy travels as its own job so the server can hold
-            // both at once; the client deduplicates on reply.
-            let copy = pj_box(PendingJob {
-                sub: pj.sub.clone(),
-                reply_bytes: pj.reply_bytes,
-                proc: pj.proc,
-                parent: pj.parent,
-                server: pj.server,
-                sub_idx: pj.sub_idx,
-            });
-            sim.post_at(COORD, node, arrive, Ev::SubArrive { server, job, pj });
-            let job2 = co.p.next_job;
-            co.p.next_job += 1;
+        self.pieces_scratch = pieces;
+        self.subs_scratch = subs;
+        self.parents.insert(
+            parent,
+            ParentState {
+                proc,
+                pending,
+                issued_at: now,
+                subs: tracks,
+            },
+        );
+    }
+
+    fn reply(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        proc: usize,
+        parent: u64,
+        sub_idx: u32,
+    ) {
+        if self.faults {
+            let duplicate = match self.parents.get_mut(&parent) {
+                None => true,
+                Some(p) => {
+                    let st = &mut p.subs[sub_idx as usize];
+                    let seen = st.done;
+                    if !seen {
+                        st.done = true;
+                        if let Some(id) = st.timeout.take() {
+                            sim.cancel(id);
+                        }
+                    }
+                    seen
+                }
+            };
+            if duplicate {
+                self.fstats.duplicate_replies += 1;
+                return;
+            }
+        }
+        let p = self
+            .parents
+            .get_mut(&parent)
+            .expect("reply for unknown parent");
+        p.pending -= 1;
+        if p.pending > 0 {
+            return;
+        }
+        let p = self.parents.remove(&parent).expect("checked above");
+        let wait = now - p.issued_at;
+        #[cfg(feature = "obs")]
+        obs_request_done(p.issued_at, wait, proc, parent);
+        self.io_time += wait;
+        self.latency_ms.record(wait.as_millis_f64());
+        self.latency_hist_ms
+            .record(wait.as_millis_f64().round() as u64);
+        debug_assert_eq!(p.proc, proc);
+        if self.use_barrier && self.barrier_mask[proc] {
+            self.proc_state[proc] = ProcState::AtBarrier;
+            self.maybe_release_barrier(sim);
+        } else {
+            sim.post_now(COORD, COORD, Ev::Wake { proc });
+        }
+    }
+
+    fn sub_timeout(&mut self, sim: &mut Simulation<Ev>, now: SimTime, parent: u64, sub_idx: u32) {
+        // A fired timer whose sub completed in the same instant was
+        // already cancelled; the defensive check keeps leftover timers
+        // from a previous run harmless.
+        let Some(p) = self.parents.get_mut(&parent) else {
+            return;
+        };
+        let proc = p.proc;
+        let st = &mut p.subs[sub_idx as usize];
+        if st.done {
+            return;
+        }
+        st.timeout = None;
+        self.fstats.timeouts += 1;
+        if st.attempt >= self.retry.max_retries {
+            // Give up: surface an error completion so the application
+            // makes progress.
+            self.fstats.failed_subs += 1;
+            sim.post_now(
+                COORD,
+                COORD,
+                Ev::Reply {
+                    proc,
+                    parent,
+                    sub_idx,
+                },
+            );
+            return;
+        }
+        st.attempt += 1;
+        self.fstats.retries += 1;
+        let wait = self
+            .retry
+            .timeout
+            .mul_f64(self.retry.backoff.powi(st.attempt as i32));
+        st.timeout =
+            Some(sim.schedule_at(COORD, COORD, now + wait, Ev::SubTimeout { parent, sub_idx }));
+        let sub = st.sub.clone();
+        self.send_sub(sim, now, proc, parent, sub_idx, sub);
+    }
+
+    /// Sends one sub-request from `proc` to its server through the armed
+    /// network impairments (a straight delivery when no plan is armed).
+    /// Every transmission takes a fresh job id, a duplicated message the
+    /// next one too, and each copy the fabric delivers gets a record in
+    /// the job table.
+    fn send_sub(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        proc: usize,
+        parent: u64,
+        sub_idx: u32,
+        sub: SubRequest,
+    ) {
+        let arrive = self.client_links[proc].send(now, sub.request_bytes());
+        let server = sub.server;
+        #[cfg(feature = "obs")]
+        obs_net_req(now, arrive, proc, parent, sub_idx, server);
+        let node = srv_node(server);
+        let mut job = self.coord.next_job;
+        self.coord.next_job += 1;
+        let pj = PendingJob {
+            reply_bytes: sub.reply_bytes(),
+            sub: Some(sub),
+            proc,
+            parent,
+            server,
+            sub_idx,
+        };
+        let at = match net_decision(&mut self.coord.decider, now - self.start) {
+            NetDecision::Deliver => arrive,
+            NetDecision::Drop => {
+                // The client's timeout retransmits; the server never
+                // learns the job id.
+                self.fstats.dropped_messages += 1;
+                return;
+            }
+            NetDecision::Delay(d) => {
+                self.fstats.delayed_messages += 1;
+                arrive + d
+            }
+            NetDecision::Duplicate => {
+                self.fstats.duplicated_messages += 1;
+                // The copy travels as its own job so the server can hold
+                // both at once; the client deduplicates on reply.
+                self.jobs.insert(job, pj.clone());
+                sim.post_at(COORD, node, arrive, Ev::SubArrive { server, job });
+                job = self.coord.next_job;
+                self.coord.next_job += 1;
+                arrive
+            }
+        };
+        self.jobs.insert(job, pj);
+        sim.post_at(COORD, node, at, Ev::SubArrive { server, job });
+    }
+
+    fn maybe_release_barrier(&mut self, sim: &mut Simulation<Ev>) {
+        // Release when no barrier participant is still running.
+        let blocked = self
+            .proc_state
+            .iter()
+            .zip(&self.barrier_mask)
+            .any(|(&s, &m)| m && s == ProcState::Running);
+        if blocked {
+            return;
+        }
+        for (proc, st) in self.proc_state.iter_mut().enumerate() {
+            if *st == ProcState::AtBarrier {
+                *st = ProcState::Running;
+                sim.post_now(COORD, COORD, Ev::Wake { proc });
+            }
+        }
+    }
+}
+
+/// Trace lane for replicated-MDS spans on the client node — far above
+/// any real process lane, so MDS activity sorts into its own swimlane.
+#[cfg(feature = "obs")]
+const MDS_TRACE_LANE: u16 = u16::MAX;
+
+/// One replicated log entry, proposal → majority commit:
+/// `mds:replicate` span (id = commit index).
+#[cfg(feature = "obs")]
+fn obs_mds_replicate(proposed_at: SimTime, committed_at: SimTime, index: u64) {
+    use ibridge_obs::trace;
+    if ibridge_obs::tracing_on() {
+        trace::record(trace::Span {
+            ts_ns: proposed_at.as_nanos(),
+            dur_ns: (committed_at - proposed_at).as_nanos(),
+            node: trace::CLIENT_NODE,
+            lane: MDS_TRACE_LANE,
+            name: "mds:replicate",
+            id: index,
+            aux: 0,
+        });
+    }
+}
+
+/// A leadership change in the MDS group: `mds:leader` span (id = term,
+/// aux = elected replica, or `u64::MAX` for "leaderless").
+#[cfg(feature = "obs")]
+fn obs_mds_leader(now: SimTime, leader: Option<usize>, term: u64) {
+    use ibridge_obs::trace;
+    if ibridge_obs::tracing_on() {
+        trace::record(trace::Span {
+            ts_ns: now.as_nanos(),
+            dur_ns: 0,
+            node: trace::CLIENT_NODE,
+            lane: MDS_TRACE_LANE,
+            name: "mds:leader",
+            id: term,
+            aux: leader.map_or(u64::MAX, |l| l as u64),
+        });
+    }
+}
+
+/// The metadata service: proposals to the MDS group and the
+/// application of what it commits.
+impl Run<'_> {
+    /// Proposes `entry` to the MDS group. A refused proposal is retried on
+    /// a fixed coordinator-local backoff while a quorum could still elect a
+    /// leader (a failover in progress). Otherwise the group is down until a
+    /// restart or heal, and the update counts as a stalled broadcast at once.
+    fn mds_propose(&mut self, sim: &mut Simulation<Ev>, now: SimTime, entry: MdsEntry) {
+        const MDS_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(500);
+        if self.mds_call(sim, now, |g, acts| g.propose(now, entry, acts)) {
+            return;
+        }
+        if self.coord.mds.quorum_reachable() {
             sim.post_at(
                 COORD,
-                node,
+                COORD,
+                now + MDS_RETRY_BACKOFF,
+                Ev::MdsRetry { entry },
+            );
+        } else {
+            self.fstats.stalled_broadcasts += 1;
+        }
+    }
+
+    /// Runs one call into the MDS group and applies the actions it emits.
+    fn mds_call<R>(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        call: impl FnOnce(&mut MdsGroup, &mut Vec<MdsAction>) -> R,
+    ) -> R {
+        let mut acts = std::mem::take(&mut self.mds_acts);
+        let r = call(&mut self.coord.mds, &mut acts);
+        self.mds_apply(sim, now, &mut acts);
+        self.mds_acts = acts;
+        r
+    }
+
+    /// Applies a batch of group actions on the coordinator: schedules
+    /// message deliveries, applies committed entries to the T-table (and
+    /// broadcasts the new version), and traces leadership changes.
+    fn mds_apply(&mut self, sim: &mut Simulation<Ev>, now: SimTime, acts: &mut Vec<MdsAction>) {
+        for a in acts.drain(..) {
+            match a {
+                MdsAction::Deliver { at, msg } => {
+                    sim.post_at(COORD, COORD, at, Ev::Mds(msg));
+                }
+                MdsAction::Commit {
+                    index,
+                    proposed_at,
+                    entry,
+                } => {
+                    // A lone replica commits on propose: nothing replicates.
+                    #[cfg(feature = "obs")]
+                    if self.coord.mds.n() > 1 {
+                        obs_mds_replicate(proposed_at, now, index);
+                    }
+                    #[cfg(not(feature = "obs"))]
+                    let _ = proposed_at;
+                    match entry {
+                        MdsEntry::TReport { server, t } => {
+                            self.coord.mds_table[server] = t;
+                            self.mds_broadcast(sim, now, index);
+                        }
+                        MdsEntry::SteerOff { server } => self.coord.mds_table[server] = 0.0,
+                    }
+                }
+                MdsAction::LeaderChanged { leader, term } => {
+                    #[cfg(feature = "obs")]
+                    obs_mds_leader(now, leader, term);
+                    #[cfg(not(feature = "obs"))]
+                    let _ = (leader, term);
+                }
+            }
+        }
+    }
+
+    /// Fans the current T-table snapshot out to every server, stamped with
+    /// the metadata `version` that produced it.
+    fn mds_broadcast(&mut self, sim: &mut Simulation<Ev>, now: SimTime, version: u64) {
+        // One shared snapshot for the whole broadcast fan-out.
+        let table: Arc<[f64]> = Arc::from(self.coord.mds_table.as_slice());
+        for dest in 0..self.cfg.n_servers {
+            let arrive = self
+                .coord
+                .mds_link
+                .send(now, 64 * self.cfg.n_servers as u64);
+            sim.post_at(
+                COORD,
+                srv_node(dest),
                 arrive,
-                Ev::SubArrive {
-                    server,
-                    job: job2,
-                    pj: copy,
+                Ev::Broadcast {
+                    server: dest,
+                    version,
+                    table: Arc::clone(&table),
                 },
             );
         }
     }
 }
 
-/// Posts a server's accumulated output onto the calendar, draining
-/// `out` in place so the caller can reuse its capacity. Event order
-/// (device actions first, then replies in completion order) is part
-/// of the determinism contract: ties on the calendar break by the
-/// poster's sequence numbers.
-fn post_server_out(
-    sh: &Shared,
-    sim: &mut Simulation<Ev>,
-    lp: &mut ServerLp,
+/// Server CPU admission queue: `SrvQueue` metric + `srv:queue` span.
+#[cfg(feature = "obs")]
+fn obs_srv_queue(now: SimTime, exec_at: SimTime, server: usize, job: JobId) {
+    use ibridge_obs::{metrics, trace};
+    let d = (exec_at - now).as_nanos();
+    metrics::record_phase(metrics::Phase::SrvQueue, d);
+    if ibridge_obs::tracing_on() {
+        trace::record(trace::Span {
+            ts_ns: now.as_nanos(),
+            dur_ns: d,
+            node: trace::server_node(server),
+            lane: 0,
+            name: "srv:queue",
+            id: job,
+            aux: 0,
+        });
+    }
+}
+
+/// Server → client reply hop: `NetReply` metric + `net:reply` span.
+#[cfg(feature = "obs")]
+fn obs_net_reply(
     now: SimTime,
+    arrive: SimTime,
     server: usize,
-    out: &mut ServerOut,
+    parent: u64,
+    sub_idx: u32,
+    reply_bytes: u64,
 ) {
-    let node = srv_node(server);
-    for (kind, action) in out.dev_actions.drain(..) {
-        let epoch = lp.cells[server].dev_epoch[dev_idx(kind)];
-        match action {
-            Action::CompleteAt(t) => {
-                sim.post_at(
-                    node,
-                    node,
-                    t,
-                    Ev::DevComplete {
-                        server,
-                        kind,
-                        epoch,
-                    },
-                );
+    use ibridge_obs::{metrics, trace};
+    let d = (arrive - now).as_nanos();
+    metrics::record_phase(metrics::Phase::NetReply, d);
+    if ibridge_obs::tracing_on() {
+        trace::record(trace::Span {
+            ts_ns: now.as_nanos(),
+            dur_ns: d,
+            node: trace::server_node(server),
+            lane: 0,
+            name: "net:reply",
+            id: trace::span_id(parent, sub_idx),
+            aux: reply_bytes,
+        });
+    }
+}
+
+fn dev_idx(kind: DevKind) -> usize {
+    match kind {
+        DevKind::Primary => 0,
+        DevKind::Cache => 1,
+    }
+}
+
+/// Data-server events, each followed by the servers' post-event tail.
+impl Run<'_> {
+    fn sub_arrive(&mut self, sim: &mut Simulation<Ev>, now: SimTime, server: usize, job: JobId) {
+        if self.cells[server].down {
+            // The message reached a dead endpoint; the client's timeout
+            // recovers it.
+            self.jobs.remove(&job);
+            self.fstats.dropped_messages += 1;
+            return;
+        }
+        let exec_at = self.cells[server].server.cpu_admit(now);
+        #[cfg(feature = "obs")]
+        obs_srv_queue(now, exec_at, server, job);
+        let epoch = self.cells[server].srv_epoch;
+        let node = srv_node(server);
+        sim.post_at(node, node, exec_at, Ev::SubExec { server, job, epoch });
+    }
+
+    fn sub_exec(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        server: usize,
+        job: JobId,
+        epoch: u32,
+    ) {
+        if epoch != self.cells[server].srv_epoch {
+            // Admitted by a process instance that has since crashed.
+            self.jobs.remove(&job);
+            self.fstats.stale_completions += 1;
+            return;
+        }
+        let pj = self.jobs.get_mut(&job).expect("executing unknown job");
+        let (sub, proc) = (pj.sub.take().expect("job executed twice"), pj.proc);
+        self.server_call(sim, now, server, |s, out| {
+            s.exec_subreq(now, job, proc as u64, sub, out)
+        });
+    }
+
+    fn dev_complete(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        server: usize,
+        kind: DevKind,
+        epoch: u32,
+    ) {
+        if epoch != self.cells[server].dev_epoch[dev_idx(kind)] {
+            self.fstats.stale_completions += 1;
+            return;
+        }
+        let draining = self.draining;
+        self.server_call(sim, now, server, |s, out| {
+            s.on_dev_complete(now, kind, out);
+            if draining && !s.quiescent() {
+                // Appends into the same output; ordering matches the
+                // completion actions followed by the flush's.
+                s.writeback_tick(now, true, out);
             }
-            Action::RecheckAt(t, gen) => {
-                sim.post_at(
-                    node,
-                    node,
-                    t,
-                    Ev::DevRecheck {
-                        server,
-                        kind,
-                        gen,
-                        epoch,
-                    },
-                );
-            }
+        });
+    }
+
+    fn dev_recheck(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        server: usize,
+        kind: DevKind,
+        gen: u64,
+        epoch: u32,
+    ) {
+        if epoch != self.cells[server].dev_epoch[dev_idx(kind)] {
+            self.fstats.stale_completions += 1;
+            return;
+        }
+        self.server_call(sim, now, server, |s, out| {
+            s.on_dev_recheck(now, kind, gen, out)
+        });
+    }
+
+    fn report(&mut self, sim: &mut Simulation<Ev>, now: SimTime, server: usize) {
+        // A crashed server cannot report; a degraded one (lost SSD) stays
+        // silent so the MDS keeps its slot zeroed and fragments stop being
+        // steered at it.
+        let node = srv_node(server);
+        let cell = &mut self.cells[server];
+        if !cell.down && !cell.server.policy().is_degraded() {
+            let t = cell.server.policy().report_t();
+            let arrive = cell.link.send(now, 128);
+            sim.post_at(node, COORD, arrive, Ev::ReportArrive { server, t });
+        }
+        if !self.draining {
+            sim.post_in(node, node, self.cfg.report_interval, Ev::Report { server });
         }
     }
-    for job in out.done_jobs.drain(..) {
-        let pj = lp.jobs.remove(&job).expect("done job unknown to cluster");
-        let arrive = lp.cells[server].link.send(now, pj.reply_bytes);
-        let (proc, parent, sub_idx) = (pj.proc, pj.parent, pj.sub_idx);
-        #[cfg(feature = "obs")]
-        obs_net_reply(now, arrive, server, parent, sub_idx, pj.reply_bytes);
-        match net_decision(&mut lp.cells[server].decider, now - sh.start) {
-            NetDecision::Deliver => {
-                sim.post_at(
-                    node,
-                    COORD,
-                    arrive,
-                    Ev::Reply {
-                        proc,
-                        parent,
-                        sub_idx,
-                    },
-                );
+
+    fn broadcast(&mut self, server: usize, version: u64, table: &[f64]) {
+        let cell = &mut self.cells[server];
+        // Metadata versions are monotone: commits apply in log order and
+        // the fan-out crosses one FIFO link per server.
+        assert!(
+            version >= cell.bcast_version,
+            "MDS broadcast version moved backwards at server {server}"
+        );
+        cell.bcast_version = version;
+        if !cell.down {
+            cell.server.policy_mut().receive_broadcast(table);
+        }
+    }
+
+    fn writeback_tick(&mut self, sim: &mut Simulation<Ev>, now: SimTime, server: usize) {
+        if !self.cells[server].down {
+            self.server_call(sim, now, server, |s, out| {
+                s.writeback_tick(now, false, out);
+                debug_assert!(out.done_jobs.is_empty());
+            });
+        }
+        if !self.draining {
+            let node = srv_node(server);
+            sim.post_in(
+                node,
+                node,
+                self.cfg.writeback_interval,
+                Ev::WritebackTick { server },
+            );
+        }
+    }
+
+    fn drain_tick(&mut self, sim: &mut Simulation<Ev>, now: SimTime, server: usize) {
+        self.draining = true;
+        if !self.cells[server].down {
+            self.server_call(sim, now, server, |s, out| {
+                s.writeback_tick(now, true, out);
+                debug_assert!(out.done_jobs.is_empty());
+            });
+        }
+    }
+
+    /// Runs one call into data server `server` and posts the output it
+    /// emits. One `ServerOut` is reused across every call, so after
+    /// warm-up server output handling performs no allocation.
+    fn server_call(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        server: usize,
+        call: impl FnOnce(&mut DataServer, &mut ServerOut),
+    ) {
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        call(&mut self.cells[server].server, &mut out);
+        self.post_server_out(sim, now, server, &mut out);
+        self.out = out;
+    }
+
+    /// Posts a server's accumulated output onto the calendar, draining
+    /// `out` in place so the caller can reuse its capacity. Event order
+    /// (device actions first, then replies in completion order) is part
+    /// of the determinism contract: ties on the calendar break by the
+    /// poster's sequence numbers.
+    fn post_server_out(
+        &mut self,
+        sim: &mut Simulation<Ev>,
+        now: SimTime,
+        server: usize,
+        out: &mut ServerOut,
+    ) {
+        let node = srv_node(server);
+        for (kind, action) in out.dev_actions.drain(..) {
+            let epoch = self.cells[server].dev_epoch[dev_idx(kind)];
+            match action {
+                Action::CompleteAt(t) => {
+                    sim.post_at(
+                        node,
+                        node,
+                        t,
+                        Ev::DevComplete {
+                            server,
+                            kind,
+                            epoch,
+                        },
+                    );
+                }
+                Action::RecheckAt(t, gen) => {
+                    sim.post_at(
+                        node,
+                        node,
+                        t,
+                        Ev::DevRecheck {
+                            server,
+                            kind,
+                            gen,
+                            epoch,
+                        },
+                    );
+                }
             }
-            NetDecision::Drop => {
-                // The client's timeout retransmits; the server will
-                // serve the retry again.
-                lp.fstats.dropped_messages += 1;
-            }
-            NetDecision::Delay(d) => {
-                lp.fstats.delayed_messages += 1;
-                sim.post_at(
-                    node,
-                    COORD,
-                    arrive + d,
-                    Ev::Reply {
-                        proc,
-                        parent,
-                        sub_idx,
-                    },
-                );
-            }
-            NetDecision::Duplicate => {
-                lp.fstats.duplicated_messages += 1;
-                for _ in 0..2 {
+        }
+        for job in out.done_jobs.drain(..) {
+            let pj = self.jobs.remove(&job).expect("done job unknown to cluster");
+            let arrive = self.cells[server].link.send(now, pj.reply_bytes);
+            let (proc, parent, sub_idx) = (pj.proc, pj.parent, pj.sub_idx);
+            #[cfg(feature = "obs")]
+            obs_net_reply(now, arrive, server, parent, sub_idx, pj.reply_bytes);
+            let reply = Ev::Reply {
+                proc,
+                parent,
+                sub_idx,
+            };
+            match net_decision(&mut self.cells[server].decider, now - self.start) {
+                NetDecision::Deliver => sim.post_at(node, COORD, arrive, reply),
+                NetDecision::Drop => {
+                    // The client's timeout retransmits; the server will
+                    // serve the retry again.
+                    self.fstats.dropped_messages += 1;
+                }
+                NetDecision::Delay(d) => {
+                    self.fstats.delayed_messages += 1;
+                    sim.post_at(node, COORD, arrive + d, reply);
+                }
+                NetDecision::Duplicate => {
+                    self.fstats.duplicated_messages += 1;
                     sim.post_at(
                         node,
                         COORD,
@@ -2035,9 +1766,241 @@ fn post_server_out(
                             sub_idx,
                         },
                     );
+                    sim.post_at(node, COORD, arrive, reply);
                 }
             }
         }
+    }
+
+    /// Post-event bookkeeping of the servers: the audit cadence and the
+    /// drain quiescence detector. Runs after every server event, so a
+    /// state change is observed at the event that caused it.
+    fn server_tail(&mut self, sim: &mut Simulation<Ev>, now: SimTime) {
+        // Online invariant auditor: piggybacked synchronously on event
+        // dispatch (never posts events, never draws randomness), so the
+        // calendar — and therefore every observable output — is
+        // byte-identical with auditing on or off.
+        if let Some(due) = self.next_audit {
+            if now >= due {
+                self.audit(now);
+                self.audits += 1;
+                let iv = self
+                    .cfg
+                    .audit_interval
+                    .expect("auditor armed with interval");
+                self.next_audit = Some(now + iv);
+            }
+        }
+        if self.draining {
+            let mut all_q = true;
+            for s in 0..self.cells.len() {
+                let q = self.cells[s].server.quiescent();
+                if q && !self.cell_was_q[s] {
+                    // This server just went quiescent: faults still
+                    // scheduled against it can no longer affect the run;
+                    // unschedule them so the calendar drains to empty.
+                    for id in self.fault_ids[usize::from(srv_node(s))].drain(..) {
+                        sim.cancel(id);
+                    }
+                }
+                self.cell_was_q[s] = q;
+                all_q &= q;
+            }
+            if all_q && !self.was_quiescent {
+                self.quiesced_at = now;
+            }
+            self.was_quiescent = all_q;
+        }
+    }
+}
+
+fn devkind(dev: FaultDev) -> DevKind {
+    match dev {
+        FaultDev::Primary => DevKind::Primary,
+        FaultDev::Cache => DevKind::Cache,
+    }
+}
+
+/// Fault glue and the online invariant auditor.
+impl Run<'_> {
+    /// Applies one scheduled fault on the node it targets.
+    fn fault(&mut self, sim: &mut Simulation<Ev>, now: SimTime, fault: TimedFault) {
+        match fault {
+            TimedFault::Crash { server } => {
+                let cell = &mut self.cells[server];
+                if !cell.down {
+                    cell.down = true;
+                    self.fstats.crashes += 1;
+                    cell.srv_epoch = cell.srv_epoch.wrapping_add(1);
+                    cell.dev_epoch[0] = cell.dev_epoch[0].wrapping_add(1);
+                    cell.dev_epoch[1] = cell.dev_epoch[1].wrapping_add(1);
+                    cell.server.crash(now);
+                    degrade_start(cell, now);
+                    // Sub-requests in the dead process's custody vanish
+                    // with it; the clients' timeouts recover them. Queued
+                    // ones die at their stale-epoch `SubExec`, and those
+                    // still on the wire at their `SubArrive`.
+                    self.jobs
+                        .retain(|_, pj| !(pj.server == server && pj.sub.is_none()));
+                }
+            }
+            TimedFault::Restart { server } => {
+                let cell = &mut self.cells[server];
+                if cell.down {
+                    cell.down = false;
+                    self.fstats.restarts += 1;
+                    let report = cell.server.restart(now);
+                    self.fstats.clean_entries_dropped += report.clean_entries_dropped;
+                    self.fstats.pending_entries_dropped += report.pending_entries_dropped;
+                    self.fstats.fsck_records_scanned += report.records_scanned;
+                    self.fstats.fsck_records_quarantined += report.records_quarantined;
+                    self.fstats.dirty_bytes_lost += report.dirty_bytes_lost;
+                    degrade_end(&mut self.fstats, cell, now);
+                    if self.draining {
+                        // Replayed dirty entries must still be written
+                        // back for the run to quiesce. The restart runs
+                        // on the server's own node, so the kick is local.
+                        let node = srv_node(server);
+                        sim.post_now(node, node, Ev::DrainTick { server });
+                    }
+                }
+            }
+            TimedFault::SsdLoss { server } => {
+                let cell = &mut self.cells[server];
+                if cell.server.cache().is_some() {
+                    self.fstats.ssd_losses += 1;
+                    cell.dev_epoch[1] = cell.dev_epoch[1].wrapping_add(1);
+                    let mut lost_jobs = std::mem::take(&mut self.lost_jobs);
+                    lost_jobs.clear();
+                    self.fstats.dirty_bytes_lost += cell.server.lose_cache_dev(now, &mut lost_jobs);
+                    for job in lost_jobs.drain(..) {
+                        self.jobs.remove(&job);
+                    }
+                    self.lost_jobs = lost_jobs;
+                    // Tell the MDS to stop steering fragments at this
+                    // server; its table lives on the coordinator, one
+                    // lookahead away.
+                    let node = srv_node(server);
+                    sim.post_at(node, COORD, now + sim.lookahead(), Ev::SteerOff { server });
+                    degrade_start(cell, now);
+                }
+            }
+            TimedFault::SlowStart {
+                server,
+                dev,
+                factor,
+            } => {
+                self.fstats.slow_windows += 1;
+                let cell = &mut self.cells[server];
+                cell.server.set_slow_factor(devkind(dev), factor);
+                degrade_start(cell, now);
+            }
+            TimedFault::SlowEnd { server, dev } => {
+                let cell = &mut self.cells[server];
+                cell.server.set_slow_factor(devkind(dev), 1.0);
+                degrade_end(&mut self.fstats, cell, now);
+            }
+            TimedFault::TornWrite { server, records } => {
+                // Fires immediately before its Crash (same instant, plan
+                // order): the records are torn on media before the
+                // restart's recovery fsck ever sees them.
+                let cell = &mut self.cells[server];
+                if !cell.down {
+                    cell.server
+                        .corrupt_cache(now, LogCorruption::TornWrite { records });
+                    self.fstats.torn_writes += 1;
+                }
+            }
+            TimedFault::BitRot {
+                server,
+                sectors,
+                seed,
+                target,
+            } => {
+                let cell = &mut self.cells[server];
+                if !cell.down {
+                    self.fstats.rotted_records += cell.server.corrupt_cache(
+                        now,
+                        LogCorruption::BitRot {
+                            sectors,
+                            seed,
+                            target,
+                        },
+                    );
+                }
+            }
+            TimedFault::MdsCrash => {
+                if self
+                    .mds_call(sim, now, |g, acts| g.crash_leader(now, acts))
+                    .is_some()
+                {
+                    self.fstats.mds_crashes += 1;
+                }
+            }
+            TimedFault::MdsRestart => {
+                let rejoining = self.coord.mds.down_replicas() as u64;
+                if rejoining > 0 {
+                    self.fstats.mds_restarts += rejoining;
+                    self.mds_call(sim, now, |g, acts| g.restart_crashed(now, acts));
+                }
+            }
+            TimedFault::MdsPartitionStart => {
+                self.fstats.mds_crashes += 1;
+                self.mds_call(sim, now, |g, acts| g.partition_leader(now, acts));
+            }
+            TimedFault::MdsPartitionHeal => {
+                self.fstats.mds_restarts += 1;
+                self.mds_call(sim, now, |g, acts| g.heal(now, acts));
+            }
+        }
+    }
+
+    /// One pass of the online invariant auditor over the servers:
+    /// cross-checks every live server's policy invariants (partition
+    /// accounting, mapping-table index/LRU agreement, log residency — see
+    /// `CachePolicy::audit`) and the monotonicity of process epochs since
+    /// the previous pass. Aborts the simulation with a structured
+    /// diagnostic on the first violation; a passing audit leaves no trace.
+    fn audit(&mut self, now: SimTime) {
+        for (i, cell) in self.cells.iter().enumerate() {
+            if cell.down {
+                continue;
+            }
+            if let Err(why) = cell.server.policy().audit() {
+                panic!(
+                    "invariant audit failed: time={:?} server={} down={} epoch={}: {}",
+                    now, i, cell.down, cell.srv_epoch, why
+                );
+            }
+        }
+        for (i, prev) in self.audit_epochs.iter_mut().enumerate() {
+            let cur = self.cells[i].srv_epoch;
+            assert!(
+                cur >= *prev,
+                "invariant audit failed: time={:?} server={}: process epoch moved \
+                 backwards ({} -> {})",
+                now,
+                i,
+                *prev,
+                cur,
+            );
+            *prev = cur;
+        }
+    }
+
+    /// The audit that closes a run: one more pass at quiescence, and no
+    /// in-flight record left over — the calendar ran empty, so every job
+    /// record and every client request must have been retired.
+    fn audit_end(&mut self, end: SimTime) {
+        self.audit(end);
+        assert!(
+            self.jobs.is_empty() && self.parents.is_empty(),
+            "invariant audit failed: time={:?}: {} job records and {} client requests \
+             still in flight at the end of the run",
+            end,
+            self.jobs.len(),
+            self.parents.len(),
+        );
     }
 }
 
@@ -2067,183 +2030,6 @@ fn degrade_end(fstats: &mut FaultStats, cell: &mut ServerCell, now: SimTime) {
     }
 }
 
-/// Applies one scheduled data-server fault.
-fn apply_server_fault(
-    sim: &mut Simulation<Ev>,
-    lp: &mut ServerLp,
-    now: SimTime,
-    fault: TimedFault,
-) {
-    match fault {
-        TimedFault::Crash { server } => {
-            let cell = &mut lp.cells[server];
-            if !cell.down {
-                cell.down = true;
-                lp.fstats.crashes += 1;
-                cell.srv_epoch = cell.srv_epoch.wrapping_add(1);
-                cell.dev_epoch[0] = cell.dev_epoch[0].wrapping_add(1);
-                cell.dev_epoch[1] = cell.dev_epoch[1].wrapping_add(1);
-                cell.server.crash(now);
-                degrade_start(cell, now);
-                // Sub-requests in the dead process's custody vanish
-                // with it; the clients' timeouts recover them.
-                lp.jobs
-                    .retain(|_, pj| !(pj.server == server && pj.sub.is_none()));
-            }
-        }
-        TimedFault::Restart { server } => {
-            let cell = &mut lp.cells[server];
-            if cell.down {
-                cell.down = false;
-                lp.fstats.restarts += 1;
-                let report = cell.server.restart(now);
-                lp.fstats.clean_entries_dropped += report.clean_entries_dropped;
-                lp.fstats.pending_entries_dropped += report.pending_entries_dropped;
-                lp.fstats.fsck_records_scanned += report.records_scanned;
-                lp.fstats.fsck_records_quarantined += report.records_quarantined;
-                lp.fstats.dirty_bytes_lost += report.dirty_bytes_lost;
-                degrade_end(&mut lp.fstats, &mut lp.cells[server], now);
-                if lp.draining {
-                    // Replayed dirty entries must still be written
-                    // back for the run to quiesce. The restart runs
-                    // on the server's own node, so the kick is local.
-                    let node = srv_node(server);
-                    sim.post_now(node, node, Ev::DrainTick { server });
-                }
-            }
-        }
-        TimedFault::SsdLoss { server } => {
-            if lp.cells[server].server.cache().is_some() {
-                lp.fstats.ssd_losses += 1;
-                lp.cells[server].dev_epoch[1] = lp.cells[server].dev_epoch[1].wrapping_add(1);
-                let mut lost_jobs = std::mem::take(&mut lp.lost_jobs);
-                lost_jobs.clear();
-                let lost = lp.cells[server].server.lose_cache_dev(now, &mut lost_jobs);
-                lp.fstats.dirty_bytes_lost += lost;
-                for job in lost_jobs.drain(..) {
-                    lp.jobs.remove(&job);
-                }
-                lp.lost_jobs = lost_jobs;
-                // Tell the MDS to stop steering fragments at this
-                // server; its table lives on the coordinator, one
-                // lookahead away.
-                let node = srv_node(server);
-                sim.post_at(node, COORD, now + sim.lookahead(), Ev::SteerOff { server });
-                degrade_start(&mut lp.cells[server], now);
-            }
-        }
-        TimedFault::SlowStart {
-            server,
-            dev,
-            factor,
-        } => {
-            lp.fstats.slow_windows += 1;
-            lp.cells[server]
-                .server
-                .set_slow_factor(devkind(dev), factor);
-            degrade_start(&mut lp.cells[server], now);
-        }
-        TimedFault::SlowEnd { server, dev } => {
-            lp.cells[server].server.set_slow_factor(devkind(dev), 1.0);
-            degrade_end(&mut lp.fstats, &mut lp.cells[server], now);
-        }
-        TimedFault::TornWrite { server, records } => {
-            // Fires immediately before its Crash (same instant, plan
-            // order): the records are torn on media before the
-            // restart's recovery fsck ever sees them.
-            if !lp.cells[server].down {
-                lp.cells[server]
-                    .server
-                    .corrupt_cache(now, LogCorruption::TornWrite { records });
-                lp.fstats.torn_writes += 1;
-            }
-        }
-        TimedFault::BitRot {
-            server,
-            sectors,
-            seed,
-            target,
-        } => {
-            if !lp.cells[server].down {
-                let target = match target {
-                    RotTarget::Any => BitRotTarget::Any,
-                    RotTarget::Tail => BitRotTarget::Tail,
-                    RotTarget::Checkpoint => BitRotTarget::Checkpoint,
-                };
-                let hit = lp.cells[server].server.corrupt_cache(
-                    now,
-                    LogCorruption::BitRot {
-                        sectors,
-                        seed,
-                        target,
-                    },
-                );
-                lp.fstats.rotted_records += hit;
-            }
-        }
-        TimedFault::MdsCrash
-        | TimedFault::MdsRestart
-        | TimedFault::MdsPartitionStart
-        | TimedFault::MdsPartitionHeal => {
-            unreachable!("MDS fault routed to the servers")
-        }
-    }
-}
-
-fn maybe_release_barrier(
-    sim: &mut Simulation<Ev>,
-    proc_state: &mut [ProcState],
-    barrier_mask: &[bool],
-) {
-    // Release when no barrier participant is still running.
-    let blocked = proc_state
-        .iter()
-        .zip(barrier_mask)
-        .any(|(&s, &m)| m && s == ProcState::Running);
-    if blocked {
-        return;
-    }
-    for (proc, st) in proc_state.iter_mut().enumerate() {
-        if *st == ProcState::AtBarrier {
-            *st = ProcState::Running;
-            sim.post_now(COORD, COORD, Ev::Wake { proc });
-        }
-    }
-}
-
-/// One pass of the online invariant auditor over the servers: cross-checks
-/// every live server's policy invariants (partition accounting,
-/// mapping-table index/LRU agreement, log residency — see
-/// `CachePolicy::audit`) and the monotonicity of process epochs since
-/// the previous pass. Aborts the simulation with a structured
-/// diagnostic on the first violation; a passing audit leaves no trace.
-fn audit_servers(lp: &mut ServerLp, now: SimTime) {
-    for (i, cell) in lp.cells.iter().enumerate() {
-        if cell.down {
-            continue;
-        }
-        if let Err(why) = cell.server.policy().audit() {
-            panic!(
-                "invariant audit failed: time={:?} server={} down={} epoch={}: {}",
-                now, i, cell.down, cell.srv_epoch, why
-            );
-        }
-    }
-    for (i, prev) in lp.audit_epochs.iter_mut().enumerate() {
-        let cur = lp.cells[i].srv_epoch;
-        assert!(
-            cur >= *prev,
-            "invariant audit failed: time={:?} server={}: process epoch moved \
-             backwards ({} -> {})",
-            now,
-            i,
-            *prev,
-            cur,
-        );
-        *prev = cur;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2254,6 +2040,17 @@ mod tests {
     fn small_cluster(n_servers: usize) -> Cluster {
         let cfg = ClusterConfig {
             n_servers,
+            ..Default::default()
+        };
+        Cluster::new(cfg, |_| Box::new(StockPolicy::new()))
+    }
+
+    /// A small cluster with the online auditor armed, so a run also
+    /// fails on an in-flight record left over at its end.
+    fn audited_cluster(n_servers: usize) -> Cluster {
+        let cfg = ClusterConfig {
+            n_servers,
+            audit_interval: Some(SimDuration::from_millis(1)),
             ..Default::default()
         };
         Cluster::new(cfg, |_| Box::new(StockPolicy::new()))
@@ -2517,7 +2314,7 @@ mod tests {
 
     #[test]
     fn crash_and_restart_mid_run_completes_via_retries() {
-        let mut c = small_cluster(2);
+        let mut c = audited_cluster(2);
         let plan = FaultPlan::parse(
             "retry timeout=5ms backoff=2 max=12\ncrash server=1 at=2ms restart=20ms",
         )
@@ -2563,7 +2360,7 @@ mod tests {
 
     #[test]
     fn net_impairments_are_recovered_by_retries() {
-        let mut c = small_cluster(2);
+        let mut c = audited_cluster(2);
         let plan = FaultPlan::parse(
             "retry timeout=5ms backoff=2 max=20\nnet from=0ms until=60s drop=0.2 dup=0.1",
         )

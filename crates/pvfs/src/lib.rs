@@ -57,10 +57,11 @@ pub use cluster::{
     total_events_dispatched, total_fault_counters, total_window_counters, Cluster, ClusterConfig,
     FaultTotals, RunStats, ServerRunStats,
 };
+pub use ibridge_faults::RotTarget;
 pub use layout::Layout;
 pub use policy::{
-    BitRotTarget, CachePolicy, CacheStats, EntryId, FlushId, FlushOp, LogCorruption, MaintStats,
-    Placement, RestartReport, StockPolicy,
+    CachePolicy, CacheStats, EntryId, FlushId, FlushOp, LogCorruption, MaintStats, Placement,
+    RestartReport, StockPolicy,
 };
 pub use proto::{FileRequest, ReqClass, SubRequest};
 pub use server::{DataServer, DevKind, DiskSched, JobId, ServerConfig};

@@ -9,6 +9,7 @@
 use crate::proto::SubRequest;
 use ibridge_des::SimTime;
 use ibridge_device::Lbn;
+use ibridge_faults::RotTarget;
 use ibridge_localfs::{ExtentList, FileHandle};
 
 /// Identifier of a cache entry, assigned by the policy.
@@ -235,23 +236,8 @@ pub enum LogCorruption {
         /// Seed for the deterministic placement of the hits.
         seed: u64,
         /// Which region of the backup media the hits land in.
-        target: BitRotTarget,
+        target: RotTarget,
     },
-}
-
-/// Which region of the segmented backup media bit-rot strikes. The
-/// circular log of PR 4 had a single region; the segmented log splits
-/// the media into tail segments and the indexed checkpoint, and fault
-/// plans can aim at either.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BitRotTarget {
-    /// Any resident backup record (tail segments and checkpoint alike).
-    #[default]
-    Any,
-    /// Tail-segment records only (seq newer than the checkpoint covers).
-    Tail,
-    /// Checkpoint-image records only.
-    Checkpoint,
 }
 
 /// Decision-making interface of the server-side cache.

@@ -21,7 +21,7 @@
 
 use ibridge_repro::core::{IBridgeConfig, IBridgePolicy};
 use ibridge_repro::prelude::*;
-use ibridge_repro::pvfs::{BitRotTarget, CachePolicy, LogCorruption, Placement};
+use ibridge_repro::pvfs::{CachePolicy, LogCorruption, Placement, RotTarget};
 use ibridge_repro::workloads::CheckpointWorkload;
 use proptest::prelude::*;
 
@@ -502,7 +502,7 @@ proptest! {
         let hit = CachePolicy::inject_corruption(
             &mut p,
             SimTime::ZERO,
-            LogCorruption::BitRot { sectors, seed: rot_seed, target: BitRotTarget::Any },
+            LogCorruption::BitRot { sectors, seed: rot_seed, target: RotTarget::Any },
         );
         prop_assert!(hit <= (n_dirty + n_clean) as u64);
 

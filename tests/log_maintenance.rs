@@ -19,7 +19,7 @@
 
 use ibridge_repro::core::{IBridgeConfig, IBridgePolicy};
 use ibridge_repro::prelude::*;
-use ibridge_repro::pvfs::{BitRotTarget, CachePolicy, LogCorruption, Placement};
+use ibridge_repro::pvfs::{CachePolicy, LogCorruption, Placement, RotTarget};
 use proptest::prelude::*;
 
 const KB: u64 = 1024;
@@ -168,7 +168,7 @@ proptest! {
             LogCorruption::BitRot {
                 sectors: rot_sectors,
                 seed: rot_seed,
-                target: BitRotTarget::Tail,
+                target: RotTarget::Tail,
             },
         );
 
