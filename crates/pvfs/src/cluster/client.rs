@@ -1,3 +1,6 @@
+//! The clients: each process issues its requests as sub-requests,
+//! collects the replies, retransmits on timeout and waits at barriers.
+
 use super::faults::net_decision;
 use super::{srv_node, Ev, PendingJob, Run, COORD};
 use crate::proto::{FileRequest, SubRequest};
@@ -81,8 +84,6 @@ fn obs_request_done(issued_at: SimTime, wait: SimDuration, proc: usize, parent: 
     }
 }
 
-/// Clients: issuing requests as sub-requests, collecting replies,
-/// retransmitting on timeout, and barriers.
 impl Run<'_> {
     pub(super) fn wake(&mut self, sim: &mut Simulation<Ev>, now: SimTime, proc: usize) {
         debug_assert_eq!(self.proc_state[proc], ProcState::Running);

@@ -1,3 +1,6 @@
+//! Fault glue (scheduled faults, network impairments, degraded time)
+//! and the online invariant auditor.
+
 use super::{srv_node, Ev, Run, ServerCell, COORD};
 use crate::policy::LogCorruption;
 use crate::server::DevKind;
@@ -12,7 +15,6 @@ fn devkind(dev: FaultDev) -> DevKind {
     }
 }
 
-/// Fault glue and the online invariant auditor.
 impl Run<'_> {
     /// Applies one scheduled fault on the node it targets.
     pub(super) fn fault(&mut self, sim: &mut Simulation<Ev>, now: SimTime, fault: TimedFault) {

@@ -1,3 +1,6 @@
+//! Glue to the metadata service: proposals to the MDS group, and the
+//! T-table updates and broadcasts that its commits produce.
+
 use super::{srv_node, Ev, Run, COORD};
 use ibridge_des::{SimDuration, SimTime, Simulation};
 use ibridge_mds::{Action as MdsAction, Entry as MdsEntry, MdsGroup};
@@ -44,8 +47,6 @@ fn obs_mds_leader(now: SimTime, leader: Option<usize>, term: u64) {
     }
 }
 
-/// The metadata service: proposals to the MDS group and the
-/// application of what it commits.
 impl Run<'_> {
     /// Proposes `entry` to the MDS group. A refused proposal is retried on
     /// a fixed coordinator-local backoff while a quorum could still elect a

@@ -33,6 +33,10 @@
 //! ([`ibridge_faults::NetDecider`]). Event keys are intrinsic `(time,
 //! source node, per-node sequence)`, so every stat, trace and golden is
 //! byte-identical at any `--jobs` level.
+//!
+//! This file holds the configuration, the event type, the cluster and its
+//! event loop. The handlers live by domain in `client`, `mds`, `servers`
+//! and `faults` (with the auditor), and what a run reports in `stats`.
 
 use crate::layout::Layout;
 use crate::policy::CachePolicy;

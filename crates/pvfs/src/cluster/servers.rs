@@ -1,3 +1,6 @@
+//! Data-server events, the posting of what a server emits, and the
+//! post-event tail that follows every server event.
+
 use super::faults::net_decision;
 use super::{srv_node, Ev, Run, COORD};
 use crate::server::{DataServer, DevKind, JobId, ServerOut};
@@ -57,7 +60,6 @@ fn dev_idx(kind: DevKind) -> usize {
     }
 }
 
-/// Data-server events, each followed by the servers' post-event tail.
 impl Run<'_> {
     pub(super) fn sub_arrive(
         &mut self,
@@ -67,8 +69,8 @@ impl Run<'_> {
         job: JobId,
     ) {
         if self.cells[server].down {
-            // The message reached a dead endpoint; the client's timeout
-            // recovers it.
+            // The message reached a dead endpoint and its record dies
+            // with it; the client's timeout recovers it.
             self.jobs.remove(&job);
             self.fstats.dropped_messages += 1;
             return;

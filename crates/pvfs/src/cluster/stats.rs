@@ -1,3 +1,5 @@
+//! What a run reports, and the process-wide totals of all runs.
+
 use crate::policy::{CacheStats, MaintStats};
 use ibridge_des::stats::{Histogram, MeanTracker};
 use ibridge_des::SimDuration;

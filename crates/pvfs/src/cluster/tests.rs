@@ -1,3 +1,5 @@
+//! Unit tests of the cluster.
+
 use super::*;
 use crate::policy::StockPolicy;
 use crate::workload::SequentialWorkload;
