@@ -110,8 +110,8 @@ fn main() {
                 scale.audit_interval = Some(ibridge_des::SimDuration::from_millis(5));
             }
             "--list-fault-plans" => {
-                for (name, what) in ibridge_faults::BUILTIN_PLANS {
-                    println!("{name:10} {what}");
+                for p in ibridge_faults::BUILTIN_PLANS {
+                    println!("{:10} {}", p.name, p.what);
                 }
                 return;
             }
@@ -146,7 +146,7 @@ fn main() {
                      trace-event JSON of every request's span tree (load \
                      in chrome://tracing or Perfetto). Both are \
                      deterministic: byte-identical at any --jobs level",
-                    ibridge_faults::BUILTIN_NAMES.join(", ")
+                    builtin_names()
                 );
                 return;
             }
@@ -309,7 +309,7 @@ fn load_fault_plan(value: &str) -> &'static ibridge_faults::FaultPlan {
             die(&format!(
                 "--fault-plan '{value}' is not a builtin plan ({}) and \
                  cannot be read as a file: {e}",
-                ibridge_faults::BUILTIN_NAMES.join(", ")
+                builtin_names()
             ))
         }),
     };
@@ -318,6 +318,15 @@ fn load_fault_plan(value: &str) -> &'static ibridge_faults::FaultPlan {
         Ok(plan) => Box::leak(Box::new(plan)),
         Err(e) => die(&format!("--fault-plan {value}: {e}")),
     }
+}
+
+/// The builtin fault-plan names, comma-separated, for messages.
+fn builtin_names() -> String {
+    let names: Vec<&str> = ibridge_faults::BUILTIN_PLANS
+        .iter()
+        .map(|p| p.name)
+        .collect();
+    names.join(", ")
 }
 
 fn die(msg: &str) -> ! {

@@ -13,35 +13,14 @@
 //! seed, so the table is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{build, Scale, System, Table, FILE_A};
-use ibridge_des::SimDuration;
+use crate::{build, checkpoint_probe, Scale, System, Table};
 use ibridge_faults::{builtin, FaultPlan};
-use ibridge_pvfs::RunStats;
-use ibridge_workloads::CheckpointWorkload;
 
-/// The plans this table covers. A fixed list, not `BUILTIN_NAMES`: the
+/// The plans this table covers. A fixed list, not `BUILTIN_PLANS`: the
 /// corruption plans (torn-write, bit-rot, mds-crash) report through the
 /// `recovery` experiment instead, and the fault-matrix golden pins these
 /// six rows byte-for-byte.
 const SMOKE_PLANS: &[&str] = &["none", "crash", "ssd-loss", "fail-slow", "net", "chaos"];
-
-/// Fixed probe shape: small enough that the fault windows of the
-/// builtin plans (tens to hundreds of milliseconds) overlap the run at
-/// any scale. Only the seed follows `--seed`.
-fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
-    let mut cluster = build(System::IBridge, 4, scale);
-    let mut w = CheckpointWorkload::new(
-        FILE_A,
-        4,
-        1 << 20,
-        60 * 1024,
-        4,
-        SimDuration::from_millis(25),
-    );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(plan);
-    cluster.run(&mut w)
-}
 
 /// The `faults` experiment: one row per builtin plan (plus the
 /// `--fault-plan` one when given).
@@ -57,7 +36,10 @@ pub fn run(scale: &Scale) -> String {
     if let Some(plan) = scale.fault_plan {
         plans.push(("custom".to_string(), plan.clone()));
     }
-    let results = par_map(plans.clone(), |(_, plan)| probe(scale, &plan));
+    // A fixed probe shape at any scale: only the seed follows `--seed`.
+    let results = par_map(plans.clone(), |(_, plan)| {
+        checkpoint_probe(build(System::IBridge, 4, scale), 4, &plan)
+    });
 
     let mut t = Table::new(
         "Faults — checkpoint workload under injected faults (iBridge, 4 servers)",

@@ -24,7 +24,7 @@
 //! is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{Scale, Table, FILE_A};
+use crate::{checkpoint_probe, Scale, Table};
 use ibridge_core::{IBridgeConfig, IBridgePolicy};
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::IoDir;
@@ -34,7 +34,6 @@ use ibridge_pvfs::{
     CachePolicy, Cluster, ClusterConfig, MaintStats, Placement, ReqClass, RunStats, ServerConfig,
     SubRequest,
 };
-use ibridge_workloads::CheckpointWorkload;
 
 /// Plans for the in-cluster table: faultless maintenance, a crash that
 /// recovers from the maintained log, and bit-rot the scrubber races.
@@ -65,24 +64,14 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> (RunStats, MaintStats) {
     };
     let ssd_capacity = scale.ssd_capacity;
     let disk = cfg.server.disk.clone();
-    let mut cluster = Cluster::new(cfg, move |server_id| {
+    let cluster = Cluster::new(cfg, move |server_id| {
         let mut c = IBridgeConfig::with_capacity(server_id, ssd_capacity);
         c.disk = disk.clone();
         c.segment_bytes = 2 << 10;
         c.checkpoint_every = 96;
         Box::new(IBridgePolicy::new(c))
     });
-    let mut w = CheckpointWorkload::new(
-        FILE_A,
-        4,
-        1 << 20,
-        60 * 1024,
-        4,
-        SimDuration::from_millis(25),
-    );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(plan);
-    let stats = cluster.run(&mut w);
+    let stats = checkpoint_probe(cluster, 4, plan);
     let mut maint = MaintStats::default();
     for s in &stats.servers {
         maint.absorb(&s.maint);

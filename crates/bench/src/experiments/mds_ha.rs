@@ -17,12 +17,11 @@
 //! seed, so the table is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{Scale, Table, FILE_A};
+use crate::{checkpoint_probe, Scale, Table};
 use ibridge_core::ibridge_cluster;
 use ibridge_des::SimDuration;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_pvfs::{ClusterConfig, RunStats, ServerConfig};
-use ibridge_workloads::CheckpointWorkload;
 
 /// The MDS-fault plans this table covers, against the faultless row.
 const PLANS: &[&str] = &["none", "mds-crash", "mds-failover", "mds-partition"];
@@ -47,18 +46,7 @@ fn probe(scale: &Scale, replicas: usize, plan: &FaultPlan) -> RunStats {
         },
         ..Default::default()
     };
-    let mut cluster = ibridge_cluster(cfg, scale.ssd_capacity);
-    let mut w = CheckpointWorkload::new(
-        FILE_A,
-        4,
-        1 << 20,
-        60 * 1024,
-        10,
-        SimDuration::from_millis(25),
-    );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(plan);
-    cluster.run(&mut w)
+    checkpoint_probe(ibridge_cluster(cfg, scale.ssd_capacity), 10, plan)
 }
 
 /// The `mds-ha` experiment: one row per (replicas, plan) pair.

@@ -21,14 +21,13 @@
 //! any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{Scale, Table, FILE_A};
+use crate::{checkpoint_probe, Scale, Table, FILE_A};
 use ibridge_core::record::{self, LogRecord, RecordVerdict, SealedRecord};
 use ibridge_core::{ibridge_cluster, EntryType};
 use ibridge_des::SimDuration;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_localfs::{Extent, ExtentList};
 use ibridge_pvfs::{ClusterConfig, RunStats, ServerConfig};
-use ibridge_workloads::CheckpointWorkload;
 
 /// The corruption plans this table covers, against the faultless
 /// baseline. A fixed list: the CI corruption-matrix golden pins these
@@ -57,18 +56,7 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
         },
         ..Default::default()
     };
-    let mut cluster = ibridge_cluster(cfg, scale.ssd_capacity);
-    let mut w = CheckpointWorkload::new(
-        FILE_A,
-        4,
-        1 << 20,
-        60 * 1024,
-        4,
-        SimDuration::from_millis(25),
-    );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(plan);
-    cluster.run(&mut w)
+    checkpoint_probe(ibridge_cluster(cfg, scale.ssd_capacity), 4, plan)
 }
 
 /// `splitmix64` step — deterministic victim placement from the seed.

@@ -23,8 +23,11 @@ pub use table::Table;
 use ibridge_core::{
     ibridge_cluster, ssd_only_cluster, stock_cluster, IBridgeConfig, IBridgePolicy,
 };
+use ibridge_des::SimDuration;
+use ibridge_faults::FaultPlan;
 use ibridge_localfs::FileHandle;
 use ibridge_pvfs::{Cluster, ClusterConfig, RunStats, ServerConfig, Workload};
+use ibridge_workloads::CheckpointWorkload;
 
 /// The cluster variants the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,6 +195,24 @@ pub fn run_warm(
     cluster.run(warmup.as_mut());
     let mut measured = make_workload();
     cluster.run(measured.as_mut())
+}
+
+/// The probe of the fault experiments: a checkpoint run of 4 processes,
+/// each writing 1 MiB in 60 KiB records per epoch after 25 ms of
+/// compute, on `cluster` with `plan` armed. Its runs of a few hundred
+/// virtual milliseconds put the builtin plans' fault windows mid-run.
+pub fn checkpoint_probe(mut cluster: Cluster, epochs: u64, plan: &FaultPlan) -> RunStats {
+    let mut w = CheckpointWorkload::new(
+        FILE_A,
+        4,
+        1 << 20,
+        60 * 1024,
+        epochs,
+        SimDuration::from_millis(25),
+    );
+    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
+    cluster.set_fault_plan(plan);
+    cluster.run(&mut w)
 }
 
 /// Formats MB/s with one decimal.

@@ -11,11 +11,11 @@
 //! iff every float is bit-identical.
 
 use ibridge_bench::runpar::par_map_jobs;
-use ibridge_bench::{build, run_once, Scale, System, FILE_A};
+use ibridge_bench::{build, checkpoint_probe, run_once, Scale, System, FILE_A};
 use ibridge_des::SimDuration;
 use ibridge_device::IoDir;
 use ibridge_faults::{builtin, FaultPlan};
-use ibridge_workloads::{CheckpointWorkload, MpiIoTest};
+use ibridge_workloads::MpiIoTest;
 
 const KB: u64 = 1024;
 
@@ -56,19 +56,7 @@ fn multi_seed_stats_identical_across_jobs_levels() {
 /// plans' fault windows land mid-run.
 fn fault_cell((plan_text, seed): (&str, u64)) -> String {
     let plan = FaultPlan::parse(plan_text).expect("parses");
-    let scale = scale_with(seed);
-    let mut cluster = build(System::IBridge, 4, &scale);
-    let mut w = CheckpointWorkload::new(
-        FILE_A,
-        4,
-        1 << 20,
-        60 * 1024,
-        4,
-        SimDuration::from_millis(25),
-    );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(&plan);
-    let stats = cluster.run(&mut w);
+    let stats = checkpoint_probe(build(System::IBridge, 4, &scale_with(seed)), 4, &plan);
     assert!(
         stats.faults.crashes > 0 || stats.faults.dropped_messages > 0,
         "no fault landed — probe too short to exercise fault delivery"
@@ -109,18 +97,8 @@ fn mds_cell((plan_text, seed): (&str, u64)) -> String {
         report_interval: SimDuration::from_millis(5),
         ..Default::default()
     };
-    let mut cluster = ibridge_core::ibridge_cluster(cfg, scale_with(seed).ssd_capacity);
-    let mut w = CheckpointWorkload::new(
-        FILE_A,
-        4,
-        1 << 20,
-        60 * 1024,
-        10,
-        SimDuration::from_millis(25),
-    );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(&plan);
-    let stats = cluster.run(&mut w);
+    let cluster = ibridge_core::ibridge_cluster(cfg, scale_with(seed).ssd_capacity);
+    let stats = checkpoint_probe(cluster, 10, &plan);
     assert!(
         stats.faults.mds_elections >= 2 && stats.faults.mds_crashes == 1,
         "failover did not land — probe too short: {:?}",

@@ -55,16 +55,6 @@ impl DiskTimeModel {
         }
     }
 
-    /// Creates the model with a custom retention weight (ablations).
-    pub fn with_keep(profile: DiskProfile, keep: f64) -> Self {
-        DiskTimeModel {
-            profile,
-            t_request: Ewma::new(keep),
-            t_byte: Ewma::new(keep),
-            last_lbn: 0,
-        }
-    }
-
     /// Current average per-request service time `T_i` in seconds
     /// (0 before the first disk request). This is the value reported to
     /// the metadata server and compared in Eq. (3).

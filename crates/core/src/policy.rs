@@ -100,8 +100,6 @@ pub struct IBridgePolicy {
     /// `read_admission` (post-read insertion), keyed by the sub-request's
     /// `(file, offset, len)`.
     pending_admissions: FxHashMap<(FileHandle, u64, u64), f64>,
-    flush_to_entry: FxHashMap<FlushId, EntryId>,
-    next_flush: FlushId,
     /// Reused scratch for overlap invalidation (no per-write allocation).
     overlap_scratch: Vec<EntryId>,
     /// Reused scratch for the clean entries a log append overwrites.
@@ -170,8 +168,6 @@ impl IBridgePolicy {
             t_table: Vec::new(),
             stats: CacheStats::default(),
             pending_admissions: FxHashMap::default(),
-            flush_to_entry: FxHashMap::default(),
-            next_flush: 0,
             overlap_scratch: Vec::new(),
             casualties: Vec::new(),
             degraded: false,
@@ -387,11 +383,6 @@ impl PersistentState {
     /// The checkpoint image, if one was retained.
     pub fn checkpoint(&self) -> Option<&SealedCheckpoint> {
         self.checkpoint.as_ref()
-    }
-
-    /// Mutable access to the checkpoint (fault injection).
-    pub fn checkpoint_mut(&mut self) -> Option<&mut SealedCheckpoint> {
-        self.checkpoint.as_mut()
     }
 }
 
@@ -998,11 +989,8 @@ impl CachePolicy for IBridgePolicy {
             .map(|id| {
                 self.table.set_flushing(id, true);
                 let e = self.table.get(id).expect("picked entry exists");
-                let flush = self.next_flush;
-                self.next_flush += 1;
-                self.flush_to_entry.insert(flush, id);
                 FlushOp {
-                    id: flush,
+                    id,
                     file: e.file,
                     offset: e.offset,
                     len: e.len,
@@ -1013,25 +1001,25 @@ impl CachePolicy for IBridgePolicy {
     }
 
     fn flush_complete(&mut self, _now: SimTime, id: FlushId) {
-        // Unknown ids are tolerated: an in-flight flush write can
-        // complete after a crash or SSD loss already discarded the
-        // flush bookkeeping it belongs to.
-        let Some(entry) = self.flush_to_entry.remove(&id) else {
+        // A flush is named by its entry. An entry that is gone or not
+        // flushing is tolerated: an overlapping write can retire the
+        // entry mid-flush, and an in-flight flush write can complete
+        // after an SSD loss already discarded the table.
+        if !self.table.get(id).is_some_and(|e| e.flushing) {
             return;
-        };
-        self.table.mark_clean(entry);
-        self.log.unprotect(entry);
+        }
+        self.table.mark_clean(id);
+        self.log.unprotect(id);
         // The disk copy is current again: supersede the dirty backup
         // record with a clean one (the old copy becomes compactable
         // garbage).
-        if let Some(e) = self.table.get(entry) {
-            let old_seq = e.log_seq;
-            let rec = Self::entry_record(e);
-            self.backup.kill(old_seq);
-            let seq = self.backup_append(rec);
-            self.table.set_log_seq(entry, seq);
-            self.maint.supersedes += 1;
-        }
+        let e = self.table.get(id).expect("flushed entry exists");
+        let old_seq = e.log_seq;
+        let rec = Self::entry_record(e);
+        self.backup.kill(old_seq);
+        let seq = self.backup_append(rec);
+        self.table.set_log_seq(id, seq);
+        self.maint.supersedes += 1;
     }
 
     fn report_t(&self) -> f64 {
@@ -1129,7 +1117,6 @@ impl CachePolicy for IBridgePolicy {
         self.log = CircularLog::new(1);
         self.backup = SegmentedLog::new(self.cfg.segment_bytes);
         self.pending_admissions.clear();
-        self.flush_to_entry.clear();
         // Zero capacity disables every cache path in `place`; the
         // policy keeps answering, but everything goes to the disk.
         self.cfg.ssd_capacity = 0;

@@ -218,17 +218,6 @@ impl Histogram {
             self.record_n(k, c);
         }
     }
-
-    /// Rebins observations into fixed-width buckets (key → bucket floor).
-    /// Useful for compact printing of wide distributions.
-    pub fn rebinned(&self, width: u64) -> Histogram {
-        assert!(width > 0, "bucket width must be positive");
-        let mut out = Histogram::new();
-        for (k, c) in self.iter() {
-            out.record_n(k / width * width, c);
-        }
-        out
-    }
 }
 
 /// Fixed-bucket power-of-two histogram for latency-style integer samples.
@@ -456,17 +445,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 4);
         assert!((a.mean() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_rebin() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(9);
-        h.record(10);
-        let r = h.rebinned(10);
-        assert_eq!(r.count(0), 2);
-        assert_eq!(r.count(10), 1);
     }
 
     #[test]

@@ -91,24 +91,6 @@ proptest! {
         prop_assert!(v <= tracker.max().unwrap() + 1e-9);
     }
 
-    /// Rebinned histograms conserve mass and never have more bins.
-    #[test]
-    fn histogram_rebin_conserves_mass(
-        keys in prop::collection::vec(0u64..10_000, 1..200),
-        width in 1u64..512,
-    ) {
-        let mut h = Histogram::new();
-        for &k in &keys {
-            h.record(k);
-        }
-        let r = h.rebinned(width);
-        prop_assert_eq!(r.total(), h.total());
-        prop_assert!(r.iter().count() <= h.iter().count());
-        for (k, _) in r.iter() {
-            prop_assert_eq!(k % width, 0);
-        }
-    }
-
     /// fraction_below is a monotone CDF reaching 1 past the maximum.
     #[test]
     fn histogram_cdf_is_monotone(keys in prop::collection::vec(0u64..1_000, 1..100)) {

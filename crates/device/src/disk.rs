@@ -78,15 +78,6 @@ impl DiskProfile {
         }
     }
 
-    /// The same drive with the write cache ineffective (sync write
-    /// path), as seen by the data servers.
-    pub fn hp_mm0500_sync() -> Self {
-        DiskProfile {
-            write_cache: false,
-            ..Self::hp_mm0500()
-        }
-    }
-
     /// Seek time for a head movement of `distance` sectors — the paper's
     /// `D_to_T` function.
     ///

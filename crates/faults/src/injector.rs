@@ -3,11 +3,13 @@
 //! A [`FaultInjector`] compiles a [`FaultPlan`] into (a) a sorted
 //! timeline of discrete faults the cluster schedules as ordinary
 //! calendar events at run start, and (b) a set of network impairment
-//! windows consulted per data-plane message. All randomness comes from
-//! one dedicated RNG stream (`streams::FAULTS`) seeded from the
-//! experiment seed, so a (seed, plan) pair replays the exact same
-//! failure history — including across `--jobs` worker counts, because
-//! each run owns its injector and draws in event order.
+//! windows that each node's [`NetDecider`] consults per data-plane
+//! message. Bit-rot placement draws from one dedicated RNG stream
+//! (`streams::FAULTS`) and each node's network outcomes from its own
+//! (`streams::FAULTS_NET`), all seeded from the experiment seed, so a
+//! (seed, plan) pair replays the exact same failure history — including
+//! across `--jobs` worker counts, because each run owns its injector
+//! and draws in event order.
 
 use crate::plan::{FaultDev, FaultPlan, FaultSpec, RetryConfig, RotTarget};
 use ibridge_des::rng::{derive_seed, stream_rng, streams};
@@ -199,13 +201,12 @@ pub struct FaultInjector {
     timeline: Vec<(SimDuration, TimedFault)>,
     armed: bool,
     windows: Arc<[(SimDuration, SimDuration, Impairment)]>,
-    rng: StdRng,
     retry: RetryConfig,
 }
 
-/// A per-node network-impairment decider: the same impairment windows
-/// as the owning [`FaultInjector`], but drawing outcomes from a stream
-/// seeded by `(experiment seed, node)`. Each simulated node owns one,
+/// A per-node network-impairment decider: the impairment windows of the
+/// owning [`FaultInjector`], drawing outcomes from a stream seeded by
+/// `(experiment seed, node)`. Each simulated node owns one,
 /// so the outcome sequence for a node's traffic depends only on the
 /// order *that node* sends messages, not on any other node's traffic.
 #[derive(Debug)]
@@ -318,7 +319,6 @@ impl FaultInjector {
             timeline,
             armed: false,
             windows: windows.into(),
-            rng,
             retry: plan.retry_config(),
         }
     }
@@ -351,21 +351,6 @@ impl FaultInjector {
         }
         self.armed = true;
         &self.timeline
-    }
-
-    /// Decides the fate of a data-plane message sent at `since_start`
-    /// after the armed run began. Draws from the fault RNG only inside
-    /// an impairment window, so runs without network faults consume no
-    /// randomness here. Overlapping windows: the first (plan order)
-    /// containing window wins.
-    pub fn decide(&mut self, since_start: SimDuration) -> NetDecision {
-        for (from, until, imp) in self.windows.iter() {
-            if since_start >= *from && since_start < *until {
-                let u: f64 = self.rng.gen();
-                return imp.decide(u);
-            }
-        }
-        NetDecision::Deliver
     }
 }
 
@@ -473,8 +458,9 @@ mod tests {
     #[test]
     fn decide_is_deterministic_per_seed() {
         let p = plan("net from=0ms until=100ms drop=0.3 delay=0.3 delay-by=1ms dup=0.2\n");
-        let mut a = FaultInjector::new(&p, 42);
-        let mut b = FaultInjector::new(&p, 42);
+        let inj = FaultInjector::new(&p, 42);
+        let mut a = inj.net_decider(42, 0).expect("windows present");
+        let mut b = inj.net_decider(42, 0).expect("windows present");
         let da: Vec<_> = (0..64)
             .map(|i| a.decide(SimDuration::from_millis(i)))
             .collect();
@@ -490,7 +476,9 @@ mod tests {
     #[test]
     fn no_draws_outside_windows() {
         let p = plan("net from=10ms until=20ms drop=1\n");
-        let mut inj = FaultInjector::new(&p, 1);
+        let mut inj = FaultInjector::new(&p, 1)
+            .net_decider(1, 0)
+            .expect("windows present");
         assert_eq!(
             inj.decide(SimDuration::from_millis(5)),
             NetDecision::Deliver

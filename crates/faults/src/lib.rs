@@ -35,6 +35,6 @@ mod plan;
 
 pub use injector::{FaultInjector, FaultStats, NetDecider, TimedFault};
 pub use plan::{
-    builtin, FaultDev, FaultPlan, FaultSpec, PlanError, RetryConfig, RotTarget, BUILTIN_NAMES,
+    builtin, BuiltinPlan, FaultDev, FaultPlan, FaultSpec, PlanError, RetryConfig, RotTarget,
     BUILTIN_PLANS,
 };

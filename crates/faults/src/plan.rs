@@ -559,121 +559,105 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Returns the DSL source of a named built-in plan, or `None`. The
-/// built-ins are sized for the `faults` bench experiment's checkpoint
-/// workload (runs of a few hundred virtual milliseconds).
-pub fn builtin(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "none" => "# no faults: must be byte-identical to running without a plan\n",
-        "crash" => {
-            "retry timeout=60ms backoff=2 max=10\n\
-             crash server=1 at=120ms restart=80ms\n"
-        }
-        "ssd-loss" => {
-            "retry timeout=60ms backoff=2 max=10\n\
-             ssd-loss server=0 at=100ms\n"
-        }
-        "fail-slow" => {
-            "retry timeout=250ms backoff=2 max=10\n\
-             fail-slow server=2 dev=primary from=80ms until=320ms factor=6\n"
-        }
-        "net" => {
-            "retry timeout=60ms backoff=2 max=10\n\
-             net from=40ms until=400ms drop=0.05 delay=0.10 delay-by=3ms dup=0.03\n"
-        }
-        "chaos" => {
-            "retry timeout=80ms backoff=2 max=12\n\
-             crash server=3 at=150ms restart=70ms\n\
-             ssd-loss server=0 at=90ms\n\
-             fail-slow server=2 dev=primary from=60ms until=260ms factor=4\n\
-             net from=30ms until=350ms drop=0.03 delay=0.06 delay-by=2ms dup=0.02\n"
-        }
-        "torn-write" => {
-            // The crash lands before the first 100 ms writeback pass,
-            // so the torn records are still dirty — the plan
-            // demonstrates a real durability cost, not just quarantine.
-            "retry timeout=60ms backoff=2 max=10\n\
-             torn-write server=1 at=90ms restart=80ms records=2\n"
-        }
-        "bit-rot" => {
-            "retry timeout=60ms backoff=2 max=10\n\
-             bit-rot server=0 at=100ms sectors=3\n\
-             crash server=0 at=140ms restart=60ms\n"
-        }
-        "mds-crash" => "mds-crash at=80ms restart=120ms\n",
-        "mds-failover" => {
-            // Kill the elected leader mid-run; with a replicated MDS the
-            // survivors re-elect within a few election timeouts and the
-            // crashed replica later rejoins by replaying the log.
-            "mds-failover at=80ms restart=120ms\n"
-        }
-        "mds-partition" => {
-            // Isolate the leader instead of killing it: the majority
-            // side fences it (no quorum, no commits) and elects afresh;
-            // the healed ex-leader steps down on the higher term.
-            "mds-partition at=80ms heal=120ms\n"
-        }
-        _ => return None,
-    })
+/// A named built-in plan.
+#[derive(Debug, Clone, Copy)]
+pub struct BuiltinPlan {
+    /// The name `--fault-plan` accepts.
+    pub name: &'static str,
+    /// One line for `expt --list-fault-plans`.
+    pub what: &'static str,
+    /// The plan's DSL source.
+    pub source: &'static str,
 }
 
-/// Names accepted by [`builtin`], for error messages.
-pub const BUILTIN_NAMES: &[&str] = &[
-    "none",
-    "crash",
-    "ssd-loss",
-    "fail-slow",
-    "net",
-    "chaos",
-    "torn-write",
-    "bit-rot",
-    "mds-crash",
-    "mds-failover",
-    "mds-partition",
+/// Every built-in plan, in listing order. The plans are sized for the
+/// `faults` bench experiment's checkpoint workload (runs of a few
+/// hundred virtual milliseconds).
+pub const BUILTIN_PLANS: &[BuiltinPlan] = &[
+    BuiltinPlan {
+        name: "none",
+        what: "no faults; byte-identical to running without a plan",
+        source: "# no faults: must be byte-identical to running without a plan\n",
+    },
+    BuiltinPlan {
+        name: "crash",
+        what: "server 1 dies at 120ms and restarts 80ms later",
+        source: "retry timeout=60ms backoff=2 max=10\n\
+                 crash server=1 at=120ms restart=80ms\n",
+    },
+    BuiltinPlan {
+        name: "ssd-loss",
+        what: "server 0 loses its SSD cache device at 100ms",
+        source: "retry timeout=60ms backoff=2 max=10\n\
+                 ssd-loss server=0 at=100ms\n",
+    },
+    BuiltinPlan {
+        name: "fail-slow",
+        what: "server 2's primary device runs 6x slower from 80ms to 320ms",
+        source: "retry timeout=250ms backoff=2 max=10\n\
+                 fail-slow server=2 dev=primary from=80ms until=320ms factor=6\n",
+    },
+    BuiltinPlan {
+        name: "net",
+        what: "data-plane messages dropped/delayed/duplicated from 40ms to 400ms",
+        source: "retry timeout=60ms backoff=2 max=10\n\
+                 net from=40ms until=400ms drop=0.05 delay=0.10 delay-by=3ms dup=0.03\n",
+    },
+    BuiltinPlan {
+        name: "chaos",
+        what: "crash + ssd-loss + fail-slow + net, all in one run",
+        source: "retry timeout=80ms backoff=2 max=12\n\
+                 crash server=3 at=150ms restart=70ms\n\
+                 ssd-loss server=0 at=90ms\n\
+                 fail-slow server=2 dev=primary from=60ms until=260ms factor=4\n\
+                 net from=30ms until=350ms drop=0.03 delay=0.06 delay-by=2ms dup=0.02\n",
+    },
+    // The crash lands before the first 100 ms writeback pass, so the
+    // torn records are still dirty — the plan demonstrates a real
+    // durability cost, not just quarantine.
+    BuiltinPlan {
+        name: "torn-write",
+        what: "server 1 crashes at 90ms tearing its 2 newest backup records",
+        source: "retry timeout=60ms backoff=2 max=10\n\
+                 torn-write server=1 at=90ms restart=80ms records=2\n",
+    },
+    BuiltinPlan {
+        name: "bit-rot",
+        what: "3 bit flips in server 0's backup log at 100ms, surfaced by a crash at 140ms",
+        source: "retry timeout=60ms backoff=2 max=10\n\
+                 bit-rot server=0 at=100ms sectors=3\n\
+                 crash server=0 at=140ms restart=60ms\n",
+    },
+    BuiltinPlan {
+        name: "mds-crash",
+        what: "metadata server down from 80ms to 200ms; T-value broadcasts stall",
+        source: "mds-crash at=80ms restart=120ms\n",
+    },
+    // Kill the elected leader mid-run; with a replicated MDS the
+    // survivors re-elect within a few election timeouts and the crashed
+    // replica later rejoins by replaying the log.
+    BuiltinPlan {
+        name: "mds-failover",
+        what: "MDS leader crashes at 80ms, rejoins at 200ms; replicas elect a new leader",
+        source: "mds-failover at=80ms restart=120ms\n",
+    },
+    // Isolate the leader instead of killing it: the majority side fences
+    // it (no quorum, no commits) and elects afresh; the healed ex-leader
+    // steps down on the higher term.
+    BuiltinPlan {
+        name: "mds-partition",
+        what: "MDS leader partitioned from 80ms to 200ms; fenced, majority re-elects",
+        source: "mds-partition at=80ms heal=120ms\n",
+    },
 ];
 
-/// Built-in plan names with one-line descriptions, in [`BUILTIN_NAMES`]
-/// order — the table behind `expt --list-fault-plans`.
-pub const BUILTIN_PLANS: &[(&str, &str)] = &[
-    (
-        "none",
-        "no faults; byte-identical to running without a plan",
-    ),
-    ("crash", "server 1 dies at 120ms and restarts 80ms later"),
-    ("ssd-loss", "server 0 loses its SSD cache device at 100ms"),
-    (
-        "fail-slow",
-        "server 2's primary device runs 6x slower from 80ms to 320ms",
-    ),
-    (
-        "net",
-        "data-plane messages dropped/delayed/duplicated from 40ms to 400ms",
-    ),
-    (
-        "chaos",
-        "crash + ssd-loss + fail-slow + net, all in one run",
-    ),
-    (
-        "torn-write",
-        "server 1 crashes at 90ms tearing its 2 newest backup records",
-    ),
-    (
-        "bit-rot",
-        "3 bit flips in server 0's backup log at 100ms, surfaced by a crash at 140ms",
-    ),
-    (
-        "mds-crash",
-        "metadata server down from 80ms to 200ms; T-value broadcasts stall",
-    ),
-    (
-        "mds-failover",
-        "MDS leader crashes at 80ms, rejoins at 200ms; replicas elect a new leader",
-    ),
-    (
-        "mds-partition",
-        "MDS leader partitioned from 80ms to 200ms; fenced, majority re-elects",
-    ),
-];
+/// Returns the DSL source of a named built-in plan, or `None`.
+pub fn builtin(name: &str) -> Option<&'static str> {
+    BUILTIN_PLANS
+        .iter()
+        .find(|p| p.name == name)
+        .map(|p| p.source)
+}
 
 #[cfg(test)]
 mod tests {
@@ -757,22 +741,13 @@ mod tests {
 
     #[test]
     fn builtins_all_parse() {
-        for name in BUILTIN_NAMES {
-            let text = builtin(name).expect("listed builtin exists");
+        for p in BUILTIN_PLANS {
+            let text = builtin(p.name).expect("listed builtin exists");
             let plan = FaultPlan::parse(text)
-                .unwrap_or_else(|e| panic!("builtin '{name}' failed to parse: {e}"));
-            assert_eq!(plan.is_faultless(), *name == "none");
+                .unwrap_or_else(|e| panic!("builtin '{}' failed to parse: {e}", p.name));
+            assert_eq!(plan.is_faultless(), p.name == "none");
         }
         assert!(builtin("nope").is_none());
-    }
-
-    #[test]
-    fn builtin_plans_table_matches_builtin_names() {
-        assert_eq!(BUILTIN_PLANS.len(), BUILTIN_NAMES.len());
-        for ((listed, desc), name) in BUILTIN_PLANS.iter().zip(BUILTIN_NAMES) {
-            assert_eq!(listed, name, "BUILTIN_PLANS order must match BUILTIN_NAMES");
-            assert!(!desc.is_empty());
-        }
     }
 
     #[test]

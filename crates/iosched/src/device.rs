@@ -335,7 +335,7 @@ impl BlockDevice {
         } else {
             None
         };
-        self.tracer.record(now, req.dir, req.sectors, req.submitted);
+        self.tracer.record(req.dir, req.sectors);
         let dur = self.storage.service(now, &req);
         #[cfg(feature = "obs")]
         self.observe_dispatch(now, &req, dur, seek);

@@ -172,7 +172,8 @@ pub struct BlockRequest {
     /// full positional cost on a disk. Set for client write sub-requests
     /// on the PVFS2 data path (`TroveSyncData`).
     pub fua: bool,
-    /// Cold partial-block edges requiring read-modify-write.
+    /// Cold partial-block edges requiring read-modify-write. Only
+    /// flush-barrier writes carry them, and those never merge.
     pub rmw_edges: u8,
     /// Upper-layer jobs carried by this request; merging concatenates.
     pub tags: TagList,
@@ -253,7 +254,6 @@ impl BlockRequest {
         assert_eq!(self.dir, other.dir, "merge across directions");
         assert_eq!(self.end(), other.lbn, "merge of non-adjacent requests");
         self.sectors += other.sectors;
-        self.rmw_edges = self.rmw_edges.saturating_add(other.rmw_edges);
         for &t in &other.tags {
             self.tags.push(t);
         }
@@ -271,7 +271,6 @@ impl BlockRequest {
         assert_eq!(other.end(), self.lbn, "merge of non-adjacent requests");
         self.lbn = other.lbn;
         self.sectors += other.sectors;
-        self.rmw_edges = self.rmw_edges.saturating_add(other.rmw_edges);
         for &t in &other.tags {
             self.tags.push(t);
         }

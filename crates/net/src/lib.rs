@@ -188,54 +188,6 @@ impl Link {
     }
 }
 
-/// A cluster fabric: per-node transmit links plus an optional shared
-/// core constraint (an oversubscribed switch). Messages serialise on
-/// the sender's link and then on the core.
-#[derive(Debug)]
-pub struct Fabric {
-    links: Vec<Link>,
-    core: Option<Link>,
-}
-
-impl Fabric {
-    /// Builds a fabric of `nodes` links. `core_bandwidth` of `None`
-    /// models a non-blocking switch (the paper's QDR fabric);
-    /// `Some(bytes_per_sec)` adds a shared bottleneck.
-    pub fn new(nodes: usize, link: LinkConfig, core_bandwidth: Option<f64>) -> Self {
-        let core = core_bandwidth.map(|bw| {
-            Link::new(LinkConfig {
-                bandwidth: bw,
-                latency: SimDuration::ZERO,
-                overhead: SimDuration::ZERO,
-            })
-        });
-        Fabric {
-            links: (0..nodes).map(|_| Link::new(link.clone())).collect(),
-            core,
-        }
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Sends `bytes` from `node`; returns the arrival time.
-    pub fn send(&mut self, node: usize, now: SimTime, bytes: u64) -> SimTime {
-        let after_link = self.links[node].send(now, bytes);
-        match &mut self.core {
-            // The core serialises starting when the sender's NIC is done.
-            Some(core) => core.send(after_link, bytes),
-            None => after_link,
-        }
-    }
-
-    /// Total bytes pushed by one node.
-    pub fn bytes_sent(&self, node: usize) -> u64 {
-        self.links[node].bytes_sent()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,29 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn non_blocking_fabric_lets_nodes_send_in_parallel() {
-        let mut f = Fabric::new(4, LinkConfig::qdr_infiniband(), None);
-        let arrivals: Vec<SimTime> = (0..4).map(|n| f.send(n, SimTime::ZERO, 1 << 20)).collect();
-        // All identical: no shared constraint.
-        assert!(arrivals.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn oversubscribed_core_serialises_cross_traffic() {
-        let link = LinkConfig::qdr_infiniband();
-        // Core equal to one link: 4 concurrent senders queue behind it.
-        let mut f = Fabric::new(4, link.clone(), Some(link.bandwidth));
-        let arrivals: Vec<SimTime> = (0..4).map(|n| f.send(n, SimTime::ZERO, 1 << 20)).collect();
-        assert!(
-            arrivals.windows(2).all(|w| w[1] > w[0]),
-            "core must serialise: {arrivals:?}"
-        );
-        // The last arrival is ~4 transmissions out.
-        let tx = link.tx_time(1 << 20);
-        assert!(arrivals[3] >= SimTime::ZERO + tx * 4);
-    }
-
-    #[test]
     fn impairment_partitions_unit_interval() {
         let imp = Impairment {
             drop: 0.1,
@@ -349,16 +278,5 @@ mod tests {
         for i in 0..10 {
             assert_eq!(imp.decide(i as f64 / 10.0), NetDecision::Deliver);
         }
-    }
-
-    #[test]
-    fn fabric_accounts_per_node() {
-        let mut f = Fabric::new(2, LinkConfig::gige(), None);
-        f.send(0, SimTime::ZERO, 100);
-        f.send(0, SimTime::ZERO, 100);
-        f.send(1, SimTime::ZERO, 7);
-        assert_eq!(f.bytes_sent(0), 200);
-        assert_eq!(f.bytes_sent(1), 7);
-        assert_eq!(f.nodes(), 2);
     }
 }

@@ -3,13 +3,12 @@
 //! The paper uses `blktrace` to record the sizes of requests dispatched
 //! to the device and plots their distribution in sector units (Figs.
 //! 2(c–e) and 5). [`DispatchTracer`] records the same signal from the
-//! simulated block layer, plus queueing-latency statistics. It lives in
+//! simulated block layer. It lives in
 //! the observability crate so the block layer, the experiment harness
 //! and the metrics renderers share one implementation;
 //! `ibridge-iosched` re-exports it under its old path.
 
-use ibridge_des::stats::{Histogram, MeanTracker};
-use ibridge_des::SimTime;
+use ibridge_des::stats::Histogram;
 use ibridge_device::IoDir;
 
 /// Records the size distribution (in sectors) of dispatched requests.
@@ -17,7 +16,6 @@ use ibridge_device::IoDir;
 pub struct DispatchTracer {
     reads: Histogram,
     writes: Histogram,
-    queue_latency_ms: MeanTracker,
 }
 
 impl DispatchTracer {
@@ -26,15 +24,13 @@ impl DispatchTracer {
         DispatchTracer::default()
     }
 
-    /// Records the dispatch at `now` of a request of `sectors` sectors in
-    /// direction `dir` that entered the scheduler queue at `submitted`.
-    pub fn record(&mut self, now: SimTime, dir: IoDir, sectors: u64, submitted: SimTime) {
+    /// Records the dispatch of a request of `sectors` sectors in
+    /// direction `dir`.
+    pub fn record(&mut self, dir: IoDir, sectors: u64) {
         match dir {
             IoDir::Read => self.reads.record(sectors),
             IoDir::Write => self.writes.record(sectors),
         }
-        self.queue_latency_ms
-            .record((now - submitted).as_millis_f64());
     }
 
     /// Size histogram of dispatched reads, keyed by sectors.
@@ -54,11 +50,6 @@ impl DispatchTracer {
         h
     }
 
-    /// Mean time requests spent queued before dispatch, in ms.
-    pub fn mean_queue_latency_ms(&self) -> Option<f64> {
-        self.queue_latency_ms.mean()
-    }
-
     /// Total dispatched request count.
     pub fn total(&self) -> u64 {
         self.reads.total() + self.writes.total()
@@ -73,15 +64,13 @@ impl DispatchTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibridge_des::SimDuration;
 
     #[test]
     fn records_by_direction() {
         let mut t = DispatchTracer::new();
-        let now = SimTime::from_millis(1);
-        t.record(now, IoDir::Read, 128, SimTime::ZERO);
-        t.record(now, IoDir::Read, 128, SimTime::ZERO);
-        t.record(now, IoDir::Write, 256, SimTime::ZERO);
+        t.record(IoDir::Read, 128);
+        t.record(IoDir::Read, 128);
+        t.record(IoDir::Write, 256);
         assert_eq!(t.reads().count(128), 2);
         assert_eq!(t.writes().count(256), 1);
         assert_eq!(t.combined().total(), 3);
@@ -89,20 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_latency_tracked() {
-        let mut t = DispatchTracer::new();
-        let submitted = SimTime::from_millis(10);
-        let dispatched = submitted + SimDuration::from_millis(4);
-        t.record(dispatched, IoDir::Read, 8, submitted);
-        assert!((t.mean_queue_latency_ms().unwrap() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut t = DispatchTracer::new();
-        t.record(SimTime::from_millis(1), IoDir::Read, 8, SimTime::ZERO);
+        t.record(IoDir::Read, 8);
         t.reset();
         assert_eq!(t.total(), 0);
-        assert_eq!(t.mean_queue_latency_ms(), None);
     }
 }

@@ -284,10 +284,7 @@ impl Run<'_> {
         }
         st.attempt += 1;
         self.fstats.retries += 1;
-        let wait = self
-            .retry
-            .timeout
-            .mul_f64(self.retry.backoff.powi(st.attempt as i32));
+        let wait = self.retry.backoff_delay(st.attempt);
         st.timeout =
             Some(sim.schedule_at(COORD, COORD, now + wait, Ev::SubTimeout { parent, sub_idx }));
         let sub = st.sub.clone();

@@ -94,22 +94,6 @@ pub struct CacheStats {
     pub random_admissions: u64,
 }
 
-impl CacheStats {
-    /// Read hit rate of one partition (`fragment = true` for the
-    /// fragment class), as a fraction of that class's classified reads.
-    /// Returns `None` when the class saw no reads — the Fig. 12
-    /// partition ablation reports per-class hit rates from these.
-    pub fn class_hit_rate(&self, fragment: bool) -> Option<f64> {
-        let (hits, misses) = if fragment {
-            (self.fragment_read_hits, self.fragment_read_misses)
-        } else {
-            (self.random_read_hits, self.random_read_misses)
-        };
-        let total = hits + misses;
-        (total > 0).then(|| hits as f64 / total as f64)
-    }
-}
-
 /// Counters of the background log-maintenance machinery: segmented-log
 /// compaction/GC, periodic indexed checkpoints and the cold-segment
 /// scrubber. All zero for policies without a persistent backup log.

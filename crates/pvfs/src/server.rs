@@ -11,7 +11,10 @@
 //! extents, or SSD-log extents); the server tracks them as *groups* and
 //! completes the upper-level work item when the whole group is done.
 //! Besides client jobs, groups are used for post-read cache admissions
-//! and the two phases of writeback (SSD read → disk write).
+//! and the two phases of writeback (SSD read → disk write). A group is
+//! the only record the server keeps of an in-flight job or flush: it
+//! carries the job's state or the flush's op until its last extent
+//! completes.
 
 use crate::policy::{
     CachePolicy, EntryId, FlushId, FlushOp, LogCorruption, Placement, RestartReport,
@@ -19,7 +22,7 @@ use crate::policy::{
 use crate::proto::SubRequest;
 use ibridge_des::fxhash::FxHashMap as HashMap;
 use ibridge_des::{SimDuration, SimTime};
-use ibridge_device::{bytes_to_sectors, DiskModel, DiskProfile, IoDir, SsdModel, SsdProfile};
+use ibridge_device::{DiskModel, DiskProfile, IoDir, SsdModel, SsdProfile};
 use ibridge_iosched::{
     Action, ActionList, AnySched, BlockDevice, BlockRequest, Cfq, CfqConfig, Deadline, Noop,
     StorageDev, StreamId,
@@ -172,6 +175,7 @@ impl ReadAhead {
 
 #[derive(Debug)]
 struct JobState {
+    job: JobId,
     sub: SubRequest,
     admit: bool,
     served_at_disk: bool,
@@ -181,24 +185,33 @@ struct JobState {
     started: SimTime,
 }
 
-/// One device segment of a group.
-#[derive(Debug, Clone, Copy)]
-struct SegSpec {
-    dir: IoDir,
-    extent: Extent,
-    fua: bool,
-    rmw_edges: u8,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The work a completion group finishes.
+#[derive(Debug)]
 enum GroupKind {
-    Job(JobId),
+    /// A client sub-request, served at the primary device or the SSD.
+    Job(JobState),
+    /// A post-read copy of disk data into the SSD cache.
     Admission(EntryId),
-    FlushRead(FlushId),
+    /// Writeback, first phase: the op's bytes are read from the SSD log.
+    FlushRead(FlushOp),
+    /// Writeback, second phase: the bytes land on their home blocks.
     FlushWrite(FlushId),
 }
 
-/// One slab slot holding a (possibly retired) completion group. The
+impl GroupKind {
+    /// The device the group's requests run on and their direction.
+    fn target(&self) -> (DevKind, IoDir) {
+        match self {
+            GroupKind::Job(st) if st.served_at_disk => (DevKind::Primary, st.sub.dir),
+            GroupKind::Job(st) => (DevKind::Cache, st.sub.dir),
+            GroupKind::Admission(_) => (DevKind::Cache, IoDir::Write),
+            GroupKind::FlushRead(_) => (DevKind::Cache, IoDir::Read),
+            GroupKind::FlushWrite(_) => (DevKind::Primary, IoDir::Write),
+        }
+    }
+}
+
+/// One slab slot holding a completion group, or nothing while free. The
 /// group's identity is `(slot, gen)` packed into the block-request tag;
 /// bumping `gen` on retirement invalidates stale tags without any map
 /// lookups — the slab/generation pattern of the DES calendar.
@@ -206,10 +219,7 @@ enum GroupKind {
 struct GroupSlot {
     gen: u32,
     pending: u32,
-    kind: GroupKind,
-    /// Which device the group's segments run on — needed to retire
-    /// cache-bound groups when the SSD device is lost.
-    dev: DevKind,
+    kind: Option<GroupKind>,
 }
 
 /// Packs a slab slot and its generation into a block-request tag.
@@ -256,14 +266,9 @@ pub struct DataServer {
     policy: Box<dyn CachePolicy>,
     cfg: ServerConfig,
     cpu_free: SimTime,
-    jobs: HashMap<JobId, JobState>,
     /// Completion-group slab; retired slots are recycled via `free_groups`.
     group_slots: Vec<GroupSlot>,
     free_groups: Vec<u32>,
-    live_groups: usize,
-    /// Reusable per-call segment buffer (never shrinks).
-    seg_scratch: Vec<SegSpec>,
-    flushes: HashMap<FlushId, FlushOp>,
     ra: HashMap<FileHandle, ReadAhead>,
     ra_hits: u64,
     ra_bytes: u64,
@@ -321,12 +326,8 @@ impl DataServer {
             policy,
             cfg,
             cpu_free: SimTime::ZERO,
-            jobs: HashMap::default(),
             group_slots: Vec::new(),
             free_groups: Vec::new(),
-            live_groups: 0,
-            seg_scratch: Vec::new(),
-            flushes: HashMap::default(),
             ra: HashMap::default(),
             ra_hits: 0,
             ra_bytes: 0,
@@ -377,11 +378,6 @@ impl DataServer {
         self.policy.as_mut()
     }
 
-    /// The local file system (for preallocation at setup).
-    pub fn fs_mut(&mut self) -> &mut LocalFs {
-        &mut self.fs
-    }
-
     /// Clears dispatch traces on all devices (skip warm-up).
     pub fn reset_tracers(&mut self) {
         self.primary.reset_tracer();
@@ -408,44 +404,29 @@ impl DataServer {
         self.cpu_free
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit_group(
+    /// Opens a completion group for `kind` and submits one block request
+    /// per extent to the group's device. Every request carries the
+    /// group's packed `(slot, gen)` handle as its tag, so completions
+    /// need no request-to-group map. A client write at the primary device
+    /// is a flush barrier (TroveSyncData): its requests are FUA, and the
+    /// first carries the write's read-modify-write edges.
+    fn submit(
         &mut self,
         now: SimTime,
         kind: GroupKind,
-        dev: DevKind,
-        dir: IoDir,
         extents: &[Extent],
         stream: StreamId,
-        fua: bool,
+        rmw_edges: u8,
         out: &mut ServerOut,
     ) {
-        let mut parts = std::mem::take(&mut self.seg_scratch);
-        parts.clear();
-        parts.extend(extents.iter().map(|&e| SegSpec {
-            dir,
-            extent: e,
-            fua,
-            rmw_edges: 0,
-        }));
-        self.submit_mixed_group(now, kind, dev, &parts, stream, out);
-        self.seg_scratch = parts;
-    }
-
-    /// Submits a group of per-segment specs (direction/FUA/RMW may vary).
-    /// Every segment's block request carries the group's packed
-    /// `(slot, gen)` handle as its tag, so completions need no
-    /// segment-to-group map at all.
-    fn submit_mixed_group(
-        &mut self,
-        now: SimTime,
-        kind: GroupKind,
-        dev: DevKind,
-        parts: &[SegSpec],
-        stream: StreamId,
-        out: &mut ServerOut,
-    ) {
-        assert!(!parts.is_empty(), "empty extent list for {kind:?}");
+        assert!(!extents.is_empty(), "empty extent list for {kind:?}");
+        let (dev, dir) = kind.target();
+        let barrier =
+            matches!(kind, GroupKind::Job(_)) && dev == DevKind::Primary && dir.is_write();
+        debug_assert!(
+            barrier || rmw_edges == 0,
+            "RMW edges on a non-barrier group"
+        );
         let slot = match self.free_groups.pop() {
             Some(slot) => slot,
             None => {
@@ -456,40 +437,38 @@ impl DataServer {
                 self.group_slots.push(GroupSlot {
                     gen: 0,
                     pending: 0,
-                    kind,
-                    dev,
+                    kind: None,
                 });
                 (self.group_slots.len() - 1) as u32
             }
         };
         let gs = &mut self.group_slots[slot as usize];
-        gs.kind = kind;
-        gs.pending = parts.len() as u32;
-        gs.dev = dev;
+        gs.pending = extents.len() as u32;
+        gs.kind = Some(kind);
         let handle = pack_group(slot, gs.gen);
-        self.live_groups += 1;
-        for &SegSpec {
-            dir,
-            extent: e,
-            fua,
-            rmw_edges,
-        } in parts
-        {
-            let mut req = BlockRequest::new(dir, e.lbn, e.sectors, stream, now, handle)
-                .with_rmw_edges(rmw_edges);
-            if fua {
-                req = req.with_fua();
+        let device = match dev {
+            DevKind::Primary => &mut self.primary,
+            DevKind::Cache => self.cache.as_mut().expect("cache device not configured"),
+        };
+        for (i, e) in extents.iter().enumerate() {
+            let mut req = BlockRequest::new(dir, e.lbn, e.sectors, stream, now, handle);
+            if barrier {
+                req = req
+                    .with_fua()
+                    .with_rmw_edges(if i == 0 { rmw_edges } else { 0 });
             }
-            let actions = match dev {
-                DevKind::Primary => self.primary.submit(now, req),
-                DevKind::Cache => self
-                    .cache
-                    .as_mut()
-                    .expect("cache device not configured")
-                    .submit(now, req),
-            };
-            out.extend_dev(dev, actions);
+            out.extend_dev(dev, device.submit(now, req));
         }
+    }
+
+    /// Retires a live group slot and returns its work. The generation
+    /// bump invalidates any stale tag that still references the slot.
+    fn retire(&mut self, slot: u32) -> GroupKind {
+        let gs = &mut self.group_slots[slot as usize];
+        gs.pending = 0;
+        gs.gen = gs.gen.wrapping_add(1);
+        self.free_groups.push(slot);
+        gs.kind.take().expect("retiring a free group slot")
     }
 
     /// Executes a sub-request (after its CPU admission delay).
@@ -618,60 +597,24 @@ impl DataServer {
                     ra.record(sub.offset, sub.len, budget);
                     ra.cursor = ra.cursor.max(sub.offset + sub.len);
                 }
-                // TroveSyncData: client writes are flush barriers; the
-                // first segment carries the RMW edge penalty.
-                let dir = sub.dir;
-                let fua = dir.is_write();
-                let mut parts = std::mem::take(&mut self.seg_scratch);
-                parts.clear();
-                parts.extend(extents.iter().enumerate().map(|(i, &e)| SegSpec {
-                    dir,
-                    extent: e,
-                    fua,
-                    rmw_edges: if i == 0 { rmw_edges } else { 0 },
-                }));
-                self.jobs.insert(
+                let st = JobState {
                     job,
-                    JobState {
-                        sub,
-                        admit: admit_after_read,
-                        served_at_disk: true,
-                        started: now,
-                    },
-                );
-                self.submit_mixed_group(
-                    now,
-                    GroupKind::Job(job),
-                    DevKind::Primary,
-                    &parts,
-                    stream,
-                    out,
-                );
-                self.seg_scratch = parts;
+                    sub,
+                    admit: admit_after_read,
+                    served_at_disk: true,
+                    started: now,
+                };
+                self.submit(now, GroupKind::Job(st), &extents, stream, rmw_edges, out);
             }
-            Placement::Ssd {
-                extents: log_extents,
-            } => {
-                let dir = sub.dir;
-                self.jobs.insert(
+            Placement::Ssd { extents } => {
+                let st = JobState {
                     job,
-                    JobState {
-                        sub,
-                        admit: false,
-                        served_at_disk: false,
-                        started: now,
-                    },
-                );
-                self.submit_group(
-                    now,
-                    GroupKind::Job(job),
-                    DevKind::Cache,
-                    dir,
-                    &log_extents,
-                    stream,
-                    false,
-                    out,
-                );
+                    sub,
+                    admit: false,
+                    served_at_disk: false,
+                    started: now,
+                };
+                self.submit(now, GroupKind::Job(st), &extents, stream, 0, out);
             }
         }
     }
@@ -680,7 +623,7 @@ impl DataServer {
     /// per-server latency metrics plus a `srv:job:*` span on the serving
     /// device's lane. Read-only; one atomic load when collection is off.
     #[cfg(feature = "obs")]
-    fn observe_job_done(&self, now: SimTime, st: &JobState, job: JobId) {
+    fn observe_job_done(&self, now: SimTime, st: &JobState) {
         use crate::proto::ReqClass;
         use ibridge_obs::metrics::{self, Phase, SubClass};
         if !ibridge_obs::active() {
@@ -714,7 +657,7 @@ impl DataServer {
                 } else {
                     "srv:job:ssd"
                 },
-                id: job,
+                id: st.job,
                 aux: st.sub.len,
             });
         }
@@ -722,70 +665,30 @@ impl DataServer {
 
     fn handle_group_done(&mut self, now: SimTime, kind: GroupKind, out: &mut ServerOut) {
         match kind {
-            GroupKind::Job(job) => {
-                let st = self.jobs.remove(&job).expect("unknown job");
+            GroupKind::Job(st) => {
                 if st.admit && st.sub.dir.is_read() && st.served_at_disk {
                     if let Some((entry, extents)) = self.policy.read_admission(now, &st.sub) {
-                        self.submit_group(
-                            now,
-                            GroupKind::Admission(entry),
-                            DevKind::Cache,
-                            IoDir::Write,
-                            &extents,
-                            ADMISSION_STREAM,
-                            false,
-                            out,
-                        );
+                        let kind = GroupKind::Admission(entry);
+                        self.submit(now, kind, &extents, ADMISSION_STREAM, 0, out);
                     }
                 }
                 #[cfg(feature = "obs")]
-                self.observe_job_done(now, &st, job);
-                out.done_jobs.push(job);
+                self.observe_job_done(now, &st);
+                out.done_jobs.push(st.job);
             }
             GroupKind::Admission(entry) => {
                 self.policy.admission_complete(now, entry);
             }
-            GroupKind::FlushRead(flush) => {
-                // The op is done with its SSD extents once the log read
-                // has finished; take it out instead of cloning it.
-                let op = self.flushes.remove(&flush).expect("unknown flush");
+            GroupKind::FlushRead(op) => {
+                // Writeback is a normal cached write, not a barrier, so
+                // it pays no read-modify-write (DESIGN.md "Modelling
+                // interpretations", item 2).
                 let extents = self
                     .fs
                     .map_range(op.file, op.offset, op.len)
                     .expect("flushing data whose home blocks vanished");
-                // Writeback of a byte range pays RMW for its cold partial
-                // block edges like any other write.
-                let block_bytes = self.cfg.fs.block_sectors * ibridge_localfs::SECTOR_SIZE;
-                let mut rmw_edges: u8 = 0;
-                for edge in [op.offset, op.offset + op.len] {
-                    if edge % block_bytes != 0 {
-                        let block = edge / block_bytes;
-                        let warm = self
-                            .ra
-                            .get(&op.file)
-                            .is_some_and(|ra| ra.covered(block * block_bytes, block_bytes));
-                        if !warm {
-                            rmw_edges += 1;
-                        }
-                    }
-                }
-                let mut parts = std::mem::take(&mut self.seg_scratch);
-                parts.clear();
-                parts.extend(extents.iter().enumerate().map(|(i, &e)| SegSpec {
-                    dir: IoDir::Write,
-                    extent: e,
-                    fua: false,
-                    rmw_edges: if i == 0 { rmw_edges } else { 0 },
-                }));
-                self.submit_mixed_group(
-                    now,
-                    GroupKind::FlushWrite(flush),
-                    DevKind::Primary,
-                    &parts,
-                    FLUSH_STREAM,
-                    out,
-                );
-                self.seg_scratch = parts;
+                let kind = GroupKind::FlushWrite(op.id);
+                self.submit(now, kind, &extents, FLUSH_STREAM, 0, out);
             }
             GroupKind::FlushWrite(flush) => {
                 self.policy.flush_complete(now, flush);
@@ -810,13 +713,8 @@ impl DataServer {
             assert_eq!(gs.gen, gen, "completion for a retired group");
             gs.pending -= 1;
             if gs.pending == 0 {
-                let done_kind = gs.kind;
-                // Retire the slot: the generation bump invalidates any
-                // stale tag that might still reference it.
-                gs.gen = gs.gen.wrapping_add(1);
-                self.free_groups.push(slot);
-                self.live_groups -= 1;
-                self.handle_group_done(now, done_kind, out);
+                let done = self.retire(slot);
+                self.handle_group_done(now, done, out);
             }
         }
     }
@@ -855,36 +753,23 @@ impl DataServer {
         }
         let batch = self.policy.flush_batch(now, self.cfg.writeback_batch);
         for op in batch {
-            self.submit_group(
-                now,
-                GroupKind::FlushRead(op.id),
-                DevKind::Cache,
-                IoDir::Read,
-                &op.ssd_extents,
-                FLUSH_STREAM,
-                false,
-                out,
-            );
-            let id = op.id;
-            let prev = self.flushes.insert(id, op);
-            assert!(prev.is_none(), "duplicate flush id {id}");
+            let extents = op.ssd_extents.clone();
+            let kind = GroupKind::FlushRead(op);
+            self.submit(now, kind, &extents, FLUSH_STREAM, 0, out);
         }
     }
 
     /// Fault injection: the server process dies at `now`. Every piece
-    /// of volatile state — in-flight jobs, completion groups, flush
-    /// bookkeeping, queued and in-flight device I/O, the page cache —
+    /// of volatile state — completion groups (with the jobs and flushes
+    /// they carry), queued and in-flight device I/O, the page cache —
     /// is lost; the devices are rebuilt cold. The policy is *not*
     /// touched here: its durable (on-SSD) state is replayed by
     /// [`DataServer::restart`] when the process comes back. The caller
     /// must discard any scheduled device events for this server (their
     /// completions now refer to hardware queues that no longer exist).
     pub fn crash(&mut self, _now: SimTime) {
-        self.jobs.clear();
-        self.flushes.clear();
         self.group_slots.clear();
         self.free_groups.clear();
-        self.live_groups = 0;
         self.ra.clear();
         self.cpu_free = SimTime::ZERO;
         self.primary = make_primary(&self.cfg);
@@ -927,27 +812,18 @@ impl DataServer {
         }
         self.cache_lost = true;
         for slot in 0..self.group_slots.len() {
-            let gs = &mut self.group_slots[slot];
-            if gs.pending == 0 || gs.dev != DevKind::Cache {
+            let on_cache = self.group_slots[slot]
+                .kind
+                .as_ref()
+                .is_some_and(|k| k.target().0 == DevKind::Cache);
+            if !on_cache {
                 continue;
             }
-            // Retire the group: the generation bump invalidates any
-            // completion already scheduled for its segments.
-            gs.pending = 0;
-            gs.gen = gs.gen.wrapping_add(1);
-            let kind = gs.kind;
-            self.free_groups.push(slot as u32);
-            self.live_groups -= 1;
-            match kind {
-                GroupKind::Job(job) => {
-                    self.jobs.remove(&job);
-                    lost_jobs.push(job);
-                }
-                // The admission's entry dies with the policy state below.
-                GroupKind::Admission(_) => {}
-                GroupKind::FlushRead(flush) => {
-                    self.flushes.remove(&flush);
-                }
+            match self.retire(slot as u32) {
+                GroupKind::Job(st) => lost_jobs.push(st.job),
+                // The admission's entry and the flush's op die with the
+                // policy state below.
+                GroupKind::Admission(_) | GroupKind::FlushRead(_) => {}
                 // Flush writes run on the primary device.
                 GroupKind::FlushWrite(_) => unreachable!("flush write on cache device"),
             }
@@ -971,8 +847,7 @@ impl DataServer {
 
     /// True when the server has no work in flight and no dirty data.
     pub fn quiescent(&self) -> bool {
-        self.jobs.is_empty()
-            && self.live_groups == 0
+        self.free_groups.len() == self.group_slots.len()
             && self.primary.is_idle()
             && self.cache.as_ref().is_none_or(|c| c.is_idle())
             && self.policy.dirty_bytes() == 0
@@ -984,11 +859,6 @@ impl DataServer {
         self.fs
             .preallocate(file, bytes)
             .expect("preallocation exceeded device capacity");
-    }
-
-    /// Sectors a sub-request of `len` bytes occupies (helper for stats).
-    pub fn sectors_for(len: u64) -> u64 {
-        bytes_to_sectors(len)
     }
 }
 
@@ -1314,6 +1184,63 @@ mod tests {
         assert!(!t1.dev_actions.is_empty());
         pump(&mut s, t1);
         assert!(s.quiescent());
+    }
+
+    /// Primary-device busy time of one client write of `len` bytes at
+    /// `offset` on a fresh server. With `prealloc` the datafile's blocks
+    /// hold prior data that is not in the page cache, so each partial
+    /// edge block must be read first; without it the write allocates
+    /// fresh blocks and has nothing to read.
+    fn write_busy(prealloc: bool, offset: u64, len: u64) -> SimDuration {
+        let mut s = server();
+        if prealloc {
+            s.preallocate(FileHandle(1), 1 << 20);
+        }
+        let out = exec(&mut s, SimTime::ZERO, 1, 10, sub(IoDir::Write, offset, len));
+        assert_eq!(pump(&mut s, out), vec![1]);
+        s.primary().stats().busy
+    }
+
+    #[test]
+    fn cold_unaligned_write_pays_one_revolution_per_edge_block() {
+        let rev = ServerConfig::default().disk.revolution;
+        let rmw = |offset, len| write_busy(true, offset, len) - write_busy(false, offset, len);
+        assert_eq!(rmw(0, 8192), SimDuration::ZERO, "aligned");
+        assert_eq!(rmw(0, 5000), rev, "one unaligned edge");
+        assert_eq!(rmw(100, 8000), rev * 2, "edges in two blocks");
+        assert_eq!(rmw(100, 700), rev, "both edges in one block");
+    }
+
+    /// Primary-device busy time of the forced writeback of one
+    /// redirected, unaligned write, placed far enough from the disk head
+    /// that the flush write does not stream. With `drop_cache` the page
+    /// cache is dropped between the write and the flush, so the op's
+    /// partial edge blocks are cold when it lands.
+    fn flush_busy(drop_cache: bool) -> SimDuration {
+        let mut s = cache_server();
+        s.preallocate(FileHandle(1), 4 << 20);
+        let w = sub(IoDir::Write, (2 << 20) + 100, 8000);
+        let out = exec(&mut s, SimTime::ZERO, 1, 10, w);
+        pump(&mut s, out);
+        assert_eq!(
+            s.primary().stats().busy,
+            SimDuration::ZERO,
+            "write redirected"
+        );
+        if drop_cache {
+            s.prepare_run();
+        }
+        let out = tick(&mut s, SimTime::from_secs(1), true);
+        pump(&mut s, out);
+        assert!(s.quiescent());
+        s.primary().stats().busy
+    }
+
+    #[test]
+    fn writeback_pays_no_read_modify_write() {
+        let warm = flush_busy(false);
+        assert!(warm > SimDuration::ZERO);
+        assert_eq!(flush_busy(true), warm);
     }
 
     #[test]

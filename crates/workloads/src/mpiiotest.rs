@@ -4,8 +4,8 @@
 //! eight data servers. All read requests are of the same size s. At the
 //! kth iteration Process i reads one segment of data at file offset
 //! k*N*s + i*s." A configurable request offset shifts every access by a
-//! constant (the paper's Pattern III / "+x KB" bars), and the barrier
-//! between iterations can be enabled (Fig. 3) or removed (§III.B).
+//! constant (the paper's Pattern III / "+x KB" bars). There is no barrier
+//! between iterations, as in §III.B.
 
 use ibridge_des::SimDuration;
 use ibridge_device::IoDir;
@@ -27,8 +27,6 @@ pub struct MpiIoTest {
     pub iters: u64,
     /// Constant request offset in bytes (the "+x KB" patterns).
     pub shift: u64,
-    /// Barrier between iterations (removed by default, as in §III.B).
-    pub barrier: bool,
 }
 
 impl MpiIoTest {
@@ -44,19 +42,12 @@ impl MpiIoTest {
             size,
             iters,
             shift: 0,
-            barrier: false,
         }
     }
 
     /// Adds a constant request offset (Pattern III).
     pub fn with_shift(mut self, shift: u64) -> Self {
         self.shift = shift;
-        self
-    }
-
-    /// Enables the inter-iteration barrier.
-    pub fn with_barrier(mut self) -> Self {
-        self.barrier = true;
         self
     }
 
@@ -85,10 +76,6 @@ impl Workload for MpiIoTest {
             },
             think: SimDuration::ZERO,
         })
-    }
-
-    fn barrier(&self) -> bool {
-        self.barrier
     }
 }
 
