@@ -142,22 +142,33 @@ pub struct MappingTable {
     next_seq: u64,
 }
 
-/// Drops `e`'s key from whichever eligibility set holds it.
+/// Drops `e`'s key from the eligibility set its flags filed it in, as
+/// [`index`] chose it: none while flushing or pending, `dirty_lru` (and
+/// its length multiset) while dirty, `evictable` otherwise. Callers
+/// unindex before they change the flags.
 fn unindex(
     evictable: &mut [BTreeSet<(u64, EntryId)>; 2],
     dirty_lru: &mut [BTreeSet<(u64, EntryId)>; 2],
     dirty_len_hist: &mut [BTreeMap<u64, u32>; 2],
     e: &Entry,
 ) {
+    if e.flushing || e.pending {
+        return;
+    }
     let key = (e.lru_seq, e.id);
     let i = e.typ.idx();
-    if !evictable[i].remove(&key) && dirty_lru[i].remove(&key) {
+    if e.dirty {
+        let found = dirty_lru[i].remove(&key);
+        debug_assert!(found, "dirty entry {} missing from its set", e.id);
         match dirty_len_hist[i].get_mut(&e.len) {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
                 dirty_len_hist[i].remove(&e.len);
             }
         }
+    } else {
+        let found = evictable[i].remove(&key);
+        debug_assert!(found, "clean entry {} missing from its set", e.id);
     }
 }
 

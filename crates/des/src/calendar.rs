@@ -1,5 +1,5 @@
-//! The event calendar: one binary heap of typed events in an intrinsic
-//! total order, with cancellation.
+//! The event calendar: one binary heap of 24-byte keys and one payload
+//! slab, in an intrinsic total order, with cancellation.
 //!
 //! # Nodes and the intrinsic order
 //!
@@ -12,6 +12,15 @@
 //! which node posted it and how many posts that node made before. Every
 //! golden output was recorded in this order. On a single node it reduces
 //! to time, then FIFO among same-instant posts.
+//!
+//! # Layout
+//!
+//! The heap holds only `Copy` keys `{ at, key, slot }`, so a sift step
+//! moves 24 bytes whatever the event type. Each payload waits in its
+//! slab slot until the key pops; a slot index and its generation form
+//! the cancellation handle. `(at, key)` is unique per event, so the heap
+//! order is total and the pop sequence does not depend on the heap's
+//! internal layout.
 //!
 //! # The network floor
 //!
@@ -27,42 +36,43 @@ use crate::{EventId, SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::binary_heap::BinaryHeap;
 
-/// Sentinel slot for non-cancellable events: they skip the slab.
-const NO_SLOT: u32 = u32::MAX;
-
 /// Bits of the packed key holding the per-node sequence; the source node
 /// sits above them.
 const SEQ_BITS: u32 = 48;
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// A slab slot: the payload of one pending event and the generation that
+/// makes its handle stale once it fires.
+struct Slot<E> {
     gen: u32,
     cancelled: bool,
+    event: Option<E>,
 }
 
-/// A calendar entry carrying its intrinsic order key.
-struct Keyed<E> {
+/// A heap entry: the event's intrinsic order key and its slab slot.
+#[derive(Clone, Copy)]
+struct Keyed {
     at: SimTime,
     /// `(source node) << 48 | (per-node sequence)`: the intrinsic
     /// tie-break for events at the same instant. Comparing the packed
     /// word compares `(node, seq)` lexicographically.
     key: u64,
     slot: u32,
-    event: E,
 }
 
-impl<E> PartialEq for Keyed<E> {
+const _: () = assert!(std::mem::size_of::<Keyed>() == 24);
+
+impl PartialEq for Keyed {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.key == other.key
     }
 }
-impl<E> Eq for Keyed<E> {}
-impl<E> PartialOrd for Keyed<E> {
+impl Eq for Keyed {}
+impl PartialOrd for Keyed {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Keyed<E> {
+impl Ord for Keyed {
     // BinaryHeap is a max-heap; invert so the smallest (at, key) pops
     // first.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -76,9 +86,9 @@ impl<E> Ord for Keyed<E> {
 /// network floor. A one-node calendar (`Simulation::new(1, lookahead)`)
 /// is a plain calendar with FIFO tie-breaking.
 pub struct Simulation<E> {
-    heap: BinaryHeap<Keyed<E>>,
-    /// Cancellation slab: one slot per pending cancellable event.
-    slots: Vec<Slot>,
+    heap: BinaryHeap<Keyed>,
+    /// Payload slab: one slot per event still in the heap.
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Cancelled events still in the heap.
     tombstones: usize,
@@ -183,21 +193,15 @@ impl<E> Simulation<E> {
     }
 
     /// Posts `event` from node `src` onto node `dst` at absolute time
-    /// `at` (fire-and-forget: the event cannot be cancelled, and it
-    /// costs no slab bookkeeping).
+    /// `at` (fire-and-forget: [`schedule_at`](Self::schedule_at) without
+    /// the handle).
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past, or if `src != dst` and `at` falls
     /// inside the lookahead.
     pub fn post_at(&mut self, src: u16, dst: u16, at: SimTime, event: E) {
-        let key = self.key(src, dst, at);
-        self.heap.push(Keyed {
-            at,
-            key,
-            slot: NO_SLOT,
-            event,
-        });
+        self.schedule_at(src, dst, at, event);
     }
 
     /// [`post_at`](Self::post_at) after a delay from now.
@@ -215,23 +219,21 @@ impl<E> Simulation<E> {
     pub fn schedule_at(&mut self, src: u16, dst: u16, at: SimTime, event: E) -> EventId {
         let key = self.key(src, dst, at);
         let slot = match self.free.pop() {
-            Some(slot) => slot,
+            Some(slot) => {
+                self.slots[slot as usize].event = Some(event);
+                slot
+            }
             None => {
-                let slot = self.slots.len() as u32;
-                assert!(slot < NO_SLOT, "cancellation slab exhausted");
+                let slot = u32::try_from(self.slots.len()).expect("event slab exhausted");
                 self.slots.push(Slot {
                     gen: 0,
                     cancelled: false,
+                    event: Some(event),
                 });
                 slot
             }
         };
-        self.heap.push(Keyed {
-            at,
-            key,
-            slot,
-            event,
-        });
+        self.heap.push(Keyed { at, key, slot });
         EventId::pack(slot, self.slots[slot as usize].gen)
     }
 
@@ -253,22 +255,21 @@ impl<E> Simulation<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             let k = self.heap.pop()?;
-            if k.slot != NO_SLOT {
-                // Recycle the slot; a new generation makes the handle
-                // stale.
-                let s = &mut self.slots[k.slot as usize];
-                s.gen = s.gen.wrapping_add(1);
-                let cancelled = std::mem::take(&mut s.cancelled);
-                self.free.push(k.slot);
-                if cancelled {
-                    self.tombstones -= 1;
-                    continue;
-                }
+            // Take the payload and recycle the slot; a new generation
+            // makes the handle stale.
+            let s = &mut self.slots[k.slot as usize];
+            s.gen = s.gen.wrapping_add(1);
+            let cancelled = std::mem::take(&mut s.cancelled);
+            let event = s.event.take();
+            self.free.push(k.slot);
+            if cancelled {
+                self.tombstones -= 1;
+                continue;
             }
             debug_assert!(k.at >= self.now, "calendar yielded an event in the past");
             self.now = k.at;
             self.dispatched += 1;
-            return Some((k.at, k.event));
+            return Some((k.at, event.expect("a live slot holds its payload")));
         }
     }
 

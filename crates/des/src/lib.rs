@@ -9,10 +9,10 @@
 //! The kernel is deliberately small and generic:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`Simulation`] — the event calendar: a clock plus one binary heap
-//!   with an intrinsic `(time, source node, per-node sequence)`
-//!   tie-break, cancellation, and the network-floor check on every
-//!   cross-node post.
+//! * [`Simulation`] — the event calendar: a clock, one binary heap of
+//!   24-byte keys and one payload slab, with an intrinsic `(time, source
+//!   node, per-node sequence)` tie-break, cancellation, and the
+//!   network-floor check on every cross-node post.
 //! * [`rng`] — reproducible per-stream random number generators.
 //! * [`stats`] — counters, EWMA (the paper's 1/8–7/8 decay), histograms.
 //!
@@ -44,7 +44,7 @@ pub use time::{SimDuration, SimTime};
 /// Cancelling an already-fired or already-cancelled event is a harmless
 /// no-op.
 ///
-/// Internally a handle packs a slot index into the cancellation slab and
+/// Internally a handle packs a slot index into the event slab and
 /// that slot's generation at scheduling time, so stale handles (the event
 /// fired, the slot was recycled) are detected without any bookkeeping on
 /// the dispatch path.

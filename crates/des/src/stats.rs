@@ -4,6 +4,7 @@
 //! Figs. 2 and 5 are built on [`Histogram`]).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Running arithmetic mean with count, min and max.
 #[derive(Debug, Clone, Default)]
@@ -113,14 +114,24 @@ impl Ewma {
     }
 }
 
+/// Keys below this count in a dense vector indexed by key; larger keys
+/// go to an ordered map. Dispatch sizes in sectors and request latencies
+/// in milliseconds normally fall below it.
+const DENSE_KEYS: u64 = 4096;
+
 /// Exact integer-keyed histogram.
 ///
 /// Keys are arbitrary `u64` values (e.g. request sizes in sectors);
 /// each distinct key gets its own bin, exactly like the paper's
-/// blktrace-derived distributions.
-#[derive(Debug, Clone, Default)]
+/// blktrace-derived distributions. Keys below `DENSE_KEYS` (4096) count
+/// in a vector indexed by key, grown on demand, so recording one costs
+/// no ordered-map probe; larger keys keep their own bins in a `BTreeMap`.
+#[derive(Clone, Default)]
 pub struct Histogram {
-    bins: BTreeMap<u64, u64>,
+    /// Counts of keys `0..dense.len()`; a zero count is an absent bin.
+    dense: Vec<u64>,
+    /// Counts of keys at or above `DENSE_KEYS`.
+    sparse: BTreeMap<u64, u64>,
     total: u64,
 }
 
@@ -132,16 +143,24 @@ impl Histogram {
 
     /// Records one observation of `key`.
     pub fn record(&mut self, key: u64) {
-        *self.bins.entry(key).or_insert(0) += 1;
-        self.total += 1;
+        self.record_n(key, 1);
     }
 
     /// Records `n` observations of `key`.
     pub fn record_n(&mut self, key: u64, n: u64) {
-        if n > 0 {
-            *self.bins.entry(key).or_insert(0) += n;
-            self.total += n;
+        if n == 0 {
+            return;
         }
+        if key < DENSE_KEYS {
+            let i = key as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, 0);
+            }
+            self.dense[i] += n;
+        } else {
+            *self.sparse.entry(key).or_insert(0) += n;
+        }
+        self.total += n;
     }
 
     /// Total number of observations.
@@ -151,7 +170,11 @@ impl Histogram {
 
     /// Number of observations of exactly `key`.
     pub fn count(&self, key: u64) -> u64 {
-        self.bins.get(&key).copied().unwrap_or(0)
+        if key < DENSE_KEYS {
+            self.dense.get(key as usize).copied().unwrap_or(0)
+        } else {
+            self.sparse.get(&key).copied().unwrap_or(0)
+        }
     }
 
     /// Fraction of observations equal to `key` (0 if empty).
@@ -168,13 +191,24 @@ impl Histogram {
         if self.total == 0 {
             return 0.0;
         }
-        let below: u64 = self.bins.range(..bound).map(|(_, c)| c).sum();
+        let below: u64 = self
+            .iter()
+            .take_while(|&(k, _)| k < bound)
+            .map(|(_, c)| c)
+            .sum();
         below as f64 / self.total as f64
     }
 
-    /// Iterates `(key, count)` in ascending key order.
+    /// Iterates the non-empty bins as `(key, count)` in ascending key
+    /// order: the dense bins, then the sparse ones.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bins.iter().map(|(&k, &c)| (k, c))
+        let dense = self
+            .dense
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(k, &c)| (k as u64, c));
+        dense.chain(self.sparse.iter().map(|(&k, &c)| (k, c)))
     }
 
     /// The `k` most frequent bins, descending by count (ties by key).
@@ -190,7 +224,7 @@ impl Histogram {
         if self.total == 0 {
             return 0.0;
         }
-        let sum: u128 = self.bins.iter().map(|(&k, &c)| k as u128 * c as u128).sum();
+        let sum: u128 = self.iter().map(|(k, c)| k as u128 * c as u128).sum();
         sum as f64 / self.total as f64
     }
 
@@ -203,13 +237,15 @@ impl Histogram {
         }
         let target = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut acc = 0;
-        for (&k, &c) in &self.bins {
+        let mut last = None;
+        for (k, c) in self.iter() {
             acc += c;
             if acc >= target {
                 return Some(k);
             }
+            last = Some(k);
         }
-        self.bins.keys().next_back().copied()
+        last
     }
 
     /// Merges another histogram into this one.
@@ -217,6 +253,23 @@ impl Histogram {
         for (k, c) in other.iter() {
             self.record_n(k, c);
         }
+    }
+}
+
+/// Prints the bins as one ordered map, `Histogram { bins: {k: c, ..},
+/// total: n }`, whichever store holds them: run digests hash this text.
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Bins<'a>(&'a Histogram);
+        impl fmt::Debug for Bins<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Histogram")
+            .field("bins", &Bins(self))
+            .field("total", &self.total)
+            .finish()
     }
 }
 

@@ -20,6 +20,7 @@
 //!   Fig. 2(c) when two processes' stripes interleave.
 
 use crate::{BlockRequest, Decision, Scheduler, StreamId};
+use ibridge_des::fxhash::FxHashMap;
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::Lbn;
 use std::collections::{BTreeMap, VecDeque};
@@ -65,19 +66,37 @@ struct StreamQ {
     last_end: Option<Lbn>,
     /// Decayed mean of inter-request seek distance, in sectors.
     seek_mean: f64,
+    /// Waiting in the round-robin queue (where a stream sits at most
+    /// once).
+    in_rr: bool,
 }
 
 impl StreamQ {
     /// Next request at/after `head`, else the lowest-LBN request
-    /// (one-way elevator with wrap).
-    fn pop_elevator(&mut self, head: Lbn) -> Option<BlockRequest> {
+    /// (one-way elevator with wrap), with its queue key.
+    fn pop_elevator(&mut self, head: Lbn) -> Option<(QKey, BlockRequest)> {
         let key = self
             .queue
             .range((head, 0)..)
             .map(|(&k, _)| k)
             .next()
             .or_else(|| self.queue.keys().next().copied())?;
-        self.queue.remove(&key)
+        self.queue.remove_entry(&key)
+    }
+}
+
+/// Adds one occurrence of `lbn` to a counting map.
+fn count_up(counts: &mut FxHashMap<Lbn, u32>, lbn: Lbn) {
+    *counts.entry(lbn).or_insert(0) += 1;
+}
+
+/// Removes one occurrence of `lbn` from a counting map.
+fn count_down(counts: &mut FxHashMap<Lbn, u32>, lbn: Lbn) {
+    let n = counts.get_mut(&lbn).expect("lbn was counted");
+    if *n > 1 {
+        *n -= 1;
+    } else {
+        counts.remove(&lbn);
     }
 }
 
@@ -100,12 +119,18 @@ impl StreamQ {
 pub struct Cfq {
     cfg: CfqConfig,
     /// Per-stream queues, keyed by stream id. Ordered so the merge scan
-    /// in [`Cfq::try_merge`] visits streams in a fixed order — iteration
+    /// in [`Cfq::merge_scan`] visits streams in a fixed order — iteration
     /// order must not depend on hash seeds or results become
     /// run-to-run nondeterministic.
     streams: BTreeMap<StreamId, StreamQ>,
     /// Streams with queued requests, awaiting a slice (excludes `active`).
     rr: VecDeque<StreamId>,
+    /// Ends of the queued requests (LBN -> count). A back merge needs a
+    /// queued request ending at the new request's LBN.
+    ends: FxHashMap<Lbn, u32>,
+    /// LBNs of the queue keys (LBN -> count). The front-merge probe
+    /// compares the key, which a front merge leaves in place.
+    starts: FxHashMap<Lbn, u32>,
     active: Option<StreamId>,
     slice_end: SimTime,
     /// Anticipation deadline; `Some` while idling on an empty active queue.
@@ -121,6 +146,8 @@ impl Cfq {
             cfg,
             streams: BTreeMap::new(),
             rr: VecDeque::new(),
+            ends: FxHashMap::default(),
+            starts: FxHashMap::default(),
             active: None,
             slice_end: SimTime::ZERO,
             idle_until: None,
@@ -141,8 +168,20 @@ impl Cfq {
     }
 
     /// Attempts to merge `req` into any queued request; returns it back
-    /// if no merge is possible.
+    /// if no merge is possible. Two kinds return before the scan:
+    /// flush-barrier requests, which never merge, and requests that no
+    /// queued request ends at (`ends`) and no queue key starts after
+    /// (`starts`).
     fn try_merge(&mut self, req: BlockRequest) -> Option<BlockRequest> {
+        if req.fua || !(self.ends.contains_key(&req.lbn) || self.starts.contains_key(&req.end())) {
+            return Some(req);
+        }
+        self.merge_scan(req)
+    }
+
+    /// The merge scan: streams in id order, back merge before front
+    /// merge in each, so the first stream that can take `req` wins.
+    fn merge_scan(&mut self, req: BlockRequest) -> Option<BlockRequest> {
         let max = self.cfg.max_merge_sectors;
         for q in self.streams.values_mut() {
             // Back merge: a queued request ending exactly at req.lbn.
@@ -151,6 +190,8 @@ impl Cfq {
             if let Some((&key, _)) = q.queue.range(..(req.lbn, 0)).next_back() {
                 let queued = q.queue.get_mut(&key).expect("key just seen");
                 if queued.can_back_merge(&req, max) {
+                    count_down(&mut self.ends, req.lbn);
+                    count_up(&mut self.ends, req.end());
                     queued.back_merge(req);
                     return None;
                 }
@@ -169,14 +210,42 @@ impl Cfq {
         Some(req)
     }
 
+    /// Queues a request that merged with nothing.
+    fn enqueue(&mut self, req: BlockRequest) {
+        let stream = req.stream;
+        self.total += 1;
+        self.seq += 1;
+        let key = (req.lbn, self.seq);
+        let end = req.end();
+        let lbn = req.lbn;
+        count_up(&mut self.starts, lbn);
+        count_up(&mut self.ends, end);
+        let q = self.streams.entry(stream).or_default();
+        if let Some(last) = q.last_end {
+            let dist = last.abs_diff(lbn) as f64;
+            q.seek_mean = q.seek_mean * 0.875 + dist * 0.125;
+        }
+        q.last_end = Some(end);
+        q.queue.insert(key, req);
+        if self.active == Some(stream) {
+            // The anticipated arrival came: stop idling.
+            self.idle_until = None;
+        } else if !q.in_rr {
+            q.in_rr = true;
+            self.rr.push_back(stream);
+        }
+    }
+
     fn activate_next(&mut self, now: SimTime) -> bool {
         while let Some(s) = self.rr.pop_front() {
-            let non_empty = self.streams.get(&s).is_some_and(|q| !q.queue.is_empty());
-            if non_empty {
-                self.active = Some(s);
-                self.slice_end = now + self.cfg.slice;
-                self.idle_until = None;
-                return true;
+            if let Some(q) = self.streams.get_mut(&s) {
+                q.in_rr = false;
+                if !q.queue.is_empty() {
+                    self.active = Some(s);
+                    self.slice_end = now + self.cfg.slice;
+                    self.idle_until = None;
+                    return true;
+                }
             }
             // Stale entry for a stream that no longer has requests.
             self.streams.remove(&s);
@@ -193,28 +262,9 @@ impl Scheduler for Cfq {
         if self.cfg.async_writes && req.dir.is_write() {
             req.stream = ASYNC_STREAM;
         }
-        let stream = req.stream;
-        let Some(req) = self.try_merge(req) else {
-            return; // merged into an existing queued request
-        };
-        self.total += 1;
-        self.seq += 1;
-        let key = (req.lbn, self.seq);
-        let is_new = !self.streams.contains_key(&stream);
-        let end = req.end();
-        let lbn = req.lbn;
-        let q = self.streams.entry(stream).or_default();
-        if let Some(last) = q.last_end {
-            let dist = last.abs_diff(lbn) as f64;
-            q.seek_mean = q.seek_mean * 0.875 + dist * 0.125;
-        }
-        q.last_end = Some(end);
-        q.queue.insert(key, req);
-        if self.active == Some(stream) {
-            // The anticipated arrival came: stop idling.
-            self.idle_until = None;
-        } else if is_new || !self.rr.contains(&stream) {
-            self.rr.push_back(stream);
+        // A merged request lives on inside the queued one it joined.
+        if let Some(req) = self.try_merge(req) {
+            self.enqueue(req);
         }
     }
 
@@ -228,15 +278,18 @@ impl Scheduler for Cfq {
             };
             let queue_empty = self.streams.get(&a).is_none_or(|q| q.queue.is_empty());
             if !queue_empty {
+                let q = self.streams.get_mut(&a).expect("active stream exists");
                 if now >= self.slice_end && !self.rr.is_empty() {
                     // Slice expired with other streams waiting: rotate.
+                    q.in_rr = true;
                     self.rr.push_back(a);
                     self.active = None;
                     self.idle_until = None;
                     continue;
                 }
-                let q = self.streams.get_mut(&a).expect("active stream exists");
-                let req = q.pop_elevator(head).expect("queue checked non-empty");
+                let (key, req) = q.pop_elevator(head).expect("queue checked non-empty");
+                count_down(&mut self.starts, key.0);
+                count_down(&mut self.ends, req.end());
                 self.total -= 1;
                 self.idle_until = None;
                 return Decision::Request(req);
@@ -553,5 +606,111 @@ mod tests {
             panic!()
         };
         assert_eq!(d1, d2, "re-querying must not extend the idle window");
+    }
+
+    /// `add` with the unfiltered merge scan: every request, FUA or not,
+    /// runs the scan over all streams. The reference for the filter.
+    fn add_reference(s: &mut Cfq, mut req: BlockRequest) {
+        if s.cfg.async_writes && req.dir.is_write() {
+            req.stream = ASYNC_STREAM;
+        }
+        if let Some(req) = s.merge_scan(req) {
+            s.enqueue(req);
+        }
+    }
+
+    /// Checks the merge-candidate counts against counts recomputed from
+    /// the queues, and the `in_rr` flags against the round-robin queue.
+    fn check_bookkeeping(s: &Cfq) {
+        let mut starts = FxHashMap::default();
+        let mut ends = FxHashMap::default();
+        for q in s.streams.values() {
+            for (key, r) in &q.queue {
+                count_up(&mut starts, key.0);
+                count_up(&mut ends, r.end());
+            }
+        }
+        assert_eq!(s.starts, starts, "queue-key LBN counts drifted");
+        assert_eq!(s.ends, ends, "request-end counts drifted");
+        for (id, q) in &s.streams {
+            let entries = s.rr.iter().filter(|&&r| r == *id).count();
+            assert_eq!(entries, usize::from(q.in_rr), "stream {id} in_rr flag");
+        }
+        assert!(s.rr.iter().all(|r| s.streams.contains_key(r)));
+        assert!(s.active.is_none_or(|a| !s.rr.contains(&a)));
+    }
+
+    #[test]
+    fn merge_filter_matches_the_full_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Requests on an 8-sector grid, 8 to 32 sectors long, from five
+        // streams: neighbours often abut (back and front merges) and
+        // sometimes overlap. A quarter of the adds are FUA writes.
+        let (mut back, mut front, mut fua, mut skipped) = (0, 0, 0, 0);
+        for seed in 0..120u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cfg = CfqConfig {
+                async_writes: seed % 2 == 0,
+                max_merge_sectors: [32, 64, 256][seed as usize % 3],
+                ..CfqConfig::default()
+            };
+            let mut fast = Cfq::new(cfg.clone());
+            let mut reference = Cfq::new(cfg);
+            let mut now = SimTime::ZERO;
+            let mut head = 0;
+            for tag in 0..200u64 {
+                now += SimDuration::from_micros(rng.gen_range(0..3_000));
+                if rng.gen_range(0..10) < 7 {
+                    let kind = rng.gen_range(0..4);
+                    let dir = if kind < 2 { IoDir::Read } else { IoDir::Write };
+                    let lbn = rng.gen_range(0..48u64) * 8;
+                    let sectors = rng.gen_range(1..5u64) * 8;
+                    let stream = rng.gen_range(0..5);
+                    let mut req = BlockRequest::new(dir, lbn, sectors, stream, now, tag);
+                    if kind == 3 {
+                        req = req.with_fua();
+                        fua += 1;
+                    }
+                    let could_merge = !req.fua
+                        && (fast.ends.contains_key(&req.lbn)
+                            || fast.starts.contains_key(&req.end()));
+                    skipped += usize::from(!could_merge);
+                    let (len, ends) = (fast.len(), fast.ends.clone());
+                    fast.add(now, req.clone());
+                    add_reference(&mut reference, req);
+                    if fast.len() == len {
+                        if fast.ends == ends {
+                            front += 1;
+                        } else {
+                            back += 1;
+                        }
+                    }
+                } else {
+                    let d = fast.dispatch(now, head);
+                    assert_eq!(d, reference.dispatch(now, head), "seed {seed} op {tag}");
+                    if let Decision::Request(r) = d {
+                        head = r.end();
+                    }
+                }
+                assert_eq!(fast.len(), reference.len());
+                check_bookkeeping(&fast);
+                check_bookkeeping(&reference);
+            }
+            // Drain both, stepping past every idle window.
+            loop {
+                let d = fast.dispatch(now, head);
+                assert_eq!(d, reference.dispatch(now, head), "seed {seed} drain");
+                match d {
+                    Decision::Request(r) => head = r.end(),
+                    Decision::WaitUntil(t) => now = t,
+                    Decision::Empty => break,
+                }
+                check_bookkeeping(&fast);
+            }
+            assert!(fast.starts.is_empty() && fast.ends.is_empty());
+        }
+        assert!(back > 100 && front > 100, "back {back} front {front}");
+        assert!(fua > 100 && skipped > 100, "fua {fua} skipped {skipped}");
     }
 }
