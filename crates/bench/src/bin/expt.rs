@@ -91,18 +91,6 @@ fn main() {
                     .unwrap_or_else(|| die("--fault-plan needs a builtin name or a file path"));
                 scale.fault_plan = Some(load_fault_plan(v));
             }
-            "--mds-replicas" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--mds-replicas needs a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--mds-replicas needs an integer"));
-                if n == 0 {
-                    die("--mds-replicas must be at least 1");
-                }
-                scale.mds_replicas = n;
-            }
             "--audit" => {
                 // The auditor is read-only, so output is byte-identical
                 // with or without this flag; CI runs the fault matrix
@@ -124,18 +112,12 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: expt [--full] [--seed N] [--jobs N] \
-                     [--mds-replicas N] \
                      [--bench-report PATH] [--metrics] [--trace-out PATH] \
                      [--fault-plan NAME|FILE] \
                      [--audit] [--list] [--list-fault-plans] \
                      <experiment|all>...\n\
                      fault plans: builtin names are {}; anything else is \
                      read as a plan file (see crates/faults). \
-                     --mds-replicas runs the metadata service as a \
-                     raft-style replicated group of N (default 1, the \
-                     single MDS); elections and failover are simulated \
-                     in virtual time and output stays byte-identical at \
-                     any jobs level. \
                      --bench-report writes a JSON ledger of events and \
                      heap allocations per experiment; it runs at jobs 1 \
                      and needs a build with --features count-allocs. \

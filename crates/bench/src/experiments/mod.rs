@@ -19,7 +19,6 @@ pub mod fig4_5;
 pub mod fig6_7;
 pub mod fig8;
 pub mod logmaint;
-pub mod mds_ha;
 pub mod recovery;
 pub mod summary;
 pub mod tables;
@@ -136,12 +135,6 @@ pub fn all() -> Vec<Experiment> {
             what: "Fault injection: crash, SSD loss, fail-slow, network faults \
                    vs the faultless baseline (beyond the paper)",
             run: faults::run,
-        },
-        Experiment {
-            name: "mds-ha",
-            what: "MDS availability: single MDS vs replicated group under \
-                   crash, failover and partition plans (beyond the paper)",
-            run: mds_ha::run,
         },
         Experiment {
             name: "recovery",

@@ -77,11 +77,6 @@ pub struct Scale {
     /// every cluster the experiments build. The auditor is read-only, so
     /// experiment output is byte-identical with it on or off.
     pub audit_interval: Option<ibridge_des::SimDuration>,
-    /// Metadata-service replicas (`expt --mds-replicas`), forwarded to
-    /// every cluster the experiments build. 1 is the single MDS of the
-    /// paper's testbed; 3 or 5 run a raft-style replicated group whose
-    /// elections and failover are deterministic in virtual time.
-    pub mds_replicas: usize,
 }
 
 impl Scale {
@@ -96,7 +91,6 @@ impl Scale {
             seed: 42,
             fault_plan: None,
             audit_interval: None,
-            mds_replicas: 1,
         }
     }
 
@@ -111,7 +105,6 @@ impl Scale {
             seed: 42,
             fault_plan: None,
             audit_interval: None,
-            mds_replicas: 1,
         }
     }
 }
@@ -127,7 +120,6 @@ pub fn build(system: System, n_servers: usize, scale: &Scale) -> Cluster {
         n_servers,
         seed: scale.seed,
         audit_interval: scale.audit_interval,
-        mds_replicas: scale.mds_replicas,
         server: ServerConfig {
             ra_budget: scale.page_cache,
             ..Default::default()
@@ -153,7 +145,6 @@ pub fn build_ibridge_with(
         n_servers,
         seed: scale.seed,
         audit_interval: scale.audit_interval,
-        mds_replicas: scale.mds_replicas,
         threshold,
         flag_fragments: true,
         server: ServerConfig {

@@ -139,21 +139,17 @@ pub fn render(reg: &Registry) -> String {
         out.push_str(&t.block());
     }
 
-    // Replicated-MDS counters. Only appears when a run recorded MDS
-    // activity (replicated group or stale-T degradation), so existing
-    // golden-compared output is unchanged.
+    // Metadata-server counters. Only appears when an MDS outage left
+    // clients steering on stale T values, so healthy golden-compared
+    // output is unchanged.
     if !reg.mds.is_empty() {
         let m = &reg.mds;
-        let mut t = Table::new("metrics: replicated mds", &["counter", "value"]);
-        t.row(&["elections".to_string(), m.elections.to_string()]);
-        t.row(&["leader-changes".to_string(), m.leader_changes.to_string()]);
-        t.row(&["recovery".to_string(), fmt_ns(m.recovery_ticks)]);
+        let mut t = Table::new("metrics: mds", &["counter", "value"]);
         t.row(&[
             "stale-T decisions".to_string(),
             m.stale_t_decisions.to_string(),
         ]);
-        t.row(&["proposals".to_string(), m.proposals.to_string()]);
-        t.row(&["commits".to_string(), m.commits.to_string()]);
+        t.row(&["T-table updates".to_string(), m.commits.to_string()]);
         out.push_str(&t.block());
     }
 

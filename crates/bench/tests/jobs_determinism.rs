@@ -2,9 +2,9 @@
 //! result, down to the last bit of every statistic. Event order is keyed
 //! by `(time, source node, per-node sequence)` — intrinsic to the
 //! simulated system — and every run owns its calendar, so `--jobs N` may
-//! only change the wall clock. These tests run a seeds × systems matrix,
-//! fault plans and a replicated MDS at `--jobs 1` and `--jobs 8` and
-//! require *identical* outputs — not approximately equal.
+//! only change the wall clock. These tests run a seeds × systems matrix
+//! and fault plans at `--jobs 1` and `--jobs 8` and require *identical*
+//! outputs — not approximately equal.
 //!
 //! The fingerprint is the full `Debug` rendering of `RunStats`: Rust's
 //! `f64` Debug format is shortest-roundtrip, so two renderings are equal
@@ -12,7 +12,6 @@
 
 use ibridge_bench::runpar::par_map_jobs;
 use ibridge_bench::{build, checkpoint_probe, run_once, Scale, System, FILE_A};
-use ibridge_des::SimDuration;
 use ibridge_device::IoDir;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_workloads::MpiIoTest;
@@ -82,37 +81,4 @@ fn fault_plans_identical_across_jobs_levels() {
     let seq = par_map_jobs(1, cells.clone(), fault_cell);
     let par = par_map_jobs(8, cells, fault_cell);
     assert_eq!(seq, par, "--jobs changed a faulty run");
-}
-
-/// The replicated-MDS probe: the `mds-ha` experiment's shape (4-server
-/// iBridge, 5 ms T-report cadence, 3-replica group) under a failover
-/// plan, so elections, log replication, leader-crash fencing and the
-/// broadcast fan-out all run.
-fn mds_cell((plan_text, seed): (&str, u64)) -> String {
-    let plan = FaultPlan::parse(plan_text).expect("parses");
-    let cfg = ibridge_pvfs::ClusterConfig {
-        n_servers: 4,
-        seed,
-        mds_replicas: 3,
-        report_interval: SimDuration::from_millis(5),
-        ..Default::default()
-    };
-    let cluster = ibridge_core::ibridge_cluster(cfg, scale_with(seed).ssd_capacity);
-    let stats = checkpoint_probe(cluster, 10, &plan);
-    assert!(
-        stats.faults.mds_elections >= 2 && stats.faults.mds_crashes == 1,
-        "failover did not land — probe too short: {:?}",
-        stats.faults
-    );
-    format!("{stats:?}")
-}
-
-#[test]
-fn replicated_mds_identical_across_jobs_levels() {
-    let failover = builtin("mds-failover").expect("builtin");
-    let partition = builtin("mds-partition").expect("builtin");
-    let cells = vec![(failover, 42u64), (partition, 42)];
-    let seq = par_map_jobs(1, cells.clone(), mds_cell);
-    let par = par_map_jobs(8, cells, mds_cell);
-    assert_eq!(seq, par, "--jobs changed a replicated-MDS run");
 }

@@ -63,11 +63,6 @@ pub mod streams {
     /// node)`, so the draw sequence is a function of (seed, node)
     /// and of the order that node sends messages alone.
     pub const FAULTS_NET: u64 = 9;
-    /// Replicated-MDS election timeouts: each replica draws from
-    /// `stream_rng(derive_seed(seed, MDS), replica)`, so election
-    /// outcomes are a function of (seed, replica) alone — byte-identical
-    /// at any `--jobs` level.
-    pub const MDS: u64 = 10;
 }
 
 #[cfg(test)]

@@ -77,19 +77,11 @@ pub enum TimedFault {
         /// Which backup-media region the hits land in.
         target: RotTarget,
     },
-    /// The MDS leader replica crashes. A single MDS is then down: T-value
-    /// reports and broadcasts stall, and data servers keep serving with
-    /// last-known T values. A replicated group elects a new leader.
+    /// The metadata server crashes: T-value reports and broadcasts
+    /// stall, and data servers keep serving with last-known T values.
     MdsCrash,
-    /// Every crashed MDS replica restarts, replaying the replicated log;
-    /// a single MDS leads again and reporting resumes.
+    /// The metadata server restarts and reporting resumes.
     MdsRestart,
-    /// A partition isolates the MDS leader from its peers; the majority
-    /// side fences it and elects a new leader.
-    MdsPartitionStart,
-    /// The MDS partition heals; the stale ex-leader steps down on the
-    /// higher term it observes.
-    MdsPartitionHeal,
 }
 
 impl TimedFault {
@@ -104,10 +96,7 @@ impl TimedFault {
             | TimedFault::SlowEnd { server, .. }
             | TimedFault::TornWrite { server, .. }
             | TimedFault::BitRot { server, .. } => Some(server),
-            TimedFault::MdsCrash
-            | TimedFault::MdsRestart
-            | TimedFault::MdsPartitionStart
-            | TimedFault::MdsPartitionHeal => None,
+            TimedFault::MdsCrash | TimedFault::MdsRestart => None,
         }
     }
 }
@@ -158,21 +147,13 @@ pub struct FaultStats {
     pub mds_crashes: u64,
     /// Metadata-server restarts executed.
     pub mds_restarts: u64,
-    /// Metadata updates (T reports, steer-offs) dropped because no MDS
-    /// quorum was reachable.
+    /// Metadata updates (T reports, steer-offs) dropped because the MDS
+    /// was down.
     pub stalled_broadcasts: u64,
     /// Client scheduling decisions (request issues) taken while the MDS
-    /// was unreachable — i.e. taken on possibly-stale T values. This is
-    /// the observable cost of `mds-crash`-style degradation.
+    /// was down — i.e. taken on possibly-stale T values. This is the
+    /// observable cost of `mds-crash` degradation.
     pub stale_t_decisions: u64,
-    /// MDS leader elections started (a single MDS never holds one).
-    pub mds_elections: u64,
-    /// Times a replica other than the previous MDS leader took the lead.
-    pub mds_leader_changes: u64,
-    /// Virtual-time nanoseconds the MDS spent without a client-visible
-    /// leader after losing one while a quorum could elect another — the
-    /// failover recovery window (always 0 for a single MDS).
-    pub mds_recovery_ticks: u64,
     /// Backup records scanned by restart recovery fscks.
     pub fsck_records_scanned: u64,
     /// Backup records quarantined (torn, checksum-failed, or
@@ -306,10 +287,6 @@ impl FaultInjector {
                 FaultSpec::MdsCrash { at, restart_after } => {
                     timeline.push((at, TimedFault::MdsCrash));
                     timeline.push((at + restart_after, TimedFault::MdsRestart));
-                }
-                FaultSpec::MdsPartition { at, heal_after } => {
-                    timeline.push((at, TimedFault::MdsPartitionStart));
-                    timeline.push((at + heal_after, TimedFault::MdsPartitionHeal));
                 }
             }
         }
@@ -557,12 +534,7 @@ mod tests {
             *s %= 4;
             assert_eq!(f.server_mut().copied(), Some(1), "{name}");
         }
-        for mut f in [
-            TimedFault::MdsCrash,
-            TimedFault::MdsRestart,
-            TimedFault::MdsPartitionStart,
-            TimedFault::MdsPartitionHeal,
-        ] {
+        for mut f in [TimedFault::MdsCrash, TimedFault::MdsRestart] {
             assert!(f.server_mut().is_none(), "{f:?}");
         }
     }

@@ -14,18 +14,24 @@
 //! torn-write server=1 at=150ms restart=60ms records=2
 //! bit-rot server=0 at=100ms sectors=3
 //! mds-crash at=80ms restart=120ms
-//! mds-failover at=80ms restart=120ms
-//! mds-partition at=80ms heal=120ms
 //! ```
 //!
 //! Each directive is `name key=value ...`; blank lines and `#` comments
 //! are ignored. Durations require an explicit unit (`ns`, `us`, `ms`,
-//! `s`). Parse failures carry the line number and the offending line so
+//! `s`) and may not exceed `MAX_DURATION` (10^9 s); counts must fit their
+//! field. Parse failures carry the line number and the offending line so
 //! tooling can quote them back verbatim.
 
 use ibridge_des::SimDuration;
 use ibridge_net::Impairment;
 use std::fmt;
+
+/// The longest duration a plan may give (10^9 s, about 31.7 years of
+/// virtual time). It keeps every instant a plan yields in range: the
+/// injector adds two durations (`at + restart`), the cluster adds the
+/// result to the run's start, and the client's longest retry wait,
+/// `timeout * backoff^max`, must not exceed it either.
+const MAX_DURATION: SimDuration = SimDuration::from_secs(1_000_000_000);
 
 /// Which device of a data server a fail-slow window degrades.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,27 +129,15 @@ pub enum FaultSpec {
         /// (`target=any|tail|checkpoint`, default `any`).
         target: RotTarget,
     },
-    /// The MDS leader crashes at `at` and rejoins `restart_after` later,
-    /// replaying its replicated log (`mds-crash`, or its alias
-    /// `mds-failover`). A single MDS is down in between: data servers
-    /// keep serving, but T-value broadcasts stall and clients degrade to
-    /// last-known T values. With `--mds-replicas > 1` the surviving
-    /// replicas elect a new leader and metadata service continues.
+    /// The metadata server crashes at `at` and restarts `restart_after`
+    /// later with the T-table it had. In between, data servers keep
+    /// serving, but T-value reports and broadcasts stall and clients
+    /// degrade to last-known T values.
     MdsCrash {
         /// Crash instant.
         at: SimDuration,
-        /// Downtime before the crashed replica rejoins.
+        /// Downtime before the MDS restarts.
         restart_after: SimDuration,
-    },
-    /// A network partition isolates the MDS leader from its peers at
-    /// `at` and heals `heal_after` later. The majority side fences the
-    /// stale leader (it cannot commit without a quorum) and elects a
-    /// fresh one; a single MDS is unreachable until the heal.
-    MdsPartition {
-        /// Partition instant.
-        at: SimDuration,
-        /// Time until the partition heals.
-        heal_after: SimDuration,
     },
 }
 
@@ -258,24 +252,30 @@ impl FaultPlan {
                     | "torn-write"
                     | "bit-rot"
                     | "mds-crash"
-                    | "mds-failover"
-                    | "mds-partition"
             ) {
                 return Err(err(format!(
                     "unknown directive '{directive}' (expected one of: retry, crash, \
-                     ssd-loss, fail-slow, net, torn-write, bit-rot, mds-crash, \
-                     mds-failover, mds-partition)"
+                     ssd-loss, fail-slow, net, torn-write, bit-rot, mds-crash)"
                 )));
             }
             let mut args = Args::new(words.collect(), line, idx + 1)?;
             match directive {
                 "retry" => {
                     let defaults = RetryConfig::default();
-                    plan.retry = Some(RetryConfig {
+                    let retry = RetryConfig {
                         timeout: args.duration("timeout")?,
                         backoff: args.float_or("backoff", defaults.backoff, 1.0, 64.0)?,
-                        max_retries: args.int_or("max", defaults.max_retries as u64)? as u32,
-                    });
+                        max_retries: args.u32_or("max", defaults.max_retries)?,
+                    };
+                    let longest = retry.timeout.as_secs_f64()
+                        * retry.backoff.powf(f64::from(retry.max_retries));
+                    if longest > MAX_DURATION.as_secs_f64() {
+                        return Err(err(format!(
+                            "'max' retries would wait longer than {MAX_DURATION} \
+                             (timeout * backoff^max)"
+                        )));
+                    }
+                    plan.retry = Some(retry);
                 }
                 "crash" => {
                     let spec = FaultSpec::ServerCrash {
@@ -335,7 +335,7 @@ impl FaultPlan {
                     if restart_after == SimDuration::ZERO {
                         return Err(err("restart must be > 0".into()));
                     }
-                    let records = args.int_or("records", 1)?;
+                    let records = args.u32_or("records", 1)?;
                     if records == 0 {
                         return Err(err("records must be > 0".into()));
                     }
@@ -343,11 +343,11 @@ impl FaultPlan {
                         server: args.int("server")? as usize,
                         at: args.duration("at")?,
                         restart_after,
-                        records: records as u32,
+                        records,
                     });
                 }
                 "bit-rot" => {
-                    let sectors = args.int_or("sectors", 1)?;
+                    let sectors = args.u32_or("sectors", 1)?;
                     if sectors == 0 {
                         return Err(err("sectors must be > 0".into()));
                     }
@@ -364,11 +364,11 @@ impl FaultPlan {
                     plan.specs.push(FaultSpec::BitRot {
                         server: args.int("server")? as usize,
                         at: args.duration("at")?,
-                        sectors: sectors as u32,
+                        sectors,
                         target,
                     });
                 }
-                "mds-crash" | "mds-failover" => {
+                "mds-crash" => {
                     let restart_after = args.duration("restart")?;
                     if restart_after == SimDuration::ZERO {
                         return Err(err("restart must be > 0".into()));
@@ -376,16 +376,6 @@ impl FaultPlan {
                     plan.specs.push(FaultSpec::MdsCrash {
                         at: args.duration("at")?,
                         restart_after,
-                    });
-                }
-                "mds-partition" => {
-                    let heal_after = args.duration("heal")?;
-                    if heal_after == SimDuration::ZERO {
-                        return Err(err("heal must be > 0".into()));
-                    }
-                    plan.specs.push(FaultSpec::MdsPartition {
-                        at: args.duration("at")?,
-                        heal_after,
                     });
                 }
                 _ => unreachable!("directive validated above"),
@@ -478,11 +468,14 @@ impl<'a> Args<'a> {
         }
     }
 
-    fn int_or(&mut self, key: &str, default: u64) -> Result<u64, PlanError> {
+    fn u32_or(&mut self, key: &str, default: u32) -> Result<u32, PlanError> {
         match self.take(key) {
             None => Ok(default),
-            Some(v) => v.parse::<u64>().map_err(|_| {
-                self.err(format!("'{key}' must be a non-negative integer, got '{v}'"))
+            Some(v) => v.parse::<u32>().map_err(|_| {
+                self.err(format!(
+                    "'{key}' must be an integer in [0, {}], got '{v}'",
+                    u32::MAX
+                ))
             }),
         }
     }
@@ -536,6 +529,9 @@ impl<'a> Args<'a> {
             .map_err(|_| self.err(format!("'{key}' must be a duration like 250ms, got '{v}'")))?;
         if !f.is_finite() || f < 0.0 {
             return Err(self.err(format!("'{key}' must be non-negative, got '{v}'")));
+        }
+        if f * scale > MAX_DURATION.as_secs_f64() {
+            return Err(self.err(format!("'{key}' must be at most {MAX_DURATION}, got '{v}'")));
         }
         Ok(SimDuration::from_secs_f64(f * scale))
     }
@@ -632,22 +628,6 @@ pub const BUILTIN_PLANS: &[BuiltinPlan] = &[
         name: "mds-crash",
         what: "metadata server down from 80ms to 200ms; T-value broadcasts stall",
         source: "mds-crash at=80ms restart=120ms\n",
-    },
-    // Kill the elected leader mid-run; with a replicated MDS the
-    // survivors re-elect within a few election timeouts and the crashed
-    // replica later rejoins by replaying the log.
-    BuiltinPlan {
-        name: "mds-failover",
-        what: "MDS leader crashes at 80ms, rejoins at 200ms; replicas elect a new leader",
-        source: "mds-failover at=80ms restart=120ms\n",
-    },
-    // Isolate the leader instead of killing it: the majority side fences
-    // it (no quorum, no commits) and elects afresh; the healed ex-leader
-    // steps down on the higher term.
-    BuiltinPlan {
-        name: "mds-partition",
-        what: "MDS leader partitioned from 80ms to 200ms; fenced, majority re-elects",
-        source: "mds-partition at=80ms heal=120ms\n",
     },
 ];
 
@@ -787,31 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_replicated_mds_directives() {
-        let plan = FaultPlan::parse(
-            "mds-failover at=80ms restart=120ms\n\
-             mds-partition at=90ms heal=60ms\n",
-        )
-        .expect("plan must parse");
-        // `mds-failover` is an alias: a leader crash is one fault at any
-        // replica count.
-        assert_eq!(
-            plan.specs[0],
-            FaultSpec::MdsCrash {
-                at: SimDuration::from_millis(80),
-                restart_after: SimDuration::from_millis(120),
-            }
-        );
-        assert_eq!(
-            plan.specs[1],
-            FaultSpec::MdsPartition {
-                at: SimDuration::from_millis(90),
-                heal_after: SimDuration::from_millis(60),
-            }
-        );
-    }
-
-    #[test]
     fn backoff_delay_sequence_is_exact() {
         let retry = RetryConfig {
             timeout: SimDuration::from_millis(50),
@@ -906,10 +861,36 @@ mod tests {
             ("bit-rot server=0 at=1ms sectors=0", "sectors must be > 0"),
             ("mds-crash at=1ms restart=0ms", "restart must be > 0"),
             ("mds-crash at=1ms", "missing required key 'restart'"),
-            ("mds-failover at=1ms restart=0ms", "restart must be > 0"),
-            ("mds-failover at=1ms", "missing required key 'restart'"),
-            ("mds-partition at=1ms heal=0ms", "heal must be > 0"),
-            ("mds-partition at=1ms", "missing required key 'heal'"),
+            ("mds-failover at=1ms restart=1ms", "unknown directive"),
+            // Out-of-range values: each names its key.
+            (
+                "crash server=0 at=1e300s restart=1s",
+                "'at' must be at most",
+            ),
+            (
+                "mds-crash at=1ms restart=1e12s",
+                "'restart' must be at most",
+            ),
+            (
+                "crash server=0 at=1e10s restart=1e10s",
+                "'at' must be at most",
+            ),
+            (
+                "retry timeout=1s max=4294967297",
+                "'max' must be an integer in",
+            ),
+            (
+                "retry timeout=1s backoff=2 max=64",
+                "'max' retries would wait",
+            ),
+            (
+                "torn-write server=0 at=1ms restart=1ms records=4294967297",
+                "'records' must be an integer in",
+            ),
+            (
+                "bit-rot server=0 at=1ms sectors=4294967296",
+                "'sectors' must be an integer in",
+            ),
         ];
         for (line, want) in cases {
             let text = format!("# leading comment\n{line}\n");

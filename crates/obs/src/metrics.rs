@@ -175,25 +175,23 @@ pub struct PdesAgg {
     pub lp_wall_ns: Vec<u64>,
 }
 
-/// Replicated-metadata-service aggregates: election/failover counters
-/// plus the client-side degradation signal (`stale_t_decisions`). All
-/// counters are virtual-time deterministic and merge by addition.
+/// Metadata-server aggregates of the runs where an MDS outage left
+/// clients steering on stale T values. All counters are virtual-time
+/// deterministic and merge by addition.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MdsAgg {
     /// Runs that recorded MDS activity.
     pub runs: u64,
-    /// Leader elections started.
+    /// Always 0: the single MDS holds no elections. Kept only because
+    /// the `ibench` package still reads it; goes with ibench's
+    /// `mds.elections` metric.
     pub elections: u64,
-    /// Client-visible leader changes.
-    pub leader_changes: u64,
-    /// Virtual-time ns spent without a client-visible leader.
-    pub recovery_ticks: u64,
-    /// Client scheduling decisions taken while the MDS was unreachable
-    /// (i.e. on possibly-stale T values).
+    /// Client scheduling decisions taken while the MDS was down (i.e.
+    /// on possibly-stale T values).
     pub stale_t_decisions: u64,
-    /// Metadata updates proposed to the replicated log.
+    /// T-table updates the MDS applied (T reports and steer-offs).
     pub proposals: u64,
-    /// Log entries committed at majority.
+    /// Equal to `proposals`: every update the MDS accepts is applied.
     pub commits: u64,
 }
 
@@ -201,8 +199,6 @@ impl MdsAgg {
     fn merge(&mut self, o: &MdsAgg) {
         self.runs += o.runs;
         self.elections += o.elections;
-        self.leader_changes += o.leader_changes;
-        self.recovery_ticks += o.recovery_ticks;
         self.stale_t_decisions += o.stale_t_decisions;
         self.proposals += o.proposals;
         self.commits += o.commits;
@@ -299,7 +295,7 @@ pub struct Registry {
     pub servers: BTreeMap<u16, ServerAgg>,
     /// Never recorded (see [`PdesAgg`]).
     pub pdes: PdesAgg,
-    /// Replicated-MDS aggregates.
+    /// Metadata-server aggregates.
     pub mds: MdsAgg,
     /// Backup-log maintenance aggregates.
     pub maint: MaintAgg,
@@ -430,8 +426,8 @@ pub fn record_ti(server: u16, pred_ns: u64, meas_ns: u64) {
     });
 }
 
-/// Records one run's replicated-MDS counters. No-op unless metrics are
-/// on or every counter is zero (single-MDS healthy runs leave no trace).
+/// Records one run's metadata-server counters. No-op unless metrics are
+/// on and the aggregate counts a run (healthy runs leave no trace).
 pub fn record_mds(agg: &MdsAgg) {
     if !crate::metrics_on() || agg.is_empty() {
         return;

@@ -152,10 +152,10 @@ impl Run<'_> {
         self.requests += 1;
         self.bytes += req.len;
         self.proc_bytes[proc] += req.len;
-        // With iBridge steering on, a request decomposed while the
-        // metadata service is unreachable ran on a stale T-table: the
-        // degradation `mds-crash`-style plans exist to surface.
-        if self.ibridge && self.coord.mds.leader().is_none() {
+        // With iBridge steering on, a request decomposed while the MDS
+        // is down ran on a stale T-table: the degradation `mds-crash`
+        // plans exist to surface.
+        if self.ibridge && self.coord.mds_down {
             self.fstats.stale_t_decisions += 1;
         }
         let pending = subs.len();

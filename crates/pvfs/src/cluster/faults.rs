@@ -122,29 +122,8 @@ impl Run<'_> {
                     );
                 }
             }
-            TimedFault::MdsCrash => {
-                if self
-                    .mds_call(sim, now, |g, acts| g.crash_leader(now, acts))
-                    .is_some()
-                {
-                    self.fstats.mds_crashes += 1;
-                }
-            }
-            TimedFault::MdsRestart => {
-                let rejoining = self.coord.mds.down_replicas() as u64;
-                if rejoining > 0 {
-                    self.fstats.mds_restarts += rejoining;
-                    self.mds_call(sim, now, |g, acts| g.restart_crashed(now, acts));
-                }
-            }
-            TimedFault::MdsPartitionStart => {
-                self.fstats.mds_crashes += 1;
-                self.mds_call(sim, now, |g, acts| g.partition_leader(now, acts));
-            }
-            TimedFault::MdsPartitionHeal => {
-                self.fstats.mds_restarts += 1;
-                self.mds_call(sim, now, |g, acts| g.heal(now, acts));
-            }
+            TimedFault::MdsCrash => self.mds_set_down(now, true),
+            TimedFault::MdsRestart => self.mds_set_down(now, false),
         }
     }
 

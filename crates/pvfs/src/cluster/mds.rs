@@ -1,132 +1,94 @@
-//! Glue to the metadata service: proposals to the MDS group, and the
-//! T-table updates and broadcasts that its commits produce.
+//! The metadata server: the T-table it collects from the data servers'
+//! reports (Eq. 1), the broadcasts Eq. 3 reads, and its outages.
+//!
+//! The MDS lives on the coordinator. While it is up, a T report updates
+//! the table and the new table is broadcast to every server; a steer-off
+//! zeroes the lost cache's slot. While it is down, both are lost and
+//! count as stalled broadcasts, so clients keep steering on the last
+//! table they were sent. Every applied update bumps the table's version,
+//! which stamps the broadcasts.
 
 use super::{srv_node, Ev, Run, COORD};
-use ibridge_des::{SimDuration, SimTime, Simulation};
-use ibridge_mds::{Action as MdsAction, Entry as MdsEntry, MdsGroup};
+use ibridge_des::{SimTime, Simulation};
 use std::sync::Arc;
 
-/// Trace lane for replicated-MDS spans on the client node — far above
-/// any real process lane, so MDS activity sorts into its own swimlane.
+/// An MDS outage edge: an `mds:leader` span on the client node's MDS
+/// lane (id 0; aux 0 when the MDS comes up, `u64::MAX` when it goes
+/// down).
 #[cfg(feature = "obs")]
-const MDS_TRACE_LANE: u16 = u16::MAX;
-
-/// One replicated log entry, proposal → majority commit:
-/// `mds:replicate` span (id = commit index).
-#[cfg(feature = "obs")]
-fn obs_mds_replicate(proposed_at: SimTime, committed_at: SimTime, index: u64) {
-    use ibridge_obs::trace;
-    if ibridge_obs::tracing_on() {
-        trace::record(trace::Span {
-            ts_ns: proposed_at.as_nanos(),
-            dur_ns: (committed_at - proposed_at).as_nanos(),
-            node: trace::CLIENT_NODE,
-            lane: MDS_TRACE_LANE,
-            name: "mds:replicate",
-            id: index,
-            aux: 0,
-        });
-    }
-}
-
-/// A leadership change in the MDS group: `mds:leader` span (id = term,
-/// aux = elected replica, or `u64::MAX` for "leaderless").
-#[cfg(feature = "obs")]
-fn obs_mds_leader(now: SimTime, leader: Option<usize>, term: u64) {
+fn obs_mds_leader(now: SimTime, up: bool) {
     use ibridge_obs::trace;
     if ibridge_obs::tracing_on() {
         trace::record(trace::Span {
             ts_ns: now.as_nanos(),
             dur_ns: 0,
             node: trace::CLIENT_NODE,
-            lane: MDS_TRACE_LANE,
+            // Far above any real process lane, so MDS activity sorts
+            // into its own swimlane.
+            lane: u16::MAX,
             name: "mds:leader",
-            id: term,
-            aux: leader.map_or(u64::MAX, |l| l as u64),
+            id: 0,
+            aux: if up { 0 } else { u64::MAX },
         });
     }
 }
 
 impl Run<'_> {
-    /// Proposes `entry` to the MDS group. A refused proposal is retried on
-    /// a fixed coordinator-local backoff while a quorum could still elect a
-    /// leader (a failover in progress). Otherwise the group is down until a
-    /// restart or heal, and the update counts as a stalled broadcast at once.
-    pub(super) fn mds_propose(&mut self, sim: &mut Simulation<Ev>, now: SimTime, entry: MdsEntry) {
-        const MDS_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(500);
-        if self.mds_call(sim, now, |g, acts| g.propose(now, entry, acts)) {
-            return;
-        }
-        if self.coord.mds.quorum_reachable() {
-            sim.post_at(
-                COORD,
-                COORD,
-                now + MDS_RETRY_BACKOFF,
-                Ev::MdsRetry { entry },
-            );
-        } else {
-            self.fstats.stalled_broadcasts += 1;
-        }
-    }
-
-    /// Runs one call into the MDS group and applies the actions it emits.
-    pub(super) fn mds_call<R>(
+    /// A T report reached the MDS.
+    pub(super) fn mds_report(
         &mut self,
         sim: &mut Simulation<Ev>,
         now: SimTime,
-        call: impl FnOnce(&mut MdsGroup, &mut Vec<MdsAction>) -> R,
-    ) -> R {
-        let mut acts = std::mem::take(&mut self.mds_acts);
-        let r = call(&mut self.coord.mds, &mut acts);
-        self.mds_apply(sim, now, &mut acts);
-        self.mds_acts = acts;
-        r
-    }
-
-    /// Applies a batch of group actions on the coordinator: schedules
-    /// message deliveries, applies committed entries to the T-table (and
-    /// broadcasts the new version), and traces leadership changes.
-    fn mds_apply(&mut self, sim: &mut Simulation<Ev>, now: SimTime, acts: &mut Vec<MdsAction>) {
-        for a in acts.drain(..) {
-            match a {
-                MdsAction::Deliver { at, msg } => {
-                    sim.post_at(COORD, COORD, at, Ev::Mds(msg));
-                }
-                MdsAction::Commit {
-                    index,
-                    proposed_at,
-                    entry,
-                } => {
-                    // A lone replica commits on propose: nothing replicates.
-                    #[cfg(feature = "obs")]
-                    if self.coord.mds.n() > 1 {
-                        obs_mds_replicate(proposed_at, now, index);
-                    }
-                    #[cfg(not(feature = "obs"))]
-                    let _ = proposed_at;
-                    match entry {
-                        MdsEntry::TReport { server, t } => {
-                            self.coord.mds_table[server] = t;
-                            self.mds_broadcast(sim, now, index);
-                        }
-                        MdsEntry::SteerOff { server } => self.coord.mds_table[server] = 0.0,
-                    }
-                }
-                MdsAction::LeaderChanged { leader, term } => {
-                    #[cfg(feature = "obs")]
-                    obs_mds_leader(now, leader, term);
-                    #[cfg(not(feature = "obs"))]
-                    let _ = (leader, term);
-                }
-            }
+        server: usize,
+        t: f64,
+    ) {
+        if self.mds_update(server, t) {
+            self.mds_broadcast(sim, now);
         }
     }
 
+    /// A server lost its SSD: the MDS stops steering fragments at it.
+    pub(super) fn mds_steer_off(&mut self, server: usize) {
+        self.mds_update(server, 0.0);
+    }
+
+    /// Sets `server`'s T slot to `t` and returns `true`, or counts a
+    /// stalled broadcast and returns `false` while the MDS is down.
+    fn mds_update(&mut self, server: usize, t: f64) -> bool {
+        let c = &mut *self.coord;
+        if c.mds_down {
+            self.fstats.stalled_broadcasts += 1;
+            return false;
+        }
+        c.mds_table[server] = t;
+        c.mds_version += 1;
+        true
+    }
+
+    /// The MDS crashes (`down`) or restarts with the table it had. A
+    /// crash of a dead MDS or a restart of a live one changes nothing.
+    pub(super) fn mds_set_down(&mut self, now: SimTime, down: bool) {
+        if self.coord.mds_down == down {
+            return;
+        }
+        self.coord.mds_down = down;
+        if down {
+            self.fstats.mds_crashes += 1;
+        } else {
+            self.fstats.mds_restarts += 1;
+        }
+        #[cfg(feature = "obs")]
+        obs_mds_leader(now, !down);
+        #[cfg(not(feature = "obs"))]
+        let _ = now;
+    }
+
     /// Fans the current T-table snapshot out to every server, stamped with
-    /// the metadata `version` that produced it.
-    fn mds_broadcast(&mut self, sim: &mut Simulation<Ev>, now: SimTime, version: u64) {
+    /// the version that produced it.
+    fn mds_broadcast(&mut self, sim: &mut Simulation<Ev>, now: SimTime) {
         // One shared snapshot for the whole broadcast fan-out.
         let table: Arc<[f64]> = Arc::from(self.coord.mds_table.as_slice());
+        let version = self.coord.mds_version;
         for dest in 0..self.cfg.n_servers {
             let arrive = self
                 .coord

@@ -50,9 +50,6 @@ use ibridge_des::stats::{Histogram, MeanTracker};
 use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
 use ibridge_faults::{FaultInjector, FaultPlan, FaultStats, NetDecider, RetryConfig, TimedFault};
 use ibridge_localfs::FileHandle;
-use ibridge_mds::{
-    Action as MdsAction, Entry as MdsEntry, MdsConfig, MdsGroup, MdsStats, Msg as MdsMsg,
-};
 use ibridge_net::{Link, LinkConfig};
 use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
@@ -88,13 +85,10 @@ pub struct ClusterConfig {
     pub flag_fragments: bool,
     /// Interval of the per-server T-value report to the MDS (paper: 1 s).
     pub report_interval: SimDuration,
-    /// Metadata-service replicas. T reports and steering updates always
-    /// go through a raft-style group that runs entirely on the
-    /// coordinator, in virtual time. `1` (the default) is the paper's
-    /// single MDS: a one-replica group that leads without elections and
-    /// commits on propose, and a SPOF whose crash degrades clients to
-    /// stale T values. `> 1` commits at majority and survives leader
-    /// crashes and partitions via deterministic seeded elections.
+    /// Ignored: the cluster runs the paper's single metadata server at
+    /// any value. This was the replica count of the removed replicated
+    /// metadata group; the field stays only because the `ibench` package
+    /// still sets it, and goes with ibench's hetero-pdes `mds_replicas: 3`.
     pub mds_replicas: usize,
     /// Interval of the writeback daemon's idle check.
     pub writeback_interval: SimDuration,
@@ -207,30 +201,22 @@ enum Ev {
     ReportArrive { server: usize, t: f64 },
     /// The MDS broadcast reached a server. The table is shared: one
     /// snapshot per report, not one clone per destination server.
-    /// `version` is the metadata version the snapshot reflects (the MDS
-    /// group's commit index); servers assert it never regresses.
+    /// `version` is the metadata version the snapshot reflects (the
+    /// count of updates the MDS has applied); servers assert it never
+    /// regresses.
     Broadcast {
         server: usize,
         version: u64,
         table: Arc<[f64]>,
     },
-    /// An intra-MDS-group raft message or timer (a lone replica sends
-    /// none). The whole group lives on the coordinator, so these are
-    /// coordinator self-posts whose order is intrinsic.
-    Mds(MdsMsg),
-    /// Re-proposal of a metadata update that found no MDS leader while a
-    /// quorum could still elect one: the update waits out the failover
-    /// instead of being dropped.
-    MdsRetry { entry: MdsEntry },
     /// Periodic writeback-daemon check.
     WritebackTick { server: usize },
     /// End-of-run drain kick, posted by the coordinator to every server
     /// (and locally by a mid-drain restart).
     DrainTick { server: usize },
-    /// A server lost its SSD: once the MDS commits the steer-off it
-    /// zeroes that server's T slot, so fragments stop being steered at
-    /// it. The table lives on the coordinator, one lookahead away from
-    /// the failing server.
+    /// A server lost its SSD: the MDS zeroes that server's T slot, so
+    /// fragments stop being steered at it. The table lives on the
+    /// coordinator, one lookahead away from the failing server.
     SteerOff { server: usize },
 }
 
@@ -254,12 +240,12 @@ struct PendingJob {
 struct CoordPersist {
     /// Link the MDS broadcasts the T-table on.
     mds_link: Link,
-    /// The T-table as of the last commit: one slot per data server.
+    /// The T-table: one slot per data server.
     mds_table: Vec<f64>,
-    /// The metadata service, `mds_replicas` strong. Every T report and
-    /// steer-off is proposed to it, and the table changes only at
-    /// commit; its commit index versions each broadcast.
-    mds: MdsGroup,
+    /// The MDS is crashed: T reports and steer-offs stall.
+    mds_down: bool,
+    /// Updates the MDS has applied to the table; versions each broadcast.
+    mds_version: u64,
     jitter_rng: StdRng,
     next_job: u64,
     next_parent: u64,
@@ -336,7 +322,8 @@ impl Cluster {
             coord: CoordPersist {
                 mds_link: Link::new(cfg.link.clone()),
                 mds_table: vec![0.0; cfg.n_servers],
-                mds: MdsGroup::new(MdsConfig::new(cfg.mds_replicas, cfg.seed, cfg.link.clone())),
+                mds_down: false,
+                mds_version: 0,
                 jitter_rng: ibridge_des::rng::stream_rng(
                     cfg.seed,
                     ibridge_des::rng::streams::CLIENT,
@@ -483,18 +470,8 @@ impl Cluster {
         for proc in 0..n_procs {
             self.sim.post_now(COORD, COORD, Ev::Wake { proc });
         }
-        // Re-arm the MDS group's timers for this run (the drain
-        // cancelled them at the end of the previous run). All raft
-        // traffic is coordinator-local, so these self-posts have no
-        // lookahead constraint.
-        let mds_before = self.coord.mds.stats();
-        let mut acts = Vec::new();
-        self.coord.mds.resume(start, &mut acts);
-        for a in acts {
-            if let MdsAction::Deliver { at, msg } = a {
-                self.sim.post_at(COORD, COORD, at, Ev::Mds(msg));
-            }
-        }
+        #[cfg(feature = "obs")]
+        let mds_version0 = self.coord.mds_version;
         if ibridge {
             for server in 0..n_servers {
                 let node = srv_node(server);
@@ -556,7 +533,6 @@ impl Cluster {
             subs_scratch: Vec::new(),
             out: ServerOut::default(),
             lost_jobs: Vec::new(),
-            mds_acts: Vec::new(),
             cells: servers,
         };
 
@@ -580,35 +556,17 @@ impl Cluster {
 
         let mut fstats = run.fstats;
 
-        // Close out the MDS group for this run: accrue any still-open
-        // leaderless window to `end`, then fold the per-run stats delta
-        // (the group persists across runs) into the fault counters.
-        run.coord.mds.finish(end);
-        let s = run.coord.mds.stats();
-        let b = mds_before;
-        let mds_run = MdsStats {
-            elections: s.elections - b.elections,
-            leader_changes: s.leader_changes - b.leader_changes,
-            recovery_ticks: s.recovery_ticks - b.recovery_ticks,
-            log_replayed: s.log_replayed - b.log_replayed,
-            proposals: s.proposals - b.proposals,
-            commits: s.commits - b.commits,
-        };
-        fstats.mds_elections += mds_run.elections;
-        fstats.mds_leader_changes += mds_run.leader_changes;
-        fstats.mds_recovery_ticks += mds_run.recovery_ticks;
-        // The MDS table is recorded for groups with peers, or when a
-        // single MDS's outage left clients steering on stale T values.
+        // The MDS table is recorded only when an outage left clients
+        // steering on stale T values.
         #[cfg(feature = "obs")]
-        if ibridge_obs::metrics_on() && (run.coord.mds.n() > 1 || fstats.stale_t_decisions > 0) {
+        if ibridge_obs::metrics_on() && fstats.stale_t_decisions > 0 {
+            let updates = run.coord.mds_version - mds_version0;
             ibridge_obs::metrics::record_mds(&ibridge_obs::metrics::MdsAgg {
                 runs: 1,
-                elections: mds_run.elections,
-                leader_changes: mds_run.leader_changes,
-                recovery_ticks: mds_run.recovery_ticks,
+                elections: 0,
                 stale_t_decisions: fstats.stale_t_decisions,
-                proposals: mds_run.proposals,
-                commits: mds_run.commits,
+                proposals: updates,
+                commits: updates,
             });
         }
         for cell in run.cells.iter_mut() {
@@ -761,13 +719,12 @@ struct Run<'r> {
     audit_epochs: Vec<u32>,
     audits: u64,
     /// Scratch reused across events: after warm-up the event loop
-    /// performs no allocation for request decomposition, server output
-    /// or MDS actions.
+    /// performs no allocation for request decomposition or server
+    /// output.
     pieces_scratch: Vec<(usize, u64, u64)>,
     subs_scratch: Vec<SubRequest>,
     out: ServerOut,
     lost_jobs: Vec<JobId>,
-    mds_acts: Vec<MdsAction>,
 }
 
 impl Run<'_> {
@@ -785,31 +742,8 @@ impl Run<'_> {
             Ev::SubTimeout { parent, sub_idx } => {
                 return self.sub_timeout(sim, now, parent, sub_idx)
             }
-            Ev::ReportArrive { server, t } => {
-                // The report becomes a log entry; the table mutates (and
-                // broadcasts) only at commit.
-                return self.mds_propose(sim, now, MdsEntry::TReport { server, t });
-            }
-            Ev::SteerOff { server } => {
-                // The MDS stops steering fragments at a server that lost
-                // its SSD.
-                return self.mds_propose(sim, now, MdsEntry::SteerOff { server });
-            }
-            Ev::Mds(msg) => {
-                // A raft message (timer or RPC delivery) inside the group.
-                // After the drain kick the group is frozen: dropping the
-                // message re-arms nothing, so the calendar runs to empty.
-                if self.active > 0 {
-                    self.mds_call(sim, now, |g, acts| g.handle(now, msg, acts));
-                }
-                return;
-            }
-            Ev::MdsRetry { entry } => {
-                if self.active > 0 {
-                    self.mds_propose(sim, now, entry);
-                }
-                return;
-            }
+            Ev::ReportArrive { server, t } => return self.mds_report(sim, now, server, t),
+            Ev::SteerOff { server } => return self.mds_steer_off(server),
             Ev::Fault(mut fault) => {
                 // An MDS fault runs on the coordinator and skips the
                 // servers' tail.

@@ -163,8 +163,8 @@ impl Run<'_> {
 
     pub(super) fn broadcast(&mut self, server: usize, version: u64, table: &[f64]) {
         let cell = &mut self.cells[server];
-        // Metadata versions are monotone: commits apply in log order and
-        // the fan-out crosses one FIFO link per server.
+        // Metadata versions are monotone: the MDS applies updates in
+        // order and the fan-out crosses one FIFO link.
         assert!(
             version >= cell.bcast_version,
             "MDS broadcast version moved backwards at server {server}"

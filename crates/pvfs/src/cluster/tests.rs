@@ -379,119 +379,10 @@ fn dispatch_histograms_populated() {
 }
 
 #[test]
-fn replicated_mds_is_client_invisible_on_stock_clusters() {
-    // All raft traffic is coordinator-local: without iBridge
-    // steering there are no T-reports to replicate, so the client
-    // side of the run is identical to the single-MDS baseline and
-    // only the dispatched-event count (the group's own timers and
-    // RPCs) differs.
-    let run = |replicas: usize| {
-        let cfg = ClusterConfig {
-            n_servers: 4,
-            mds_replicas: replicas,
-            ..Default::default()
-        };
-        let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-        c.preallocate(FileHandle(1), 8 << 20);
-        let mut w = seq(IoDir::Read, 4, 65536, 8);
-        c.run(&mut w)
-    };
-    let single = run(1);
-    let replicated = run(3);
-    assert!(single.faults.is_zero());
-    assert_eq!(single.elapsed, replicated.elapsed);
-    assert_eq!(single.bytes, replicated.bytes);
-    assert_eq!(single.requests, replicated.requests);
-    assert_eq!(
-        format!("{:?}", single.latency_hist_ms),
-        format!("{:?}", replicated.latency_hist_ms)
-    );
-    assert!(
-        replicated.faults.mds_elections >= 1,
-        "a 3-replica group must elect a leader"
-    );
-    assert!(
-        replicated.faults.mds_recovery_ticks > 0,
-        "the window before the first election counts as leaderless"
-    );
-}
-
-#[test]
-fn replicated_mds_runs_are_deterministic() {
-    let run = || {
-        let cfg = ClusterConfig {
-            n_servers: 4,
-            mds_replicas: 3,
-            ..Default::default()
-        };
-        let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-        c.preallocate(FileHandle(1), 8 << 20);
-        let mut w = seq(IoDir::Read, 4, 65 * 1024, 8);
-        format!("{:?}", c.run(&mut w))
-    };
-    assert_eq!(run(), run(), "replicated runs must be deterministic");
-}
-
-#[test]
-fn mds_failover_elects_a_new_leader_and_completes() {
-    // A paced workload keeps the run open past the crash, the
-    // restart, and the re-election they force.
-    #[derive(Debug)]
-    struct Paced {
-        left: u64,
-    }
-    impl Workload for Paced {
-        fn procs(&self) -> usize {
-            1
-        }
-        fn next(&mut self, _p: usize, _i: u64) -> Option<crate::workload::WorkItem> {
-            if self.left == 0 {
-                return None;
-            }
-            self.left -= 1;
-            Some(crate::workload::WorkItem {
-                req: FileRequest {
-                    dir: IoDir::Write,
-                    file: FileHandle(1),
-                    offset: (8 - self.left) * 4096,
-                    len: 4096,
-                },
-                think: SimDuration::from_millis(4),
-            })
-        }
-    }
-    let cfg = ClusterConfig {
-        n_servers: 2,
-        mds_replicas: 3,
-        ..Default::default()
-    };
-    let mut c = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-    let plan = FaultPlan::parse("mds-failover at=6ms restart=10ms").unwrap();
-    c.set_fault_plan(&plan);
-    let stats = c.run(&mut Paced { left: 8 });
-    assert_eq!(stats.requests, 8);
-    assert_eq!(stats.latency_hist_ms.total(), 8);
-    assert_eq!(stats.faults.mds_crashes, 1);
-    assert_eq!(stats.faults.mds_restarts, 1);
-    assert!(
-        stats.faults.mds_elections >= 2,
-        "the crash must force a re-election: {:?}",
-        stats.faults
-    );
-    assert!(
-        stats.faults.mds_leader_changes >= 2,
-        "a different replica must take over: {:?}",
-        stats.faults
-    );
-    assert!(stats.faults.mds_recovery_ticks > 0);
-}
-
-#[test]
 fn steer_off_during_a_single_mds_outage_is_stalled() {
-    // An SSD loss steers the lost cache off through the MDS. While a
-    // one-replica MDS is down there is no quorum to wait for, so the
-    // steer-off is refused and counted as stalled at once (a stock
-    // cluster sends no T reports that could stall too).
+    // An SSD loss steers the lost cache off through the MDS. While the
+    // MDS is down the steer-off is not applied but counted as stalled
+    // (a stock cluster sends no T reports that could stall too).
     let run = |plan: &str| {
         let cfg = ClusterConfig {
             n_servers: 2,

@@ -66,11 +66,6 @@ echo "== recovery-matrix: logmaint jobs identity (segmented log, O(dirty) restar
   >/tmp/ibridge_ci_logmaint_j8.txt 2>/dev/null
 cmp goldens/logmaint_smoke.txt /tmp/ibridge_ci_logmaint_j8.txt
 
-echo "== mds-ha jobs identity (replicated metadata failover)"
-./target/release/expt --seed 7 --jobs 8 --audit mds-ha \
-  >/tmp/ibridge_ci_mds_j8.txt 2>/dev/null
-cmp goldens/mds_smoke.txt /tmp/ibridge_ci_mds_j8.txt
-
 echo "== trace-export determinism (fork-path merge, any --jobs)"
 ./target/release/expt --seed 7 --jobs 1 --trace-out /tmp/ibridge_ci_trace_j1.json fig3 \
   >/dev/null 2>&1

@@ -20,8 +20,6 @@ cargo build --release -q -p ibridge-bench
   > "$OUT/faults_smoke.txt" 2>/dev/null
 ./target/release/expt --seed 7 --audit recovery \
   > "$OUT/recovery_smoke.txt" 2>/dev/null
-./target/release/expt --seed 7 --audit mds-ha \
-  > "$OUT/mds_smoke.txt" 2>/dev/null
 ./target/release/expt --seed 7 --audit logmaint \
   > "$OUT/logmaint_smoke.txt" 2>/dev/null
 ./target/release/expt summary > "$OUT/perf_smoke.txt" 2>/dev/null
