@@ -7,17 +7,21 @@
 //! manages that file's space: an append head that advances through a
 //! fixed region and wraps, overwriting the *stale or clean* data it runs
 //! over. An append that would run over **dirty** (not yet written back)
-//! or in-flight data fails, and the caller serves the request at the
-//! disk instead; the idle-time writeback daemon keeps the log clean
-//! enough that this is rare.
+//! data fails, and the caller serves the request at the disk instead;
+//! the idle-time writeback daemon keeps the log clean enough that this
+//! is rare.
 //!
 //! Because the head only ever overwrites the regions just ahead of it,
 //! the log is a ring of regions in address order from the head: an
 //! append pops regions off the front and pushes its own at the back.
-//! Evicting an entry only forgets it; its regions stay in the ring as
-//! stale space until the head reaches them.
+//!
+//! The log keeps no record of which entries are live. Every call that
+//! needs it takes a `live` oracle from the owner's mapping table:
+//! `live(id)` is `None` when no entry has the id (its regions are
+//! stale space, reclaimed when the head next passes them) and
+//! `Some(pinned)` otherwise, where pinned data must not be overwritten.
+//! Evicting an entry is therefore just dropping it from the table.
 
-use ibridge_des::fxhash::{FxHashMap, FxHashSet};
 use ibridge_device::Lbn;
 use ibridge_localfs::{Extent, ExtentList};
 use std::collections::VecDeque;
@@ -59,12 +63,14 @@ pub enum AppendError {
 ///
 /// let mut log = CircularLog::new(1000);
 /// let mut evicted = Vec::new();
-/// let extents = log.append(128, 0, &mut evicted).unwrap();
+/// // Nothing is cached yet: every region is stale.
+/// let live = |_| None;
+/// let extents = log.append(128, 0, &mut evicted, live).unwrap();
 /// assert_eq!(extents[0].lbn, 0);
 /// assert!(evicted.is_empty());
 /// // Appends are strictly sequential — the SSD sees them at its
 /// // sequential-write bandwidth.
-/// let next = log.append(128, 1, &mut evicted).unwrap();
+/// let next = log.append(128, 1, &mut evicted, live).unwrap();
 /// assert_eq!(next[0].lbn, 128);
 /// ```
 #[derive(Debug)]
@@ -75,10 +81,6 @@ pub struct CircularLog {
     /// address order from the head: the front is the next region the
     /// head reaches. Regions never overlap and never straddle the head.
     ring: VecDeque<Region>,
-    /// The live entries, each `true` when pinned against overwrite
-    /// (dirty data, or an in-flight flush/read). A region whose entry is
-    /// missing here is stale.
-    live: FxHashMap<EntryId, bool>,
 }
 
 /// Distance from `head` forward to `lbn` in a log of `capacity` sectors.
@@ -98,7 +100,6 @@ impl CircularLog {
             capacity: capacity_sectors,
             head: 0,
             ring: VecDeque::new(),
-            live: FxHashMap::default(),
         }
     }
 
@@ -112,38 +113,19 @@ impl CircularLog {
         self.head
     }
 
-    /// Marks a resident entry's regions as must-not-overwrite (dirty
-    /// data, or an in-flight flush/read).
-    pub fn protect(&mut self, entry: EntryId) {
-        if let Some(pinned) = self.live.get_mut(&entry) {
-            *pinned = true;
-        }
-    }
-
-    /// Clears the protection.
-    pub fn unprotect(&mut self, entry: EntryId) {
-        if let Some(pinned) = self.live.get_mut(&entry) {
-            *pinned = false;
-        }
-    }
-
-    /// Removes an entry's residency (logical eviction). The space
-    /// becomes stale and is reclaimed when the head next passes it.
-    pub fn evict(&mut self, entry: EntryId) {
-        self.live.remove(&entry);
-    }
-
     /// Appends `sectors` at the head, wrapping if needed. On success,
     /// returns the allocated extents (1, or 2 when wrapping) and fills
-    /// `casualties` with the ids, ascending, of the clean entries that
-    /// were overwritten (the caller must drop them from its mapping
-    /// table). A failed append changes nothing and leaves `casualties`
-    /// empty.
+    /// `casualties` with the ids, ascending, of the live clean entries
+    /// that were overwritten: a partially overwritten entry is useless,
+    /// so the caller must drop each one from its mapping table, which
+    /// turns its remaining regions stale. A failed append changes
+    /// nothing and leaves `casualties` empty.
     pub fn append(
         &mut self,
         sectors: u64,
         entry: EntryId,
         casualties: &mut Vec<EntryId>,
+        live: impl Fn(EntryId) -> Option<bool>,
     ) -> Result<ExtentList, AppendError> {
         assert!(sectors > 0, "zero-length append");
         casualties.clear();
@@ -158,7 +140,7 @@ impl CircularLog {
             if ahead(self.head, self.capacity, r.start) >= sectors {
                 break;
             }
-            match self.live.get(&r.entry) {
+            match live(r.entry) {
                 Some(true) => {
                     casualties.clear();
                     return Err(AppendError::BlockedByDirty);
@@ -171,11 +153,6 @@ impl CircularLog {
         self.ring.drain(..run_over);
         casualties.sort_unstable();
         casualties.dedup();
-        // A casualty's whole residency goes stale — a partially
-        // overwritten entry is useless.
-        for id in casualties.iter() {
-            self.live.remove(id);
-        }
         let first_len = sectors.min(self.capacity - self.head);
         let mut extents = ExtentList::one(Extent {
             lbn: self.head,
@@ -194,7 +171,6 @@ impl CircularLog {
                 entry,
             });
         }
-        self.live.insert(entry, false);
         self.head = (self.head + sectors) % self.capacity;
         Ok(extents)
     }
@@ -210,8 +186,9 @@ impl CircularLog {
         header_sectors: u64,
         entry: EntryId,
         casualties: &mut Vec<EntryId>,
+        live: impl Fn(EntryId) -> Option<bool>,
     ) -> Result<ExtentList, AppendError> {
-        let mut extents = self.append(data_sectors + header_sectors, entry, casualties)?;
+        let mut extents = self.append(data_sectors + header_sectors, entry, casualties, live)?;
         let mut left = header_sectors;
         while left > 0 {
             let last = extents
@@ -229,34 +206,27 @@ impl CircularLog {
         Ok(extents)
     }
 
-    /// The live regions, in ring order.
-    fn live_regions(&self) -> impl Iterator<Item = &Region> + '_ {
+    /// Number of live resident sectors (diagnostics).
+    pub fn resident_sectors(&self, live: impl Fn(EntryId) -> Option<bool>) -> u64 {
         self.ring
             .iter()
-            .filter(|r| self.live.contains_key(&r.entry))
+            .filter(|r| live(r.entry).is_some())
+            .map(|r| r.sectors)
+            .sum()
     }
 
-    /// Number of live resident sectors (diagnostics).
-    pub fn resident_sectors(&self) -> u64 {
-        self.live_regions().map(|r| r.sectors).sum()
-    }
-
-    /// Iterates live regions as `(entry, sectors)` pairs (auditing).
-    pub fn resident_extents(&self) -> impl Iterator<Item = (EntryId, u64)> + '_ {
-        self.live_regions().map(|r| (r.entry, r.sectors))
-    }
-
-    /// True when the entry's region is pinned against overwrite.
-    pub fn is_protected(&self, entry: EntryId) -> bool {
-        self.live.get(&entry) == Some(&true)
-    }
-
-    /// Iterates the protected entry ids (auditing).
-    pub fn protected_ids(&self) -> impl Iterator<Item = EntryId> + '_ {
-        self.live
-            .iter()
-            .filter(|(_, &pinned)| pinned)
-            .map(|(&id, _)| id)
+    /// True when one region written for `entry` holds all of `e`
+    /// (auditing). O(log n): the ring is in address order from the head.
+    pub fn holds(&self, entry: EntryId, e: &Extent) -> bool {
+        let (head, capacity) = (self.head, self.capacity);
+        let at = ahead(head, capacity, e.lbn);
+        let i = self
+            .ring
+            .partition_point(|r| ahead(head, capacity, r.start) <= at);
+        i > 0 && {
+            let r = &self.ring[i - 1];
+            r.entry == entry && r.start <= e.lbn && e.end() <= r.end()
+        }
     }
 
     /// Ring index range of the regions intersecting `e`. Only valid
@@ -274,7 +244,12 @@ impl CircularLog {
     /// yet. Stale regions under the extents are dropped; the call fails,
     /// changing nothing, if any extent is empty or overlaps a live
     /// region or another of the extents.
-    pub fn reserve_at(&mut self, extents: &[Extent], entry: EntryId) -> Result<(), AppendError> {
+    pub fn reserve_at(
+        &mut self,
+        extents: &[Extent],
+        entry: EntryId,
+        live: impl Fn(EntryId) -> Option<bool>,
+    ) -> Result<(), AppendError> {
         assert_eq!(self.head, 0, "reserve_at rebuilds a log before set_head");
         for (i, e) in extents.iter().enumerate() {
             assert!(e.end() <= self.capacity, "extent beyond the log");
@@ -285,7 +260,7 @@ impl CircularLog {
                 || self
                     .ring
                     .range(self.touching(e))
-                    .any(|r| self.live.contains_key(&r.entry));
+                    .any(|r| live(r.entry).is_some());
             if clash {
                 return Err(AppendError::BlockedByDirty);
             }
@@ -303,7 +278,6 @@ impl CircularLog {
                 },
             );
         }
-        self.live.insert(entry, false);
         Ok(())
     }
 
@@ -311,24 +285,23 @@ impl CircularLog {
     /// from it. A stale region straddling the restored head is dropped;
     /// a live one cannot exist, because every append drops each region
     /// it touches.
-    pub fn set_head(&mut self, head: Lbn) {
+    pub fn set_head(&mut self, head: Lbn, live: impl Fn(EntryId) -> Option<bool>) {
         assert!(head <= self.capacity, "head beyond the log");
         let (capacity, head) = (self.capacity, head % self.capacity);
         self.head = head;
-        let live = &self.live;
         self.ring
-            .retain(|r| !(r.start < head && head < r.end()) || live.contains_key(&r.entry));
+            .retain(|r| !(r.start < head && head < r.end()) || live(r.entry).is_some());
         self.ring
             .make_contiguous()
             .sort_unstable_by_key(|r| ahead(head, capacity, r.start));
     }
 
     /// Structural invariants: the ring is in address order from the
-    /// head, its regions lie inside the log without overlapping or
-    /// straddling the head, and every live entry has a region.
+    /// head, and its regions lie inside the log without overlapping or
+    /// straddling the head. That every live entry's data sits in its
+    /// own regions is the owner's check ([`holds`](Self::holds)).
     pub fn audit(&self) -> Result<(), String> {
         let mut reached = 0;
-        let mut placed: FxHashSet<EntryId> = FxHashSet::default();
         for r in &self.ring {
             if r.sectors == 0 || r.end() > self.capacity {
                 return Err(format!(
@@ -350,12 +323,6 @@ impl CircularLog {
                     r.start, r.entry, self.head
                 ));
             }
-            if self.live.contains_key(&r.entry) {
-                placed.insert(r.entry);
-            }
-        }
-        if let Some(id) = self.live.keys().find(|id| !placed.contains(id)) {
-            return Err(format!("live log entry {id} has no region"));
         }
         Ok(())
     }
@@ -366,18 +333,59 @@ mod tests {
     use super::reference::BTreeLog;
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
-    fn append(log: &mut CircularLog, sectors: u64, entry: EntryId) -> (ExtentList, Vec<EntryId>) {
+    /// The test side's stand-in for the mapping table: the live entry
+    /// ids, each `true` while pinned. The tests update it as the policy
+    /// updates its table.
+    #[derive(Debug, Default)]
+    struct Live(HashMap<EntryId, bool>);
+
+    impl Live {
+        fn oracle(&self) -> impl Fn(EntryId) -> Option<bool> + '_ {
+            |id| self.0.get(&id).copied()
+        }
+
+        /// Records a successful append: the entry is live and clean,
+        /// and its casualties are gone.
+        fn appended(&mut self, entry: EntryId, casualties: &[EntryId]) {
+            for id in casualties {
+                self.0.remove(id);
+            }
+            self.0.insert(entry, false);
+        }
+
+        fn evict(&mut self, entry: EntryId) {
+            self.0.remove(&entry);
+        }
+
+        /// Pins or unpins a live entry; an unknown id is ignored.
+        fn pin(&mut self, entry: EntryId, pinned: bool) {
+            if let Some(p) = self.0.get_mut(&entry) {
+                *p = pinned;
+            }
+        }
+    }
+
+    fn append(
+        log: &mut CircularLog,
+        live: &mut Live,
+        sectors: u64,
+        entry: EntryId,
+    ) -> (ExtentList, Vec<EntryId>) {
         let mut casualties = Vec::new();
-        let extents = log.append(sectors, entry, &mut casualties).unwrap();
+        let extents = log
+            .append(sectors, entry, &mut casualties, live.oracle())
+            .unwrap();
+        live.appended(entry, &casualties);
         (extents, casualties)
     }
 
     #[test]
     fn appends_are_sequential() {
-        let mut log = CircularLog::new(1000);
-        let (a, _) = append(&mut log, 100, 1);
-        let (b, _) = append(&mut log, 100, 2);
+        let (mut log, mut live) = (CircularLog::new(1000), Live::default());
+        let (a, _) = append(&mut log, &mut live, 100, 1);
+        let (b, _) = append(&mut log, &mut live, 100, 2);
         assert_eq!(
             a,
             ExtentList::one(Extent {
@@ -397,10 +405,10 @@ mod tests {
 
     #[test]
     fn wrap_splits_into_two_extents() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 80, 1);
-        log.evict(1);
-        let (ext, _) = append(&mut log, 40, 2);
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 80, 1);
+        live.evict(1);
+        let (ext, _) = append(&mut log, &mut live, 40, 2);
         assert_eq!(
             ext,
             ExtentList::two(
@@ -421,10 +429,10 @@ mod tests {
 
     #[test]
     fn wrap_overwrites_clean_entries_and_reports_them() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 50, 1); // [0,50)
-        append(&mut log, 50, 2); // [50,100), head wraps to 0
-        let (ext, evicted) = append(&mut log, 30, 3); // overwrites part of 1
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 50, 1); // [0,50)
+        append(&mut log, &mut live, 50, 2); // [50,100), head wraps to 0
+        let (ext, evicted) = append(&mut log, &mut live, 30, 3); // overwrites part of 1
         assert_eq!(
             ext,
             ExtentList::one(Extent {
@@ -434,35 +442,35 @@ mod tests {
         );
         assert_eq!(evicted, vec![1]);
         // Entry 1's remaining region is gone too.
-        assert_eq!(log.resident_sectors(), 50 + 30);
+        assert_eq!(log.resident_sectors(live.oracle()), 50 + 30);
         log.audit().unwrap();
     }
 
     #[test]
     fn dirty_data_blocks_the_append() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 50, 1);
-        append(&mut log, 50, 2);
-        log.protect(1);
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 50, 1);
+        append(&mut log, &mut live, 50, 2);
+        live.pin(1, true);
         let mut casualties = vec![7];
         assert_eq!(
-            log.append(30, 3, &mut casualties),
+            log.append(30, 3, &mut casualties, live.oracle()),
             Err(AppendError::BlockedByDirty)
         );
         assert!(casualties.is_empty());
         assert_eq!(log.head(), 0, "a blocked append changes nothing");
         // Cleaning unblocks it.
-        log.unprotect(1);
-        assert!(log.append(30, 3, &mut casualties).is_ok());
+        live.pin(1, false);
+        assert!(log.append(30, 3, &mut casualties, live.oracle()).is_ok());
     }
 
     #[test]
     fn eviction_frees_space_logically() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 60, 1);
-        assert_eq!(log.resident_sectors(), 60);
-        log.evict(1);
-        assert_eq!(log.resident_sectors(), 0);
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 60, 1);
+        assert_eq!(log.resident_sectors(live.oracle()), 60);
+        live.evict(1);
+        assert_eq!(log.resident_sectors(live.oracle()), 0);
         log.audit().unwrap();
     }
 
@@ -470,45 +478,50 @@ mod tests {
     fn oversized_append_rejected() {
         let mut log = CircularLog::new(100);
         assert_eq!(
-            log.append(101, 1, &mut Vec::new()),
+            log.append(101, 1, &mut Vec::new(), |_| None),
             Err(AppendError::TooLarge)
         );
     }
 
     #[test]
     fn protected_inflight_entry_survives_until_unprotect() {
-        let mut log = CircularLog::new(64);
-        append(&mut log, 32, 1);
-        log.protect(1);
-        append(&mut log, 32, 2); // fills the rest; head wraps
-                                 // Next append would overwrite entry 1: blocked.
+        let (mut log, mut live) = (CircularLog::new(64), Live::default());
+        append(&mut log, &mut live, 32, 1);
+        live.pin(1, true);
+        append(&mut log, &mut live, 32, 2); // fills the rest; head wraps
+                                            // Next append would overwrite entry 1: blocked.
         assert_eq!(
-            log.append(8, 3, &mut Vec::new()),
+            log.append(8, 3, &mut Vec::new(), live.oracle()),
             Err(AppendError::BlockedByDirty)
         );
-        log.unprotect(1);
-        let (_, evicted) = append(&mut log, 8, 3);
+        live.pin(1, false);
+        let (_, evicted) = append(&mut log, &mut live, 8, 3);
         assert_eq!(evicted, vec![1]);
     }
 
     #[test]
     fn append_with_header_charges_but_hides_the_header() {
-        let mut log = CircularLog::new(100);
-        let data = log.append_with_header(4, 1, 1, &mut Vec::new()).unwrap();
+        let (mut log, live) = (CircularLog::new(100), Live::default());
+        let data = log
+            .append_with_header(4, 1, 1, &mut Vec::new(), live.oracle())
+            .unwrap();
         assert_eq!(data, ExtentList::one(Extent { lbn: 0, sectors: 4 }));
         // The head moved past the header sector too.
         assert_eq!(log.head(), 5);
-        assert_eq!(log.resident_sectors(), 5);
+        assert_eq!(log.resident_sectors(|_| Some(false)), 5);
     }
 
     #[test]
     fn append_with_header_trims_across_a_wrap() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 98, 1);
-        log.evict(1);
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 98, 1);
+        live.evict(1);
         // 1 data sector lands at 98; the 2-sector header spans the wrap
         // ([99,100) + [0,1)) and is trimmed entirely from the extents.
-        let data = log.append_with_header(1, 2, 2, &mut Vec::new()).unwrap();
+        let data = log
+            .append_with_header(1, 2, 2, &mut Vec::new(), live.oracle())
+            .unwrap();
+        live.appended(2, &[]);
         assert_eq!(
             data,
             ExtentList::one(Extent {
@@ -517,37 +530,40 @@ mod tests {
             })
         );
         assert_eq!(log.head(), 1);
-        assert_eq!(log.resident_sectors(), 3);
+        assert_eq!(log.resident_sectors(live.oracle()), 3);
     }
 
     #[test]
     fn exact_fit_wraps_head_to_zero() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 100, 1);
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 100, 1);
         assert_eq!(log.head(), 0);
         // Appending again overwrites entry 1 (clean).
-        let (_, evicted) = append(&mut log, 10, 2);
+        let (_, evicted) = append(&mut log, &mut live, 10, 2);
         assert_eq!(evicted, vec![1]);
     }
 
     #[test]
     fn reserve_at_drops_stale_space_and_rejects_live_overlap() {
-        let mut log = CircularLog::new(100);
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
         let at = |lbn, sectors| [Extent { lbn, sectors }];
-        log.reserve_at(&at(40, 20), 1).unwrap();
-        log.reserve_at(&at(0, 10), 2).unwrap(); // out of address order
+        log.reserve_at(&at(40, 20), 1, live.oracle()).unwrap();
+        live.appended(1, &[]);
+        log.reserve_at(&at(0, 10), 2, live.oracle()).unwrap(); // out of address order
+        live.appended(2, &[]);
         assert_eq!(
-            log.reserve_at(&at(55, 10), 3),
+            log.reserve_at(&at(55, 10), 3, live.oracle()),
             Err(AppendError::BlockedByDirty)
         );
-        log.evict(1);
-        log.reserve_at(&at(55, 10), 3).unwrap(); // over 1's stale tail
-        assert_eq!(log.resident_sectors(), 20);
-        log.set_head(65);
+        live.evict(1);
+        log.reserve_at(&at(55, 10), 3, live.oracle()).unwrap(); // over 1's stale tail
+        live.appended(3, &[]);
+        assert_eq!(log.resident_sectors(live.oracle()), 20);
+        log.set_head(65, live.oracle());
         log.audit().unwrap();
         // The next append starts at the restored head, then wraps over
         // entry 2.
-        let (ext, evicted) = append(&mut log, 40, 4);
+        let (ext, evicted) = append(&mut log, &mut live, 40, 4);
         assert_eq!(
             ext,
             ExtentList::two(
@@ -564,28 +580,46 @@ mod tests {
 
     #[test]
     fn set_head_drops_a_stale_region_under_the_head() {
-        let mut log = CircularLog::new(100);
+        let (mut log, live) = (CircularLog::new(100), Live::default());
         log.reserve_at(
             &[Extent {
                 lbn: 10,
                 sectors: 20,
             }],
             1,
+            live.oracle(),
         )
         .unwrap();
-        log.evict(1);
-        log.set_head(15);
+        // Entry 1 is never entered as live: its region is stale.
+        log.set_head(15, live.oracle());
         log.audit().unwrap();
-        let (_, evicted) = append(&mut log, 100, 2);
+        let (_, evicted) = append(&mut log, &mut Live::default(), 100, 2);
         assert!(evicted.is_empty());
     }
 
     #[test]
-    fn audit_catches_a_live_entry_without_a_region() {
-        let mut log = CircularLog::new(100);
-        append(&mut log, 10, 1);
-        log.live.insert(9, false);
-        assert!(log.audit().unwrap_err().contains("entry 9"));
+    fn holds_finds_an_entrys_own_regions_only() {
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 80, 1);
+        live.evict(1);
+        append(&mut log, &mut live, 40, 2); // [80,100) + [0,20)
+        let x = |lbn, sectors| Extent { lbn, sectors };
+        assert!(log.holds(2, &x(80, 20)));
+        assert!(log.holds(2, &x(0, 20)));
+        assert!(log.holds(2, &x(85, 5)));
+        assert!(!log.holds(2, &x(90, 20)), "extent crosses the wrap");
+        assert!(!log.holds(1, &x(80, 20)), "region of another entry");
+        assert!(!log.holds(1, &x(20, 60)), "a region run over goes whole");
+        assert!(!log.holds(3, &x(20, 1)));
+    }
+
+    #[test]
+    fn audit_catches_overlapping_regions() {
+        let (mut log, mut live) = (CircularLog::new(100), Live::default());
+        append(&mut log, &mut live, 10, 1);
+        append(&mut log, &mut live, 10, 2);
+        log.ring[1].start = 5;
+        assert!(log.audit().unwrap_err().contains("entry 2"));
     }
 
     /// One step of the differential test, drawn as `(kind, size, header,
@@ -609,10 +643,13 @@ mod tests {
 
     /// Applies `ops` to both logs and checks after every step that they
     /// return the same extents, sorted casualties and errors, and agree
-    /// on the head and the resident sectors.
+    /// on the head and the resident sectors. The ring's liveness comes
+    /// from `live`, which the harness updates as the policy updates its
+    /// mapping table: appends enter their entry, casualties leave.
     fn drive(
         ring: &mut CircularLog,
         btree: &mut BTreeLog,
+        live: &mut Live,
         ops: &[Op],
         next_id: &mut EntryId,
     ) -> Result<(), TestCaseError> {
@@ -627,7 +664,10 @@ mod tests {
                 0 => {
                     let n = size.min(capacity);
                     let want = btree.append(n, id);
-                    let got = ring.append(n, id, &mut casualties);
+                    let got = ring.append(n, id, &mut casualties, live.oracle());
+                    if got.is_ok() {
+                        live.appended(id, &casualties);
+                    }
                     prop_assert_eq!(got.map(|e| (e, casualties.clone())), want);
                     *next_id += 1;
                 }
@@ -635,25 +675,32 @@ mod tests {
                     let header = header.min(capacity - 1);
                     let data = size.min(capacity - header);
                     let want = btree.append_with_header(data, header, id);
-                    let got = ring.append_with_header(data, header, id, &mut casualties);
+                    let got =
+                        ring.append_with_header(data, header, id, &mut casualties, live.oracle());
+                    if got.is_ok() {
+                        live.appended(id, &casualties);
+                    }
                     prop_assert_eq!(got.map(|e| (e, casualties.clone())), want);
                     *next_id += 1;
                 }
                 2 => {
-                    ring.evict(old);
+                    live.evict(old);
                     btree.evict(old);
                 }
                 3 => {
-                    ring.protect(old);
+                    live.pin(old, true);
                     btree.protect(old);
                 }
                 _ => {
-                    ring.unprotect(old);
+                    live.pin(old, false);
                     btree.unprotect(old);
                 }
             }
             prop_assert_eq!(ring.head(), btree.head());
-            prop_assert_eq!(ring.resident_sectors(), btree.resident_sectors());
+            prop_assert_eq!(
+                ring.resident_sectors(live.oracle()),
+                btree.resident_sectors()
+            );
             ring.audit().map_err(TestCaseError::fail)?;
         }
         Ok(())
@@ -667,7 +714,7 @@ mod tests {
         fn ring_matches_the_btree_log(capacity in 8u64..160, ops in ops(1..160)) {
             let mut ring = CircularLog::new(capacity);
             let mut btree = BTreeLog::new(capacity);
-            drive(&mut ring, &mut btree, &ops, &mut 0)?;
+            drive(&mut ring, &mut btree, &mut Live::default(), &ops, &mut 0)?;
         }
 
         /// Recovery: entries re-registered out of address order, some
@@ -696,11 +743,16 @@ mod tests {
             replay.sort_by_key(|&(key, _, e)| (key, e.lbn));
             let mut ring = CircularLog::new(capacity);
             let mut btree = BTreeLog::new(capacity);
+            let mut live = Live::default();
             let mut next_id = 0;
             for &(_, evict, e) in &replay {
-                prop_assert_eq!(ring.reserve_at(&[e], next_id), btree.reserve_at(&[e], next_id));
+                let got = ring.reserve_at(&[e], next_id, live.oracle());
+                if got.is_ok() {
+                    live.appended(next_id, &[]);
+                }
+                prop_assert_eq!(got, btree.reserve_at(&[e], next_id));
                 if evict {
-                    ring.evict(next_id);
+                    live.evict(next_id);
                     btree.evict(next_id);
                 }
                 next_id += 1;
@@ -711,10 +763,10 @@ mod tests {
                 .filter(|&h| !replay.iter().any(|&(_, evict, e)| !evict && e.lbn < h && h < e.end()))
                 .collect();
             let head = heads[(head_pick % heads.len() as u64) as usize];
-            ring.set_head(head);
+            ring.set_head(head, live.oracle());
             btree.set_head(head);
             ring.audit().map_err(TestCaseError::fail)?;
-            drive(&mut ring, &mut btree, &ops, &mut next_id)?;
+            drive(&mut ring, &mut btree, &mut live, &ops, &mut next_id)?;
         }
     }
 }

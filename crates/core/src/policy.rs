@@ -226,9 +226,9 @@ impl IBridgePolicy {
         true
     }
 
+    /// Drops an entry from the table; its log regions go stale with it.
     fn drop_entry(&mut self, id: EntryId) {
         if let Some(e) = self.table.remove(id) {
-            self.log.evict(id);
             self.retire_record(e.pending, e.log_seq);
         }
     }
@@ -304,9 +304,14 @@ impl IBridgePolicy {
         let id = self.table.next_id();
         let data_sectors = bytes_to_sectors(len);
         let mut casualties = std::mem::take(&mut self.casualties);
-        let placed =
-            self.log
-                .append_with_header(data_sectors, Self::record_sectors(), id, &mut casualties);
+        let table = &self.table;
+        let placed = self.log.append_with_header(
+            data_sectors,
+            Self::record_sectors(),
+            id,
+            &mut casualties,
+            |e| table.pinned(e),
+        );
         for &c in &casualties {
             if let Some(e) = self.table.remove(c) {
                 self.stats.evictions += 1;
@@ -476,9 +481,7 @@ impl IBridgePolicy {
             }
             rep.records_intact += 1;
             if let Some(id) = seq_to_id.remove(&rec.entry) {
-                if p.table.remove(id).is_some() {
-                    p.log.evict(id);
-                }
+                p.table.remove(id);
             }
             return;
         }
@@ -490,13 +493,15 @@ impl IBridgePolicy {
         p.table
             .find_overlaps_into(rec.file, rec.offset, rec.len, scratch);
         for &id in scratch.iter() {
-            if p.table.remove(id).is_some() {
-                p.log.evict(id);
-            }
+            p.table.remove(id);
         }
         rep.records_intact += 1;
         let id = p.table.next_id();
-        if p.log.reserve_at(&rec.extents, id).is_err() {
+        let table = &p.table;
+        if p.log
+            .reserve_at(&rec.extents, id, |e| table.pinned(e))
+            .is_err()
+        {
             // Overlapping log residency — provably inconsistent.
             rep.records_intact -= 1;
             rep.records_quarantined += 1;
@@ -514,9 +519,6 @@ impl IBridgePolicy {
             false,
             rec.seq,
         );
-        if rec.dirty {
-            p.log.protect(id);
-        }
         seq_to_id.insert(rec.seq, id);
     }
 
@@ -650,7 +652,6 @@ impl IBridgePolicy {
             clean.sort_unstable();
             for id in clean {
                 if p.table.remove(id).is_some() {
-                    p.log.evict(id);
                     rep.clean_entries_dropped += 1;
                 }
             }
@@ -661,7 +662,8 @@ impl IBridgePolicy {
                 rep.dirty_bytes_kept += e.len;
             }
         }
-        p.log.set_head(state.log_head);
+        let table = &p.table;
+        p.log.set_head(state.log_head, |e| table.pinned(e));
         p.next_log_seq = state.next_seq;
         // Bootstrap checkpoint: the survivors become the image, so the
         // next restart replays an empty tail.
@@ -744,10 +746,10 @@ impl IBridgePolicy {
     }
 
     /// Cross-checks the policy's live state: the mapping table's, the
-    /// backup's and the data log's own invariants, every entry's data
-    /// sectors resident in the log, the protected (pinned) set agreeing
-    /// exactly with the dirty entries, and no log residency for entries
-    /// the table no longer knows.
+    /// backup's and the data log's own invariants, and every entry's
+    /// data extents resident in log regions written for that entry. The
+    /// table is the log's only record of liveness and pinning, so the
+    /// two cannot disagree about either.
     pub fn audit(&self) -> Result<(), String> {
         self.table.audit()?;
         self.backup.audit()?;
@@ -791,35 +793,12 @@ impl IBridgePolicy {
                 }
             }
         }
-        let mut resident: FxHashMap<EntryId, u64> = FxHashMap::default();
-        for (id, sectors) in self.log.resident_extents() {
-            *resident.entry(id).or_default() += sectors;
-        }
         for e in self.table.entries() {
-            let need: u64 = e.extents.iter().map(|x| x.sectors).sum();
-            let have = resident.get(&e.id).copied().unwrap_or(0);
-            if have < need {
+            if let Some(x) = e.extents.iter().find(|x| !self.log.holds(e.id, x)) {
                 return Err(format!(
-                    "entry {} needs {need} data sectors but the log holds {have}",
-                    e.id
+                    "entry {} extent {}+{} is not in a log region of its own",
+                    e.id, x.lbn, x.sectors
                 ));
-            }
-            if e.dirty && !self.log.is_protected(e.id) {
-                return Err(format!("dirty entry {} is not pinned in the log", e.id));
-            }
-        }
-        for id in self.log.protected_ids() {
-            match self.table.get(id) {
-                None => return Err(format!("log pins entry {id} unknown to the table")),
-                Some(e) if !e.dirty => {
-                    return Err(format!("log pins clean entry {id}"));
-                }
-                Some(_) => {}
-            }
-        }
-        for (id, _) in self.log.resident_extents() {
-            if self.table.get(id).is_none() {
-                return Err(format!("log holds residency for unknown entry {id}"));
             }
         }
         Ok(())
@@ -902,7 +881,6 @@ impl CachePolicy for IBridgePolicy {
                             false, // servable immediately
                             seq,
                         );
-                        self.log.protect(id); // dirty data must survive
                         self.model.serve_ssd();
                         self.stats.redirected_writes += 1;
                         self.stats.bytes_ssd += sub.len;
@@ -987,8 +965,7 @@ impl CachePolicy for IBridgePolicy {
         batch
             .into_iter()
             .map(|id| {
-                self.table.set_flushing(id, true);
-                let e = self.table.get(id).expect("picked entry exists");
+                let e = self.table.start_flush(id).expect("picked entry exists");
                 FlushOp {
                     id,
                     file: e.file,
@@ -1008,12 +985,10 @@ impl CachePolicy for IBridgePolicy {
         if !self.table.get(id).is_some_and(|e| e.flushing) {
             return;
         }
-        self.table.mark_clean(id);
-        self.log.unprotect(id);
-        // The disk copy is current again: supersede the dirty backup
-        // record with a clean one (the old copy becomes compactable
-        // garbage).
-        let e = self.table.get(id).expect("flushed entry exists");
+        // The disk copy is current again, so the entry's data is no
+        // longer pinned in the log: supersede the dirty backup record
+        // with a clean one (the old copy becomes compactable garbage).
+        let e = self.table.mark_clean(id).expect("flushed entry exists");
         let old_seq = e.log_seq;
         let rec = Self::entry_record(e);
         self.backup.kill(old_seq);
@@ -1748,6 +1723,35 @@ mod tests {
         p.audit().expect("after restart");
         p.ssd_lost(SimTime::ZERO);
         p.audit().expect("after ssd loss");
+    }
+
+    #[test]
+    fn audit_catches_an_entry_outside_its_log_regions() {
+        let mut p = policy();
+        p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
+        p.place(SimTime::ZERO, &frag(IoDir::Write, 1 << 20, KB), 900_000_000);
+        p.audit().expect("consistent");
+        // A pending admission whose sectors the log never wrote: they
+        // sit in no region of its own (past everything appended so far).
+        let id = p.table.next_id();
+        let extents = ExtentList::one(ibridge_localfs::Extent {
+            lbn: 1000,
+            sectors: 2,
+        });
+        p.table.insert(
+            id,
+            FileHandle(1),
+            8 << 20,
+            KB,
+            extents,
+            EntryType::Random,
+            0.0,
+            false,
+            true,
+            u64::MAX,
+        );
+        let err = p.audit().unwrap_err();
+        assert!(err.contains("not in a log region of its own"), "got: {err}");
     }
 
     #[test]

@@ -38,12 +38,16 @@ use crate::record::LogRecord;
 
 /// One fixed-size run of backup records. Consecutive sequence numbers
 /// within the segment (every backup append takes the next one), so a
-/// record is found by `seq - first_seq`; sealed segments are immutable.
+/// record is found by `seq - first`; sealed segments are immutable.
 #[derive(Debug, Clone)]
 pub struct Segment {
+    /// Sequence number of the segment's first record, kept inline so a
+    /// probe for the segment owning a seq never reads `records`.
+    first: u64,
     records: Vec<LogRecord>,
-    /// Parallel to `records`: true once the record was superseded.
-    dead: Vec<bool>,
+    /// Parallel to `records`: each record's encoded bytes while it is
+    /// live, 0 once superseded — a kill reads this, not the record.
+    live_len: Vec<u32>,
     /// Encoded bytes appended into this segment (live + dead).
     bytes: u64,
     /// Encoded bytes of the live (not superseded) records.
@@ -57,10 +61,11 @@ fn record_bytes(rec: &LogRecord) -> u64 {
 }
 
 impl Segment {
-    fn with_capacity(records: usize) -> Self {
+    fn starting_at(first: u64, records: usize) -> Self {
         Segment {
+            first,
             records: Vec::with_capacity(records),
-            dead: Vec::with_capacity(records),
+            live_len: Vec::with_capacity(records),
             bytes: 0,
             live_bytes: 0,
             sealed: false,
@@ -69,7 +74,7 @@ impl Segment {
 
     /// Smallest sequence number in the segment.
     pub fn first_seq(&self) -> Option<u64> {
-        self.records.first().map(|r| r.seq)
+        (!self.records.is_empty()).then_some(self.first)
     }
 
     /// Largest sequence number in the segment.
@@ -107,14 +112,14 @@ impl Segment {
     pub fn live_records(&self) -> impl Iterator<Item = &LogRecord> {
         self.records
             .iter()
-            .zip(&self.dead)
-            .filter(|(_, &d)| !d)
+            .zip(&self.live_len)
+            .filter(|(_, &n)| n > 0)
             .map(|(r, _)| r)
     }
 
     /// Number of live records.
     pub fn live_count(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
+        self.live_len.iter().filter(|&&n| n > 0).count()
     }
 
     fn push(&mut self, rec: LogRecord) {
@@ -127,12 +132,13 @@ impl Segment {
         self.bytes += len;
         self.live_bytes += len;
         self.records.push(rec);
-        self.dead.push(false);
+        self.live_len
+            .push(u32::try_from(len).expect("record length fits u32"));
     }
 
     /// Index of the record carrying `seq`, if the segment holds it.
     fn index_of(&self, seq: u64) -> Option<usize> {
-        let i = seq.checked_sub(self.first_seq()?)? as usize;
+        let i = seq.checked_sub(self.first)? as usize;
         (i < self.records.len()).then_some(i)
     }
 
@@ -142,12 +148,13 @@ impl Segment {
         let Some(i) = self.index_of(seq) else {
             return false;
         };
-        if self.dead[i] {
-            return false;
+        match std::mem::take(&mut self.live_len[i]) {
+            0 => false,
+            len => {
+                self.live_bytes -= u64::from(len);
+                true
+            }
         }
-        self.dead[i] = true;
-        self.live_bytes -= record_bytes(&self.records[i]);
-        true
     }
 }
 
@@ -228,19 +235,18 @@ impl SegmentedLog {
                 }
             }
             let cap = self.capacity_records();
-            self.segments.push(Segment::with_capacity(cap));
+            self.segments.push(Segment::starting_at(rec.seq, cap));
         }
         self.segments.last_mut().expect("open segment").push(rec);
         sealed
     }
 
     /// Index of the retained segment whose range could hold `seq`:
-    /// segments hold ascending disjoint ranges, so it is the last one
-    /// starting at or before `seq`.
+    /// segments hold ascending disjoint ranges (none is empty: a segment
+    /// opens with its first record), so it is the last one starting at
+    /// or before `seq`.
     fn owner_of(&self, seq: u64) -> Option<usize> {
-        let i = self
-            .segments
-            .partition_point(|s| s.first_seq().is_some_and(|f| f <= seq) || s.records.is_empty());
+        let i = self.segments.partition_point(|s| s.first <= seq);
         i.checked_sub(1)
     }
 
@@ -259,7 +265,7 @@ impl SegmentedLog {
     pub fn is_live(&self, seq: u64) -> bool {
         self.owner_of(seq).is_some_and(|i| {
             let s = &self.segments[i];
-            s.index_of(seq).is_some_and(|j| !s.dead[j])
+            s.index_of(seq).is_some_and(|j| s.live_len[j] > 0)
         })
     }
 
@@ -383,15 +389,20 @@ impl SegmentedLog {
         out
     }
 
-    /// Structural invariants: parallel dead bitmap, byte accounting,
+    /// Structural invariants: parallel live-length vector, byte accounting,
     /// consecutive seqs within a segment (the O(1) kill indexes by
     /// them), ascending disjoint seq ranges, only the last retained
     /// segment open, retained media strictly newer than the checkpoint.
     pub fn audit(&self) -> Result<(), String> {
         let mut prev_last: Option<u64> = None;
         for (i, s) in self.segments.iter().enumerate() {
-            if s.dead.len() != s.records.len() {
-                return Err(format!("segment {i}: dead bitmap out of sync"));
+            if s.live_len.len() != s.records.len()
+                || s.records
+                    .iter()
+                    .zip(&s.live_len)
+                    .any(|(r, &n)| n != 0 && u64::from(n) != record_bytes(r))
+            {
+                return Err(format!("segment {i}: live lengths out of sync"));
             }
             let bytes: u64 = s.records.iter().map(record_bytes).sum();
             if bytes != s.bytes {
@@ -409,6 +420,12 @@ impl SegmentedLog {
             }
             if !s.records.windows(2).all(|w| w[0].seq + 1 == w[1].seq) {
                 return Err(format!("segment {i}: seqs not consecutive"));
+            }
+            if s.records.first().is_some_and(|r| r.seq != s.first) {
+                return Err(format!(
+                    "segment {i}: first seq {} != its first record's",
+                    s.first
+                ));
             }
             if let (Some(prev), Some(first)) = (prev_last, s.first_seq()) {
                 if first <= prev {
@@ -520,6 +537,13 @@ mod tests {
         let mut l = log_with(3, 256);
         l.segments[0].records[2].seq = 7;
         assert!(l.audit().unwrap_err().contains("not consecutive"));
+    }
+
+    #[test]
+    fn audit_checks_the_inline_first_seq() {
+        let mut l = log_with(3, 256);
+        l.segments[0].first = 1;
+        assert!(l.audit().unwrap_err().contains("first seq"));
     }
 
     #[test]

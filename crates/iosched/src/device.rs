@@ -313,15 +313,17 @@ impl BlockDevice {
         }
         // NCQ: the drive picks the queued command with the lowest
         // positional cost (rotational-position-aware, like SAS TCQ).
+        // `positional_cost` is pure, so a lone command (the default
+        // depth of 1) is picked without pricing it.
         let pick = match &self.storage {
-            StorageDev::Disk(d) => self
+            StorageDev::Disk(d) if self.ncq.len() > 1 => self
                 .ncq
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, r)| d.positional_cost(now, &r.op()).as_nanos())
                 .map(|(i, _)| i)
                 .expect("ncq non-empty"),
-            StorageDev::Ssd(_) => 0,
+            StorageDev::Disk(_) | StorageDev::Ssd(_) => 0,
         };
         let req = self.ncq.swap_remove(pick);
         // The positional share of the service time has to be read before

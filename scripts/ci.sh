@@ -33,6 +33,14 @@ cargo test -q --workspace
 echo "== ibench checks"
 cargo test --locked --offline --manifest-path ibench/Cargo.toml
 
+# The benchmark workloads' simulated behaviour, pinned: each workload's
+# first-timed-pass RunStats digest at seed 42 (a release ibench build).
+# A host-only change that moves a policy decision fails here, before the
+# benchmark runs.
+echo "== ibench digests vs goldens/ibench_digests.txt"
+./scripts/ibench-digests.sh >/tmp/ibridge_ci_ibench_digests.txt
+cmp goldens/ibench_digests.txt /tmp/ibridge_ci_ibench_digests.txt
+
 # The goldens step below regenerates goldens/expt_all.txt at the default
 # jobs level, and the ledger step runs `all` again at --jobs 1.
 echo "== expt --jobs 4 all vs goldens/expt_all.txt"

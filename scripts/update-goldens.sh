@@ -25,5 +25,6 @@ cargo build --release -q -p ibridge-bench
 ./target/release/expt summary > "$OUT/perf_smoke.txt" 2>/dev/null
 ./target/release/expt --seed 7 --jobs 8 --metrics summary \
   > "$OUT/obs_smoke.txt" 2>/dev/null
+./scripts/ibench-digests.sh > "$OUT/ibench_digests.txt"
 
 echo "goldens written to $OUT/"

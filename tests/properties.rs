@@ -90,23 +90,36 @@ proptest! {
     }
 
     /// Circular log: live residents never exceed capacity, appends are
-    /// exactly the requested size, and protected entries survive.
+    /// exactly the requested size, and protected entries survive. The
+    /// log's liveness comes from a map kept the way the policy keeps its
+    /// mapping table: each append enters its entry, its casualties leave.
     #[test]
     fn circular_log_invariants(
         capacity in 64u64..4096,
         appends in prop::collection::vec(1u64..256, 1..64),
     ) {
         let mut log = CircularLog::new(capacity);
+        let mut live: std::collections::HashMap<u64, bool> = Default::default();
         let mut casualties = Vec::new();
         for (i, &sectors) in appends.iter().enumerate() {
-            if let Ok(extents) = log.append(sectors.min(capacity), i as u64, &mut casualties) {
+            let placed = log.append(
+                sectors.min(capacity),
+                i as u64,
+                &mut casualties,
+                |id| live.get(&id).copied(),
+            );
+            if let Ok(extents) = placed {
                 let total: u64 = extents.iter().map(|e| e.sectors).sum();
                 prop_assert_eq!(total, sectors.min(capacity));
                 for e in &extents {
                     prop_assert!(e.end() <= capacity);
                 }
+                for id in &casualties {
+                    live.remove(id);
+                }
+                live.insert(i as u64, false);
             }
-            prop_assert!(log.resident_sectors() <= capacity);
+            prop_assert!(log.resident_sectors(|id| live.get(&id).copied()) <= capacity);
         }
     }
 
