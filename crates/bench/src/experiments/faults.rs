@@ -54,6 +54,7 @@ pub fn run(scale: &Scale) -> String {
             "failed",
             "dirty-lost-KB",
             "degraded-s",
+            "stalled-bcasts",
         ],
     );
     let baseline = results[0].throughput_mbps();
@@ -74,6 +75,7 @@ pub fn run(scale: &Scale) -> String {
             f.failed_subs.to_string(),
             format!("{:.1}", f.dirty_bytes_lost as f64 / 1024.0),
             format!("{:.2}", f.degraded_secs()),
+            f.stalled_broadcasts.to_string(),
         ]);
     }
     format!(
@@ -81,7 +83,9 @@ pub fn run(scale: &Scale) -> String {
          table is identical at any --jobs level. 'dirty-lost-KB' is the \
          durability cost of losing the SSD log before the Sec. III-D \
          writeback daemon flushed it; 'degraded-s' sums per-server time \
-         crashed, slowed or running without a cache device.\n\n",
+         crashed, slowed or running without a cache device; \
+         'stalled-bcasts' counts T reports the metadata server could not \
+         broadcast while it was down.\n\n",
         t.block()
     )
 }
