@@ -53,7 +53,6 @@ fn main() {
                     stream_bytes: full.stream_bytes,
                     btio_bytes: full.btio_bytes,
                     trace_requests: full.trace_requests,
-                    ssd_capacity: full.ssd_capacity,
                     page_cache: full.page_cache,
                     ..scale
                 };

@@ -1,9 +1,8 @@
 //! Ablations beyond the paper: what each design ingredient buys.
 
-use crate::{build_ibridge_with, mbps, Scale, Table, FILE_A};
+use crate::{build_ibridge_with, mbps, Scale, Table, FILE_A, SSD_CAPACITY};
 use ibridge_core::IBridgeConfig;
 use ibridge_device::IoDir;
-use ibridge_iosched::CfqConfig;
 use ibridge_pvfs::{Cluster, ClusterConfig, DiskSched, ServerConfig, StockPolicy};
 use ibridge_workloads::MpiIoTest;
 
@@ -131,7 +130,7 @@ fn network(scale: &Scale) -> String {
                 ..Default::default()
             };
             let mut cluster = if ibridge_on {
-                ibridge_core::ibridge_cluster(cfg, scale.ssd_capacity)
+                ibridge_core::ibridge_cluster(cfg, SSD_CAPACITY)
             } else {
                 ibridge_core::stock_cluster(cfg)
             };
@@ -379,10 +378,7 @@ fn anticipation(scale: &Scale) -> String {
         let cfg = ClusterConfig {
             seed: scale.seed,
             server: ServerConfig {
-                cfq: CfqConfig {
-                    slice_idle: ibridge_des::SimDuration::from_millis(idle_ms),
-                    ..Default::default()
-                },
+                cfq_slice_idle: ibridge_des::SimDuration::from_millis(idle_ms),
                 ..Default::default()
             },
             ..Default::default()

@@ -1,7 +1,7 @@
 //! Fig. 13: the request-size threshold sweep — throughput vs SSD wear.
 
 use crate::runpar::par_map;
-use crate::{build_ibridge_with, run_once, Scale, System, Table, FILE_A};
+use crate::{build_ibridge_with, measure, Scale, System, Table, FILE_A};
 use ibridge_core::IBridgeConfig;
 use ibridge_device::IoDir;
 use ibridge_workloads::MpiIoTest;
@@ -20,10 +20,16 @@ pub fn run(scale: &Scale) -> String {
         .collect();
     let results = par_map(jobs, |job| match job {
         None => {
-            let mut aligned =
-                MpiIoTest::sized(IoDir::Write, FILE_A, 64, 64 * KB, scale.stream_bytes);
-            let aligned_span = aligned.span_bytes();
-            run_once(System::Stock, 8, scale, aligned_span, &mut aligned)
+            let aligned =
+                || MpiIoTest::sized(IoDir::Write, FILE_A, 64, 64 * KB, scale.stream_bytes);
+            measure(
+                System::Stock,
+                8,
+                scale,
+                IoDir::Write,
+                aligned().span_bytes(),
+                aligned,
+            )
         }
         Some(threshold) => {
             let mut cluster = build_ibridge_with(8, scale, threshold * KB, |id| {

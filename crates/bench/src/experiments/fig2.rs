@@ -2,7 +2,7 @@
 //! block-level request-size distributions.
 
 use crate::runpar::par_map;
-use crate::{mbps, run_once, Scale, System, Table, FILE_A};
+use crate::{mbps, measure, Scale, System, Table, FILE_A};
 use ibridge_des::stats::Histogram;
 use ibridge_device::IoDir;
 use ibridge_pvfs::RunStats;
@@ -18,6 +18,20 @@ fn procs_list(scale: &Scale) -> Vec<usize> {
     }
 }
 
+/// One stock run of mpi-io-test reads of `size` bytes shifted by
+/// `shift`, `bytes` in all, on 8 servers.
+fn stock_read(scale: &Scale, procs: usize, size: u64, shift: u64, bytes: u64) -> RunStats {
+    let make = || MpiIoTest::sized(IoDir::Read, FILE_A, procs, size, bytes).with_shift(shift);
+    measure(
+        System::Stock,
+        8,
+        scale,
+        IoDir::Read,
+        make().span_bytes(),
+        make,
+    )
+}
+
 /// Fig. 2(a): reads of {64,65,74,84,94} KB across process counts
 /// (Pattern II; 64 KB is the aligned Pattern I reference).
 pub fn fig2a(scale: &Scale) -> String {
@@ -31,9 +45,7 @@ pub fn fig2a(scale: &Scale) -> String {
         .flat_map(|procs| sizes.iter().map(move |&size| (procs, size)))
         .collect();
     let cells = par_map(jobs, |(procs, size)| {
-        let mut w = MpiIoTest::sized(IoDir::Read, FILE_A, procs, size * KB, scale.stream_bytes);
-        let span = w.span_bytes();
-        let stats = run_once(System::Stock, 8, scale, span, &mut w);
+        let stats = stock_read(scale, procs, size * KB, 0, scale.stream_bytes);
         mbps(stats.throughput_mbps())
     });
     for (i, procs) in procs_list(scale).into_iter().enumerate() {
@@ -60,10 +72,7 @@ pub fn fig2b(scale: &Scale) -> String {
         .flat_map(|procs| offsets.iter().map(move |&off| (procs, off)))
         .collect();
     let cells = par_map(jobs, |(procs, off)| {
-        let mut w = MpiIoTest::sized(IoDir::Read, FILE_A, procs, 64 * KB, scale.stream_bytes)
-            .with_shift(off * KB);
-        let span = w.span_bytes();
-        let stats = run_once(System::Stock, 8, scale, span, &mut w);
+        let stats = stock_read(scale, procs, 64 * KB, off * KB, scale.stream_bytes);
         mbps(stats.throughput_mbps())
     });
     for (i, procs) in procs_list(scale).into_iter().enumerate() {
@@ -92,19 +101,12 @@ pub fn render_hist(title: &str, h: &Histogram, top: usize) -> String {
     t.block()
 }
 
-fn dist_run(scale: &Scale, size: u64, shift: u64) -> RunStats {
-    let mut w =
-        MpiIoTest::sized(IoDir::Read, FILE_A, 16, size, scale.stream_bytes / 2).with_shift(shift);
-    let span = w.span_bytes();
-    run_once(System::Stock, 8, scale, span, &mut w)
-}
-
 /// Fig. 2(c,d,e): block-level request size distributions (sector units)
 /// for aligned 64 KB, 65 KB, and 64 KB + 10 KB-offset reads.
 pub fn fig2cde(scale: &Scale) -> String {
     let runs = par_map(
         vec![(64 * KB, 0), (65 * KB, 0), (64 * KB, 10 * KB)],
-        |(size, shift)| dist_run(scale, size, shift),
+        |(size, shift)| stock_read(scale, 16, size, shift, scale.stream_bytes / 2),
     );
     let (c, d, e) = (&runs[0], &runs[1], &runs[2]);
     let mut out = String::new();

@@ -2,7 +2,7 @@
 
 use crate::experiments::fig2::render_hist;
 use crate::runpar::par_map;
-use crate::{mbps, pct, run_once, run_warm, Scale, System, Table, FILE_A};
+use crate::{mbps, measure, pct, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_pvfs::RunStats;
 use ibridge_workloads::MpiIoTest;
@@ -50,17 +50,9 @@ const CONFIGS: [Config; 6] = [
     },
 ];
 
-fn measure(scale: &Scale, dir: IoDir, c: Config, system: System) -> RunStats {
-    let procs = 64;
-    let make =
-        || MpiIoTest::sized(dir, FILE_A, procs, c.size, scale.stream_bytes).with_shift(c.shift);
-    let span = make().span_bytes();
-    if dir.is_read() && system == System::IBridge {
-        // Reads profit from pre-loaded fragments: measure the warm run.
-        run_warm(system, 8, scale, span, &mut || Box::new(make()))
-    } else {
-        run_once(system, 8, scale, span, &mut make())
-    }
+fn cell(scale: &Scale, dir: IoDir, c: Config, system: System) -> RunStats {
+    let make = || MpiIoTest::sized(dir, FILE_A, 64, c.size, scale.stream_bytes).with_shift(c.shift);
+    measure(system, 8, scale, dir, make().span_bytes(), make)
 }
 
 /// Fig. 4(a,b): stock vs iBridge across sizes and offsets, 64 procs.
@@ -88,7 +80,7 @@ pub fn fig4(scale: &Scale) -> String {
             .into_iter()
             .flat_map(|c| [(c, System::Stock), (c, System::IBridge)])
             .collect();
-        let results = par_map(jobs, |(c, system)| measure(scale, dir, c, system));
+        let results = par_map(jobs, |(c, system)| cell(scale, dir, c, system));
         for (idx, c) in CONFIGS.into_iter().enumerate() {
             let (stock, ib) = (&results[2 * idx], &results[2 * idx + 1]);
             let s = stock.throughput_mbps();
@@ -115,7 +107,7 @@ pub fn fig5(scale: &Scale) -> String {
         size: 64 * KB,
         shift: 10 * KB,
     };
-    let stats = measure(scale, IoDir::Read, c, System::IBridge);
+    let stats = cell(scale, IoDir::Read, c, System::IBridge);
     let mut out = render_hist(
         "Fig 5 — dispatch sizes with iBridge, 64 KB + 10 KB offset reads \
          (paper: 128- and 256-sector requests predominate)",

@@ -1,7 +1,7 @@
 //! Figs. 6 and 7: scalability with process count and server count.
 
 use crate::runpar::par_map;
-use crate::{mbps, run_once, run_warm, Scale, System, Table, FILE_A};
+use crate::{mbps, measure, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_workloads::MpiIoTest;
 
@@ -16,13 +16,7 @@ fn throughput(
     size: u64,
 ) -> f64 {
     let make = || MpiIoTest::sized(dir, FILE_A, procs, size, scale.stream_bytes);
-    let span = make().span_bytes();
-    let stats = if dir.is_read() && system == System::IBridge {
-        run_warm(system, n_servers, scale, span, &mut || Box::new(make()))
-    } else {
-        run_once(system, n_servers, scale, span, &mut make())
-    };
-    stats.throughput_mbps()
+    measure(system, n_servers, scale, dir, make().span_bytes(), make).throughput_mbps()
 }
 
 /// Fig. 6: 65 KB requests as the process count grows.

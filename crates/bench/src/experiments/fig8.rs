@@ -2,23 +2,16 @@
 //! concurrently, i.e. random access from the file system's perspective.
 
 use crate::runpar::par_map;
-use crate::{build, mbps, pct, Scale, System, Table, FILE_A};
+use crate::{mbps, measure, pct, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_pvfs::RunStats;
 use ibridge_workloads::IorMpiIo;
 
 const KB: u64 = 1024;
 
-fn measure(scale: &Scale, dir: IoDir, size: u64, system: System) -> RunStats {
-    let procs = 64;
-    let make = || IorMpiIo::sized(dir, FILE_A, procs, size, scale.stream_bytes);
-    let span = make().span_bytes();
-    let mut cluster = build(system, 8, scale);
-    cluster.preallocate(FILE_A, span + (1 << 20));
-    if dir.is_read() && system == System::IBridge {
-        cluster.run(&mut make());
-    }
-    cluster.run(&mut make())
+fn cell(scale: &Scale, dir: IoDir, size: u64, system: System) -> RunStats {
+    let make = || IorMpiIo::sized(dir, FILE_A, 64, size, scale.stream_bytes);
+    measure(system, 8, scale, dir, make().span_bytes(), make)
 }
 
 /// Runs Fig. 8(a) writes and 8(b) reads across request sizes.
@@ -48,7 +41,7 @@ pub fn run(scale: &Scale) -> String {
             .iter()
             .flat_map(|&size| [(size, System::Stock), (size, System::IBridge)])
             .collect();
-        let results = par_map(jobs, |(size, system)| measure(scale, dir, size, system));
+        let results = par_map(jobs, |(size, system)| cell(scale, dir, size, system));
         for (idx, &size) in sizes.iter().enumerate() {
             let (stock, ib) = (&results[2 * idx], &results[2 * idx + 1]);
             let s = stock.throughput_mbps();

@@ -24,7 +24,7 @@
 //! is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{checkpoint_probe, Scale, Table};
+use crate::{checkpoint_probe, Scale, Table, SSD_CAPACITY};
 use ibridge_core::{IBridgeConfig, IBridgePolicy};
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::IoDir;
@@ -62,10 +62,9 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> (RunStats, MaintStats) {
         },
         ..Default::default()
     };
-    let ssd_capacity = scale.ssd_capacity;
     let disk = cfg.server.disk.clone();
     let cluster = Cluster::new(cfg, move |server_id| {
-        let mut c = IBridgeConfig::with_capacity(server_id, ssd_capacity);
+        let mut c = IBridgeConfig::with_capacity(server_id, SSD_CAPACITY);
         c.disk = disk.clone();
         c.segment_bytes = 2 << 10;
         c.checkpoint_every = 96;
@@ -121,7 +120,7 @@ fn offline_probe(ops: u64, maintain: bool) -> (u64, u64, u64, u64) {
     }
     let state = p.snapshot();
     let media = state.records().len() as u64;
-    let (fresh, fsck) = IBridgePolicy::recover_with_report(cfg, &state, false);
+    let (fresh, fsck) = IBridgePolicy::recover_with_report(cfg, &state);
     assert_eq!(
         fsck.dirty_entries_kept, LIVE_ENTRIES,
         "every live overwrite survives recovery"

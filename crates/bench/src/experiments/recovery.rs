@@ -21,7 +21,7 @@
 //! any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{checkpoint_probe, Scale, Table, FILE_A};
+use crate::{checkpoint_probe, Scale, Table, FILE_A, SSD_CAPACITY};
 use ibridge_core::record::{self, LogRecord, RecordVerdict, SealedRecord};
 use ibridge_core::{ibridge_cluster, EntryType};
 use ibridge_des::SimDuration;
@@ -56,7 +56,7 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
         },
         ..Default::default()
     };
-    checkpoint_probe(ibridge_cluster(cfg, scale.ssd_capacity), 4, plan)
+    checkpoint_probe(ibridge_cluster(cfg, SSD_CAPACITY), 4, plan)
 }
 
 /// `splitmix64` step — deterministic victim placement from the seed.

@@ -4,7 +4,7 @@
 //! single-seed flukes.
 
 use crate::runpar::par_map;
-use crate::{run_once, run_warm, Scale, System, Table, FILE_A};
+use crate::{measure, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_workloads::MpiIoTest;
 
@@ -64,13 +64,7 @@ fn throughput(scale: &Scale, row: Row, system: System, seed: u64) -> f64 {
     let make = || {
         MpiIoTest::sized(row.dir, FILE_A, 64, row.size, s.stream_bytes / 2).with_shift(row.shift)
     };
-    let span = make().span_bytes();
-    let stats = if row.dir.is_read() && system == System::IBridge {
-        run_warm(system, 8, &s, span, &mut || Box::new(make()))
-    } else {
-        run_once(system, 8, &s, span, &mut make())
-    };
-    stats.throughput_mbps()
+    measure(system, 8, &s, row.dir, make().span_bytes(), make).throughput_mbps()
 }
 
 /// Runs the headline rows across 5 seeds — one job per

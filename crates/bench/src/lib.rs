@@ -24,6 +24,7 @@ use ibridge_core::{
     ibridge_cluster, ssd_only_cluster, stock_cluster, IBridgeConfig, IBridgePolicy,
 };
 use ibridge_des::SimDuration;
+use ibridge_device::IoDir;
 use ibridge_faults::FaultPlan;
 use ibridge_localfs::FileHandle;
 use ibridge_pvfs::{Cluster, ClusterConfig, RunStats, ServerConfig, Workload};
@@ -61,8 +62,6 @@ pub struct Scale {
     pub btio_bytes: u64,
     /// Requests per synthesised trace.
     pub trace_requests: usize,
-    /// iBridge SSD partition (paper: 10 GB).
-    pub ssd_capacity: u64,
     /// Per-datafile page-cache budget. Scaled down with the data sizes
     /// so the cache:data ratio stays realistic (a real server's page
     /// cache is far smaller than a 10 GB data set).
@@ -86,7 +85,6 @@ impl Scale {
             stream_bytes: 256 << 20,
             btio_bytes: 96 << 20,
             trace_requests: 3_000,
-            ssd_capacity: 10 << 30,
             page_cache: 512 << 10,
             seed: 42,
             fault_plan: None,
@@ -100,7 +98,6 @@ impl Scale {
             stream_bytes: 10 << 30,
             btio_bytes: 6_800 << 20,
             trace_requests: 50_000,
-            ssd_capacity: 10 << 30,
             page_cache: 8 << 20,
             seed: 42,
             fault_plan: None,
@@ -108,6 +105,10 @@ impl Scale {
         }
     }
 }
+
+/// iBridge's SSD partition per server, at every scale: the paper's
+/// 10 GB (Fig. 11 sweeps smaller ones explicitly).
+pub(crate) const SSD_CAPACITY: u64 = 10 << 30;
 
 /// The shared experiment file handle.
 pub const FILE_A: FileHandle = FileHandle(1);
@@ -128,7 +129,7 @@ pub fn build(system: System, n_servers: usize, scale: &Scale) -> Cluster {
     };
     match system {
         System::Stock => stock_cluster(cfg),
-        System::IBridge => ibridge_cluster(cfg, scale.ssd_capacity),
+        System::IBridge => ibridge_cluster(cfg, SSD_CAPACITY),
         System::SsdOnly => ssd_only_cluster(cfg),
     }
 }
@@ -157,35 +158,27 @@ pub fn build_ibridge_with(
     Cluster::new(cfg, move |id| Box::new(IBridgePolicy::new(make(id))))
 }
 
-/// Runs a workload once on a fresh cluster (write experiments).
-pub fn run_once(
+/// Measures one run of `make`'s workload on a fresh cluster of
+/// `system` with `n_servers` servers, `span` bytes of [`FILE_A`]
+/// preallocated. This is the experiments' one read protocol: iBridge
+/// reads run warm — a first run of the same workload on the same
+/// cluster pre-loads the cache, the paper's repeated production runs —
+/// and the second run is measured. Everything else is measured on its
+/// first run.
+pub fn measure<W: Workload>(
     system: System,
     n_servers: usize,
     scale: &Scale,
+    dir: IoDir,
     span: u64,
-    workload: &mut dyn Workload,
+    make: impl Fn() -> W,
 ) -> RunStats {
     let mut cluster = build(system, n_servers, scale);
     cluster.preallocate(FILE_A, span + (1 << 20));
-    cluster.run(workload)
-}
-
-/// Runs a read workload twice on the same cluster and returns the
-/// second (warm-cache) run — the paper's repeated-production-run
-/// scenario, which is where iBridge's pre-loading pays off.
-pub fn run_warm(
-    system: System,
-    n_servers: usize,
-    scale: &Scale,
-    span: u64,
-    make_workload: &mut dyn FnMut() -> Box<dyn Workload>,
-) -> RunStats {
-    let mut cluster = build(system, n_servers, scale);
-    cluster.preallocate(FILE_A, span + (1 << 20));
-    let mut warmup = make_workload();
-    cluster.run(warmup.as_mut());
-    let mut measured = make_workload();
-    cluster.run(measured.as_mut())
+    if dir.is_read() && system == System::IBridge {
+        cluster.run(&mut make());
+    }
+    cluster.run(&mut make())
 }
 
 /// The probe of the fault experiments: a checkpoint run of 4 processes,
@@ -219,7 +212,6 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibridge_device::IoDir;
     use ibridge_workloads::MpiIoTest;
 
     #[test]
@@ -229,24 +221,28 @@ mod tests {
             ..Scale::quick()
         };
         for system in [System::Stock, System::IBridge, System::SsdOnly] {
-            let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 4, 65 * 1024, scale.stream_bytes);
-            let span = w.span_bytes();
-            let stats = run_once(system, 4, &scale, span, &mut w);
+            let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 4, 65 * 1024, scale.stream_bytes);
+            let stats = measure(system, 4, &scale, IoDir::Write, make().span_bytes(), make);
             assert!(stats.throughput_mbps() > 0.0, "{system:?}");
         }
     }
 
     #[test]
-    fn warm_run_uses_same_cluster_state() {
+    fn ibridge_reads_run_warm() {
         let scale = Scale {
             stream_bytes: 4 << 20,
             ..Scale::quick()
         };
-        let span = scale.stream_bytes * 2;
-        let stats = run_warm(System::IBridge, 4, &scale, span, &mut || {
-            Box::new(MpiIoTest::sized(IoDir::Read, FILE_A, 4, 65 * 1024, 4 << 20))
-        });
-        let hits: u64 = stats.servers.iter().map(|s| s.policy.read_hits).sum();
-        assert!(hits > 0, "warm run must hit the cache");
+        let make = || MpiIoTest::sized(IoDir::Read, FILE_A, 4, 65 * 1024, 4 << 20);
+        let hits = |system| {
+            let stats = measure(system, 4, &scale, IoDir::Read, 8 << 20, make);
+            stats
+                .servers
+                .iter()
+                .map(|s| s.policy.read_hits)
+                .sum::<u64>()
+        };
+        assert!(hits(System::IBridge) > 0, "warm run must hit the cache");
+        assert_eq!(hits(System::Stock), 0);
     }
 }

@@ -156,7 +156,7 @@ pub fn render(reg: &Registry) -> String {
     // Backup-log maintenance counters. Only appears when a run
     // performed segmented-log maintenance (checkpoint, compaction or
     // scrub activity), so maintenance-free golden output is unchanged.
-    if !reg.maint.is_empty() {
+    if !reg.maint.is_zero() {
         let m = &reg.maint;
         let mut t = Table::new("metrics: backup-log maintenance", &["counter", "value"]);
         t.row(&[

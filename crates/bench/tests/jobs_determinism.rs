@@ -11,7 +11,7 @@
 //! iff every float is bit-identical.
 
 use ibridge_bench::runpar::par_map_jobs;
-use ibridge_bench::{build, checkpoint_probe, run_once, Scale, System, FILE_A};
+use ibridge_bench::{build, checkpoint_probe, measure, Scale, System, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_workloads::MpiIoTest;
@@ -29,9 +29,8 @@ fn scale_with(seed: u64) -> Scale {
 /// One cell of the matrix: a full-stats fingerprint of an 8-server run.
 fn run_cell((seed, system, size): (u64, System, u64)) -> String {
     let scale = scale_with(seed);
-    let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
-    let span = w.span_bytes();
-    let stats = run_once(system, 8, &scale, span, &mut w);
+    let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
+    let stats = measure(system, 8, &scale, IoDir::Write, make().span_bytes(), make);
     format!("{stats:?}")
 }
 

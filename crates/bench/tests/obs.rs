@@ -11,7 +11,7 @@
 //! cascade).
 
 use ibridge_bench::runpar::par_map_jobs;
-use ibridge_bench::{experiments, obs_report, run_once, Scale, System, FILE_A};
+use ibridge_bench::{experiments, measure, obs_report, Scale, System, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_obs::{metrics, trace};
 use ibridge_workloads::MpiIoTest;
@@ -43,9 +43,8 @@ fn matrix() -> Vec<(u64, System)> {
 
 fn run_job((seed, system): (u64, System)) -> (u64, u64, u64) {
     let scale = small_scale(seed);
-    let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 8, 65 * 1024, scale.stream_bytes);
-    let span = w.span_bytes();
-    let stats = run_once(system, 4, &scale, span, &mut w);
+    let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 8, 65 * 1024, scale.stream_bytes);
+    let stats = measure(system, 4, &scale, IoDir::Write, make().span_bytes(), make);
     (
         stats.bytes,
         stats.elapsed.as_nanos(),

@@ -4,7 +4,7 @@
 //! counts and require *identical* outputs — not approximately equal.
 
 use ibridge_bench::runpar::par_map_jobs;
-use ibridge_bench::{experiments, run_once, Scale, System, FILE_A};
+use ibridge_bench::{experiments, measure, Scale, System, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_workloads::MpiIoTest;
 
@@ -32,9 +32,8 @@ fn matrix() -> Vec<(u64, System, u64)> {
 
 fn run_job((seed, system, size): (u64, System, u64)) -> (u64, u64, u64) {
     let scale = small_scale(seed);
-    let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
-    let span = w.span_bytes();
-    let stats = run_once(system, 4, &scale, span, &mut w);
+    let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
+    let stats = measure(system, 4, &scale, IoDir::Write, make().span_bytes(), make);
     // Exact integer fields: bytes moved, elapsed virtual nanoseconds,
     // events dispatched. Any scheduling leak between host threads would
     // perturb at least one of them.

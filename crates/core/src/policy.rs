@@ -396,8 +396,8 @@ impl PersistentState {
 pub struct FsckReport {
     /// Records scanned (every record in the backup).
     pub records_scanned: u64,
-    /// Records that verified and were replayed (or deliberately
-    /// dropped as clean during a restart).
+    /// Records that verified and were replayed (clean entries among
+    /// them are then dropped).
     pub records_intact: u64,
     /// Records truncated mid-write (crash tore them).
     pub records_torn: u64,
@@ -408,7 +408,7 @@ pub struct FsckReport {
     /// Total records quarantined (torn + corrupt + sequence breaks +
     /// structurally inconsistent with the log geometry).
     pub records_quarantined: u64,
-    /// Clean entries deliberately invalidated (restart semantics).
+    /// Clean entries deliberately invalidated.
     pub clean_entries_dropped: u64,
     /// Dirty entries replayed.
     pub dirty_entries_kept: u64,
@@ -450,13 +450,25 @@ impl IBridgePolicy {
     }
 
     /// Structural sanity of a decoded record against the log geometry:
-    /// a genuine record describes a non-empty byte range whose extents
-    /// cover exactly its data sectors and sit inside the log.
+    /// a genuine record describes a non-empty byte range that fits a
+    /// mapping-table entry (under 4 GiB) and the offset space, carries a
+    /// finite return, and its non-empty extents sit inside the log and
+    /// cover exactly its data sectors. A record with a valid CRC can
+    /// still hold any bit pattern, so the arithmetic is checked.
     fn record_is_placeable(rec: &LogRecord, capacity_sectors: u64) -> bool {
+        let sectors = rec.extents.iter().try_fold(0u64, |sum, e| {
+            let end = e.lbn.checked_add(e.sectors)?;
+            if e.sectors == 0 || end > capacity_sectors {
+                return None;
+            }
+            sum.checked_add(e.sectors)
+        });
         rec.len > 0
+            && u32::try_from(rec.len).is_ok()
+            && rec.offset.checked_add(rec.len).is_some()
+            && rec.ret.is_finite()
             && !rec.extents.is_empty()
-            && rec.extents.iter().all(|e| e.end() <= capacity_sectors)
-            && rec.extents.iter().map(|e| e.sectors).sum::<u64>() == bytes_to_sectors(rec.len)
+            && sectors == Some(bytes_to_sectors(rec.len))
     }
 
     /// Replays one verified record into the recovering policy.
@@ -522,8 +534,8 @@ impl IBridgePolicy {
         seq_to_id.insert(rec.seq, id);
     }
 
-    /// Rebuilds a policy from a durable snapshot via a recovery fsck,
-    /// checkpoint first:
+    /// Rebuilds a policy from a durable snapshot via a recovery fsck
+    /// (server restart with a warm SSD), checkpoint first:
     ///
     /// 1. Replay the checkpoint image — verify each record's CRC and
     ///    structure, quarantine failures.
@@ -532,17 +544,13 @@ impl IBridgePolicy {
     ///    O(appends since the last checkpoint), not O(log). Verified
     ///    tail records must keep strict sequence continuity; tombstones
     ///    kill their targets, newer range copies supersede older ones.
-    /// 3. With `keep_clean = false` (restart semantics) intact clean
-    ///    entries are then deliberately invalidated — their home-disk
-    ///    copies are authoritative.
+    /// 3. Intact clean entries are then deliberately invalidated — their
+    ///    home-disk copies are authoritative. Dirty entries survive and
+    ///    are queued for writeback again.
     ///
     /// The recovered policy starts from a fresh bootstrap checkpoint of
     /// whatever survived, so the next restart's tail is empty.
-    pub fn recover_with_report(
-        cfg: IBridgeConfig,
-        state: &PersistentState,
-        keep_clean: bool,
-    ) -> (Self, FsckReport) {
+    pub fn recover_with_report(cfg: IBridgeConfig, state: &PersistentState) -> (Self, FsckReport) {
         let mut p = IBridgePolicy::new(cfg);
         assert_eq!(
             p.log.capacity(),
@@ -639,21 +647,19 @@ impl IBridgePolicy {
             );
         }
 
-        // Restart semantics: intact clean entries were replayed above
-        // (tombstones and newer copies need them resolvable), but their
-        // home-disk copies are authoritative — drop them now.
-        if !keep_clean {
-            let mut clean: Vec<EntryId> = p
-                .table
-                .entries()
-                .filter(|e| !e.dirty)
-                .map(|e| e.id)
-                .collect();
-            clean.sort_unstable();
-            for id in clean {
-                if p.table.remove(id).is_some() {
-                    rep.clean_entries_dropped += 1;
-                }
+        // Intact clean entries were replayed above (tombstones and newer
+        // copies need them resolvable), but their home-disk copies are
+        // authoritative — drop them now.
+        let mut clean: Vec<EntryId> = p
+            .table
+            .entries()
+            .filter(|e| !e.dirty)
+            .map(|e| e.id)
+            .collect();
+        clean.sort_unstable();
+        for id in clean {
+            if p.table.remove(id).is_some() {
+                rep.clean_entries_dropped += 1;
             }
         }
         for e in p.table.entries() {
@@ -675,13 +681,6 @@ impl IBridgePolicy {
             p.backup.reclaim(); // fresh log: nothing was condemned
         }
         (p, rep)
-    }
-
-    /// Rebuilds a policy from a durable snapshot (server restart with a
-    /// warm SSD). Flush state is conservatively reset: dirty entries are
-    /// re-queued for writeback.
-    pub fn recover(cfg: IBridgeConfig, state: &PersistentState) -> Self {
-        Self::recover_with_report(cfg, state, true).0
     }
 
     /// Writes the periodic indexed checkpoint: the full mapping-table
@@ -1063,7 +1062,7 @@ impl CachePolicy for IBridgePolicy {
         // pending), so whatever the fsck fails to bring back was lost
         // to corruption — the durability cost.
         let dirty_durable = self.table.dirty_bytes();
-        let (mut fresh, fsck) = IBridgePolicy::recover_with_report(self.cfg.clone(), &state, false);
+        let (mut fresh, fsck) = IBridgePolicy::recover_with_report(self.cfg.clone(), &state);
         let report = RestartReport {
             dirty_entries_kept: fsck.dirty_entries_kept,
             dirty_bytes_kept: fsck.dirty_bytes_kept,
@@ -1522,16 +1521,20 @@ mod tests {
         let _ = p.read_admission(SimTime::ZERO, &sub_pending).unwrap();
 
         let snap = p.snapshot();
-        let mut r = IBridgePolicy::recover(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
+        let (mut r, fsck) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
 
-        // Durable entries hit after recovery.
+        // The dirty entry hits after recovery.
         assert!(matches!(
             r.place(SimTime::ZERO, &frag(IoDir::Read, 1 << 20, KB), 900_000_000),
             Placement::Ssd { .. }
         ));
+        // The clean entry was durable, but restart drops it: its
+        // home-disk copy is authoritative.
+        assert_eq!(fsck.clean_entries_dropped, 1);
         assert!(matches!(
             r.place(SimTime::ZERO, &frag(IoDir::Read, 2 << 20, KB), 900_000_000),
-            Placement::Ssd { .. }
+            Placement::Disk { .. }
         ));
         // The in-flight admission is gone.
         assert!(matches!(
@@ -1549,7 +1552,8 @@ mod tests {
         p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
         p.place(SimTime::ZERO, &frag(IoDir::Write, 1 << 20, KB), 900_000_000);
         let snap = p.snapshot();
-        let mut r = IBridgePolicy::recover(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
+        let (mut r, _) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &snap);
         // A new redirected write lands after the recovered head, not over
         // the surviving entry.
         let Placement::Ssd { extents } =
@@ -1584,11 +1588,8 @@ mod tests {
         // Tear the newest record, rot an older one.
         state.records_mut()[3].tear();
         state.records_mut()[1].flip_bit(123);
-        let (r, fsck) = IBridgePolicy::recover_with_report(
-            IBridgeConfig::with_capacity(0, 64 << 20),
-            &state,
-            true,
-        );
+        let (r, fsck) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &state);
         assert_eq!(fsck.records_scanned, 4);
         assert_eq!(fsck.records_torn, 1);
         assert_eq!(fsck.records_corrupt, 1);
@@ -1620,11 +1621,8 @@ mod tests {
         // second — a stale duplicate a real log could surface.
         let dup = state.records()[0].clone();
         state.records_mut().push(dup);
-        let (_, fsck) = IBridgePolicy::recover_with_report(
-            IBridgeConfig::with_capacity(0, 64 << 20),
-            &state,
-            true,
-        );
+        let (_, fsck) =
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), &state);
         assert_eq!(fsck.seq_breaks, 1);
         assert_eq!(fsck.records_quarantined, 1);
         assert_eq!(fsck.dirty_entries_kept, 2);

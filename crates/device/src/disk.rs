@@ -43,16 +43,13 @@ pub struct DiskProfile {
     /// are served from the streaming path (track buffer).
     pub contig_gap: u64,
     /// Non-barrier (write-cached) writes within this many sectors ahead
-    /// of the head stream too: the drive's write cache absorbs a sorted
-    /// writeback sweep, lazily writing as the band passes under the
-    /// head. Much larger than the read gap.
+    /// of the head stream too: the drive's volatile write cache absorbs
+    /// a sorted writeback sweep, lazily writing as the band passes under
+    /// the head. Much larger than the read gap. Barrier (FUA) writes
+    /// bypass the cache and never stream: client writes on the data
+    /// servers are barriers, the reason the paper's stock write
+    /// throughput trails its reads.
     pub write_gap: u64,
-    /// Whether the drive's volatile write cache coalesces near-contiguous
-    /// writes into streaming transfers. True for raw-device benchmarking
-    /// (Table II); false on the data servers, whose sync-semantics write
-    /// path (data is flushed to media before the ack) defeats it — the
-    /// reason the paper's stock write throughput trails its reads.
-    pub write_cache: bool,
 }
 
 impl DiskProfile {
@@ -74,7 +71,6 @@ impl DiskProfile {
             write_settle: SimDuration::from_micros(2_500),
             contig_gap: 64,
             write_gap: 1024,
-            write_cache: true,
         }
     }
 
@@ -188,7 +184,7 @@ impl DiskModel {
             // the (large) write-cache absorption window. RMW edges of
             // cached writes are absorbed by the same sweep (the flusher
             // reads the edge blocks as the band passes).
-            !op.fua && self.profile.write_cache && gap <= self.profile.write_gap
+            !op.fua && gap <= self.profile.write_gap
         }
     }
 

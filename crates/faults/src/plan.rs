@@ -267,6 +267,11 @@ impl FaultPlan {
                         backoff: args.float_or("backoff", defaults.backoff, 1.0, 64.0)?,
                         max_retries: args.u32_or("max", defaults.max_retries)?,
                     };
+                    // A zero timeout would fire at the send instant, and
+                    // make the longest wait below 0 * inf = NaN.
+                    if retry.timeout == SimDuration::ZERO {
+                        return Err(err("timeout must be > 0".into()));
+                    }
                     let longest = retry.timeout.as_secs_f64()
                         * retry.backoff.powf(f64::from(retry.max_retries));
                     if longest > MAX_DURATION.as_secs_f64() {
@@ -850,6 +855,7 @@ mod tests {
             ("retry timeout=abc", "unit"),
             ("retry timeout=xxms", "duration like"),
             ("retry timeout=100ms backoff=0.5", "must be in"),
+            ("retry timeout=0s backoff=64 max=200", "timeout must be > 0"),
             (
                 "torn-write server=1 at=1ms restart=0ms",
                 "restart must be > 0",

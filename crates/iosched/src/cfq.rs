@@ -16,46 +16,29 @@
 //!   spatial locality under high process counts — and what unaligned
 //!   fragments defeat.
 //! * **Merging** — front/back merging against *any* queued request
-//!   (capped at `max_merge_sectors`), producing the 128 KB dispatches of
-//!   Fig. 2(c) when two processes' stripes interleave.
+//!   (capped at [`MAX_MERGE_SECTORS`]), producing the 128 KB dispatches
+//!   of Fig. 2(c) when two processes' stripes interleave.
+//! * **Async writes** — writes join CFQ's async class: one queue shared
+//!   by every stream, with no anticipation idling (Linux's buffered
+//!   writeback behaviour). Reads stay per-stream sync queues.
 
-use crate::{BlockRequest, Decision, Scheduler, StreamId};
+use crate::{BlockRequest, Decision, Scheduler, StreamId, MAX_MERGE_SECTORS};
 use ibridge_des::fxhash::FxHashMap;
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::Lbn;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tuning knobs of [`Cfq`], defaults matching Linux CFQ's.
-#[derive(Debug, Clone)]
-pub struct CfqConfig {
-    /// Time slice given to each stream before rotating to the next.
-    pub slice: SimDuration,
-    /// Anticipation window: how long to idle on an empty active stream.
-    pub slice_idle: SimDuration,
-    /// Maximum size of a merged request, in sectors.
-    pub max_merge_sectors: u64,
-    /// Mean inter-request seek distance (sectors) beyond which a stream
-    /// is considered *seeky* and gets no anticipation idling — Linux's
-    /// `CFQQ_SEEK_THR` behaviour (8192 sectors = 4 MB).
-    pub seeky_threshold: u64,
-    /// Treat writes as CFQ's *async class*: all writes share one queue
-    /// regardless of issuing stream, with no anticipation idling —
-    /// Linux's buffered-writeback behaviour. Reads stay per-stream sync
-    /// queues.
-    pub async_writes: bool,
-}
+/// Time slice given to each stream before rotating to the next (Linux
+/// CFQ's default).
+const SLICE: SimDuration = SimDuration::from_millis(100);
 
-impl Default for CfqConfig {
-    fn default() -> Self {
-        CfqConfig {
-            slice: SimDuration::from_millis(100),
-            slice_idle: SimDuration::from_millis(8),
-            max_merge_sectors: 256,
-            seeky_threshold: 8192,
-            async_writes: true,
-        }
-    }
-}
+/// Linux CFQ's default anticipation window (`slice_idle`).
+pub const DEFAULT_SLICE_IDLE: SimDuration = SimDuration::from_millis(8);
+
+/// Mean inter-request seek distance (sectors) beyond which a stream is
+/// considered *seeky* and gets no anticipation idling — Linux's
+/// `CFQQ_SEEK_THR` behaviour (8192 sectors = 4 MB).
+const SEEKY_THRESHOLD: u64 = 8192;
 
 type QKey = (Lbn, u64);
 
@@ -103,11 +86,12 @@ fn count_down(counts: &mut FxHashMap<Lbn, u32>, lbn: Lbn) {
 /// CFQ scheduler state.
 ///
 /// ```
-/// use ibridge_iosched::{BlockRequest, Cfq, CfqConfig, Decision, Scheduler};
+/// use ibridge_iosched::cfq::DEFAULT_SLICE_IDLE;
+/// use ibridge_iosched::{BlockRequest, Cfq, Decision, Scheduler};
 /// use ibridge_des::SimTime;
 /// use ibridge_device::IoDir;
 ///
-/// let mut cfq = Cfq::new(CfqConfig::default());
+/// let mut cfq = Cfq::new(DEFAULT_SLICE_IDLE);
 /// let t = SimTime::ZERO;
 /// cfq.add(t, BlockRequest::new(IoDir::Read, 128, 8, /*stream*/ 1, t, 0));
 /// cfq.add(t, BlockRequest::new(IoDir::Read, 136, 8, /*stream*/ 1, t, 1));
@@ -117,7 +101,8 @@ fn count_down(counts: &mut FxHashMap<Lbn, u32>, lbn: Lbn) {
 /// ```
 #[derive(Debug)]
 pub struct Cfq {
-    cfg: CfqConfig,
+    /// Anticipation window: how long to idle on an empty active stream.
+    slice_idle: SimDuration,
     /// Per-stream queues, keyed by stream id. Ordered so the merge scan
     /// in [`Cfq::merge_scan`] visits streams in a fixed order — iteration
     /// order must not depend on hash seeds or results become
@@ -140,10 +125,11 @@ pub struct Cfq {
 }
 
 impl Cfq {
-    /// Creates a CFQ scheduler.
-    pub fn new(cfg: CfqConfig) -> Self {
+    /// Creates a CFQ scheduler that idles `slice_idle` on an empty
+    /// active stream (zero disables anticipation).
+    pub fn new(slice_idle: SimDuration) -> Self {
         Cfq {
-            cfg,
+            slice_idle,
             streams: BTreeMap::new(),
             rr: VecDeque::new(),
             ends: FxHashMap::default(),
@@ -154,17 +140,6 @@ impl Cfq {
             seq: 0,
             total: 0,
         }
-    }
-
-    /// Disables anticipation (used by the `ablate-anticipation` bench).
-    pub fn without_anticipation(mut self) -> Self {
-        self.cfg.slice_idle = SimDuration::ZERO;
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CfqConfig {
-        &self.cfg
     }
 
     /// Attempts to merge `req` into any queued request; returns it back
@@ -182,14 +157,13 @@ impl Cfq {
     /// The merge scan: streams in id order, back merge before front
     /// merge in each, so the first stream that can take `req` wins.
     fn merge_scan(&mut self, req: BlockRequest) -> Option<BlockRequest> {
-        let max = self.cfg.max_merge_sectors;
         for q in self.streams.values_mut() {
             // Back merge: a queued request ending exactly at req.lbn.
             // Candidates must start at req.lbn - queued.sectors; scan the
             // range below req.lbn and check the nearest.
             if let Some((&key, _)) = q.queue.range(..(req.lbn, 0)).next_back() {
                 let queued = q.queue.get_mut(&key).expect("key just seen");
-                if queued.can_back_merge(&req, max) {
+                if queued.can_back_merge(&req, MAX_MERGE_SECTORS) {
                     count_down(&mut self.ends, req.lbn);
                     count_up(&mut self.ends, req.end());
                     queued.back_merge(req);
@@ -200,7 +174,7 @@ impl Cfq {
             if let Some((&key, _)) = q.queue.range((req.end(), 0)..).next() {
                 if key.0 == req.end() {
                     let queued = q.queue.get_mut(&key).expect("key just seen");
-                    if queued.can_front_merge(&req, max) {
+                    if queued.can_front_merge(&req, MAX_MERGE_SECTORS) {
                         queued.front_merge(req);
                         return None;
                     }
@@ -242,7 +216,7 @@ impl Cfq {
                 q.in_rr = false;
                 if !q.queue.is_empty() {
                     self.active = Some(s);
-                    self.slice_end = now + self.cfg.slice;
+                    self.slice_end = now + SLICE;
                     self.idle_until = None;
                     return true;
                 }
@@ -259,7 +233,7 @@ pub const ASYNC_STREAM: StreamId = u64::MAX - 7;
 
 impl Scheduler for Cfq {
     fn add(&mut self, _now: SimTime, mut req: BlockRequest) {
-        if self.cfg.async_writes && req.dir.is_write() {
+        if req.dir.is_write() {
             req.stream = ASYNC_STREAM;
         }
         // A merged request lives on inside the queued one it joined.
@@ -302,15 +276,15 @@ impl Scheduler for Cfq {
                 || self
                     .streams
                     .get(&a)
-                    .is_some_and(|q| q.seek_mean > self.cfg.seeky_threshold as f64);
+                    .is_some_and(|q| q.seek_mean > SEEKY_THRESHOLD as f64);
             match self.idle_until {
                 _ if seeky => {
                     self.streams.remove(&a);
                     self.active = None;
                     self.idle_until = None;
                 }
-                None if self.cfg.slice_idle > SimDuration::ZERO => {
-                    let deadline = now + self.cfg.slice_idle;
+                None if self.slice_idle > SimDuration::ZERO => {
+                    let deadline = now + self.slice_idle;
                     self.idle_until = Some(deadline);
                     return Decision::WaitUntil(deadline);
                 }
@@ -340,7 +314,7 @@ mod tests {
     }
 
     fn cfq() -> Cfq {
-        Cfq::new(CfqConfig::default())
+        Cfq::new(DEFAULT_SLICE_IDLE)
     }
 
     #[test]
@@ -488,19 +462,18 @@ mod tests {
 
     #[test]
     fn merge_cap_prevents_oversize_requests() {
-        let mut s = Cfq::new(CfqConfig {
-            max_merge_sectors: 128,
-            ..Default::default()
-        });
+        let mut s = cfq();
         let t = SimTime::ZERO;
         s.add(t, req(1, 0, 128));
-        s.add(t, req(1, 128, 8));
+        s.add(t, req(1, 128, 128));
+        assert_eq!(s.len(), 1, "two halves merge up to the cap");
+        s.add(t, req(1, 256, 8));
         assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn without_anticipation_switches_immediately() {
-        let mut s = cfq().without_anticipation();
+    fn zero_slice_idle_switches_immediately() {
+        let mut s = Cfq::new(SimDuration::ZERO);
         let t = SimTime::ZERO;
         s.add(t, req(1, 100, 8));
         s.add(t, req(2, 900, 8));
@@ -611,7 +584,7 @@ mod tests {
     /// `add` with the unfiltered merge scan: every request, FUA or not,
     /// runs the scan over all streams. The reference for the filter.
     fn add_reference(s: &mut Cfq, mut req: BlockRequest) {
-        if s.cfg.async_writes && req.dir.is_write() {
+        if req.dir.is_write() {
             req.stream = ASYNC_STREAM;
         }
         if let Some(req) = s.merge_scan(req) {
@@ -644,19 +617,15 @@ mod tests {
     fn merge_filter_matches_the_full_scan() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // Requests on an 8-sector grid, 8 to 32 sectors long, from five
-        // streams: neighbours often abut (back and front merges) and
-        // sometimes overlap. A quarter of the adds are FUA writes.
-        let (mut back, mut front, mut fua, mut skipped) = (0, 0, 0, 0);
+        // Requests on a 32-sector grid, 32 to 128 sectors long, from
+        // five streams: neighbours often abut (back and front merges),
+        // sometimes overlap, and merge chains reach the 256-sector cap.
+        // A quarter of the adds are FUA writes.
+        let (mut back, mut front, mut fua, mut skipped, mut capped) = (0, 0, 0, 0, 0);
         for seed in 0..120u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let cfg = CfqConfig {
-                async_writes: seed % 2 == 0,
-                max_merge_sectors: [32, 64, 256][seed as usize % 3],
-                ..CfqConfig::default()
-            };
-            let mut fast = Cfq::new(cfg.clone());
-            let mut reference = Cfq::new(cfg);
+            let mut fast = cfq();
+            let mut reference = cfq();
             let mut now = SimTime::ZERO;
             let mut head = 0;
             for tag in 0..200u64 {
@@ -664,8 +633,8 @@ mod tests {
                 if rng.gen_range(0..10) < 7 {
                     let kind = rng.gen_range(0..4);
                     let dir = if kind < 2 { IoDir::Read } else { IoDir::Write };
-                    let lbn = rng.gen_range(0..48u64) * 8;
-                    let sectors = rng.gen_range(1..5u64) * 8;
+                    let lbn = rng.gen_range(0..48u64) * 32;
+                    let sectors = rng.gen_range(1..5u64) * 32;
                     let stream = rng.gen_range(0..5);
                     let mut req = BlockRequest::new(dir, lbn, sectors, stream, now, tag);
                     if kind == 3 {
@@ -690,6 +659,7 @@ mod tests {
                     let d = fast.dispatch(now, head);
                     assert_eq!(d, reference.dispatch(now, head), "seed {seed} op {tag}");
                     if let Decision::Request(r) = d {
+                        capped += usize::from(r.sectors == MAX_MERGE_SECTORS);
                         head = r.end();
                     }
                 }
@@ -712,5 +682,6 @@ mod tests {
         }
         assert!(back > 100 && front > 100, "back {back} front {front}");
         assert!(fua > 100 && skipped > 100, "fua {fua} skipped {skipped}");
+        assert!(capped > 10, "capped {capped}");
     }
 }

@@ -6,40 +6,30 @@
 //! a request that has waited longer than its direction's deadline is
 //! served next regardless of position, bounding starvation.
 
-use crate::{BlockRequest, Decision, Scheduler};
+use crate::{BlockRequest, Decision, Scheduler, MAX_MERGE_SECTORS};
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::{IoDir, Lbn};
 use std::collections::{BTreeMap, VecDeque};
 
 type QKey = (Lbn, u64);
 
-/// Deadline scheduler state.
-#[derive(Debug)]
+/// How long a read waits before it is served out of elevator order
+/// (Linux's default).
+const READ_EXPIRE: SimDuration = SimDuration::from_millis(500);
+/// The same for writes.
+const WRITE_EXPIRE: SimDuration = SimDuration::from_secs(5);
+
+/// Deadline scheduler state, with Linux's expiry times; merges are
+/// capped at [`MAX_MERGE_SECTORS`].
+#[derive(Debug, Default)]
 pub struct Deadline {
     sorted: BTreeMap<QKey, BlockRequest>,
     read_fifo: VecDeque<(SimTime, QKey)>,
     write_fifo: VecDeque<(SimTime, QKey)>,
-    read_expire: SimDuration,
-    write_expire: SimDuration,
-    max_merge_sectors: u64,
     seq: u64,
 }
 
 impl Deadline {
-    /// Creates a deadline scheduler with the Linux defaults
-    /// (reads expire after 500 ms, writes after 5 s).
-    pub fn new(max_merge_sectors: u64) -> Self {
-        Deadline {
-            sorted: BTreeMap::new(),
-            read_fifo: VecDeque::new(),
-            write_fifo: VecDeque::new(),
-            read_expire: SimDuration::from_millis(500),
-            write_expire: SimDuration::from_secs(5),
-            max_merge_sectors,
-            seq: 0,
-        }
-    }
-
     fn expired_key(&mut self, now: SimTime) -> Option<QKey> {
         for fifo in [&mut self.read_fifo, &mut self.write_fifo] {
             // Drop entries whose request was merged away or dispatched.
@@ -59,18 +49,12 @@ impl Deadline {
     }
 }
 
-impl Default for Deadline {
-    fn default() -> Self {
-        Deadline::new(256)
-    }
-}
-
 impl Scheduler for Deadline {
     fn add(&mut self, now: SimTime, req: BlockRequest) {
         // Back merge.
         if let Some((&key, _)) = self.sorted.range(..(req.lbn, 0)).next_back() {
             let queued = self.sorted.get_mut(&key).expect("key just seen");
-            if queued.can_back_merge(&req, self.max_merge_sectors) {
+            if queued.can_back_merge(&req, MAX_MERGE_SECTORS) {
                 queued.back_merge(req);
                 return;
             }
@@ -78,8 +62,7 @@ impl Scheduler for Deadline {
         // Front merge: the merged request keeps its (now stale) sort key;
         // re-key it to keep the elevator exact.
         if let Some((&key, _)) = self.sorted.range((req.end(), 0)..).next() {
-            if key.0 == req.end() && self.sorted[&key].can_front_merge(&req, self.max_merge_sectors)
-            {
+            if key.0 == req.end() && self.sorted[&key].can_front_merge(&req, MAX_MERGE_SECTORS) {
                 let mut queued = self.sorted.remove(&key).expect("key just seen");
                 queued.front_merge(req);
                 self.seq += 1;
@@ -90,8 +73,8 @@ impl Scheduler for Deadline {
         self.seq += 1;
         let key = (req.lbn, self.seq);
         let expire = match req.dir {
-            IoDir::Read => self.read_expire,
-            IoDir::Write => self.write_expire,
+            IoDir::Read => READ_EXPIRE,
+            IoDir::Write => WRITE_EXPIRE,
         };
         match req.dir {
             IoDir::Read => self.read_fifo.push_back((now + expire, key)),

@@ -461,7 +461,8 @@ impl BlockDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cfq, CfqConfig, Noop};
+    use crate::cfq::DEFAULT_SLICE_IDLE;
+    use crate::{Cfq, Noop};
     use ibridge_des::Simulation;
     use ibridge_device::{DiskProfile, IoDir, SsdProfile};
 
@@ -475,7 +476,7 @@ mod tests {
     fn disk_dev() -> BlockDevice {
         BlockDevice::new(
             StorageDev::Disk(DiskModel::new(DiskProfile::hp_mm0500())),
-            AnySched::Cfq(Cfq::new(CfqConfig::default())),
+            AnySched::Cfq(Cfq::new(DEFAULT_SLICE_IDLE)),
         )
     }
 

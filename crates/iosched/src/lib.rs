@@ -24,7 +24,7 @@ pub mod deadline;
 pub mod device;
 pub mod noop;
 
-pub use cfq::{Cfq, CfqConfig};
+pub use cfq::Cfq;
 pub use deadline::Deadline;
 pub use device::{Action, ActionList, BlockDevice, DevStats, StorageDev};
 pub use ibridge_obs::DispatchTracer;
@@ -32,6 +32,11 @@ pub use noop::Noop;
 
 use ibridge_des::SimTime;
 use ibridge_device::{DevOp, IoDir, Lbn};
+
+/// Largest merged request, in sectors (128 KB): every scheduler caps
+/// front and back merges at it, matching the dispatch sizes the paper
+/// observed.
+pub const MAX_MERGE_SECTORS: u64 = 256;
 
 /// Identifies the origin of a request for per-stream scheduling —
 /// the analogue of a Linux I/O context (one per client process here).

@@ -4,46 +4,25 @@
 //! optimisation buys nothing but adjacent-request merging still reduces
 //! per-command overhead.
 
-use crate::{BlockRequest, Decision, Scheduler};
+use crate::{BlockRequest, Decision, Scheduler, MAX_MERGE_SECTORS};
 use ibridge_des::SimTime;
 use ibridge_device::Lbn;
 use std::collections::VecDeque;
 
-/// FIFO queue with merging.
-#[derive(Debug)]
+/// FIFO queue with merging, capped at [`MAX_MERGE_SECTORS`].
+#[derive(Debug, Default)]
 pub struct Noop {
     queue: VecDeque<BlockRequest>,
-    max_merge_sectors: u64,
-}
-
-impl Noop {
-    /// Creates a Noop scheduler; merged requests are capped at
-    /// `max_merge_sectors`.
-    pub fn new(max_merge_sectors: u64) -> Self {
-        assert!(max_merge_sectors > 0);
-        Noop {
-            queue: VecDeque::new(),
-            max_merge_sectors,
-        }
-    }
-}
-
-impl Default for Noop {
-    /// 256-sector (128 KB) merge cap, matching the dispatch sizes the
-    /// paper observed.
-    fn default() -> Self {
-        Noop::new(256)
-    }
 }
 
 impl Scheduler for Noop {
     fn add(&mut self, _now: SimTime, req: BlockRequest) {
         for queued in self.queue.iter_mut() {
-            if queued.can_back_merge(&req, self.max_merge_sectors) {
+            if queued.can_back_merge(&req, MAX_MERGE_SECTORS) {
                 queued.back_merge(req);
                 return;
             }
-            if queued.can_front_merge(&req, self.max_merge_sectors) {
+            if queued.can_front_merge(&req, MAX_MERGE_SECTORS) {
                 queued.front_merge(req);
                 return;
             }
@@ -105,13 +84,13 @@ mod tests {
 
     #[test]
     fn merge_cap_respected() {
-        let mut s = Noop::new(16);
-        s.add(SimTime::ZERO, req(0, 8, 0));
-        s.add(SimTime::ZERO, req(8, 8, 1));
-        s.add(SimTime::ZERO, req(16, 8, 2)); // would exceed 16 sectors
+        let mut s = Noop::default();
+        s.add(SimTime::ZERO, req(0, 128, 0));
+        s.add(SimTime::ZERO, req(128, 128, 1));
+        s.add(SimTime::ZERO, req(256, 8, 2)); // would exceed 256 sectors
         let reqs = drain(&mut s);
         assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0].sectors, 16);
+        assert_eq!(reqs[0].sectors, 256);
         assert_eq!(reqs[1].sectors, 8);
     }
 

@@ -12,9 +12,9 @@
 //! # Example
 //!
 //! ```
-//! use ibridge_localfs::{FileHandle, FsConfig, LocalFs};
+//! use ibridge_localfs::{FileHandle, LocalFs};
 //!
-//! let mut fs = LocalFs::new(1 << 24, FsConfig::default()); // 8 GiB
+//! let mut fs = LocalFs::new(1 << 24); // 8 GiB
 //! let f = FileHandle(1);
 //! fs.preallocate(f, 1 << 20).unwrap(); // 1 MiB datafile
 //! let extents = fs.map_range(f, 0, 65536).unwrap();
@@ -56,10 +56,9 @@ impl Extent {
 /// Number of extents an [`ExtentList`] stores without heap allocation.
 ///
 /// Two covers the common cases by construction: a mapping-table entry
-/// holds "1, or 2 when the log wraps" extents, and an unfragmented file
-/// range maps to one extent (two when it crosses a block-group
-/// boundary). Longer lists (deliberate fragmentation, multi-group
-/// spans) spill to the heap transparently.
+/// holds "1, or 2 when the log wraps" extents, and a file range maps to
+/// one extent (two when it crosses a block-group boundary). Longer
+/// lists (multi-group spans) spill to the heap transparently.
 pub const EXTENT_INLINE: usize = 2;
 
 /// A list of [`Extent`]s that stores up to [`EXTENT_INLINE`] entries
@@ -263,39 +262,20 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-/// Geometry and policy knobs.
-#[derive(Debug, Clone)]
-pub struct FsConfig {
-    /// Sectors per file system block (8 = 4 KiB blocks, the Ext2 default
-    /// on the paper's testbed).
-    pub block_sectors: u64,
-    /// Sectors per block group (Ext2: 32 K blocks → 128 MiB per group).
-    pub group_sectors: u64,
-    /// Sectors reserved at the start of each group for metadata (block
-    /// bitmap, inode bitmap, inode table); creates the physical gap
-    /// between groups that breaks file extents at group boundaries.
-    pub group_meta_sectors: u64,
-    /// If set, artificially break extents every N blocks and skip one
-    /// block, to inject fragmentation for ablation experiments.
-    pub fragment_every_blocks: Option<u64>,
-}
-
-impl Default for FsConfig {
-    fn default() -> Self {
-        FsConfig {
-            block_sectors: 8,
-            group_sectors: 262_144, // 128 MiB
-            group_meta_sectors: 512,
-            fragment_every_blocks: None,
-        }
-    }
-}
+/// Sectors per file system block: 4 KiB blocks, the Ext2 default on the
+/// paper's testbed.
+pub const BLOCK_SECTORS: u64 = 8;
+/// Sectors per block group (Ext2: 32 K blocks, 128 MiB per group).
+const GROUP_SECTORS: u64 = 262_144;
+/// Sectors reserved at the start of each group for metadata (block
+/// bitmap, inode bitmap, inode table). They make the physical gap
+/// between groups that breaks file extents at group boundaries.
+const GROUP_META_SECTORS: u64 = 512;
 
 #[derive(Debug, Default)]
 struct FileMeta {
     /// block index → (start LBN, blocks) runs, coalesced when adjacent.
     runs: BTreeMap<u64, (Lbn, u64)>,
-    blocks: u64,
     pref_group: usize,
 }
 
@@ -306,22 +286,17 @@ struct Group {
 }
 
 impl Group {
-    fn free_blocks(&self, block_sectors: u64) -> u64 {
-        (self.end - self.next_free) / block_sectors
+    fn free_blocks(&self) -> u64 {
+        (self.end - self.next_free) / BLOCK_SECTORS
     }
 }
 
 /// The allocator.
 #[derive(Debug)]
 pub struct LocalFs {
-    cfg: FsConfig,
     groups: Vec<Group>,
-    /// Freed extents per group `(start LBN, blocks)`, reused before the
-    /// group's bump pointer advances.
-    free_lists: Vec<Vec<(Lbn, u64)>>,
     files: HashMap<FileHandle, FileMeta>,
     next_pref: usize,
-    used_blocks: u64,
 }
 
 impl LocalFs {
@@ -330,44 +305,20 @@ impl LocalFs {
     /// # Panics
     ///
     /// Panics if the capacity does not hold at least one group.
-    pub fn new(capacity_sectors: u64, cfg: FsConfig) -> Self {
-        assert!(cfg.block_sectors > 0 && cfg.group_sectors >= cfg.block_sectors);
-        assert!(
-            cfg.group_meta_sectors < cfg.group_sectors,
-            "metadata cannot fill a whole group"
-        );
-        let n_groups = (capacity_sectors / cfg.group_sectors) as usize;
+    pub fn new(capacity_sectors: u64) -> Self {
+        let n_groups = capacity_sectors / GROUP_SECTORS;
         assert!(n_groups > 0, "capacity smaller than one block group");
-        let groups = (0..n_groups as u64)
+        let groups = (0..n_groups)
             .map(|g| Group {
-                next_free: g * cfg.group_sectors + cfg.group_meta_sectors,
-                end: (g + 1) * cfg.group_sectors,
+                next_free: g * GROUP_SECTORS + GROUP_META_SECTORS,
+                end: (g + 1) * GROUP_SECTORS,
             })
             .collect();
-        let free_lists = vec![Vec::new(); n_groups];
         LocalFs {
-            cfg,
             groups,
-            free_lists,
             files: HashMap::default(),
             next_pref: 0,
-            used_blocks: 0,
         }
-    }
-
-    /// Number of allocated blocks across all files.
-    pub fn used_blocks(&self) -> u64 {
-        self.used_blocks
-    }
-
-    /// Total capacity in blocks.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.groups.len() as u64 * (self.cfg.group_sectors / self.cfg.block_sectors)
-    }
-
-    /// Allocated size of `file` in blocks (0 if unknown).
-    pub fn file_blocks(&self, file: FileHandle) -> u64 {
-        self.files.get(&file).map_or(0, |m| m.blocks)
     }
 
     fn meta_mut(&mut self, file: FileHandle) -> &mut FileMeta {
@@ -387,34 +338,18 @@ impl LocalFs {
     }
 
     /// Allocates one contiguous run of up to `want` blocks, preferring
-    /// `pref` group. Returns (start LBN, blocks). Freed extents are
-    /// reused before each group's bump pointer advances.
+    /// `pref` group. Returns (start LBN, blocks).
     fn alloc_run(&mut self, pref: usize, want: u64) -> Result<(Lbn, u64), FsError> {
-        let bs = self.cfg.block_sectors;
         let n = self.groups.len();
         for i in 0..n {
-            let gi = (pref + i) % n;
-            // Recycled extent first.
-            if let Some(slot) = self.free_lists[gi].iter().position(|&(_, b)| b > 0) {
-                let (lbn, blocks) = self.free_lists[gi][slot];
-                let take = want.min(blocks);
-                if take == blocks {
-                    self.free_lists[gi].swap_remove(slot);
-                } else {
-                    self.free_lists[gi][slot] = (lbn + take * bs, blocks - take);
-                }
-                self.used_blocks += take;
-                return Ok((lbn, take));
-            }
-            let g = &mut self.groups[gi];
-            let free = g.free_blocks(bs);
+            let g = &mut self.groups[(pref + i) % n];
+            let free = g.free_blocks();
             if free == 0 {
                 continue;
             }
             let take = want.min(free);
             let lbn = g.next_free;
-            g.next_free += take * bs;
-            self.used_blocks += take;
+            g.next_free += take * BLOCK_SECTORS;
             return Ok((lbn, take));
         }
         Err(FsError::NoSpace)
@@ -461,21 +396,11 @@ impl LocalFs {
         let pref = self.files[&file].pref_group;
         for (mut b, mut remaining) in missing {
             while remaining > 0 {
-                let cap = match self.cfg.fragment_every_blocks {
-                    Some(every) => remaining.min(every.max(1)),
-                    None => remaining,
-                };
-                let (lbn, got) = self.alloc_run(pref, cap)?;
-                if self.cfg.fragment_every_blocks.is_some() {
-                    // Burn one block to force a gap after this run.
-                    let _ = self.alloc_run(pref, 1);
-                }
+                let (lbn, got) = self.alloc_run(pref, remaining)?;
                 let meta = self.files.get_mut(&file).expect("exists");
                 // Coalesce with the previous run when physically adjacent.
                 let merged = match meta.runs.range_mut(..b).next_back() {
-                    Some((&rb, run))
-                        if rb + run.1 == b && run.0 + run.1 * self.cfg.block_sectors == lbn =>
-                    {
+                    Some((&rb, run)) if rb + run.1 == b && run.0 + run.1 * BLOCK_SECTORS == lbn => {
                         run.1 += got;
                         true
                     }
@@ -484,7 +409,6 @@ impl LocalFs {
                 if !merged {
                     meta.runs.insert(b, (lbn, got));
                 }
-                meta.blocks = meta.blocks.max(b + got);
                 b += got;
                 remaining -= got;
             }
@@ -496,24 +420,7 @@ impl LocalFs {
     /// experiment data sets before a run, as the paper's setup does by
     /// writing the file once).
     pub fn preallocate(&mut self, file: FileHandle, bytes: u64) -> Result<(), FsError> {
-        let bs_bytes = self.cfg.block_sectors * SECTOR_SIZE;
-        self.ensure_allocated(file, 0, bytes.div_ceil(bs_bytes))
-    }
-
-    /// Removes `file`, returning its blocks to per-group free lists so
-    /// later allocations can reuse the space (files deleted and
-    /// re-created between experiment runs).
-    pub fn truncate(&mut self, file: FileHandle) {
-        let Some(meta) = self.files.remove(&file) else {
-            return;
-        };
-        for (_, (lbn, blocks)) in meta.runs {
-            self.used_blocks -= blocks;
-            let group = (lbn / self.cfg.group_sectors) as usize;
-            if let Some(g) = self.free_lists.get_mut(group) {
-                g.push((lbn, blocks));
-            }
-        }
+        self.ensure_allocated(file, 0, bytes.div_ceil(BLOCK_SECTORS * SECTOR_SIZE))
     }
 
     /// Maps the byte range `[offset, offset + len)` of `file` to device
@@ -534,7 +441,7 @@ impl LocalFs {
             .files
             .get(&file)
             .ok_or(FsError::Unallocated { file, block: 0 })?;
-        let bs = self.cfg.block_sectors;
+        let bs = BLOCK_SECTORS;
         // Sector-align the byte range.
         let first_sector = offset / SECTOR_SIZE;
         let last_sector = (offset + len).div_ceil(SECTOR_SIZE);
@@ -570,7 +477,7 @@ mod tests {
     use super::*;
 
     fn fs() -> LocalFs {
-        LocalFs::new(1 << 22, FsConfig::default()) // 2 GiB
+        LocalFs::new(1 << 22) // 2 GiB
     }
 
     #[test]
@@ -617,7 +524,7 @@ mod tests {
         let ea = f.map_range(a, 0, 4096).unwrap();
         let eb = f.map_range(b, 0, 4096).unwrap();
         let gap = ea[0].lbn.abs_diff(eb[0].lbn);
-        assert!(gap >= FsConfig::default().group_sectors, "gap={gap}");
+        assert!(gap >= GROUP_SECTORS, "gap={gap}");
     }
 
     #[test]
@@ -656,88 +563,24 @@ mod tests {
 
     #[test]
     fn file_spanning_groups_breaks_extent() {
-        let cfg = FsConfig {
-            group_sectors: 1024, // tiny groups: 64 blocks
-            ..Default::default()
-        };
-        let mut f = LocalFs::new(1 << 20, cfg);
+        // 128 MiB groups, each missing its metadata sectors: 300 MiB
+        // spans three of them.
+        let mut f = fs();
         let h = FileHandle(1);
-        f.preallocate(h, 200 * 4096).unwrap(); // 200 blocks > 3 groups
-        let ext = f.map_range(h, 0, 200 * 4096).unwrap();
+        let bytes = 300 << 20;
+        f.preallocate(h, bytes).unwrap();
+        let ext = f.map_range(h, 0, bytes).unwrap();
         assert!(ext.len() >= 3, "must span several groups: {}", ext.len());
         let total: u64 = ext.iter().map(|e| e.sectors).sum();
-        assert_eq!(total, 1600);
+        assert_eq!(total, bytes / SECTOR_SIZE);
     }
 
     #[test]
     fn no_space_error() {
-        let cfg = FsConfig {
-            group_sectors: 1024,
-            ..Default::default()
-        };
-        let mut f = LocalFs::new(2048, cfg); // 2 tiny groups
+        let mut f = LocalFs::new(2 * GROUP_SECTORS); // 2 groups, 256 MiB
         let h = FileHandle(1);
-        let err = f.preallocate(h, 10 << 20).unwrap_err();
+        let err = f.preallocate(h, 256 << 20).unwrap_err();
         assert_eq!(err, FsError::NoSpace);
-    }
-
-    #[test]
-    fn fragmentation_injection_breaks_extents() {
-        let cfg = FsConfig {
-            fragment_every_blocks: Some(4),
-            ..Default::default()
-        };
-        let mut f = LocalFs::new(1 << 22, cfg);
-        let h = FileHandle(1);
-        f.preallocate(h, 64 * 4096).unwrap();
-        let ext = f.map_range(h, 0, 64 * 4096).unwrap();
-        assert!(ext.len() >= 16, "expected fragmented layout: {}", ext.len());
-    }
-
-    #[test]
-    fn usage_accounting() {
-        let mut f = fs();
-        assert_eq!(f.used_blocks(), 0);
-        f.preallocate(FileHandle(1), 10 * 4096).unwrap();
-        assert_eq!(f.used_blocks(), 10);
-        assert_eq!(f.file_blocks(FileHandle(1)), 10);
-        assert!(f.capacity_blocks() > 0);
-    }
-
-    #[test]
-    fn truncate_frees_and_space_is_reused() {
-        let cfg = FsConfig {
-            group_sectors: 2048,
-            group_meta_sectors: 64,
-            ..Default::default()
-        };
-        let mut f = LocalFs::new(8192, cfg); // 4 tiny groups, 992 blocks
-        let a = FileHandle(1);
-        // Nearly fill the device.
-        f.preallocate(a, 900 * 4096).unwrap();
-        assert_eq!(f.used_blocks(), 900);
-        f.truncate(a);
-        assert_eq!(f.used_blocks(), 0);
-        assert!(f.map_range(a, 0, 4096).is_err(), "file is gone");
-        // A new file of the same size only fits if the freed space is
-        // recycled.
-        let b = FileHandle(2);
-        f.preallocate(b, 900 * 4096)
-            .expect("freed extents must be recycled");
-        let total: u64 = f
-            .map_range(b, 0, 900 * 4096)
-            .unwrap()
-            .iter()
-            .map(|e| e.sectors)
-            .sum();
-        assert_eq!(total, 900 * 8);
-    }
-
-    #[test]
-    fn truncate_unknown_file_is_noop() {
-        let mut f = fs();
-        f.truncate(FileHandle(99));
-        assert_eq!(f.used_blocks(), 0);
     }
 
     #[test]

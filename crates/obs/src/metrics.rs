@@ -210,39 +210,39 @@ impl MdsAgg {
     }
 }
 
-/// Backup-log maintenance aggregates: segmented-log turnover
-/// (seal/compact/reclaim), checkpointing, and scrubbing, summed across
-/// servers and runs. Counters only — per-run gauges (live segments,
-/// live bytes) don't merge meaningfully and stay in the run report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaintAgg {
-    /// Runs that recorded maintenance activity.
-    pub runs: u64,
-    /// Maintenance ticks delivered by the writeback daemon.
+/// Counters of the background log-maintenance machinery: segmented-log
+/// compaction/GC, periodic indexed checkpoints and the cold-segment
+/// scrubber. All zero for policies without a persistent backup log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaintStats {
+    /// Maintenance ticks delivered (one per writeback-daemon tick).
     pub ticks: u64,
-    /// Ticks skipped because the cache device was busy.
+    /// Ticks skipped because the cache device was busy — maintenance
+    /// never competes with foreground I/O.
     pub busy_skips: u64,
-    /// Foreground backup records appended.
+    /// Backup records appended by the foreground path (redirected
+    /// writes, admissions, clean updates, tombstones).
     pub records_appended: u64,
-    /// Tombstone records appended for retired entries.
+    /// Tombstone records appended when live entries were retired.
     pub tombstones: u64,
-    /// Records superseded in place by clean updates.
+    /// Entries whose backup record was superseded in place (clean
+    /// update after a flush).
     pub supersedes: u64,
     /// Bytes of foreground backup records appended.
     pub backup_bytes: u64,
-    /// Segments sealed.
+    /// Segments sealed (filled to the segment size).
     pub segments_sealed: u64,
     /// Segments condemned by the compactor.
     pub segments_compacted: u64,
-    /// Condemned segments reclaimed at a later barrier.
+    /// Condemned segments reclaimed at a later maintenance barrier.
     pub segments_reclaimed: u64,
-    /// Live records rewritten by compaction.
+    /// Live records rewritten into fresh segments by compaction.
     pub records_rewritten: u64,
-    /// Bytes rewritten — the write-amplification numerator.
+    /// Bytes of rewritten records — the write-amplification numerator.
     pub rewrite_bytes: u64,
     /// Indexed checkpoints written.
     pub checkpoints: u64,
-    /// Records serialized into checkpoints.
+    /// Mapping-table records serialized into checkpoints.
     pub checkpoint_records: u64,
     /// Bytes of checkpoint images written.
     pub checkpoint_bytes: u64,
@@ -250,13 +250,20 @@ pub struct MaintAgg {
     pub scrub_segments: u64,
     /// Records CRC-verified by the scrubber.
     pub scrub_records: u64,
-    /// Latent bit-rot hits repaired before any restart saw them.
+    /// Latent bit-rot hits the scrubber detected and repaired before
+    /// they could reach a restart's recovery fsck.
     pub scrub_repairs: u64,
+    /// Current retained (non-condemned) segments (gauge).
+    pub live_segments: u64,
+    /// Current live (non-superseded) backup records (gauge).
+    pub live_records: u64,
+    /// Current live backup bytes (gauge).
+    pub live_backup_bytes: u64,
 }
 
-impl MaintAgg {
-    fn merge(&mut self, o: &MaintAgg) {
-        self.runs += o.runs;
+impl MaintStats {
+    /// Accumulates another snapshot (gauges sum across servers).
+    pub fn absorb(&mut self, o: &MaintStats) {
         self.ticks += o.ticks;
         self.busy_skips += o.busy_skips;
         self.records_appended += o.records_appended;
@@ -274,11 +281,14 @@ impl MaintAgg {
         self.scrub_segments += o.scrub_segments;
         self.scrub_records += o.scrub_records;
         self.scrub_repairs += o.scrub_repairs;
+        self.live_segments += o.live_segments;
+        self.live_records += o.live_records;
+        self.live_backup_bytes += o.live_backup_bytes;
     }
 
-    /// True if no run has recorded maintenance activity.
-    pub fn is_empty(&self) -> bool {
-        self.runs == 0
+    /// True when every counter is zero (nothing to report).
+    pub fn is_zero(&self) -> bool {
+        *self == MaintStats::default()
     }
 }
 
@@ -297,8 +307,9 @@ pub struct Registry {
     pub pdes: PdesAgg,
     /// Metadata-server aggregates.
     pub mds: MdsAgg,
-    /// Backup-log maintenance aggregates.
-    pub maint: MaintAgg,
+    /// Backup-log maintenance counters, summed over servers and runs
+    /// (gauges stay zero).
+    pub maint: MaintStats,
 }
 
 impl Registry {
@@ -311,7 +322,7 @@ impl Registry {
             servers: BTreeMap::new(),
             pdes: PdesAgg::default(),
             mds: MdsAgg::default(),
-            maint: MaintAgg::default(),
+            maint: MaintStats::default(),
         }
     }
 
@@ -320,7 +331,7 @@ impl Registry {
         self.phases.iter().all(|h| h.count() == 0)
             && self.servers.is_empty()
             && self.mds.is_empty()
-            && self.maint.is_empty()
+            && self.maint.is_zero()
     }
 
     /// Merges another registry into this one (pure addition).
@@ -338,7 +349,7 @@ impl Registry {
             self.servers.entry(s).or_default().merge(agg);
         }
         self.mds.merge(&o.mds);
-        self.maint.merge(&o.maint);
+        self.maint.absorb(&o.maint);
     }
 }
 
@@ -435,14 +446,24 @@ pub fn record_mds(agg: &MdsAgg) {
     with_local(|r| r.mds.merge(agg));
 }
 
-/// Records one run's backup-log maintenance counters. No-op unless
-/// metrics are on and some maintenance happened (stock-policy runs and
-/// maintenance-free iBridge runs leave no trace).
-pub fn record_maint(agg: &MaintAgg) {
-    if !crate::metrics_on() || agg.is_empty() {
+/// Records one run's backup-log maintenance counters, summed over its
+/// servers. The gauges (live segments, records and bytes) are per-run
+/// snapshots that do not add up across runs, so they stay out. No-op
+/// unless metrics are on and some maintenance happened (stock-policy
+/// runs and maintenance-free iBridge runs leave no trace).
+pub fn record_maint(m: &MaintStats) {
+    if !crate::metrics_on() {
         return;
     }
-    with_local(|r| r.maint.merge(agg));
+    let counters = MaintStats {
+        live_segments: 0,
+        live_records: 0,
+        live_backup_bytes: 0,
+        ..*m
+    };
+    if !counters.is_zero() {
+        with_local(|r| r.maint.absorb(&counters));
+    }
 }
 
 /// Merges the calling thread's local registry into the global one.

@@ -8,6 +8,12 @@ use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
 use ibridge_net::NetDecision;
 use rand::Rng;
 
+/// Maximum per-request client-side jitter (OS scheduling noise, network
+/// variance), drawn uniformly. This is what desynchronises the processes
+/// — the paper's "nondeterminism of parallel execution" that defeats
+/// in-kernel prefetching and merging.
+const CLIENT_JITTER: SimDuration = SimDuration::from_millis(10);
+
 /// Client-side in-flight record of one sub-request, kept only while a
 /// fault plan is armed: the original message for retransmission, the
 /// attempt count, and the pending timeout timer.
@@ -112,10 +118,8 @@ impl Run<'_> {
         };
         self.proc_iter[proc] += 1;
         self.think_time += item.think;
-        let jitter = match self.cfg.client_jitter.as_nanos() {
-            0 => SimDuration::ZERO,
-            max => SimDuration::from_nanos(self.coord.jitter_rng.gen_range(0..max)),
-        };
+        let jitter =
+            SimDuration::from_nanos(self.coord.jitter_rng.gen_range(0..CLIENT_JITTER.as_nanos()));
         sim.post_in(
             COORD,
             COORD,

@@ -71,10 +71,10 @@ use stats::{TOTAL_AUDITS, TOTAL_EVENTS};
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of data servers (the paper's testbed: 8).
+    /// Number of data servers (the paper's testbed: 8). Files stripe
+    /// over them in PVFS2's default 64 KB units
+    /// ([`Layout::default_with_servers`]).
     pub n_servers: usize,
-    /// Stripe unit in bytes (PVFS2 default: 64 KB).
-    pub stripe_unit: u64,
     /// Interconnect parameters.
     pub link: LinkConfig,
     /// Per-server configuration.
@@ -90,13 +90,6 @@ pub struct ClusterConfig {
     /// metadata group; the field stays only because the `ibench` package
     /// still sets it, and goes with ibench's hetero-pdes `mds_replicas: 3`.
     pub mds_replicas: usize,
-    /// Interval of the writeback daemon's idle check.
-    pub writeback_interval: SimDuration,
-    /// Maximum per-request client-side jitter (OS scheduling noise,
-    /// network variance), drawn uniformly. This is what desynchronises
-    /// the processes — the paper's "nondeterminism of parallel
-    /// execution" that defeats in-kernel prefetching and merging.
-    pub client_jitter: SimDuration,
     /// Experiment seed (jitter and any stochastic workload draws).
     pub seed: u64,
     /// Ignored: every run dispatches on one calendar at any value. This
@@ -124,15 +117,12 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             n_servers: 8,
-            stripe_unit: 64 * 1024,
             link: LinkConfig::qdr_infiniband(),
             server: ServerConfig::default(),
             threshold: 20 * 1024,
             flag_fragments: false,
             report_interval: SimDuration::from_secs(1),
             mds_replicas: 1,
-            writeback_interval: SimDuration::from_millis(100),
-            client_jitter: SimDuration::from_millis(10),
             seed: 42,
             shards: 1,
             threads: 1,
@@ -140,6 +130,9 @@ impl Default for ClusterConfig {
         }
     }
 }
+
+/// Interval of each server's writeback daemon (its idle check).
+const WRITEBACK_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// Node id of the client/MDS coordinator.
 const COORD: u16 = 0;
@@ -363,7 +356,7 @@ impl Cluster {
 
     /// The striping layout used for all files.
     pub fn layout(&self) -> Layout {
-        Layout::new(self.cfg.stripe_unit, self.cfg.n_servers)
+        Layout::default_with_servers(self.cfg.n_servers)
     }
 
     /// The configuration.
@@ -380,7 +373,7 @@ impl Cluster {
     /// (the experiment data sets exist before measurement, as in the
     /// paper's setup).
     pub fn preallocate(&mut self, file: FileHandle, logical_bytes: u64) {
-        let layout = Layout::new(self.cfg.stripe_unit, self.cfg.n_servers);
+        let layout = self.layout();
         let su = layout.stripe_unit;
         let units = logical_bytes.div_ceil(su);
         for (s, cell) in self.servers.iter_mut().enumerate() {
@@ -477,12 +470,8 @@ impl Cluster {
                 let node = srv_node(server);
                 self.sim
                     .post_in(node, node, self.cfg.report_interval, Ev::Report { server });
-                self.sim.post_in(
-                    node,
-                    node,
-                    self.cfg.writeback_interval,
-                    Ev::WritebackTick { server },
-                );
+                self.sim
+                    .post_in(node, node, WRITEBACK_INTERVAL, Ev::WritebackTick { server });
             }
         }
 
@@ -617,38 +606,11 @@ impl Cluster {
             .collect();
         #[cfg(feature = "obs")]
         if ibridge_obs::metrics_on() {
-            // Fold this run's maintenance counters across servers. Gauges
-            // are per-run snapshots, not monotone — keep them out of the
-            // registry's sums.
             let mut m = MaintStats::default();
             for s in &servers {
                 m.absorb(&s.maint);
             }
-            m.live_segments = 0;
-            m.live_records = 0;
-            m.live_backup_bytes = 0;
-            if !m.is_zero() {
-                ibridge_obs::metrics::record_maint(&ibridge_obs::metrics::MaintAgg {
-                    runs: 1,
-                    ticks: m.ticks,
-                    busy_skips: m.busy_skips,
-                    records_appended: m.records_appended,
-                    tombstones: m.tombstones,
-                    supersedes: m.supersedes,
-                    backup_bytes: m.backup_bytes,
-                    segments_sealed: m.segments_sealed,
-                    segments_compacted: m.segments_compacted,
-                    segments_reclaimed: m.segments_reclaimed,
-                    records_rewritten: m.records_rewritten,
-                    rewrite_bytes: m.rewrite_bytes,
-                    checkpoints: m.checkpoints,
-                    checkpoint_records: m.checkpoint_records,
-                    checkpoint_bytes: m.checkpoint_bytes,
-                    scrub_segments: m.scrub_segments,
-                    scrub_records: m.scrub_records,
-                    scrub_repairs: m.scrub_repairs,
-                });
-            }
+            ibridge_obs::metrics::record_maint(&m);
         }
         RunStats {
             elapsed: end - start,

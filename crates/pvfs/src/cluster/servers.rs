@@ -2,7 +2,7 @@
 //! post-event tail that follows every server event.
 
 use super::faults::net_decision;
-use super::{srv_node, Ev, Run, COORD};
+use super::{srv_node, Ev, Run, COORD, WRITEBACK_INTERVAL};
 use crate::server::{DataServer, DevKind, JobId, ServerOut};
 use ibridge_des::{SimTime, Simulation};
 use ibridge_iosched::Action;
@@ -184,12 +184,7 @@ impl Run<'_> {
         }
         if !self.draining {
             let node = srv_node(server);
-            sim.post_in(
-                node,
-                node,
-                self.cfg.writeback_interval,
-                Ev::WritebackTick { server },
-            );
+            sim.post_in(node, node, WRITEBACK_INTERVAL, Ev::WritebackTick { server });
         }
     }
 

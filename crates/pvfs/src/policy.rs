@@ -11,6 +11,7 @@ use ibridge_des::SimTime;
 use ibridge_device::Lbn;
 use ibridge_faults::RotTarget;
 use ibridge_localfs::{ExtentList, FileHandle};
+pub use ibridge_obs::metrics::MaintStats;
 
 /// Identifier of a cache entry, assigned by the policy.
 pub type EntryId = u64;
@@ -92,88 +93,6 @@ pub struct CacheStats {
     pub fragment_admissions: u64,
     /// Post-read admissions into the random partition.
     pub random_admissions: u64,
-}
-
-/// Counters of the background log-maintenance machinery: segmented-log
-/// compaction/GC, periodic indexed checkpoints and the cold-segment
-/// scrubber. All zero for policies without a persistent backup log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintStats {
-    /// Maintenance ticks delivered (one per writeback-daemon tick).
-    pub ticks: u64,
-    /// Ticks skipped because the cache device was busy — maintenance
-    /// never competes with foreground I/O.
-    pub busy_skips: u64,
-    /// Backup records appended by the foreground path (redirected
-    /// writes, admissions, clean updates, tombstones).
-    pub records_appended: u64,
-    /// Tombstone records appended when live entries were retired.
-    pub tombstones: u64,
-    /// Entries whose backup record was superseded in place (clean
-    /// update after a flush).
-    pub supersedes: u64,
-    /// Bytes of foreground backup records appended.
-    pub backup_bytes: u64,
-    /// Segments sealed (filled to the segment size).
-    pub segments_sealed: u64,
-    /// Segments condemned by the compactor.
-    pub segments_compacted: u64,
-    /// Condemned segments reclaimed at a later maintenance barrier.
-    pub segments_reclaimed: u64,
-    /// Live records rewritten into fresh segments by compaction.
-    pub records_rewritten: u64,
-    /// Bytes of rewritten records — the write-amplification numerator.
-    pub rewrite_bytes: u64,
-    /// Indexed checkpoints written.
-    pub checkpoints: u64,
-    /// Mapping-table records serialized into checkpoints.
-    pub checkpoint_records: u64,
-    /// Bytes of checkpoint images written.
-    pub checkpoint_bytes: u64,
-    /// Cold segments walked by the scrubber.
-    pub scrub_segments: u64,
-    /// Records CRC-verified by the scrubber.
-    pub scrub_records: u64,
-    /// Latent bit-rot hits the scrubber detected and repaired before
-    /// they could reach a restart's recovery fsck.
-    pub scrub_repairs: u64,
-    /// Current retained (non-condemned) segments (gauge).
-    pub live_segments: u64,
-    /// Current live (non-superseded) backup records (gauge).
-    pub live_records: u64,
-    /// Current live backup bytes (gauge).
-    pub live_backup_bytes: u64,
-}
-
-impl MaintStats {
-    /// Accumulates another snapshot (gauges sum across servers).
-    pub fn absorb(&mut self, o: &MaintStats) {
-        self.ticks += o.ticks;
-        self.busy_skips += o.busy_skips;
-        self.records_appended += o.records_appended;
-        self.tombstones += o.tombstones;
-        self.supersedes += o.supersedes;
-        self.backup_bytes += o.backup_bytes;
-        self.segments_sealed += o.segments_sealed;
-        self.segments_compacted += o.segments_compacted;
-        self.segments_reclaimed += o.segments_reclaimed;
-        self.records_rewritten += o.records_rewritten;
-        self.rewrite_bytes += o.rewrite_bytes;
-        self.checkpoints += o.checkpoints;
-        self.checkpoint_records += o.checkpoint_records;
-        self.checkpoint_bytes += o.checkpoint_bytes;
-        self.scrub_segments += o.scrub_segments;
-        self.scrub_records += o.scrub_records;
-        self.scrub_repairs += o.scrub_repairs;
-        self.live_segments += o.live_segments;
-        self.live_records += o.live_records;
-        self.live_backup_bytes += o.live_backup_bytes;
-    }
-
-    /// True when every counter is zero (nothing to report).
-    pub fn is_zero(&self) -> bool {
-        *self == MaintStats::default()
-    }
 }
 
 /// Outcome of recovering the on-SSD mapping-table backup after a server

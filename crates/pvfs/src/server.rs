@@ -24,10 +24,10 @@ use ibridge_des::fxhash::FxHashMap as HashMap;
 use ibridge_des::{SimDuration, SimTime};
 use ibridge_device::{DiskModel, DiskProfile, IoDir, SsdModel, SsdProfile};
 use ibridge_iosched::{
-    Action, ActionList, AnySched, BlockDevice, BlockRequest, Cfq, CfqConfig, Deadline, Noop,
-    StorageDev, StreamId,
+    Action, ActionList, AnySched, BlockDevice, BlockRequest, Cfq, Deadline, Noop, StorageDev,
+    StreamId,
 };
-use ibridge_localfs::{Extent, FileHandle, FsConfig, LocalFs};
+use ibridge_localfs::{Extent, FileHandle, LocalFs, BLOCK_SECTORS, SECTOR_SIZE};
 
 /// Identifies a client job (one sub-request being served).
 pub type JobId = u64;
@@ -37,6 +37,22 @@ pub type JobId = u64;
 pub const ADMISSION_STREAM: StreamId = u64::MAX - 1;
 /// Stream id used for writeback I/O (the flusher-thread analogue).
 pub const FLUSH_STREAM: StreamId = u64::MAX;
+
+/// Per-sub-request server CPU cost (request decoding, Trove/BMI
+/// bookkeeping); serialises on one core.
+const OP_OVERHEAD: SimDuration = SimDuration::from_micros(150);
+
+/// Maximum bytes flushed per writeback round.
+const WRITEBACK_BATCH: u64 = 4 << 20;
+
+/// Kernel-readahead model: a disk read starting within this many bytes
+/// after the datafile's current read cursor is extended backwards to the
+/// cursor, filling the hole. This is what turns iBridge's fragment holes
+/// into the large sequential dispatches of Fig. 5.
+const RA_FILL: u64 = 64 * 1024;
+
+/// Bytes per local file system block.
+const BLOCK_BYTES: u64 = BLOCK_SECTORS * SECTOR_SIZE;
 
 /// Which of the server's block devices an action belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,37 +75,25 @@ pub enum DiskSched {
     Noop,
 }
 
-/// Static per-server configuration.
+/// Static per-server configuration. Every server's SSD, cache or
+/// primary, is the paper's [`SsdProfile::hp_mk0120`]; the local file
+/// system is Ext2 with 4 KiB blocks (`ibridge_localfs`).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Disk model parameters.
     pub disk: DiskProfile,
-    /// SSD model parameters (cache device, or primary in SSD-only mode).
-    pub ssd: SsdProfile,
     /// Scheduler for the primary disk.
     pub disk_sched: DiskSched,
     /// Device queue depth of the primary disk (NCQ). 1 disables
     /// device-side reordering.
     pub ncq_depth: usize,
-    /// CFQ parameters for the disk.
-    pub cfq: CfqConfig,
-    /// Local file system parameters.
-    pub fs: FsConfig,
+    /// CFQ's anticipation window on the disk (Linux: 8 ms); zero
+    /// disables anticipation.
+    pub cfq_slice_idle: SimDuration,
     /// Use an SSD as the primary device (Fig. 10's "SSD-only").
     pub primary_is_ssd: bool,
     /// Attach an SSD cache device (required for iBridge policies).
     pub with_cache_dev: bool,
-    /// Per-sub-request server CPU cost (request decoding, Trove/BMI
-    /// bookkeeping); serialises on one core.
-    pub op_overhead: SimDuration,
-    /// Maximum bytes flushed per writeback round.
-    pub writeback_batch: u64,
-    /// Kernel-readahead model: a disk read starting within this many
-    /// bytes after the datafile's current read cursor is extended
-    /// backwards to the cursor, filling the hole (this is what turns
-    /// iBridge's fragment-holes into the large sequential dispatches of
-    /// Fig. 5). Zero disables readahead.
-    pub ra_fill: u64,
     /// Page-cache budget for readahead bytes, per datafile.
     pub ra_budget: u64,
 }
@@ -98,16 +102,11 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             disk: DiskProfile::hp_mm0500(),
-            ssd: SsdProfile::hp_mk0120(),
             disk_sched: DiskSched::Cfq,
             ncq_depth: 1,
-            cfq: CfqConfig::default(),
-            fs: FsConfig::default(),
+            cfq_slice_idle: ibridge_iosched::cfq::DEFAULT_SLICE_IDLE,
             primary_is_ssd: false,
             with_cache_dev: false,
-            op_overhead: SimDuration::from_micros(150),
-            writeback_batch: 4 << 20,
-            ra_fill: 64 * 1024,
             ra_budget: 8 << 20,
         }
     }
@@ -277,18 +276,24 @@ pub struct DataServer {
     cache_lost: bool,
 }
 
+/// An SSD behind Noop: the cache device, or the primary in SSD-only
+/// mode.
+fn ssd_device() -> BlockDevice {
+    BlockDevice::new(
+        StorageDev::Ssd(SsdModel::new(SsdProfile::hp_mk0120())),
+        AnySched::Noop(Noop::default()),
+    )
+}
+
 /// Builds the primary block device described by `cfg`.
 fn make_primary(cfg: &ServerConfig) -> BlockDevice {
     if cfg.primary_is_ssd {
-        BlockDevice::new(
-            StorageDev::Ssd(SsdModel::new(cfg.ssd.clone())),
-            AnySched::Noop(Noop::default()),
-        )
+        ssd_device()
     } else {
         let sched = match cfg.disk_sched {
-            DiskSched::Cfq => AnySched::Cfq(Cfq::new(cfg.cfq.clone())),
-            DiskSched::Deadline => AnySched::Deadline(Deadline::new(cfg.cfq.max_merge_sectors)),
-            DiskSched::Noop => AnySched::Noop(Noop::new(cfg.cfq.max_merge_sectors)),
+            DiskSched::Cfq => AnySched::Cfq(Cfq::new(cfg.cfq_slice_idle)),
+            DiskSched::Deadline => AnySched::Deadline(Deadline::default()),
+            DiskSched::Noop => AnySched::Noop(Noop::default()),
         };
         BlockDevice::with_ncq(
             StorageDev::Disk(DiskModel::new(cfg.disk.clone())),
@@ -300,12 +305,7 @@ fn make_primary(cfg: &ServerConfig) -> BlockDevice {
 
 /// Builds the cache block device described by `cfg`, if configured.
 fn make_cache(cfg: &ServerConfig) -> Option<BlockDevice> {
-    cfg.with_cache_dev.then(|| {
-        BlockDevice::new(
-            StorageDev::Ssd(SsdModel::new(cfg.ssd.clone())),
-            AnySched::Noop(Noop::default()),
-        )
-    })
+    cfg.with_cache_dev.then(ssd_device)
 }
 
 impl DataServer {
@@ -314,7 +314,7 @@ impl DataServer {
         let primary = make_primary(&cfg);
         let cache = make_cache(&cfg);
         let fs_capacity = if cfg.primary_is_ssd {
-            cfg.ssd.capacity_sectors
+            SsdProfile::hp_mk0120().capacity_sectors
         } else {
             cfg.disk.capacity_sectors
         };
@@ -322,7 +322,7 @@ impl DataServer {
             id,
             primary,
             cache,
-            fs: LocalFs::new(fs_capacity, cfg.fs.clone()),
+            fs: LocalFs::new(fs_capacity),
             policy,
             cfg,
             cpu_free: SimTime::ZERO,
@@ -400,7 +400,7 @@ impl DataServer {
     /// can start executing.
     pub fn cpu_admit(&mut self, now: SimTime) -> SimTime {
         let start = self.cpu_free.max(now);
-        self.cpu_free = start + self.cfg.op_overhead;
+        self.cpu_free = start + OP_OVERHEAD;
         self.cpu_free
     }
 
@@ -488,7 +488,6 @@ impl DataServer {
         sub: SubRequest,
         out: &mut ServerOut,
     ) {
-        let block_bytes = self.cfg.fs.block_sectors * ibridge_localfs::SECTOR_SIZE;
         // Read-modify-write: a write whose edges are not block-aligned
         // must first read the partially-overwritten blocks when they hold
         // prior data that is not in the page cache — the block-level
@@ -499,42 +498,42 @@ impl DataServer {
             // At most two partial edges (first and last block).
             let mut edge_blocks = [0u64; 2];
             let mut n_edges = 0;
-            if !sub.offset.is_multiple_of(block_bytes) {
-                edge_blocks[n_edges] = sub.offset / block_bytes;
+            if !sub.offset.is_multiple_of(BLOCK_BYTES) {
+                edge_blocks[n_edges] = sub.offset / BLOCK_BYTES;
                 n_edges += 1;
             }
             let end = sub.offset + sub.len;
             // Skip the end edge only when it is the same block as an
             // actually-recorded start edge (a sub-block write).
-            if !end.is_multiple_of(block_bytes)
-                && (n_edges == 0 || end / block_bytes != edge_blocks[0])
+            if !end.is_multiple_of(BLOCK_BYTES)
+                && (n_edges == 0 || end / BLOCK_BYTES != edge_blocks[0])
             {
-                edge_blocks[n_edges] = end / block_bytes;
+                edge_blocks[n_edges] = end / BLOCK_BYTES;
                 n_edges += 1;
             }
             for &block in &edge_blocks[..n_edges] {
                 let allocated = self
                     .fs
-                    .map_range(sub.file, block * block_bytes, block_bytes)
+                    .map_range(sub.file, block * BLOCK_BYTES, BLOCK_BYTES)
                     .is_ok();
                 let warm = self
                     .ra
                     .get(&sub.file)
-                    .is_some_and(|ra| ra.covered(block * block_bytes, block_bytes));
+                    .is_some_and(|ra| ra.covered(block * BLOCK_BYTES, BLOCK_BYTES));
                 if allocated && !warm {
                     rmw_edges += 1;
                 }
             }
             // The written (and RMW-read) bytes populate the page cache.
             let budget = self.cfg.ra_budget;
-            let cache_start = sub.offset / block_bytes * block_bytes;
-            let cache_len = end.div_ceil(block_bytes) * block_bytes - cache_start;
+            let cache_start = sub.offset / BLOCK_BYTES * BLOCK_BYTES;
+            let cache_len = end.div_ceil(BLOCK_BYTES) * BLOCK_BYTES - cache_start;
             self.ra
                 .entry(sub.file)
                 .or_default()
                 .record(cache_start, cache_len, budget);
-            let first = sub.offset / block_bytes;
-            let last = (sub.offset + sub.len - 1) / block_bytes;
+            let first = sub.offset / BLOCK_BYTES;
+            let last = (sub.offset + sub.len - 1) / BLOCK_BYTES;
             self.fs
                 .ensure_allocated(sub.file, first, last - first + 1)
                 .expect("server device out of space");
@@ -570,13 +569,12 @@ impl DataServer {
                 // to the cursor, filling small holes so the disk sees a
                 // sequential stream.
                 let mut extents = extents;
-                if sub.dir.is_read() && self.cfg.ra_fill > 0 {
+                if sub.dir.is_read() {
                     let budget = self.cfg.ra_budget;
-                    let fill = self.cfg.ra_fill;
                     let ra = self.ra.entry(sub.file).or_default();
                     let start = if ra.cursor > 0
                         && sub.offset >= ra.cursor
-                        && sub.offset - ra.cursor <= fill
+                        && sub.offset - ra.cursor <= RA_FILL
                     {
                         ra.cursor
                     } else {
@@ -751,7 +749,7 @@ impl DataServer {
         if !force && !self.primary.is_idle() {
             return;
         }
-        let batch = self.policy.flush_batch(now, self.cfg.writeback_batch);
+        let batch = self.policy.flush_batch(now, WRITEBACK_BATCH);
         for op in batch {
             let extents = op.ssd_extents.clone();
             let kind = GroupKind::FlushRead(op);
@@ -941,7 +939,6 @@ mod tests {
     fn write_then_read_roundtrip() {
         // Disable the page-cache model so the read actually hits the disk.
         let cfg = ServerConfig {
-            ra_fill: 0,
             ra_budget: 0,
             ..Default::default()
         };
@@ -1005,12 +1002,12 @@ mod tests {
         let t = SimTime::ZERO;
         let a = s.cpu_admit(t);
         let b = s.cpu_admit(t);
-        assert_eq!(a, t + ServerConfig::default().op_overhead);
-        assert_eq!(b, a + ServerConfig::default().op_overhead);
+        assert_eq!(a, t + OP_OVERHEAD);
+        assert_eq!(b, a + OP_OVERHEAD);
         // After an idle gap the CPU is free immediately.
         let later = SimTime::from_secs(5);
         let c = s.cpu_admit(later);
-        assert_eq!(c, later + ServerConfig::default().op_overhead);
+        assert_eq!(c, later + OP_OVERHEAD);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! `compute_per_step`, then writes its share of `data_bytes / steps` in
 //! `request_size()`-byte records scattered over the file by a bijective
 //! permutation (disjoint, deterministic, random-looking — the diagonal
-//! BT decomposition).
+//! BT decomposition). After the last phase every process reads its
+//! records back (BTIO's verification step). This is what makes the SSD
+//! cache capacity matter in Fig. 11: reads hit the cache only for data
+//! still in the log.
 
 use ibridge_des::SimDuration;
 use ibridge_device::IoDir;
@@ -43,11 +46,6 @@ pub struct Btio {
     pub steps: u64,
     /// Per-process compute time before each write phase.
     pub compute_per_step: SimDuration,
-    /// Read the solution back after the last write phase (BTIO's
-    /// verification step). This is what makes the SSD cache capacity
-    /// matter in Fig. 11: reads hit the cache only for data still in
-    /// the log.
-    pub verify: bool,
     reqs_per_step: u64,
     req_size: u64,
     slots: u64,
@@ -87,25 +85,12 @@ impl Btio {
             data_bytes: slots * req_size,
             steps,
             compute_per_step,
-            verify: true,
             reqs_per_step,
             req_size,
             slots,
             multiplier,
             verify_multiplier,
         }
-    }
-
-    /// Disables the verification read-back phase.
-    pub fn without_verify(mut self) -> Self {
-        self.verify = false;
-        self
-    }
-
-    /// The paper's scaled-down default: 256 MB over 16 steps with 50 ms
-    /// of compute per step (class C is 6.8 GB; the shape is preserved).
-    pub fn scaled(file: FileHandle, procs: usize) -> Self {
-        Btio::new(file, procs, 256 << 20, 16, SimDuration::from_millis(50))
     }
 
     /// Per-request size: ≈2160 B at 9 processes, ≈640 B at 100
@@ -145,8 +130,7 @@ impl Workload for Btio {
 
     fn next(&mut self, proc: usize, iter: u64) -> Option<WorkItem> {
         let writes = self.steps * self.reqs_per_step;
-        let total = if self.verify { 2 * writes } else { writes };
-        if iter >= total {
+        if iter >= 2 * writes {
             return None;
         }
         if iter >= writes {
@@ -253,8 +237,10 @@ mod tests {
 
     #[test]
     fn workload_terminates() {
-        let mut b = Btio::new(FileHandle(1), 9, 1 << 18, 2, SimDuration::ZERO).without_verify();
-        let total = b.steps * b.reqs_per_step;
+        // Both phases: the writes, then the verification reads.
+        let mut b = Btio::new(FileHandle(1), 9, 1 << 18, 2, SimDuration::ZERO);
+        let total = 2 * b.steps * b.reqs_per_step;
+        assert!(b.next(0, total - 1).is_some());
         assert!(b.next(0, total).is_none());
     }
 

@@ -239,47 +239,31 @@ impl Trace {
     }
 }
 
-/// Replays a trace. The paper replays with a single synchronous process
+/// Replays a trace with a single synchronous process, as the paper does
 /// (§III.E: the traces record offset and size but not the issuing
-/// process); [`TraceReplay::with_procs`] additionally supports
-/// round-robin multi-process replay to study the same trace under
-/// concurrency.
+/// process).
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
     /// The trace to replay.
     pub trace: Trace,
     /// Target file.
     pub file: FileHandle,
-    procs: usize,
 }
 
 impl TraceReplay {
-    /// Creates a single-process replayer (the paper's method).
+    /// Creates the replayer.
     pub fn new(trace: Trace, file: FileHandle) -> Self {
-        TraceReplay {
-            trace,
-            file,
-            procs: 1,
-        }
-    }
-
-    /// Splits the records round-robin among `procs` synchronous
-    /// processes.
-    pub fn with_procs(mut self, procs: usize) -> Self {
-        assert!(procs >= 1);
-        self.procs = procs;
-        self
+        TraceReplay { trace, file }
     }
 }
 
 impl Workload for TraceReplay {
     fn procs(&self) -> usize {
-        self.procs
+        1
     }
 
-    fn next(&mut self, proc: usize, iter: u64) -> Option<WorkItem> {
-        let idx = iter as usize * self.procs + proc;
-        let r = self.trace.records.get(idx)?;
+    fn next(&mut self, _proc: usize, iter: u64) -> Option<WorkItem> {
+        let r = self.trace.records.get(iter as usize)?;
         Some(WorkItem {
             req: FileRequest {
                 dir: r.dir,
@@ -384,25 +368,6 @@ mod tests {
         assert_eq!(second.req.offset, 1024);
         assert!(second.req.dir.is_write());
         assert!(w.next(0, 2).is_none());
-    }
-
-    #[test]
-    fn multi_proc_replay_partitions_the_records() {
-        let t = Trace::synthesize(&AppProfile::alegra_2744(), 10, 1 << 28, 3);
-        let mut w = TraceReplay::new(t.clone(), FileHandle(1)).with_procs(3);
-        assert_eq!(w.procs(), 3);
-        let mut replayed = Vec::new();
-        for proc in 0..3 {
-            let mut iter = 0;
-            while let Some(item) = w.next(proc, iter) {
-                replayed.push((item.req.offset, item.req.len));
-                iter += 1;
-            }
-        }
-        let mut expect: Vec<(u64, u64)> = t.records.iter().map(|r| (r.offset, r.len)).collect();
-        replayed.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(replayed, expect, "every record replayed exactly once");
     }
 
     #[test]

@@ -220,7 +220,7 @@ fn trace_replay_round_trips_through_the_cluster() {
 #[test]
 fn ssd_only_beats_disk_only_for_tiny_requests() {
     let run = |mut c: Cluster| {
-        let mut w = Btio::new(FILE, 9, 2 << 20, 2, SimDuration::ZERO).without_verify();
+        let mut w = Btio::new(FILE, 9, 2 << 20, 2, SimDuration::ZERO);
         c.preallocate(FILE, w.span_bytes() + (1 << 20));
         c.run(&mut w).elapsed
     };

@@ -18,12 +18,18 @@
 //!    restart (every cluster run here has the auditor armed).
 //! 5. **Auditor inertness** — the auditor is read-only: a faultless run
 //!    with it enabled is byte-identical to one without it.
+//! 6. **Impossible records are rejected** — a backup record whose CRC is
+//!    valid but whose content no genuine record can have is quarantined
+//!    by recovery, never replayed and never a panic.
 
+use ibridge_repro::core::record::{self, LogRecord, RecordVerdict};
 use ibridge_repro::core::{IBridgeConfig, IBridgePolicy};
+use ibridge_repro::localfs::{Extent, ExtentList};
 use ibridge_repro::prelude::*;
 use ibridge_repro::pvfs::{CachePolicy, LogCorruption, Placement, RotTarget};
 use ibridge_repro::workloads::CheckpointWorkload;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const KB: u64 = 1024;
 const MB: u64 = 1 << 20;
@@ -439,6 +445,109 @@ proptest! {
         prop_assert_eq!(r2.records_quarantined, 0);
         prop_assert_eq!(r2.dirty_bytes_lost, 0);
         p.audit().expect("second restart is consistent");
+    }
+}
+
+/// The SSD partition of the experiments, and its length in sectors.
+const SSD_BYTES: u64 = 10 << 30;
+const LOG_SECTORS: u64 = SSD_BYTES / 512;
+
+fn decode(sealed: &ibridge_repro::core::SealedRecord) -> LogRecord {
+    match record::verify(sealed) {
+        RecordVerdict::Intact(rec) => rec,
+        v => panic!("a fresh backup record must verify: {v:?}"),
+    }
+}
+
+/// Rewrites `rec` into something no genuine record can be. `x` picks
+/// the details; `first` is a live record the mutation may collide with.
+fn make_impossible(rec: &mut LogRecord, kind: u8, x: u64, first: &LogRecord) {
+    let e = rec.extents[0];
+    match kind % 12 {
+        // An extent past the end of the log.
+        0 => rec.extents[0].lbn = LOG_SECTORS - e.sectors + 1 + x % 1000,
+        // An extent whose end wraps around u64.
+        1 => rec.extents[0].lbn = u64::MAX - x % e.sectors,
+        // Two copies of one extent, the length doubled to match.
+        2 => {
+            rec.extents = ExtentList::two(e, e);
+            rec.len = 2 * e.sectors * 512;
+        }
+        // The extents of another live record.
+        3 => rec.extents = first.extents.clone(),
+        // 4 GiB or more: no mapping-table entry is that long, though a
+        // 10 GiB log holds the extent.
+        4 => {
+            rec.len = (4 << 30) + x % (1 << 20);
+            let sectors = rec.len.div_ceil(512);
+            rec.extents = ExtentList::one(Extent {
+                lbn: LOG_SECTORS - sectors,
+                sectors,
+            });
+        }
+        // A range running past the end of the offset space.
+        5 => rec.offset = u64::MAX - x % rec.len,
+        6 => rec.ret = f64::NAN,
+        7 => rec.ret = f64::INFINITY,
+        8 => rec.ret = f64::NEG_INFINITY,
+        // A tombstone carrying a payload.
+        9 => {
+            rec.tombstone = true;
+            rec.dirty = false;
+        }
+        // An empty extent beside the real one.
+        10 => rec.extents.push(Extent {
+            lbn: x % LOG_SECTORS,
+            sectors: 0,
+        }),
+        // An empty range.
+        _ => rec.len = 0,
+    }
+}
+
+proptest! {
+    /// Recovery rejects impossible backup records instead of panicking.
+    /// Each mutated record is re-sealed, so its CRC is valid and only
+    /// recovery's own checks stand between it and the mapping table.
+    /// At the experiments' 10 GiB capacity, recovery quarantines every
+    /// mutated record, loses exactly the dirty bytes of the entries they
+    /// described, keeps every other entry, and passes its audit.
+    #[test]
+    fn impossible_records_are_quarantined(
+        n in 2usize..24,
+        picks in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 1..8),
+    ) {
+        let cfg = IBridgeConfig::with_capacity(0, SSD_BYTES);
+        let mut p = IBridgePolicy::new(cfg.clone());
+        let dirty: Vec<u64> = (0..n as u64).map(|i| (i + 1) * MB).collect();
+        seed_entries(&mut p, &dirty, &[]);
+        let mut state = p.snapshot();
+        let records = state.records_mut();
+        prop_assert_eq!(records.len(), n);
+        let first = decode(&records[0]);
+        let mut mutated = BTreeSet::new();
+        for &(at, kind, x) in &picks {
+            // Record 0 stays genuine: mutation 3 collides with it.
+            let i = 1 + (at % (n as u64 - 1)) as usize;
+            if mutated.insert(i) {
+                let mut rec = decode(&records[i]);
+                make_impossible(&mut rec, kind, x, &first);
+                records[i] = rec.seal();
+            }
+        }
+
+        let (mut r, fsck) = IBridgePolicy::recover_with_report(cfg, &state);
+        let lost = mutated.len() as u64;
+        prop_assert_eq!(fsck.records_scanned, n as u64);
+        prop_assert_eq!(fsck.records_quarantined, lost);
+        prop_assert_eq!(fsck.dirty_entries_kept, n as u64 - lost);
+        prop_assert_eq!(n as u64 * KB - fsck.dirty_bytes_kept, lost * KB, "dirty bytes lost");
+        prop_assert_eq!(r.dirty_bytes(), fsck.dirty_bytes_kept);
+        prop_assert!(r.audit().is_ok(), "{:?}", r.audit());
+        for (i, &off) in dirty.iter().enumerate() {
+            let pl = r.place(SimTime::ZERO, &frag(IoDir::Read, off, KB), 900_000_000);
+            prop_assert_eq!(matches!(pl, Placement::Ssd { .. }), !mutated.contains(&i));
+        }
     }
 }
 

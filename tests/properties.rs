@@ -2,7 +2,7 @@
 
 use ibridge_repro::core::{CircularLog, EntryType, MappingTable};
 use ibridge_repro::des::stats::Histogram;
-use ibridge_repro::localfs::{FsConfig, LocalFs};
+use ibridge_repro::localfs::LocalFs;
 use ibridge_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -72,7 +72,7 @@ proptest! {
     fn localfs_mapping_invariants(
         ops in prop::collection::vec((0u64..512, 1u64..64), 1..40),
     ) {
-        let mut fs = LocalFs::new(1 << 22, FsConfig::default());
+        let mut fs = LocalFs::new(1 << 22);
         let file = ibridge_repro::localfs::FileHandle(1);
         for &(block, nblocks) in &ops {
             fs.ensure_allocated(file, block, nblocks).unwrap();
