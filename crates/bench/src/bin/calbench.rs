@@ -1,4 +1,4 @@
-//! `calbench` — calendar-queue microbenchmark for the perf-smoke gate.
+//! `calbench` — calendar-queue microbenchmark behind `goldens/calbench.txt`.
 //!
 //! Dispatches a fixed number of events (default 10⁶) through the DES
 //! calendar while keeping a rolling window of pending timers, the same

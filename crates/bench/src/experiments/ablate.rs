@@ -11,6 +11,7 @@ const KB: u64 = 1024;
 fn stock_with(scale: &Scale, server: ServerConfig) -> Cluster {
     let cfg = ClusterConfig {
         seed: scale.seed,
+        audit_interval: scale.audit_interval,
         server,
         ..Default::default()
     };
@@ -126,6 +127,7 @@ fn network(scale: &Scale) -> String {
         for ibridge_on in [false, true] {
             let cfg = ClusterConfig {
                 seed: scale.seed,
+                audit_interval: scale.audit_interval,
                 link: link.clone(),
                 ..Default::default()
             };
@@ -177,21 +179,12 @@ fn sieving(scale: &Scale) -> String {
         ("iBridge, per-piece (warm)", crate::System::IBridge, false),
     ];
     for (label, system, sieve) in configs {
-        let mut w = StridedAccess {
+        let w = StridedAccess {
             sieve,
             ..base.clone()
         };
         let useful = w.useful_bytes_per_iter() * w.iters * w.procs as u64;
-        let mut cluster = crate::build(system, 8, scale);
-        cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-        if system == crate::System::IBridge {
-            // Reads profit from pre-loaded pieces: warm first.
-            cluster.run(&mut StridedAccess {
-                sieve,
-                ..base.clone()
-            });
-        }
-        let stats = cluster.run(&mut w);
+        let stats = crate::measure(system, 8, scale, w.dir, w.span_bytes(), || w.clone());
         t.row(&[
             label.to_string(),
             mbps(useful as f64 / stats.elapsed.as_secs_f64() / 1e6),
@@ -227,6 +220,7 @@ fn eq3_degraded(scale: &Scale) -> String {
     for (label, eq3_on) in [("with Eq.3", true), ("without Eq.3", false)] {
         let cfg = ClusterConfig {
             seed: scale.seed,
+            audit_interval: scale.audit_interval,
             flag_fragments: true,
             server: ServerConfig {
                 with_cache_dev: true,
@@ -377,6 +371,7 @@ fn anticipation(scale: &Scale) -> String {
     for (label, idle_ms) in [("anticipation 8ms", 8u64), ("no anticipation", 0)] {
         let cfg = ClusterConfig {
             seed: scale.seed,
+            audit_interval: scale.audit_interval,
             server: ServerConfig {
                 cfq_slice_idle: ibridge_des::SimDuration::from_millis(idle_ms),
                 ..Default::default()

@@ -128,7 +128,7 @@ fn offline_probe(ops: u64, maintain: bool) -> (u64, u64, u64, u64) {
     fresh.audit().expect("recovered state is consistent");
     (
         media,
-        fsck.checkpoint_records,
+        fsck.image_records,
         fsck.records_scanned,
         fsck.records_skipped,
     )

@@ -24,6 +24,7 @@ use crate::runpar::par_map;
 use crate::{checkpoint_probe, Scale, Table, FILE_A, SSD_CAPACITY};
 use ibridge_core::record::{self, LogRecord, RecordVerdict, SealedRecord};
 use ibridge_core::{ibridge_cluster, EntryType};
+use ibridge_des::rng::splitmix64;
 use ibridge_des::SimDuration;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_localfs::{Extent, ExtentList};
@@ -57,15 +58,6 @@ fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
         ..Default::default()
     };
     checkpoint_probe(ibridge_cluster(cfg, SSD_CAPACITY), 4, plan)
-}
-
-/// `splitmix64` step — deterministic victim placement from the seed.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Builds an on-media backup image of `n` sealed records and damages a
@@ -145,14 +137,16 @@ pub fn run(scale: &Scale) -> String {
 
     // -- Parallel fsck over an offline backup image ------------------
     let backup = synthetic_backup(BACKUP_RECORDS, scale.seed);
-    let serial = record::verify_segment(&backup);
+    let serial: Vec<RecordVerdict> = backup.iter().map(record::verify).collect();
     let segments: Vec<Vec<SealedRecord>> =
         backup.chunks(SEGMENT_RECORDS).map(|c| c.to_vec()).collect();
     let n_segments = segments.len();
-    let parallel: Vec<RecordVerdict> = par_map(segments, |seg| record::verify_segment(&seg))
-        .into_iter()
-        .flatten()
-        .collect();
+    let parallel: Vec<RecordVerdict> = par_map(segments, |seg| {
+        seg.iter().map(record::verify).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     assert_eq!(
         parallel, serial,
         "segmented fsck verdicts must match the serial scan"

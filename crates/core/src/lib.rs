@@ -46,7 +46,7 @@ pub mod table;
 pub use log::{AppendError, CircularLog};
 pub use model::{fragment_return, DiskTimeModel};
 pub use partition::PartitionMode;
-pub use policy::{FsckReport, IBridgeConfig, IBridgePolicy, PersistentState};
+pub use policy::{IBridgeConfig, IBridgePolicy, PersistentState};
 pub use record::{LogRecord, RecordVerdict, SealedRecord};
 pub use seglog::{Checkpoint, SegmentedLog};
 pub use table::{Entry, EntryType, MappingTable};

@@ -28,6 +28,7 @@ use crate::record::{self, LogRecord, RecordVerdict, SealedRecord};
 use crate::seglog::SegmentedLog;
 use crate::table::{Entry, EntryType, MappingTable};
 use ibridge_des::fxhash::FxHashMap;
+use ibridge_des::rng::splitmix64;
 use ibridge_des::SimTime;
 use ibridge_device::{bytes_to_sectors, DiskProfile, Lbn};
 use ibridge_localfs::{ExtentList, FileHandle};
@@ -146,16 +147,6 @@ fn flip_in(records: &mut [SealedRecord], seq: u64, bit: u64) -> bool {
     }
 }
 
-/// `splitmix64` step — a tiny, dependency-free generator for placing
-/// bit-rot hits deterministically from a plan-supplied seed.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl IBridgePolicy {
     /// Creates a policy. Capacities below one sector disable caching
     /// entirely (the Fig. 11 "0 GB" point).
@@ -229,7 +220,7 @@ impl IBridgePolicy {
     /// Drops an entry from the table; its log regions go stale with it.
     fn drop_entry(&mut self, id: EntryId) {
         if let Some(e) = self.table.remove(id) {
-            self.retire_record(e.pending, e.log_seq);
+            self.retire_record(&e);
         }
     }
 
@@ -271,16 +262,17 @@ impl IBridgePolicy {
     }
 
     /// Retires a dropped entry's backup record: marks it dead for the
-    /// compactor and appends a tombstone so recovery never resurrects
-    /// it. Pending entries have no durable record to retire.
-    fn retire_record(&mut self, pending: bool, log_seq: u64) {
-        if pending || !self.enabled() {
+    /// compactor and appends a tombstone naming the entry, so recovery
+    /// resurrects none of its records — not even a superseded one whose
+    /// successor rotted. Pending entries have no durable record.
+    fn retire_record(&mut self, e: &Entry) {
+        if e.pending || !self.enabled() {
             return;
         }
-        self.backup.kill(log_seq);
+        self.backup.kill(e.log_seq);
         self.backup_append(LogRecord {
             seq: 0,
-            entry: log_seq, // the sequence number being killed
+            entry: e.id,
             file: FileHandle(0),
             offset: 0,
             len: 0,
@@ -315,7 +307,7 @@ impl IBridgePolicy {
         for &c in &casualties {
             if let Some(e) = self.table.remove(c) {
                 self.stats.evictions += 1;
-                self.retire_record(e.pending, e.log_seq);
+                self.retire_record(&e);
             }
         }
         self.casualties = casualties;
@@ -391,37 +383,6 @@ impl PersistentState {
     }
 }
 
-/// Counters of one recovery-fsck pass over the on-SSD backup.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsckReport {
-    /// Records scanned (every record in the backup).
-    pub records_scanned: u64,
-    /// Records that verified and were replayed (clean entries among
-    /// them are then dropped).
-    pub records_intact: u64,
-    /// Records truncated mid-write (crash tore them).
-    pub records_torn: u64,
-    /// Full-length records failing their CRC or structure checks.
-    pub records_corrupt: u64,
-    /// Intact records rejected for breaking sequence continuity.
-    pub seq_breaks: u64,
-    /// Total records quarantined (torn + corrupt + sequence breaks +
-    /// structurally inconsistent with the log geometry).
-    pub records_quarantined: u64,
-    /// Clean entries deliberately invalidated.
-    pub clean_entries_dropped: u64,
-    /// Dirty entries replayed.
-    pub dirty_entries_kept: u64,
-    /// Bytes of the replayed dirty entries.
-    pub dirty_bytes_kept: u64,
-    /// Tail records skipped without verification because the checkpoint
-    /// already covers them (`seq <= covers_seq`) — the measure of how
-    /// little work an indexed recovery does.
-    pub records_skipped: u64,
-    /// Records replayed out of the checkpoint image.
-    pub checkpoint_records: u64,
-}
-
 impl IBridgePolicy {
     /// Snapshots the durable cache state: everything the segmented
     /// on-SSD backup holds on media — the checkpoint image (if any) and
@@ -471,55 +432,48 @@ impl IBridgePolicy {
             && sectors == Some(bytes_to_sectors(rec.len))
     }
 
-    /// Replays one verified record into the recovering policy.
+    /// Replays one verified record into the recovering policy. Returns
+    /// false, replaying nothing, when the record is inconsistent with
+    /// the log geometry and must be quarantined.
     ///
-    /// A tombstone kills the entry its target sequence number replayed
-    /// (if any); a normal record supersedes whatever older entries
-    /// overlap its range — the segmented log legitimately carries an
-    /// old copy and its replacement until the old segment is reclaimed,
-    /// and replaying in sequence order makes the newest copy win.
-    fn replay_record(
-        p: &mut IBridgePolicy,
-        rep: &mut FsckReport,
-        seq_to_id: &mut FxHashMap<u64, EntryId>,
-        scratch: &mut Vec<EntryId>,
-        rec: &LogRecord,
-        capacity_sectors: u64,
-    ) {
+    /// `ids` maps the entry ids the records carry to the ids replay gave
+    /// them. A tombstone kills the newest replay of its entry (if any);
+    /// a normal record supersedes whatever older entries overlap its
+    /// range — the segmented log legitimately carries an old copy and
+    /// its replacement until the old segment is reclaimed, and replaying
+    /// in sequence order makes the newest copy win.
+    fn replay_record(&mut self, ids: &mut FxHashMap<EntryId, EntryId>, rec: &LogRecord) -> bool {
         if rec.tombstone {
             if rec.len != 0 || !rec.extents.is_empty() {
-                rep.records_quarantined += 1;
-                return;
+                return false;
             }
-            rep.records_intact += 1;
-            if let Some(id) = seq_to_id.remove(&rec.entry) {
-                p.table.remove(id);
+            if let Some(id) = ids.remove(&rec.entry) {
+                self.table.remove(id);
             }
-            return;
+            return true;
         }
-        if !Self::record_is_placeable(rec, capacity_sectors) {
-            rep.records_quarantined += 1;
-            return;
+        if !Self::record_is_placeable(rec, self.log.capacity()) {
+            return false;
         }
-        scratch.clear();
-        p.table
-            .find_overlaps_into(rec.file, rec.offset, rec.len, scratch);
-        for &id in scratch.iter() {
-            p.table.remove(id);
+        let mut overlaps = std::mem::take(&mut self.overlap_scratch);
+        overlaps.clear();
+        self.table
+            .find_overlaps_into(rec.file, rec.offset, rec.len, &mut overlaps);
+        for &id in &overlaps {
+            self.table.remove(id);
         }
-        rep.records_intact += 1;
-        let id = p.table.next_id();
-        let table = &p.table;
-        if p.log
+        self.overlap_scratch = overlaps;
+        let id = self.table.next_id();
+        let table = &self.table;
+        if self
+            .log
             .reserve_at(&rec.extents, id, |e| table.pinned(e))
             .is_err()
         {
             // Overlapping log residency — provably inconsistent.
-            rep.records_intact -= 1;
-            rep.records_quarantined += 1;
-            return;
+            return false;
         }
-        p.table.insert(
+        self.table.insert(
             id,
             rec.file,
             rec.offset,
@@ -531,91 +485,61 @@ impl IBridgePolicy {
             false,
             rec.seq,
         );
-        seq_to_id.insert(rec.seq, id);
+        ids.insert(rec.entry, id);
+        true
     }
 
     /// Rebuilds a policy from a durable snapshot via a recovery fsck
-    /// (server restart with a warm SSD), checkpoint first:
+    /// (server restart with a warm SSD). One scan reads the checkpoint
+    /// image, then the log tail, in sequence order:
     ///
-    /// 1. Replay the checkpoint image — verify each record's CRC and
-    ///    structure, quarantine failures.
-    /// 2. Replay the log tail in sequence order, **skipping records the
-    ///    checkpoint covers without verifying them** — restart work is
-    ///    O(appends since the last checkpoint), not O(log). Verified
-    ///    tail records must keep strict sequence continuity; tombstones
-    ///    kill their targets, newer range copies supersede older ones.
-    /// 3. Intact clean entries are then deliberately invalidated — their
+    /// 1. Tail records the checkpoint covers are **skipped without
+    ///    verification** — restart work is O(appends since the last
+    ///    checkpoint), not O(log).
+    /// 2. Every other record's CRC and structure are verified; torn and
+    ///    corrupt records are quarantined.
+    /// 3. Intact records must keep strict sequence continuity: image
+    ///    records are covered entries, never tombstones; tail records
+    ///    follow the image's cover and precede the append cursor.
+    /// 4. Tombstones retire the entry they name, newer range copies
+    ///    supersede older ones, records inconsistent with the log
+    ///    geometry are quarantined.
+    /// 5. Intact clean entries are then deliberately invalidated — their
     ///    home-disk copies are authoritative. Dirty entries survive and
     ///    are queued for writeback again.
     ///
     /// The recovered policy starts from a fresh bootstrap checkpoint of
-    /// whatever survived, so the next restart's tail is empty.
-    pub fn recover_with_report(cfg: IBridgeConfig, state: &PersistentState) -> (Self, FsckReport) {
+    /// whatever survived, so the next restart's tail is empty. The
+    /// report leaves `pending_entries_dropped` and `dirty_bytes_lost` at
+    /// 0: they compare against the table before the crash, which only
+    /// [`CachePolicy::server_restart`] has.
+    pub fn recover_with_report(
+        cfg: IBridgeConfig,
+        state: &PersistentState,
+    ) -> (Self, RestartReport) {
         let mut p = IBridgePolicy::new(cfg);
         assert_eq!(
             p.log.capacity(),
             state.log_capacity_sectors,
             "recovering onto a different SSD partition size"
         );
-        let mut rep = FsckReport::default();
-        let mut seq_to_id: FxHashMap<u64, EntryId> = FxHashMap::default();
-        let mut scratch: Vec<EntryId> = Vec::new();
+        let mut rep = RestartReport::default();
+        let mut ids: FxHashMap<EntryId, EntryId> = FxHashMap::default();
         let covers = state.checkpoint.as_ref().map(|c| c.covers_seq);
-
-        // Phase 1 — the checkpoint image. The verify pass is pure per
-        // record; callers that scan large backups offline fan
-        // `record::verify_segment` out over segments (pFSCK-style) —
-        // in-simulation restarts scan serially with identical verdicts.
-        if let Some(cp) = &state.checkpoint {
-            let mut last_seq: Option<u64> = None;
-            for verdict in record::verify_segment(&cp.records) {
-                rep.records_scanned += 1;
-                rep.checkpoint_records += 1;
-                let rec = match verdict {
-                    RecordVerdict::Intact(rec) => rec,
-                    RecordVerdict::Torn => {
-                        rep.records_torn += 1;
-                        rep.records_quarantined += 1;
-                        continue;
-                    }
-                    RecordVerdict::Corrupt => {
-                        rep.records_corrupt += 1;
-                        rep.records_quarantined += 1;
-                        continue;
-                    }
-                };
-                // The image holds entries only — ascending sequence
-                // numbers, all covered, never tombstones.
-                if rec.tombstone
-                    || last_seq.is_some_and(|s| rec.seq <= s)
-                    || rec.seq > cp.covers_seq
-                {
-                    rep.seq_breaks += 1;
-                    rep.records_quarantined += 1;
-                    continue;
-                }
-                last_seq = Some(rec.seq);
-                Self::replay_record(
-                    &mut p,
-                    &mut rep,
-                    &mut seq_to_id,
-                    &mut scratch,
-                    &rec,
-                    state.log_capacity_sectors,
-                );
-            }
-        }
-
-        // Phase 2 — the tail, in sequence order. The sealed header
-        // carries the sequence number in the clear, so covered records
-        // are skipped without a CRC pass.
-        let mut last_seq: Option<u64> = covers;
-        for sealed in &state.records {
-            if covers.is_some_and(|c| sealed.seq <= c) {
+        let image = state.checkpoint.as_ref().map_or(&[][..], |c| &c.records);
+        let tail = state.records.iter().map(|r| (false, r));
+        // The newest sequence number accepted so far; the tail's floor
+        // starts at the image's cover.
+        let mut floor: Option<u64> = None;
+        for (in_image, sealed) in image.iter().map(|r| (true, r)).chain(tail) {
+            // The sealed header carries the sequence number in the
+            // clear, so covered tail records cost no CRC pass.
+            if !in_image && covers.is_some_and(|c| sealed.seq <= c) {
                 rep.records_skipped += 1;
                 continue;
             }
             rep.records_scanned += 1;
+            rep.image_records += u64::from(in_image);
             let rec = match record::verify(sealed) {
                 RecordVerdict::Intact(rec) => rec,
                 RecordVerdict::Torn => {
@@ -629,22 +553,24 @@ impl IBridgePolicy {
                     continue;
                 }
             };
-            // Sequence continuity: strictly increasing, below the
-            // append cursor the backup itself claims.
-            if last_seq.is_some_and(|s| rec.seq <= s) || rec.seq >= state.next_seq {
+            // Sequence continuity: strictly increasing; the image holds
+            // covered entries only, never tombstones; the tail stays
+            // below the append cursor the backup itself claims.
+            let in_window = if in_image {
+                !rec.tombstone && Some(rec.seq) <= covers
+            } else {
+                floor = floor.max(covers);
+                rec.seq < state.next_seq
+            };
+            if !in_window || floor.is_some_and(|f| rec.seq <= f) {
                 rep.seq_breaks += 1;
                 rep.records_quarantined += 1;
                 continue;
             }
-            last_seq = Some(rec.seq);
-            Self::replay_record(
-                &mut p,
-                &mut rep,
-                &mut seq_to_id,
-                &mut scratch,
-                &rec,
-                state.log_capacity_sectors,
-            );
+            floor = Some(rec.seq);
+            if !p.replay_record(&mut ids, &rec) {
+                rep.records_quarantined += 1;
+            }
         }
 
         // Intact clean entries were replayed above (tombstones and newer
@@ -673,11 +599,8 @@ impl IBridgePolicy {
         p.next_log_seq = state.next_seq;
         // Bootstrap checkpoint: the survivors become the image, so the
         // next restart replays an empty tail.
-        if state.next_seq > 0 {
-            let mut durable: Vec<&Entry> = p.table.entries().collect();
-            durable.sort_by_key(|e| e.log_seq);
-            let image: Vec<LogRecord> = durable.iter().map(|e| Self::entry_record(e)).collect();
-            p.backup.install_checkpoint(image, state.next_seq - 1);
+        if p.next_log_seq > 0 {
+            p.write_checkpoint();
             p.backup.reclaim(); // fresh log: nothing was condemned
         }
         (p, rep)
@@ -1021,11 +944,9 @@ impl CachePolicy for IBridgePolicy {
             self.planned_damage.clear();
             return RestartReport::default();
         }
-        // What the on-SSD backup holds (pending admissions were never
-        // durable). Scheduled corruption lands on the backup image
-        // before the fsck sees it — exactly what the recovery scan
-        // exists to catch.
-        let pending_dropped = self.table.entries().filter(|e| e.pending).count() as u64;
+        // What the on-SSD backup holds. Scheduled corruption lands on
+        // the backup image before the fsck sees it — exactly what the
+        // recovery scan exists to catch.
         let mut state = self.snapshot();
         for damage in std::mem::take(&mut self.planned_damage) {
             match damage {
@@ -1058,20 +979,26 @@ impl CachePolicy for IBridgePolicy {
                 }
             }
         }
-        // Dirty entries are all durable (redirected writes are never
-        // pending), so whatever the fsck fails to bring back was lost
-        // to corruption — the durability cost.
-        let dirty_durable = self.table.dirty_bytes();
-        let (mut fresh, fsck) = IBridgePolicy::recover_with_report(self.cfg.clone(), &state);
-        let report = RestartReport {
-            dirty_entries_kept: fsck.dirty_entries_kept,
-            dirty_bytes_kept: fsck.dirty_bytes_kept,
-            clean_entries_dropped: fsck.clean_entries_dropped,
-            pending_entries_dropped: pending_dropped,
-            records_scanned: fsck.records_scanned,
-            records_quarantined: fsck.records_quarantined,
-            dirty_bytes_lost: dirty_durable - fsck.dirty_bytes_kept,
-        };
+        let (mut fresh, mut report) = IBridgePolicy::recover_with_report(self.cfg.clone(), &state);
+        // The table before the crash: pending admissions were never
+        // durable, and dirty entries all were (redirected writes are
+        // never pending), so a dirty range the fsck does not bring back
+        // (it keeps dirty entries only) was lost to corruption — the
+        // durability cost. Matched by range, not record: compaction
+        // renumbers records, and a copy on condemned media can stand in
+        // for a torn rewrite.
+        for e in self.table.entries() {
+            if e.pending {
+                report.pending_entries_dropped += 1;
+            } else if e.dirty
+                && fresh
+                    .table
+                    .lookup_covering(e.file, e.offset, e.len)
+                    .is_none()
+            {
+                report.dirty_bytes_lost += e.len;
+            }
+        }
         // Cumulative counters describe the run, not the process: carry
         // them across the restart.
         fresh.stats = self.stats;
@@ -1626,6 +1553,111 @@ mod tests {
         assert_eq!(fsck.seq_breaks, 1);
         assert_eq!(fsck.records_quarantined, 1);
         assert_eq!(fsck.dirty_entries_kept, 2);
+    }
+
+    /// A backup of four dirty 1 KiB entries, at 1, 2, 4 and 5 MiB. The
+    /// first two are in a checkpoint image whose `covers_seq` (3) lies
+    /// past its last record (seq 1): a bulk write retired the entry at
+    /// 3 MiB (seq 2) with a tombstone (seq 3) before the checkpoint. The
+    /// tail copies of seqs 0–3 are condemned but still on media; the
+    /// last two entries are on the tail.
+    fn checkpointed_state() -> PersistentState {
+        let mut p = policy();
+        p.place(SimTime::ZERO, &bulk(IoDir::Write, 0, 64 * KB), 0);
+        for mb in 1..=5u64 {
+            if mb == 4 {
+                p.place(SimTime::ZERO, &bulk(IoDir::Write, 3 << 20, KB), 0);
+                p.write_checkpoint();
+            }
+            p.place(
+                SimTime::ZERO,
+                &frag(IoDir::Write, mb << 20, KB),
+                900_000_000,
+            );
+        }
+        let state = p.snapshot();
+        let cp = state.checkpoint().expect("image");
+        assert_eq!((cp.covers_seq, cp.records.len()), (3, 2));
+        assert_eq!(state.next_seq, 6);
+        state
+    }
+
+    /// Decodes a genuine record, lets `edit` change it and re-seals it
+    /// under a valid CRC, keeping its plain-text sequence number.
+    fn reseal(sealed: &mut SealedRecord, edit: impl FnOnce(&mut LogRecord)) {
+        let RecordVerdict::Intact(mut rec) = record::verify(sealed) else {
+            panic!("a fresh backup record must verify");
+        };
+        edit(&mut rec);
+        let plain = sealed.seq;
+        *sealed = rec.seal();
+        sealed.seq = plain;
+    }
+
+    /// The sequence-continuity cases of the recovery scan, one mutation
+    /// each of an image-plus-tail backup: every one is a sequence break
+    /// that quarantines its record and loses only that record's entry.
+    #[test]
+    fn fsck_quarantines_every_sequence_break() {
+        let recover = |state: &PersistentState| {
+            IBridgePolicy::recover_with_report(IBridgeConfig::with_capacity(0, 64 << 20), state)
+        };
+        let (_, fsck) = recover(&checkpointed_state());
+        assert_eq!(fsck.records_scanned, 4);
+        assert_eq!(fsck.image_records, 2);
+        assert_eq!(fsck.records_skipped, 4);
+        assert_eq!(fsck.seq_breaks, 0);
+        assert_eq!(fsck.dirty_entries_kept, 4);
+
+        // (case, MiB offset of the entry it loses, mutation)
+        type Mutation = fn(&mut PersistentState);
+        let cases: [(&str, u64, Mutation); 5] = [
+            ("image record above covers_seq", 2, |s| {
+                let cp = s.checkpoint.as_mut().expect("image");
+                let covers = cp.covers_seq;
+                reseal(cp.records.last_mut().expect("record"), |r| {
+                    r.seq = covers + 1
+                });
+            }),
+            ("tombstone inside the image", 1, |s| {
+                let cp = s.checkpoint.as_mut().expect("image");
+                reseal(&mut cp.records[0], |r| {
+                    r.tombstone = true;
+                    r.dirty = false;
+                    r.len = 0;
+                    r.extents = ExtentList::new();
+                });
+            }),
+            // The plain-text seq says "newer than the image", so the
+            // record is scanned, not skipped; the seq it decodes to is
+            // covered, though newer than every image record.
+            ("tail record decoding to a covered seq", 4, |s| {
+                let covers = s.checkpoint().expect("image").covers_seq;
+                let sealed = s.records.iter_mut().find(|r| r.seq > covers);
+                reseal(sealed.expect("tail record"), |r| r.seq = covers);
+            }),
+            ("tail record at next_seq", 5, |s| {
+                let next = s.next_seq;
+                reseal(s.records.last_mut().expect("record"), |r| r.seq = next);
+            }),
+            ("tail record past next_seq", 5, |s| {
+                let next = s.next_seq;
+                reseal(s.records.last_mut().expect("record"), |r| r.seq = next + 7);
+            }),
+        ];
+        for (case, lost_mb, mutate) in cases {
+            let mut state = checkpointed_state();
+            mutate(&mut state);
+            let (r, fsck) = recover(&state);
+            assert_eq!(fsck.seq_breaks, 1, "{case}");
+            assert_eq!(fsck.records_quarantined, 1, "{case}");
+            assert_eq!(fsck.dirty_entries_kept, 3, "{case}");
+            for mb in [1, 2, 4, 5] {
+                let kept = r.table.lookup_covering(FileHandle(1), mb << 20, KB);
+                assert_eq!(kept.is_some(), mb != lost_mb, "{case}: entry at {mb} MiB");
+            }
+            r.audit().expect("recovered policy is consistent");
+        }
     }
 
     #[test]

@@ -102,9 +102,9 @@ pub struct LogRecord {
     pub ret: f64,
     /// Whether the cached data is newer than the disk copy.
     pub dirty: bool,
-    /// Tombstone: the record retires an earlier record instead of
-    /// describing a live entry. `entry` then holds the *sequence
-    /// number* of the record being killed, and `extents` is empty.
+    /// Tombstone: the record retires the entry `entry` instead of
+    /// describing it, so recovery replays none of that entry's earlier
+    /// records; `extents` is empty.
     pub tombstone: bool,
     /// Data extents in the SSD log.
     pub extents: ExtentList,
@@ -284,13 +284,6 @@ pub fn verify(rec: &SealedRecord) -> RecordVerdict {
     })
 }
 
-/// Verifies a segment of records. Pure and order-preserving, so the
-/// scan parallelises over segments (pFSCK-style) with results identical
-/// to a serial pass.
-pub fn verify_segment(records: &[SealedRecord]) -> Vec<RecordVerdict> {
-    records.iter().map(verify).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,22 +376,5 @@ mod tests {
         let mut sealed = record(1, false, 1).seal();
         sealed.bytes.resize(SECTOR_SIZE as usize, 0xAB);
         assert!(matches!(verify(&sealed), RecordVerdict::Intact(_)));
-    }
-
-    #[test]
-    fn segment_verify_matches_serial() {
-        let mut records: Vec<SealedRecord> =
-            (0..16).map(|i| record(i, i % 2 == 0, 1).seal()).collect();
-        records[3].tear();
-        records[11].flip_bit(77);
-        let serial: Vec<RecordVerdict> = records.iter().map(verify).collect();
-        assert_eq!(verify_segment(&records), serial);
-        assert_eq!(
-            serial
-                .iter()
-                .filter(|v| !matches!(v, RecordVerdict::Intact(_)))
-                .count(),
-            2
-        );
     }
 }

@@ -9,13 +9,17 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// SplitMix64 step, used to whiten seed material.
+/// SplitMix64 step: advances `state` by the golden-ratio increment and
+/// returns its mixed value.
 ///
-/// This is the standard finalizer from Steele et al., "Fast Splittable
-/// Pseudorandom Number Generators" — good enough to decorrelate adjacent
-/// stream indices.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// This is the generator from Steele et al., "Fast Splittable
+/// Pseudorandom Number Generators": a tiny, dependency-free stream for
+/// placing seeded faults, and (one step from a copy) the finalizer that
+/// whitens seed material — good enough to decorrelate adjacent stream
+/// indices.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -23,7 +27,8 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// Derives a 64-bit sub-seed for (`seed`, `stream`).
 pub fn derive_seed(seed: u64, stream: u64) -> u64 {
-    splitmix64(splitmix64(seed) ^ splitmix64(stream.wrapping_mul(0xA076_1D64_78BD_642F)))
+    let mix = |mut z: u64| splitmix64(&mut z);
+    mix(mix(seed) ^ mix(stream.wrapping_mul(0xA076_1D64_78BD_642F)))
 }
 
 /// Creates an RNG for the given experiment seed and named stream index.
@@ -93,6 +98,17 @@ mod tests {
         let mut a = stream_rng(1, 1);
         let mut b = stream_rng(2, 1);
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The first outputs of SplitMix64 seeded with 0; the derived
+        // seeds are pinned because every random stream starts from one.
+        let mut state = 0;
+        assert_eq!(splitmix64(&mut state), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(&mut state), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(derive_seed(42, 1), 0xE1D1_A5B6_1BDE_8A6A);
+        assert_eq!(derive_seed(7, 9), 0xAABD_C4AC_CEDA_08C6);
     }
 
     #[test]

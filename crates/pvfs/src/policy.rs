@@ -96,8 +96,9 @@ pub struct CacheStats {
 }
 
 /// Outcome of recovering the on-SSD mapping-table backup after a server
-/// process restart: the recovery fsck scans every backup record,
-/// verifies checksums and sequence continuity, quarantines what fails,
+/// process restart: the recovery fsck scans the checkpoint image, then
+/// the log tail, verifies checksums and sequence continuity, quarantines
+/// what fails,
 /// keeps intact dirty entries (their bytes are durable in the SSD log),
 /// and conservatively invalidates clean and pending entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,11 +113,25 @@ pub struct RestartReport {
     pub pending_entries_dropped: u64,
     /// Backup records scanned by the recovery fsck.
     pub records_scanned: u64,
-    /// Records quarantined (torn, checksum-failed, or sequence-broken);
-    /// their entries are invalidated rather than replayed.
+    /// Of those, records of the checkpoint image.
+    pub image_records: u64,
+    /// Log-tail records the checkpoint covers, skipped without
+    /// verification — the measure of how little an indexed recovery
+    /// scans.
+    pub records_skipped: u64,
+    /// Records truncated mid-write (a crash tore them).
+    pub records_torn: u64,
+    /// Full-length records failing their CRC or structure checks.
+    pub records_corrupt: u64,
+    /// Intact records breaking sequence continuity.
+    pub seq_breaks: u64,
+    /// Records quarantined (torn, corrupt, sequence-broken, or
+    /// inconsistent with the log geometry); their entries are
+    /// invalidated rather than replayed.
     pub records_quarantined: u64,
-    /// Dirty bytes lost to quarantined records — the durability cost of
-    /// the corruption, analogous to `ssd_lost`'s return value.
+    /// Bytes of the entries dirty before the restart whose ranges did
+    /// not come back dirty — the durability cost of the corruption,
+    /// analogous to `ssd_lost`'s return value.
     pub dirty_bytes_lost: u64,
 }
 

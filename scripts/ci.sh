@@ -47,10 +47,10 @@ echo "== expt --jobs 4 all vs goldens/expt_all.txt"
 ./target/release/expt --jobs 4 all >/tmp/ibridge_ci_j4.txt 2>/dev/null
 cmp goldens/expt_all.txt /tmp/ibridge_ci_j4.txt
 
-echo "== goldens (expt all, calbench, fault/recovery/perf smokes, obs metrics)"
+echo "== goldens (expt all, calbench, fault/recovery/logmaint smokes, obs metrics)"
 ./scripts/check-goldens.sh
 
-# The goldens step just regenerated the jobs-1 fault/recovery/perf
+# The goldens step just regenerated the jobs-1 fault/recovery/logmaint
 # smokes and diffed them against goldens/, so the committed files ARE
 # the jobs-1 baseline — the jobs-8 reruns compare straight against
 # them instead of regenerating their own.

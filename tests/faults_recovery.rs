@@ -575,6 +575,58 @@ fn pending_admissions_do_not_survive_restart() {
     assert!(matches!(pl, Placement::Disk { .. }));
 }
 
+/// One redirected 1 KiB fragment, written back (its dirty backup record
+/// superseded by a clean one), then one rotted sector, which can only
+/// land on the clean record: the dirty one is superseded but still on
+/// media.
+fn flushed_entry_with_rotted_clean_record() -> IBridgePolicy {
+    let mut p = policy();
+    seed_entries(&mut p, &[MB], &[]);
+    for op in p.flush_batch(SimTime::ZERO, u64::MAX) {
+        p.flush_complete(SimTime::ZERO, op.id);
+    }
+    assert_eq!(p.dirty_bytes(), 0);
+    let hit = CachePolicy::inject_corruption(
+        &mut p,
+        SimTime::ZERO,
+        LogCorruption::BitRot {
+            sectors: 1,
+            seed: 1,
+            target: RotTarget::Tail,
+        },
+    );
+    assert_eq!(hit, 1);
+    p
+}
+
+/// The entry was clean at the crash, so nothing dirty can be lost when
+/// its clean record rots.
+#[test]
+fn rotted_clean_record_of_a_cached_entry_loses_nothing() {
+    let mut p = flushed_entry_with_rotted_clean_record();
+    let r = p.server_restart(SimTime::ZERO);
+    assert_eq!(r.records_quarantined, 1);
+    assert_eq!(r.dirty_bytes_lost, 0, "the entry was clean at the crash");
+    p.audit().expect("post-restart state is consistent");
+}
+
+/// A write over the range retires the entry, and the tombstone it
+/// leaves must keep the superseded dirty record dead even though the
+/// clean record between them rotted: replaying it would queue stale
+/// data for writeback over the newer disk copy.
+#[test]
+fn rotted_clean_record_of_a_retired_entry_stays_retired() {
+    let mut p = flushed_entry_with_rotted_clean_record();
+    p.place(SimTime::ZERO, &bulk(IoDir::Write, MB, KB), 0);
+    let r = p.server_restart(SimTime::ZERO);
+    assert_eq!(r.records_quarantined, 1);
+    assert_eq!(r.dirty_entries_kept, 0, "superseded dirty record replayed");
+    assert_eq!(r.dirty_bytes_lost, 0);
+    assert_eq!(p.dirty_bytes(), 0);
+    assert!(p.flush_batch(SimTime::ZERO, u64::MAX).is_empty());
+    p.audit().expect("post-restart state is consistent");
+}
+
 /// Losing the SSD device is worse than a crash: dirty bytes are gone
 /// (reported as the durability cost), the cache is disabled, and the
 /// policy degrades to disk-only service.
