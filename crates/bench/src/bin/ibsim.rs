@@ -11,7 +11,7 @@
 //! Prints throughput, latency, SSD usage and (with `--hist`) the
 //! block-level dispatch-size distribution.
 
-use ibridge_bench::{build, Scale, System, FILE_A};
+use ibridge_bench::{build, cold_run, Scale, System, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_pvfs::{RunStats, Workload};
 use ibridge_workloads::{Btio, IorMpiIo, MpiIoTest};
@@ -175,18 +175,13 @@ fn main() {
         seed: o.seed,
         ..Scale::quick()
     };
-    let mut cluster = build(o.system, o.servers, &scale);
+    let mut cluster = build(o.system, scale.cluster(o.servers));
     let (mut w, span) = make_workload(&o);
-    cluster.preallocate(FILE_A, span + (1 << 20));
+    let mut stats = cold_run(&mut cluster, span, w.as_mut());
     if o.warm {
-        cluster.run(w.as_mut());
-        let (mut w2, _) = make_workload(&o);
-        let stats = cluster.run(w2.as_mut());
-        report(&o, &stats);
-    } else {
-        let stats = cluster.run(w.as_mut());
-        report(&o, &stats);
+        stats = cluster.run(make_workload(&o).0.as_mut());
     }
+    report(&o, &stats);
 }
 
 fn die(msg: &str) -> ! {

@@ -1,27 +1,21 @@
 //! Ablations beyond the paper: what each design ingredient buys.
 
-use crate::{build_ibridge_with, mbps, Scale, Table, FILE_A, SSD_CAPACITY};
-use ibridge_core::IBridgeConfig;
+use crate::{build, cold_run, mbps, measure, Scale, System, Table, FILE_A};
+use ibridge_core::{ibridge_cluster_with, IBridgeConfig};
+use ibridge_des::SimDuration;
 use ibridge_device::IoDir;
-use ibridge_pvfs::{Cluster, ClusterConfig, DiskSched, ServerConfig, StockPolicy};
+use ibridge_pvfs::{ClusterConfig, DiskSched};
 use ibridge_workloads::MpiIoTest;
 
 const KB: u64 = 1024;
 
-fn stock_with(scale: &Scale, server: ServerConfig) -> Cluster {
-    let cfg = ClusterConfig {
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        server,
-        ..Default::default()
-    };
-    Cluster::new(cfg, |_| Box::new(StockPolicy::new()))
-}
-
-fn stream_throughput(scale: &Scale, cluster: &mut Cluster, dir: IoDir, size: u64) -> f64 {
-    let mut w = MpiIoTest::sized(dir, FILE_A, 64, size, scale.stream_bytes / 2);
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.run(&mut w).throughput_mbps()
+/// The cell most tables here share: 64 processes moving half the
+/// scale's stream in `size`-byte mpi-io-test requests on a `system`
+/// cluster built on `cfg`, under the harness's read protocol. Returns
+/// MB/s.
+fn cell(scale: &Scale, system: System, cfg: ClusterConfig, dir: IoDir, size: u64) -> f64 {
+    let make = || MpiIoTest::sized(dir, FILE_A, 64, size, scale.stream_bytes / 2);
+    measure(system, cfg, dir, make().span_bytes(), make).throughput_mbps()
 }
 
 fn schedulers(scale: &Scale) -> String {
@@ -34,30 +28,17 @@ fn schedulers(scale: &Scale) -> String {
         ("Deadline", DiskSched::Deadline),
         ("Noop", DiskSched::Noop),
     ] {
-        let server = ServerConfig {
-            disk_sched: sched,
-            ..Default::default()
-        };
-        let aligned = stream_throughput(
-            scale,
-            &mut stock_with(scale, server.clone()),
-            IoDir::Read,
-            64 * KB,
-        );
-        let unaligned_r = stream_throughput(
-            scale,
-            &mut stock_with(scale, server.clone()),
-            IoDir::Read,
-            65 * KB,
-        );
-        let unaligned_w =
-            stream_throughput(scale, &mut stock_with(scale, server), IoDir::Write, 65 * KB);
-        t.row(&[
-            label.to_string(),
-            mbps(aligned),
-            mbps(unaligned_r),
-            mbps(unaligned_w),
-        ]);
+        let mut cfg = scale.cluster(8);
+        cfg.server.disk_sched = sched;
+        let mut row = vec![label.to_string()];
+        for (dir, size) in [
+            (IoDir::Read, 64 * KB),
+            (IoDir::Read, 65 * KB),
+            (IoDir::Write, 65 * KB),
+        ] {
+            row.push(mbps(cell(scale, System::Stock, cfg.clone(), dir, size)));
+        }
+        t.row(&row);
     }
     format!(
         "{}unaligned access hurts under every scheduler — the fragmentation \
@@ -72,11 +53,9 @@ fn ncq(scale: &Scale) -> String {
         &["depth", "throughput(MB/s)"],
     );
     for depth in [1usize, 4, 16] {
-        let server = ServerConfig {
-            ncq_depth: depth,
-            ..Default::default()
-        };
-        let thpt = stream_throughput(scale, &mut stock_with(scale, server), IoDir::Read, 65 * KB);
+        let mut cfg = scale.cluster(8);
+        cfg.server.ncq_depth = depth;
+        let thpt = cell(scale, System::Stock, cfg, IoDir::Read, 65 * KB);
         t.row(&[depth.to_string(), mbps(thpt)]);
     }
     format!(
@@ -115,43 +94,31 @@ fn network(scale: &Scale) -> String {
     );
     let slow_lan = LinkConfig {
         bandwidth: 1.2e6, // 10 Mb/s-class
-        latency: ibridge_des::SimDuration::from_micros(200),
-        overhead: ibridge_des::SimDuration::from_micros(50),
+        latency: SimDuration::from_micros(200),
+        overhead: SimDuration::from_micros(50),
     };
     for (label, link) in [
         ("QDR InfiniBand", LinkConfig::qdr_infiniband()),
         ("GigE", LinkConfig::gige()),
         ("slow LAN (10 Mb/s)", slow_lan),
     ] {
-        let mut pair = Vec::new();
-        for ibridge_on in [false, true] {
-            let cfg = ClusterConfig {
-                seed: scale.seed,
-                audit_interval: scale.audit_interval,
-                link: link.clone(),
-                ..Default::default()
-            };
-            let mut cluster = if ibridge_on {
-                ibridge_core::ibridge_cluster(cfg, SSD_CAPACITY)
-            } else {
-                ibridge_core::stock_cluster(cfg)
-            };
-            let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 64, 65 * KB, scale.stream_bytes / 2);
-            cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-            pair.push(cluster.run(&mut w).throughput_mbps());
-        }
+        let mut cfg = scale.cluster(8);
+        cfg.link = link;
+        let s = cell(scale, System::Stock, cfg.clone(), IoDir::Write, 65 * KB);
+        let i = cell(scale, System::IBridge, cfg, IoDir::Write, 65 * KB);
         t.row(&[
             label.to_string(),
-            mbps(pair[0]),
-            mbps(pair[1]),
-            format!("{:+.0}%", (pair[1] - pair[0]) / pair[0] * 100.0),
+            mbps(s),
+            mbps(i),
+            format!("{:+.0}%", (i - s) / s * 100.0),
         ]);
     }
     format!(
-        "{}at 64 synchronous processes even a 10 Mb/s per-client link stays \
-         under the per-process demand (~0.4 MB/s), so the workload remains \
-         device-bound and iBridge's gain is network-insensitive — which is \
-         why the paper never needed to characterise its fabric.\n\n",
+        "{}at 64 synchronous processes even a 10 Mb/s per-client link \
+         carries more than the per-process demand (~0.4 MB/s), but its \
+         transfer time adds to every synchronous request and lowers both \
+         systems; iBridge's gain holds on every fabric — which is why the \
+         paper never needed to characterise its fabric.\n\n",
         t.block()
     )
 }
@@ -174,9 +141,9 @@ fn sieving(scale: &Scale) -> String {
         sieve: false,
     };
     let configs = [
-        ("stock, per-piece", crate::System::Stock, false),
-        ("stock + data sieving", crate::System::Stock, true),
-        ("iBridge, per-piece (warm)", crate::System::IBridge, false),
+        ("stock, per-piece", System::Stock, false),
+        ("stock + data sieving", System::Stock, true),
+        ("iBridge, per-piece (warm)", System::IBridge, false),
     ];
     for (label, system, sieve) in configs {
         let w = StridedAccess {
@@ -184,7 +151,9 @@ fn sieving(scale: &Scale) -> String {
             ..base.clone()
         };
         let useful = w.useful_bytes_per_iter() * w.iters * w.procs as u64;
-        let stats = crate::measure(system, 8, scale, w.dir, w.span_bytes(), || w.clone());
+        let stats = measure(system, scale.cluster(8), w.dir, w.span_bytes(), || {
+            w.clone()
+        });
         t.row(&[
             label.to_string(),
             mbps(useful as f64 / stats.elapsed.as_secs_f64() / 1e6),
@@ -218,16 +187,9 @@ fn eq3_degraded(scale: &Scale) -> String {
         &["variant", "throughput(MB/s)", "p99-ish latency(ms)"],
     );
     for (label, eq3_on) in [("with Eq.3", true), ("without Eq.3", false)] {
-        let cfg = ClusterConfig {
-            seed: scale.seed,
-            audit_interval: scale.audit_interval,
-            flag_fragments: true,
-            server: ServerConfig {
-                with_cache_dev: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
+        let mut cfg = scale.cluster(8);
+        cfg.flag_fragments = true;
+        cfg.server.with_cache_dev = true;
         let base_server = cfg.server.clone();
         let mut cluster = ibridge_pvfs::Cluster::heterogeneous(
             cfg,
@@ -248,8 +210,7 @@ fn eq3_degraded(scale: &Scale) -> String {
             },
         );
         let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 64, 65 * KB, scale.stream_bytes / 2);
-        cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-        let stats = cluster.run(&mut w);
+        let stats = cold_run(&mut cluster, w.span_bytes(), &mut w);
         t.row(&[
             label.to_string(),
             mbps(stats.throughput_mbps()),
@@ -273,14 +234,12 @@ fn read_only_cache(scale: &Scale) -> String {
         &["variant", "throughput(MB/s)", "ssd-bytes"],
     );
     for (label, redirect) in [("full scheme", true), ("read-only cache", false)] {
-        let mut cluster = crate::build_ibridge_with(8, scale, 20 * KB, move |id| {
-            let mut c = IBridgeConfig::paper_defaults(id);
-            c.redirect_writes = redirect;
-            c
+        let mut cluster = ibridge_cluster_with(scale.cluster(8), |id| IBridgeConfig {
+            redirect_writes: redirect,
+            ..IBridgeConfig::paper_defaults(id)
         });
         let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 64, 65 * KB, scale.stream_bytes / 2);
-        cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-        let stats = cluster.run(&mut w);
+        let stats = cold_run(&mut cluster, w.span_bytes(), &mut w);
         t.row(&[
             label.to_string(),
             mbps(stats.throughput_mbps()),
@@ -304,20 +263,22 @@ fn collective(scale: &Scale) -> String {
         &["approach", "throughput(MB/s)"],
     );
     // Baseline and iBridge, independent requests.
-    let mut stock = crate::build(crate::System::Stock, 8, scale);
-    let s = stream_throughput(scale, &mut stock, IoDir::Write, 65 * KB);
-    t.row(&["stock (independent)".into(), mbps(s)]);
-
-    let mut ib = crate::build(crate::System::IBridge, 8, scale);
-    let i = stream_throughput(scale, &mut ib, IoDir::Write, 65 * KB);
-    t.row(&["iBridge (independent)".into(), mbps(i)]);
+    for (label, system) in [
+        ("stock (independent)", System::Stock),
+        ("iBridge (independent)", System::IBridge),
+    ] {
+        let thpt = cell(scale, system, scale.cluster(8), IoDir::Write, 65 * KB);
+        t.row(&[label.to_string(), mbps(thpt)]);
+    }
 
     // Two-phase collective I/O on the stock system.
-    let mut cluster = crate::build(crate::System::Stock, 8, scale);
     let mut w =
         CollectiveBuffering::new(IoDir::Write, FILE_A, 64, 8, 65 * KB, scale.stream_bytes / 2);
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    let stats = cluster.run(&mut w);
+    let stats = cold_run(
+        &mut build(System::Stock, scale.cluster(8)),
+        w.span_bytes(),
+        &mut w,
+    );
     t.row(&[
         "stock + collective buffering".into(),
         mbps(stats.throughput_mbps()),
@@ -336,14 +297,12 @@ fn eq3(scale: &Scale) -> String {
         &["variant", "throughput(MB/s)", "redirected-writes"],
     );
     for (label, eq3) in [("with Eq.3", true), ("without Eq.3", false)] {
-        let mut cluster = build_ibridge_with(8, scale, 20 * KB, move |id| {
-            let mut c = IBridgeConfig::paper_defaults(id);
-            c.eq3 = eq3;
-            c
+        let mut cluster = ibridge_cluster_with(scale.cluster(8), |id| IBridgeConfig {
+            eq3,
+            ..IBridgeConfig::paper_defaults(id)
         });
         let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 64, 65 * KB, scale.stream_bytes);
-        cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-        let stats = cluster.run(&mut w);
+        let stats = cold_run(&mut cluster, w.span_bytes(), &mut w);
         let redirected: u64 = stats
             .servers
             .iter()
@@ -369,19 +328,10 @@ fn anticipation(scale: &Scale) -> String {
         &["variant", "throughput(MB/s)"],
     );
     for (label, idle_ms) in [("anticipation 8ms", 8u64), ("no anticipation", 0)] {
-        let cfg = ClusterConfig {
-            seed: scale.seed,
-            audit_interval: scale.audit_interval,
-            server: ServerConfig {
-                cfq_slice_idle: ibridge_des::SimDuration::from_millis(idle_ms),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut cluster = Cluster::new(cfg, |_| Box::new(StockPolicy::new()));
-        let mut w = MpiIoTest::sized(IoDir::Read, FILE_A, 64, 64 * KB, scale.stream_bytes);
-        cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-        let stats = cluster.run(&mut w);
+        let mut cfg = scale.cluster(8);
+        cfg.server.cfq_slice_idle = SimDuration::from_millis(idle_ms);
+        let make = || MpiIoTest::sized(IoDir::Read, FILE_A, 64, 64 * KB, scale.stream_bytes);
+        let stats = measure(System::Stock, cfg, IoDir::Read, make().span_bytes(), make);
         t.row(&[label.to_string(), mbps(stats.throughput_mbps())]);
     }
     format!(
@@ -390,4 +340,51 @@ fn anticipation(scale: &Scale) -> String {
          performance depends on it.\n\n",
         t.block()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Column `col` of the row labelled `label` in a rendered table.
+    fn field(block: &str, label: &str, col: usize) -> String {
+        let row = block
+            .lines()
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("no row {label:?} in\n{block}"));
+        let cells: Vec<&str> = row
+            .split("  ")
+            .map(str::trim)
+            .filter(|c| !c.is_empty())
+            .collect();
+        cells[col].to_string()
+    }
+
+    /// Every table that prints the stock or the iBridge 65 KB-write cell
+    /// on the paper's testbed builds it from the same recipe, so the
+    /// cell reads the same in each.
+    #[test]
+    fn shared_write_cells_agree_across_tables() {
+        let scale = Scale::quick();
+        let tables: Vec<fn(&Scale) -> String> =
+            vec![schedulers, collective, read_only_cache, network];
+        let [sched, coll, redirect, net]: [String; 4] = crate::par_map(tables, |f| f(&scale))
+            .try_into()
+            .expect("four tables");
+        let stock = [
+            field(&sched, "CFQ (paper)", 3),
+            field(&coll, "stock (independent)", 1),
+            field(&net, "QDR InfiniBand", 1),
+        ];
+        let ibridge = [
+            field(&coll, "iBridge (independent)", 1),
+            field(&redirect, "full scheme", 1),
+            field(&net, "QDR InfiniBand", 2),
+        ];
+        assert!(stock.iter().all(|c| *c == stock[0]), "stock: {stock:?}");
+        assert!(
+            ibridge.iter().all(|c| *c == ibridge[0]),
+            "iBridge: {ibridge:?}"
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! Figs. 9–11: the BTIO macro-benchmark.
 
 use crate::runpar::par_map;
-use crate::{build, build_ibridge_with, Scale, System, Table, FILE_A};
-use ibridge_core::IBridgeConfig;
+use crate::{build, cold_run, Scale, System, Table, FILE_A};
+use ibridge_core::{ibridge_cluster_with, IBridgeConfig};
 use ibridge_pvfs::RunStats;
 use ibridge_workloads::Btio;
 
@@ -21,10 +21,8 @@ fn btio(scale: &Scale, procs: usize) -> Btio {
 }
 
 fn run_system(scale: &Scale, procs: usize, system: System) -> RunStats {
-    let mut cluster = build(system, 8, scale);
     let mut w = btio(scale, procs);
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.run(&mut w)
+    cold_run(&mut build(system, scale.cluster(8)), w.span_bytes(), &mut w)
 }
 
 fn secs(stats: &RunStats) -> f64 {
@@ -147,12 +145,11 @@ pub fn fig11(scale: &Scale) -> String {
     );
     let results = par_map(ratios.to_vec(), |(ratio, _)| {
         let capacity = ((scale.btio_bytes as f64 * ratio) as u64 / 8).max(1);
-        let mut cluster = build_ibridge_with(8, scale, 20 << 10, move |id| {
+        let mut cluster = ibridge_cluster_with(scale.cluster(8), |id| {
             IBridgeConfig::with_capacity(id, capacity)
         });
         let mut w = btio(scale, procs);
-        cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-        cluster.run(&mut w)
+        cold_run(&mut cluster, w.span_bytes(), &mut w)
     });
     let first_io = results[0].io_time.as_secs_f64() / procs as f64;
     for ((_, label), stats) in ratios.iter().zip(&results) {

@@ -13,7 +13,8 @@
 //! seed, so the table is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{build, checkpoint_probe, Scale, System, Table};
+use crate::{checkpoint_probe, Scale, Table};
+use ibridge_core::IBridgeConfig;
 use ibridge_faults::{builtin, FaultPlan};
 
 /// The plans this table covers. A fixed list, not `BUILTIN_PLANS`: the
@@ -38,7 +39,7 @@ pub fn run(scale: &Scale) -> String {
     }
     // A fixed probe shape at any scale: only the seed follows `--seed`.
     let results = par_map(plans.clone(), |(_, plan)| {
-        checkpoint_probe(build(System::IBridge, 4, scale), 4, &plan)
+        checkpoint_probe(scale, &plan, IBridgeConfig::paper_defaults)
     });
 
     let mut t = Table::new(
@@ -88,4 +89,31 @@ pub fn run(scale: &Scale) -> String {
          broadcast while it was down.\n\n",
         t.block()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The builtin MDS outage (80–200 ms) holds the probe's 20 ms T
+    /// reports, so its row counts stalled broadcasts.
+    #[test]
+    fn builtin_mds_crash_stalls_broadcasts() {
+        let plan = FaultPlan::parse(builtin("mds-crash").expect("builtin")).expect("parses");
+        let scale = Scale {
+            fault_plan: Some(Box::leak(Box::new(plan))),
+            ..Scale::quick()
+        };
+        let out = run(&scale);
+        let row = out
+            .lines()
+            .find(|l| l.starts_with("custom"))
+            .expect("custom row");
+        let stalled: u64 = row
+            .split_whitespace()
+            .last()
+            .and_then(|c| c.parse().ok())
+            .expect("stalled-bcasts cell");
+        assert!(stalled > 0, "{row}");
+    }
 }

@@ -3,8 +3,8 @@
 //! 1:1 / 1:2 and dynamic SSD partitioning.
 
 use crate::runpar::par_map;
-use crate::{build, build_ibridge_with, mbps, Scale, System, Table, FILE_A, FILE_B};
-use ibridge_core::{IBridgeConfig, PartitionMode};
+use crate::{build, mbps, Scale, System, Table, FILE_A, FILE_B};
+use ibridge_core::{ibridge_cluster_with, IBridgeConfig, PartitionMode};
 use ibridge_device::IoDir;
 use ibridge_pvfs::Cluster;
 use ibridge_workloads::{Btio, CombinedWorkload, MpiIoTest};
@@ -61,20 +61,14 @@ pub fn run(scale: &Scale) -> String {
         &["system", "mpi-io-test", "BTIO", "aggregate"],
     );
     let results = par_map(variants, |(label, mode)| {
-        let (a, b, all) = match mode {
-            None => {
-                let mut cluster = build(System::Stock, 8, scale);
-                run_one(scale, &mut cluster)
-            }
-            Some(mode) => {
-                let mut cluster = build_ibridge_with(8, scale, 20 << 10, move |id| {
-                    let mut c = IBridgeConfig::with_capacity(id, capacity);
-                    c.partition = mode;
-                    c
-                });
-                run_one(scale, &mut cluster)
-            }
+        let mut cluster = match mode {
+            None => build(System::Stock, scale.cluster(8)),
+            Some(partition) => ibridge_cluster_with(scale.cluster(8), |id| IBridgeConfig {
+                partition,
+                ..IBridgeConfig::with_capacity(id, capacity)
+            }),
         };
+        let (a, b, all) = run_one(scale, &mut cluster);
         (label, a, b, all)
     });
     for (label, a, b, all) in results {

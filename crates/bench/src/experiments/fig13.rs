@@ -1,8 +1,7 @@
 //! Fig. 13: the request-size threshold sweep — throughput vs SSD wear.
 
 use crate::runpar::par_map;
-use crate::{build_ibridge_with, measure, Scale, System, Table, FILE_A};
-use ibridge_core::IBridgeConfig;
+use crate::{measure, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
 use ibridge_workloads::MpiIoTest;
 
@@ -18,27 +17,17 @@ pub fn run(scale: &Scale) -> String {
     let jobs: Vec<Option<u64>> = std::iter::once(None)
         .chain(thresholds.iter().map(|&t| Some(t)))
         .collect();
-    let results = par_map(jobs, |job| match job {
-        None => {
-            let aligned =
-                || MpiIoTest::sized(IoDir::Write, FILE_A, 64, 64 * KB, scale.stream_bytes);
-            measure(
-                System::Stock,
-                8,
-                scale,
-                IoDir::Write,
-                aligned().span_bytes(),
-                aligned,
-            )
-        }
-        Some(threshold) => {
-            let mut cluster = build_ibridge_with(8, scale, threshold * KB, |id| {
-                IBridgeConfig::paper_defaults(id)
-            });
-            let mut w = MpiIoTest::sized(IoDir::Write, FILE_A, 64, 65 * KB, scale.stream_bytes);
-            cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-            cluster.run(&mut w)
-        }
+    let results = par_map(jobs, |job| {
+        let mut cfg = scale.cluster(8);
+        let (system, size) = match job {
+            None => (System::Stock, 64 * KB),
+            Some(threshold) => {
+                cfg.threshold = threshold * KB;
+                (System::IBridge, 65 * KB)
+            }
+        };
+        let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 64, size, scale.stream_bytes);
+        measure(system, cfg, IoDir::Write, make().span_bytes(), make)
     });
     let reference = results[0].throughput_mbps();
 

@@ -24,8 +24,7 @@ fn stock_read(scale: &Scale, procs: usize, size: u64, shift: u64, bytes: u64) ->
     let make = || MpiIoTest::sized(IoDir::Read, FILE_A, procs, size, bytes).with_shift(shift);
     measure(
         System::Stock,
-        8,
-        scale,
+        scale.cluster(8),
         IoDir::Read,
         make().span_bytes(),
         make,

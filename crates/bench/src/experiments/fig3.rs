@@ -126,7 +126,7 @@ fn measure(scale: &Scale, k: u64, barrier: bool, fragment: bool) -> f64 {
         file: FILE_B,
     };
     let mut combined = CombinedWorkload::new(main, antagonist);
-    let mut cluster = crate::build(System::Stock, k as usize + 1, scale);
+    let mut cluster = crate::build(System::Stock, scale.cluster(k as usize + 1));
     cluster.preallocate(FILE_A, span + SU);
     cluster.preallocate(FILE_B, span + SU);
     let stats = cluster.run(&mut combined);

@@ -52,7 +52,7 @@ const CONFIGS: [Config; 6] = [
 
 fn cell(scale: &Scale, dir: IoDir, c: Config, system: System) -> RunStats {
     let make = || MpiIoTest::sized(dir, FILE_A, 64, c.size, scale.stream_bytes).with_shift(c.shift);
-    measure(system, 8, scale, dir, make().span_bytes(), make)
+    measure(system, scale.cluster(8), dir, make().span_bytes(), make)
 }
 
 /// Fig. 4(a,b): stock vs iBridge across sizes and offsets, 64 procs.

@@ -16,7 +16,8 @@ fn throughput(
     size: u64,
 ) -> f64 {
     let make = || MpiIoTest::sized(dir, FILE_A, procs, size, scale.stream_bytes);
-    measure(system, n_servers, scale, dir, make().span_bytes(), make).throughput_mbps()
+    let cfg = scale.cluster(n_servers);
+    measure(system, cfg, dir, make().span_bytes(), make).throughput_mbps()
 }
 
 /// Fig. 6: 65 KB requests as the process count grows.

@@ -11,7 +11,7 @@ const KB: u64 = 1024;
 
 fn cell(scale: &Scale, dir: IoDir, size: u64, system: System) -> RunStats {
     let make = || IorMpiIo::sized(dir, FILE_A, 64, size, scale.stream_bytes);
-    measure(system, 8, scale, dir, make().span_bytes(), make)
+    measure(system, scale.cluster(8), dir, make().span_bytes(), make)
 }
 
 /// Runs Fig. 8(a) writes and 8(b) reads across request sizes.

@@ -24,16 +24,13 @@
 //! is byte-identical at any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{checkpoint_probe, Scale, Table, SSD_CAPACITY};
+use crate::{checkpoint_probe, Scale, Table};
 use ibridge_core::{IBridgeConfig, IBridgePolicy};
-use ibridge_des::{SimDuration, SimTime};
+use ibridge_des::SimTime;
 use ibridge_device::IoDir;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_localfs::FileHandle;
-use ibridge_pvfs::{
-    CachePolicy, Cluster, ClusterConfig, MaintStats, Placement, ReqClass, RunStats, ServerConfig,
-    SubRequest,
-};
+use ibridge_pvfs::{CachePolicy, MaintStats, Placement, ReqClass, RunStats, SubRequest};
 
 /// Plans for the in-cluster table: faultless maintenance, a crash that
 /// recovers from the maintained log, and bit-rot the scrubber races.
@@ -44,33 +41,16 @@ const LIVE_ENTRIES: u64 = 48;
 /// Growing append totals — 16x between first and last.
 const OPS: &[u64] = &[500, 2000, 8000];
 
-/// Same probe shape as the `recovery` experiment, but with maintenance
-/// deliberately hot: 2 KB segments (~25 records) seal several times per
-/// 96-append checkpoint period, so one checkpoint-workload run
-/// exercises seal, compact, reclaim, checkpoint and scrub.
+/// The fault experiments' probe with maintenance deliberately hot: 2 KB
+/// segments (~25 records) seal several times per 96-append checkpoint
+/// period, so one checkpoint-workload run exercises seal, compact,
+/// reclaim, checkpoint and scrub.
 fn probe(scale: &Scale, plan: &FaultPlan) -> (RunStats, MaintStats) {
-    let cfg = ClusterConfig {
-        n_servers: 4,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        report_interval: SimDuration::from_millis(20),
-        flag_fragments: true,
-        server: ServerConfig {
-            ra_budget: scale.page_cache,
-            with_cache_dev: true,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let disk = cfg.server.disk.clone();
-    let cluster = Cluster::new(cfg, move |server_id| {
-        let mut c = IBridgeConfig::with_capacity(server_id, SSD_CAPACITY);
-        c.disk = disk.clone();
-        c.segment_bytes = 2 << 10;
-        c.checkpoint_every = 96;
-        Box::new(IBridgePolicy::new(c))
+    let stats = checkpoint_probe(scale, plan, |id| IBridgeConfig {
+        segment_bytes: 2 << 10,
+        checkpoint_every: 96,
+        ..IBridgeConfig::paper_defaults(id)
     });
-    let stats = checkpoint_probe(cluster, 4, plan);
     let mut maint = MaintStats::default();
     for s in &stats.servers {
         maint.absorb(&s.maint);

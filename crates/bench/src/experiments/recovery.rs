@@ -21,14 +21,12 @@
 //! any `--jobs` level.
 
 use crate::runpar::par_map;
-use crate::{checkpoint_probe, Scale, Table, FILE_A, SSD_CAPACITY};
+use crate::{checkpoint_probe, Scale, Table, FILE_A};
 use ibridge_core::record::{self, LogRecord, RecordVerdict, SealedRecord};
-use ibridge_core::{ibridge_cluster, EntryType};
+use ibridge_core::{EntryType, IBridgeConfig};
 use ibridge_des::rng::splitmix64;
-use ibridge_des::SimDuration;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_localfs::{Extent, ExtentList};
-use ibridge_pvfs::{ClusterConfig, RunStats, ServerConfig};
 
 /// The corruption plans this table covers, against the faultless
 /// baseline. A fixed list: the CI corruption-matrix golden pins these
@@ -39,26 +37,6 @@ const PLANS: &[&str] = &["none", "torn-write", "bit-rot", "mds-crash"];
 const BACKUP_RECORDS: u64 = 4096;
 /// Records per verify segment handed to one worker.
 const SEGMENT_RECORDS: usize = 256;
-
-/// Same probe shape as the `faults` experiment: small enough that the
-/// corruption plans' fault windows (100–150 ms) land mid-run. The
-/// T-report cadence is shortened from its 1 s default so the
-/// `mds-crash` downtime window (80–200 ms) demonstrably stalls
-/// broadcasts within the probe's few-hundred-ms run.
-fn probe(scale: &Scale, plan: &FaultPlan) -> RunStats {
-    let cfg = ClusterConfig {
-        n_servers: 4,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        report_interval: SimDuration::from_millis(20),
-        server: ServerConfig {
-            ra_budget: scale.page_cache,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    checkpoint_probe(ibridge_cluster(cfg, SSD_CAPACITY), 4, plan)
-}
 
 /// Builds an on-media backup image of `n` sealed records and damages a
 /// deterministic subset: roughly 1 in 31 torn, 1 in 37 bit-rotted.
@@ -108,7 +86,9 @@ pub fn run(scale: &Scale) -> String {
             (name.to_string(), plan)
         })
         .collect();
-    let results = par_map(plans.clone(), |(_, plan)| probe(scale, &plan));
+    let results = par_map(plans.clone(), |(_, plan)| {
+        checkpoint_probe(scale, &plan, IBridgeConfig::paper_defaults)
+    });
 
     let mut t = Table::new(
         "Recovery — checkpoint workload under log corruption (iBridge, 4 servers)",

@@ -6,6 +6,7 @@
 use crate::runpar::par_map;
 use crate::{measure, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
+use ibridge_pvfs::ClusterConfig;
 use ibridge_workloads::MpiIoTest;
 
 const KB: u64 = 1024;
@@ -60,11 +61,15 @@ const ROWS: [Row; 4] = [
 ];
 
 fn throughput(scale: &Scale, row: Row, system: System, seed: u64) -> f64 {
-    let s = Scale { seed, ..*scale };
     let make = || {
-        MpiIoTest::sized(row.dir, FILE_A, 64, row.size, s.stream_bytes / 2).with_shift(row.shift)
+        MpiIoTest::sized(row.dir, FILE_A, 64, row.size, scale.stream_bytes / 2)
+            .with_shift(row.shift)
     };
-    measure(system, 8, &s, row.dir, make().span_bytes(), make).throughput_mbps()
+    let cfg = ClusterConfig {
+        seed,
+        ..scale.cluster(8)
+    };
+    measure(system, cfg, row.dir, make().span_bytes(), make).throughput_mbps()
 }
 
 /// Runs the headline rows across 5 seeds — one job per

@@ -1,7 +1,7 @@
 //! Tables I, II and III.
 
 use crate::runpar::par_map;
-use crate::{build, mbps, Scale, System, Table, FILE_A};
+use crate::{build, cold_run, mbps, Scale, System, Table, FILE_A};
 use ibridge_device::microbench::{bench_disk, bench_ssd, BenchConfig};
 use ibridge_device::{DiskProfile, SsdProfile};
 use ibridge_workloads::{classify, AppProfile, Trace, TraceReplay};
@@ -105,10 +105,8 @@ pub fn table3(scale: &Scale) -> String {
     let times = par_map(jobs, |(profile, system)| {
         let span = 1 << 30;
         let trace = Trace::synthesize(profile, scale.trace_requests, span, scale.seed);
-        let mut cluster = build(system, 8, scale);
-        cluster.preallocate(FILE_A, span + (1 << 20));
         let mut w = TraceReplay::new(trace, FILE_A);
-        let stats = cluster.run(&mut w);
+        let stats = cold_run(&mut build(system, scale.cluster(8)), span, &mut w);
         stats.latency_ms.mean().unwrap_or(0.0)
     });
     for (i, (profile, (ps, pi))) in profiles.iter().zip(paper).enumerate() {

@@ -17,12 +17,10 @@ pub mod obs_report;
 pub mod runpar;
 pub mod table;
 
-pub use runpar::{par_map, par_table_rows};
+pub use runpar::par_map;
 pub use table::Table;
 
-use ibridge_core::{
-    ibridge_cluster, ssd_only_cluster, stock_cluster, IBridgeConfig, IBridgePolicy,
-};
+use ibridge_core::{ibridge_cluster_with, ssd_only_cluster, stock_cluster, IBridgeConfig};
 use ibridge_des::SimDuration;
 use ibridge_device::IoDir;
 use ibridge_faults::FaultPlan;
@@ -104,99 +102,96 @@ impl Scale {
             audit_interval: None,
         }
     }
-}
 
-/// iBridge's SSD partition per server, at every scale: the paper's
-/// 10 GB (Fig. 11 sweeps smaller ones explicitly).
-pub(crate) const SSD_CAPACITY: u64 = 10 << 30;
+    /// The one recipe of an experiment's cluster: `n_servers` data
+    /// servers at this scale's seed, page cache and audit cadence, and
+    /// the paper's testbed in every other setting. An experiment sets
+    /// only the fields it varies on the returned config.
+    pub fn cluster(&self, n_servers: usize) -> ClusterConfig {
+        ClusterConfig {
+            n_servers,
+            seed: self.seed,
+            audit_interval: self.audit_interval,
+            server: ServerConfig {
+                ra_budget: self.page_cache,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+}
 
 /// The shared experiment file handle.
 pub const FILE_A: FileHandle = FileHandle(1);
 /// Second file for heterogeneous runs.
 pub const FILE_B: FileHandle = FileHandle(2);
 
-/// Builds a cluster of the given variant with `n_servers` servers.
-pub fn build(system: System, n_servers: usize, scale: &Scale) -> Cluster {
-    let cfg = ClusterConfig {
-        n_servers,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        server: ServerConfig {
-            ra_budget: scale.page_cache,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+/// Builds a cluster of the given variant on `cfg` (usually
+/// [`Scale::cluster`]). iBridge runs the paper's policy settings on
+/// every server, 10 GB of SSD each at every scale.
+pub fn build(system: System, cfg: ClusterConfig) -> Cluster {
     match system {
         System::Stock => stock_cluster(cfg),
-        System::IBridge => ibridge_cluster(cfg, SSD_CAPACITY),
+        System::IBridge => ibridge_cluster_with(cfg, IBridgeConfig::paper_defaults),
         System::SsdOnly => ssd_only_cluster(cfg),
     }
 }
 
-/// Builds an iBridge cluster with explicit policy configuration
-/// (threshold sweeps, static partitions, ablations).
-pub fn build_ibridge_with(
-    n_servers: usize,
-    scale: &Scale,
-    threshold: u64,
-    make: impl Fn(usize) -> IBridgeConfig,
-) -> Cluster {
-    let cfg = ClusterConfig {
-        n_servers,
-        seed: scale.seed,
-        audit_interval: scale.audit_interval,
-        threshold,
-        flag_fragments: true,
-        server: ServerConfig {
-            with_cache_dev: true,
-            ra_budget: scale.page_cache,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    Cluster::new(cfg, move |id| Box::new(IBridgePolicy::new(make(id))))
+/// Preallocates `span` bytes of [`FILE_A`], plus 1 MiB of slack, on a
+/// fresh `cluster` and runs `w` on it: the cluster's first, cold run.
+pub fn cold_run(cluster: &mut Cluster, span: u64, w: &mut dyn Workload) -> RunStats {
+    cluster.preallocate(FILE_A, span + (1 << 20));
+    cluster.run(w)
 }
 
-/// Measures one run of `make`'s workload on a fresh cluster of
-/// `system` with `n_servers` servers, `span` bytes of [`FILE_A`]
-/// preallocated. This is the experiments' one read protocol: iBridge
-/// reads run warm — a first run of the same workload on the same
-/// cluster pre-loads the cache, the paper's repeated production runs —
-/// and the second run is measured. Everything else is measured on its
-/// first run.
+/// Measures one run of `make`'s workload on a fresh `system` cluster
+/// built on `cfg`, with `span` bytes of [`FILE_A`] preallocated. This is
+/// the experiments' one read protocol: iBridge reads run warm — the
+/// cold run of the same workload pre-loads the cache, the paper's
+/// repeated production runs — and the second run is measured.
+/// Everything else is measured on its cold run.
 pub fn measure<W: Workload>(
     system: System,
-    n_servers: usize,
-    scale: &Scale,
+    cfg: ClusterConfig,
     dir: IoDir,
     span: u64,
     make: impl Fn() -> W,
 ) -> RunStats {
-    let mut cluster = build(system, n_servers, scale);
-    cluster.preallocate(FILE_A, span + (1 << 20));
+    let mut cluster = build(system, cfg);
+    let cold = cold_run(&mut cluster, span, &mut make());
     if dir.is_read() && system == System::IBridge {
-        cluster.run(&mut make());
+        cluster.run(&mut make())
+    } else {
+        cold
     }
-    cluster.run(&mut make())
 }
 
-/// The probe of the fault experiments: a checkpoint run of 4 processes,
-/// each writing 1 MiB in 60 KiB records per epoch after 25 ms of
-/// compute, on `cluster` with `plan` armed. Its runs of a few hundred
-/// virtual milliseconds put the builtin plans' fault windows mid-run.
-pub fn checkpoint_probe(mut cluster: Cluster, epochs: u64, plan: &FaultPlan) -> RunStats {
+/// The probe of the fault experiments (`faults`, `recovery`,
+/// `logmaint`): a checkpoint run of 4 processes, each writing 1 MiB in
+/// 60 KiB records per epoch for 4 epochs after 25 ms of compute, on a
+/// 4-server iBridge cluster whose servers run `make`'s policy settings,
+/// with `plan` armed. Its runs of a few hundred virtual milliseconds put
+/// the builtin plans' fault windows mid-run, and its servers report T
+/// every 20 ms, so the `mds-crash` outage (80–200 ms) holds reports and
+/// shows as stalled broadcasts.
+pub fn checkpoint_probe(
+    scale: &Scale,
+    plan: &FaultPlan,
+    make: impl Fn(usize) -> IBridgeConfig,
+) -> RunStats {
+    let mut cfg = scale.cluster(4);
+    cfg.report_interval = SimDuration::from_millis(20);
+    let mut cluster = ibridge_cluster_with(cfg, make);
+    cluster.set_fault_plan(plan);
     let mut w = CheckpointWorkload::new(
         FILE_A,
         4,
         1 << 20,
         60 * 1024,
-        epochs,
+        4,
         SimDuration::from_millis(25),
     );
-    cluster.preallocate(FILE_A, w.span_bytes() + (1 << 20));
-    cluster.set_fault_plan(plan);
-    cluster.run(&mut w)
+    cold_run(&mut cluster, w.span_bytes(), &mut w)
 }
 
 /// Formats MB/s with one decimal.
@@ -222,7 +217,8 @@ mod tests {
         };
         for system in [System::Stock, System::IBridge, System::SsdOnly] {
             let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 4, 65 * 1024, scale.stream_bytes);
-            let stats = measure(system, 4, &scale, IoDir::Write, make().span_bytes(), make);
+            let cfg = scale.cluster(4);
+            let stats = measure(system, cfg, IoDir::Write, make().span_bytes(), make);
             assert!(stats.throughput_mbps() > 0.0, "{system:?}");
         }
     }
@@ -235,7 +231,7 @@ mod tests {
         };
         let make = || MpiIoTest::sized(IoDir::Read, FILE_A, 4, 65 * 1024, 4 << 20);
         let hits = |system| {
-            let stats = measure(system, 4, &scale, IoDir::Read, 8 << 20, make);
+            let stats = measure(system, scale.cluster(4), IoDir::Read, 8 << 20, make);
             stats
                 .servers
                 .iter()

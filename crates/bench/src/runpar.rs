@@ -8,7 +8,6 @@
 //! * [`par_map`] runs one closure per input on up to [`jobs`] worker
 //!   threads and returns the results **in submission order**, so
 //!   rendered tables are byte-identical to a sequential run.
-//! * [`par_table_rows`] is the common table-filling special case.
 //! * The worker budget is a process-wide token pool: nested `par_map`
 //!   calls (an experiment parallelising its rows while `expt` runs whole
 //!   experiments concurrently) share the same budget instead of
@@ -155,18 +154,6 @@ where
         .collect()
 }
 
-/// Fills `table` with one row per input, computing the rows in parallel
-/// but appending them in input order.
-pub fn par_table_rows<T: Send>(
-    table: &mut crate::Table,
-    inputs: Vec<T>,
-    f: impl Fn(T) -> Vec<String> + Sync,
-) {
-    for row in par_map(inputs, f) {
-        table.row(&row);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,18 +187,5 @@ mod tests {
             .map(|i| (0..16).map(|j| i * 100 + j).sum::<u64>())
             .collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_table_rows_appends_in_order() {
-        let mut t = crate::Table::new("demo", &["i", "sq"]);
-        par_table_rows(&mut t, (0..10u64).collect(), |i| {
-            vec![i.to_string(), (i * i).to_string()]
-        });
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        // Rows start after title, header, rule.
-        assert!(lines[3].starts_with('0'));
-        assert!(lines[12].starts_with("9"));
     }
 }

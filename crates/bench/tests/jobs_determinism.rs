@@ -11,7 +11,8 @@
 //! iff every float is bit-identical.
 
 use ibridge_bench::runpar::par_map_jobs;
-use ibridge_bench::{build, checkpoint_probe, measure, Scale, System, FILE_A};
+use ibridge_bench::{checkpoint_probe, measure, Scale, System, FILE_A};
+use ibridge_core::IBridgeConfig;
 use ibridge_device::IoDir;
 use ibridge_faults::{builtin, FaultPlan};
 use ibridge_workloads::MpiIoTest;
@@ -30,7 +31,8 @@ fn scale_with(seed: u64) -> Scale {
 fn run_cell((seed, system, size): (u64, System, u64)) -> String {
     let scale = scale_with(seed);
     let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
-    let stats = measure(system, 8, &scale, IoDir::Write, make().span_bytes(), make);
+    let cfg = scale.cluster(8);
+    let stats = measure(system, cfg, IoDir::Write, make().span_bytes(), make);
     format!("{stats:?}")
 }
 
@@ -54,7 +56,7 @@ fn multi_seed_stats_identical_across_jobs_levels() {
 /// plans' fault windows land mid-run.
 fn fault_cell((plan_text, seed): (&str, u64)) -> String {
     let plan = FaultPlan::parse(plan_text).expect("parses");
-    let stats = checkpoint_probe(build(System::IBridge, 4, &scale_with(seed)), 4, &plan);
+    let stats = checkpoint_probe(&scale_with(seed), &plan, IBridgeConfig::paper_defaults);
     assert!(
         stats.faults.crashes > 0 || stats.faults.dropped_messages > 0,
         "no fault landed — probe too short to exercise fault delivery"

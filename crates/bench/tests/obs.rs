@@ -44,7 +44,8 @@ fn matrix() -> Vec<(u64, System)> {
 fn run_job((seed, system): (u64, System)) -> (u64, u64, u64) {
     let scale = small_scale(seed);
     let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 8, 65 * 1024, scale.stream_bytes);
-    let stats = measure(system, 4, &scale, IoDir::Write, make().span_bytes(), make);
+    let cfg = scale.cluster(4);
+    let stats = measure(system, cfg, IoDir::Write, make().span_bytes(), make);
     (
         stats.bytes,
         stats.elapsed.as_nanos(),

@@ -33,7 +33,8 @@ fn matrix() -> Vec<(u64, System, u64)> {
 fn run_job((seed, system, size): (u64, System, u64)) -> (u64, u64, u64) {
     let scale = small_scale(seed);
     let make = || MpiIoTest::sized(IoDir::Write, FILE_A, 16, size, scale.stream_bytes);
-    let stats = measure(system, 4, &scale, IoDir::Write, make().span_bytes(), make);
+    let cfg = scale.cluster(4);
+    let stats = measure(system, cfg, IoDir::Write, make().span_bytes(), make);
     // Exact integer fields: bytes moved, elapsed virtual nanoseconds,
     // events dispatched. Any scheduling leak between host threads would
     // perturb at least one of them.

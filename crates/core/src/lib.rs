@@ -54,13 +54,25 @@ pub use table::{Entry, EntryType, MappingTable};
 use ibridge_pvfs::{Cluster, ClusterConfig, ServerConfig};
 
 /// Convenience: a paper-testbed cluster (8 servers, 64 KB stripes) with
-/// iBridge enabled on every server.
-pub fn ibridge_cluster(mut cfg: ClusterConfig, ssd_capacity: u64) -> Cluster {
+/// iBridge enabled on every server, `ssd_capacity` bytes of SSD each.
+pub fn ibridge_cluster(cfg: ClusterConfig, ssd_capacity: u64) -> Cluster {
+    ibridge_cluster_with(cfg, |server_id| {
+        IBridgeConfig::with_capacity(server_id, ssd_capacity)
+    })
+}
+
+/// An iBridge cluster whose server `id` runs the policy settings
+/// `make(id)`: fragment flagging on, a cache device on every server, and
+/// each policy modelling the disk its server has (`cfg.server.disk`).
+pub fn ibridge_cluster_with(
+    mut cfg: ClusterConfig,
+    make: impl Fn(usize) -> IBridgeConfig,
+) -> Cluster {
     cfg.flag_fragments = true;
     cfg.server.with_cache_dev = true;
     let disk = cfg.server.disk.clone();
     Cluster::new(cfg, move |server_id| {
-        let mut c = IBridgeConfig::with_capacity(server_id, ssd_capacity);
+        let mut c = make(server_id);
         c.disk = disk.clone();
         Box::new(IBridgePolicy::new(c))
     })
