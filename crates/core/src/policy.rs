@@ -924,7 +924,8 @@ impl CachePolicy for IBridgePolicy {
     }
 
     fn receive_broadcast(&mut self, t_values: &[f64]) {
-        self.t_table = t_values.to_vec();
+        self.t_table.clear();
+        self.t_table.extend_from_slice(t_values);
     }
 
     fn dirty_bytes(&self) -> u64 {
