@@ -37,7 +37,8 @@ pub fn run(scale: &Scale) -> String {
     if let Some(plan) = scale.fault_plan {
         plans.push(("custom".to_string(), plan.clone()));
     }
-    // A fixed probe shape at any scale: only the seed follows `--seed`.
+    // The probe's workload is the same at any scale; its cluster
+    // follows `scale` (seed, page cache, audit cadence).
     let results = par_map(plans.clone(), |(_, plan)| {
         checkpoint_probe(scale, &plan, IBridgeConfig::paper_defaults)
     });
