@@ -6,7 +6,6 @@
 use crate::runpar::par_map;
 use crate::{measure, Scale, System, Table, FILE_A};
 use ibridge_device::IoDir;
-use ibridge_pvfs::ClusterConfig;
 use ibridge_workloads::MpiIoTest;
 
 const KB: u64 = 1024;
@@ -65,10 +64,8 @@ fn throughput(scale: &Scale, row: Row, system: System, seed: u64) -> f64 {
         MpiIoTest::sized(row.dir, FILE_A, 64, row.size, scale.stream_bytes / 2)
             .with_shift(row.shift)
     };
-    let cfg = ClusterConfig {
-        seed,
-        ..scale.cluster(8)
-    };
+    let mut cfg = scale.cluster(8);
+    cfg.seed = seed;
     measure(system, cfg, row.dir, make().span_bytes(), make).throughput_mbps()
 }
 
