@@ -15,6 +15,8 @@
 //!   network-floor check on every cross-node post.
 //! * [`rng`] — reproducible per-stream random number generators.
 //! * [`stats`] — counters, EWMA (the paper's 1/8–7/8 decay), histograms.
+//! * [`InlineVec`] — the inline-first list behind the extent and
+//!   completion-tag lists of the layers above.
 //!
 //! # Example
 //!
@@ -32,11 +34,13 @@
 
 mod calendar;
 pub mod fxhash;
+mod inline;
 pub mod rng;
 pub mod stats;
 mod time;
 
 pub use calendar::Simulation;
+pub use inline::InlineVec;
 pub use time::{SimDuration, SimTime};
 
 /// Opaque handle to a scheduled event, used for cancellation.

@@ -1,105 +1,24 @@
 //! Seeded fault injector and recovery counters.
 //!
-//! A [`FaultInjector`] compiles a [`FaultPlan`] into (a) a sorted
-//! timeline of discrete faults the cluster schedules as ordinary
-//! calendar events at run start, and (b) a set of network impairment
-//! windows that each node's [`NetDecider`] consults per data-plane
-//! message. Bit-rot placement draws from one dedicated RNG stream
-//! (`streams::FAULTS`) and each node's network outcomes from its own
+//! A [`FaultInjector`] seeds a [`FaultPlan`]'s schedule for one run:
+//! (a) the plan's timed faults, sorted by time, which the cluster
+//! schedules as ordinary calendar events at run start, and (b) its
+//! network impairment windows, which each node's [`NetDecider`]
+//! consults per data-plane message. Bit-rot placement draws from one
+//! dedicated RNG stream (`streams::FAULTS`) and each node's network
+//! outcomes from its own
 //! (`streams::FAULTS_NET`), all seeded from the experiment seed, so a
 //! (seed, plan) pair replays the exact same failure history — including
 //! across `--jobs` worker counts, because each run owns its injector
 //! and draws in event order.
 
-use crate::plan::{FaultDev, FaultPlan, FaultSpec, RetryConfig, RotTarget};
+use crate::plan::{FaultPlan, RetryConfig, TimedFault};
 use ibridge_des::rng::{derive_seed, stream_rng, streams};
 use ibridge_des::SimDuration;
 use ibridge_net::{Impairment, NetDecision};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
-
-/// A discrete fault the cluster executes at a scheduled instant.
-/// `Restart` and `SlowEnd` are derived from their opening events when
-/// the timeline is compiled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimedFault {
-    /// Kill the server process; in-flight work on the node dies.
-    Crash {
-        /// Victim server.
-        server: usize,
-    },
-    /// Bring a crashed server back and replay its mapping-table backup.
-    Restart {
-        /// Recovering server.
-        server: usize,
-    },
-    /// The SSD cache device fails permanently.
-    SsdLoss {
-        /// Victim server.
-        server: usize,
-    },
-    /// Begin a fail-slow window on one device.
-    SlowStart {
-        /// Victim server.
-        server: usize,
-        /// Which device degrades.
-        dev: FaultDev,
-        /// Service-time multiplier.
-        factor: f64,
-    },
-    /// End a fail-slow window (restore the healthy service time).
-    SlowEnd {
-        /// Recovering server.
-        server: usize,
-        /// Which device recovers.
-        dev: FaultDev,
-    },
-    /// Tear the newest mapping-table backup records mid-write. Compiled
-    /// immediately before the `Crash` it accompanies, so the records are
-    /// truncated on media before the restart's recovery fsck runs.
-    TornWrite {
-        /// Victim server.
-        server: usize,
-        /// How many of the newest backup records are torn.
-        records: u32,
-    },
-    /// Silently flip bits in resident backup-log records. Surfaces at
-    /// the next restart's recovery fsck — unless the background
-    /// scrubber repairs it first.
-    BitRot {
-        /// Victim server.
-        server: usize,
-        /// Number of corrupting hits.
-        sectors: u32,
-        /// Placement seed, drawn from the injector RNG at compile time.
-        seed: u64,
-        /// Which backup-media region the hits land in.
-        target: RotTarget,
-    },
-    /// The metadata server crashes: T-value reports and broadcasts
-    /// stall, and data servers keep serving with last-known T values.
-    MdsCrash,
-    /// The metadata server restarts and reporting resumes.
-    MdsRestart,
-}
-
-impl TimedFault {
-    /// The data server this fault targets, or `None` for an MDS fault.
-    /// Mutable so a cluster can fold a plan's server ids into its range.
-    pub fn server_mut(&mut self) -> Option<&mut usize> {
-        match self {
-            TimedFault::Crash { server }
-            | TimedFault::Restart { server }
-            | TimedFault::SsdLoss { server }
-            | TimedFault::SlowStart { server, .. }
-            | TimedFault::SlowEnd { server, .. }
-            | TimedFault::TornWrite { server, .. }
-            | TimedFault::BitRot { server, .. } => Some(server),
-            TimedFault::MdsCrash | TimedFault::MdsRestart => None,
-        }
-    }
-}
 
 /// Fault-injection and recovery counters for one run, reported next to
 /// the cache statistics. `degraded` is the union of per-server degraded
@@ -212,91 +131,26 @@ impl NetDecider {
 }
 
 impl FaultInjector {
-    /// Compiles `plan` for an experiment `seed`. The RNG stream is
-    /// independent of every other simulator stream, so arming a plan
-    /// with no probabilistic faults perturbs nothing.
+    /// Seeds `plan` for an experiment `seed`: draws each bit-rot fault's
+    /// placement seed in plan order (plans without bit-rot draw
+    /// nothing), then sorts the faults by time, stably, so simultaneous
+    /// faults fire in plan order. The RNG stream is independent of every
+    /// other simulator stream, so arming a plan with no probabilistic
+    /// faults perturbs nothing.
     pub fn new(plan: &FaultPlan, seed: u64) -> Self {
-        let mut timeline = Vec::new();
-        let mut windows = Vec::new();
-        // Constructed before compiling so bit-rot specs can draw their
-        // placement seeds in plan order. Plans without bit-rot draw
-        // nothing here, preserving every existing plan's history.
         let mut rng = stream_rng(seed, streams::FAULTS);
-        for spec in &plan.specs {
-            match spec.clone() {
-                FaultSpec::ServerCrash {
-                    server,
-                    at,
-                    restart_after,
-                } => {
-                    timeline.push((at, TimedFault::Crash { server }));
-                    timeline.push((at + restart_after, TimedFault::Restart { server }));
-                }
-                FaultSpec::SsdLoss { server, at } => {
-                    timeline.push((at, TimedFault::SsdLoss { server }));
-                }
-                FaultSpec::FailSlow {
-                    server,
-                    dev,
-                    from,
-                    until,
-                    factor,
-                } => {
-                    timeline.push((
-                        from,
-                        TimedFault::SlowStart {
-                            server,
-                            dev,
-                            factor,
-                        },
-                    ));
-                    timeline.push((until, TimedFault::SlowEnd { server, dev }));
-                }
-                FaultSpec::NetFault { from, until, imp } => {
-                    windows.push((from, until, imp.clone()));
-                }
-                FaultSpec::TornWrite {
-                    server,
-                    at,
-                    restart_after,
-                    records,
-                } => {
-                    // TornWrite precedes Crash at the same instant; the
-                    // stable sort below keeps that push order.
-                    timeline.push((at, TimedFault::TornWrite { server, records }));
-                    timeline.push((at, TimedFault::Crash { server }));
-                    timeline.push((at + restart_after, TimedFault::Restart { server }));
-                }
-                FaultSpec::BitRot {
-                    server,
-                    at,
-                    sectors,
-                    target,
-                } => {
-                    let rot_seed: u64 = rng.gen();
-                    timeline.push((
-                        at,
-                        TimedFault::BitRot {
-                            server,
-                            sectors,
-                            seed: rot_seed,
-                            target,
-                        },
-                    ));
-                }
-                FaultSpec::MdsCrash { at, restart_after } => {
-                    timeline.push((at, TimedFault::MdsCrash));
-                    timeline.push((at + restart_after, TimedFault::MdsRestart));
-                }
+        let mut timeline = plan.faults.clone();
+        for (_, fault) in &mut timeline {
+            if let TimedFault::BitRot { seed, .. } = fault {
+                *seed = rng.gen();
             }
         }
-        // Stable by time: simultaneous faults fire in plan order.
         timeline.sort_by_key(|(t, _)| *t);
         FaultInjector {
             timeline,
             armed: false,
-            windows: windows.into(),
-            retry: plan.retry_config(),
+            windows: plan.windows.as_slice().into(),
+            retry: plan.retry.clone(),
         }
     }
 
@@ -334,7 +188,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
+    use crate::plan::{DevKind, RotTarget};
 
     fn plan(text: &str) -> FaultPlan {
         FaultPlan::parse(text).expect("test plan parses")
@@ -363,7 +217,7 @@ mod tests {
                     SimDuration::from_millis(50),
                     TimedFault::SlowStart {
                         server: 1,
-                        dev: FaultDev::Primary,
+                        dev: DevKind::Primary,
                         factor: 3.0
                     }
                 ),
@@ -371,7 +225,7 @@ mod tests {
                     SimDuration::from_millis(90),
                     TimedFault::SlowEnd {
                         server: 1,
-                        dev: FaultDev::Primary
+                        dev: DevKind::Primary
                     }
                 ),
             ]
@@ -416,6 +270,10 @@ mod tests {
     #[test]
     fn bit_rot_seed_is_deterministic_per_experiment_seed() {
         let p = plan("bit-rot server=0 at=100ms sectors=3\n");
+        assert!(
+            matches!(p.faults[0].1, TimedFault::BitRot { seed: 0, .. }),
+            "the parser leaves the placement seed to the injector"
+        );
         let tl_a: Vec<_> = FaultInjector::new(&p, 42).arm().to_vec();
         let tl_b: Vec<_> = FaultInjector::new(&p, 42).arm().to_vec();
         assert_eq!(tl_a, tl_b, "same seed must place the rot identically");
@@ -430,6 +288,28 @@ mod tests {
             }
             ref other => panic!("expected BitRot, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn bit_rot_seeds_are_drawn_in_plan_order_before_the_sort() {
+        let p = plan(
+            "bit-rot server=0 at=200ms\n\
+             bit-rot server=1 at=100ms\n",
+        );
+        let mut rng = stream_rng(42, streams::FAULTS);
+        let (first, second): (u64, u64) = (rng.gen(), rng.gen());
+        let tl: Vec<_> = FaultInjector::new(&p, 42).arm().to_vec();
+        let seed_of = |server: usize| {
+            tl.iter()
+                .find_map(|(_, f)| match *f {
+                    TimedFault::BitRot { server: s, seed, .. } if s == server => Some(seed),
+                    _ => None,
+                })
+                .expect("both rots scheduled")
+        };
+        assert!(matches!(tl[0].1, TimedFault::BitRot { server: 1, .. }));
+        assert_eq!(seed_of(0), first, "the first directive takes the first draw");
+        assert_eq!(seed_of(1), second);
     }
 
     #[test]
@@ -505,7 +385,7 @@ mod tests {
 
     #[test]
     fn server_mut_targets_the_server_of_every_server_fault() {
-        let dev = FaultDev::Primary;
+        let dev = DevKind::Primary;
         let server_faults = [
             TimedFault::Crash { server: 9 },
             TimedFault::Restart { server: 9 },

@@ -11,8 +11,8 @@
 //! * a [`FaultPlan`] DSL describes faults in virtual time — server
 //!   crash/restart, SSD cache-device loss, fail-slow device windows,
 //!   and probabilistic network drop/delay/duplication;
-//! * a [`FaultInjector`] compiles a plan plus an experiment seed into a
-//!   deterministic schedule; all probabilistic outcomes draw from the
+//! * a [`FaultInjector`] seeds a plan's schedule with an experiment
+//!   seed; all probabilistic outcomes draw from the
 //!   dedicated `streams::FAULTS` RNG stream, so the same (seed, plan)
 //!   pair replays the same failure history at any `--jobs` count;
 //! * [`FaultStats`] accounts recovery work (retries, timeouts, drops)
@@ -33,8 +33,8 @@
 mod injector;
 mod plan;
 
-pub use injector::{FaultInjector, FaultStats, NetDecider, TimedFault};
+pub use injector::{FaultInjector, FaultStats, NetDecider};
 pub use plan::{
-    builtin, BuiltinPlan, FaultDev, FaultPlan, FaultSpec, PlanError, RetryConfig, RotTarget,
+    builtin, BuiltinPlan, DevKind, FaultPlan, PlanError, RetryConfig, RotTarget, TimedFault,
     BUILTIN_PLANS,
 };

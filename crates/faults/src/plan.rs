@@ -33,112 +33,99 @@ use std::fmt;
 /// `timeout * backoff^max`, must not exceed it either.
 const MAX_DURATION: SimDuration = SimDuration::from_secs(1_000_000_000);
 
-/// Which device of a data server a fail-slow window degrades.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDev {
-    /// The primary device (HDD, or SSD in ssd-only setups).
+/// Which of a data server's block devices: the one a fail-slow window
+/// degrades, and the one a server action or completion belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DevKind {
+    /// The device holding the datafiles (disk, or SSD in SSD-only mode).
     Primary,
-    /// The iBridge SSD cache device.
+    /// The iBridge SSD cache.
     Cache,
 }
 
-impl fmt::Display for FaultDev {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultDev::Primary => write!(f, "primary"),
-            FaultDev::Cache => write!(f, "cache"),
-        }
-    }
-}
-
-/// One scheduled fault. All times are virtual-time offsets from the
-/// start of the run the plan is armed for.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultSpec {
-    /// The data-server process dies at `at` — all in-flight work on the
-    /// node is lost — and restarts `restart_after` later, replaying its
-    /// SSD mapping-table backup.
-    ServerCrash {
-        /// Victim server index.
+/// A discrete fault the cluster executes at a scheduled instant. The
+/// parser emits the closing events (`Restart`, `SlowEnd`, `MdsRestart`)
+/// next to the directive that opens them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TimedFault {
+    /// Kill the server process; in-flight work on the node dies.
+    Crash {
+        /// Victim server.
         server: usize,
-        /// Crash instant.
-        at: SimDuration,
-        /// Downtime before the process restarts.
-        restart_after: SimDuration,
     },
-    /// The SSD cache device of `server` fails at `at`: the log and every
-    /// cached byte (dirty data included) are gone, and the server
-    /// degrades to the HDD-only path for the rest of the run.
+    /// Bring a crashed server back and replay its mapping-table backup.
+    Restart {
+        /// Recovering server.
+        server: usize,
+    },
+    /// The SSD cache device fails permanently: the log and every cached
+    /// byte (dirty data included) are gone, and the server degrades to
+    /// the HDD-only path for the rest of the run.
     SsdLoss {
-        /// Victim server index.
+        /// Victim server.
         server: usize,
-        /// Failure instant.
-        at: SimDuration,
     },
-    /// A device serves requests `factor` times slower inside the window
-    /// `[from, until)` — the classic fail-slow (gray failure) mode.
-    FailSlow {
-        /// Victim server index.
+    /// Begin a fail-slow window: the device serves requests `factor`
+    /// times slower until the matching `SlowEnd`.
+    SlowStart {
+        /// Victim server.
         server: usize,
-        /// Which device slows down.
-        dev: FaultDev,
-        /// Window start.
-        from: SimDuration,
-        /// Window end.
-        until: SimDuration,
+        /// Which device degrades.
+        dev: DevKind,
         /// Service-time multiplier (> 1 slows the device down).
         factor: f64,
     },
-    /// Data-plane messages (requests and replies) sent inside
-    /// `[from, until)` are dropped / delayed / duplicated with the given
-    /// probabilities. Control-plane traffic (T-value reports and
-    /// broadcasts) is assumed reliable.
-    NetFault {
-        /// Window start.
-        from: SimDuration,
-        /// Window end.
-        until: SimDuration,
-        /// Per-message impairment probabilities.
-        imp: Impairment,
-    },
-    /// Like `crash`, but the crash tears the most recent `records`
-    /// mapping-table backup records mid-write (they are truncated on
-    /// media), so the restart's recovery fsck must quarantine them.
-    TornWrite {
-        /// Victim server index.
+    /// End a fail-slow window (restore the healthy service time).
+    SlowEnd {
+        /// Recovering server.
         server: usize,
-        /// Crash instant.
-        at: SimDuration,
-        /// Downtime before the process restarts.
-        restart_after: SimDuration,
+        /// Which device recovers.
+        dev: DevKind,
+    },
+    /// Tear the newest mapping-table backup records mid-write. Emitted
+    /// immediately before the `Crash` it accompanies, so the records are
+    /// truncated on media before the restart's recovery fsck runs.
+    TornWrite {
+        /// Victim server.
+        server: usize,
         /// How many of the newest backup records are torn.
         records: u32,
     },
-    /// Silent bit corruption of `sectors` resident backup records at
-    /// `at`. The damage surfaces only when a later restart's recovery
-    /// fsck scans the log — pair with a `crash` to observe it, or let
-    /// the background scrubber catch it first.
+    /// Silently flip bits in resident backup-log records. Surfaces at
+    /// the next restart's recovery fsck — unless the background
+    /// scrubber repairs it first.
     BitRot {
-        /// Victim server index.
+        /// Victim server.
         server: usize,
-        /// Corruption instant.
-        at: SimDuration,
         /// Number of corrupting hits (one bit flip each).
         sectors: u32,
-        /// Which backup-media region the hits land in
-        /// (`target=any|tail|checkpoint`, default `any`).
+        /// Placement seed: 0 in a parsed plan, drawn by the injector.
+        seed: u64,
+        /// Which backup-media region the hits land in.
         target: RotTarget,
     },
-    /// The metadata server crashes at `at` and restarts `restart_after`
-    /// later with the T-table it had. In between, data servers keep
-    /// serving, but T-value reports and broadcasts stall and clients
-    /// degrade to last-known T values.
-    MdsCrash {
-        /// Crash instant.
-        at: SimDuration,
-        /// Downtime before the MDS restarts.
-        restart_after: SimDuration,
-    },
+    /// The metadata server crashes: T-value reports and broadcasts
+    /// stall, and data servers keep serving with last-known T values.
+    MdsCrash,
+    /// The metadata server restarts and reporting resumes.
+    MdsRestart,
+}
+
+impl TimedFault {
+    /// The data server this fault targets, or `None` for an MDS fault.
+    /// Mutable so a cluster can fold a plan's server ids into its range.
+    pub fn server_mut(&mut self) -> Option<&mut usize> {
+        match self {
+            TimedFault::Crash { server }
+            | TimedFault::Restart { server }
+            | TimedFault::SsdLoss { server }
+            | TimedFault::SlowStart { server, .. }
+            | TimedFault::SlowEnd { server, .. }
+            | TimedFault::TornWrite { server, .. }
+            | TimedFault::BitRot { server, .. } => Some(server),
+            TimedFault::MdsCrash | TimedFault::MdsRestart => None,
+        }
+    }
 }
 
 /// Which backup-media region a `bit-rot` spec aims at. The segmented
@@ -190,10 +177,16 @@ impl RetryConfig {
 /// A parsed fault schedule plus the retry policy to recover from it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Scheduled faults, in file order.
-    pub specs: Vec<FaultSpec>,
-    /// Client retry policy (DSL `retry` directive; defaulted otherwise).
-    pub retry: Option<RetryConfig>,
+    /// Timed faults as offsets from the armed run's start, in directive
+    /// order (a directive's closing event right after its opening one).
+    pub faults: Vec<(SimDuration, TimedFault)>,
+    /// Network impairment windows `[from, until)`, in directive order:
+    /// data-plane messages (requests and replies) sent inside one are
+    /// dropped / delayed / duplicated with its probabilities. Control
+    /// traffic (T-value reports and broadcasts) is assumed reliable.
+    pub windows: Vec<(SimDuration, SimDuration, Impairment)>,
+    /// Client retry policy (DSL `retry` directive, or the default).
+    pub retry: RetryConfig,
 }
 
 /// A parse failure, carrying the offending line verbatim.
@@ -219,12 +212,7 @@ impl FaultPlan {
     /// True when the plan schedules nothing — arming it must be
     /// byte-identical to not arming any plan at all.
     pub fn is_faultless(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// The retry policy to use: the plan's own, or the default.
-    pub fn retry_config(&self) -> RetryConfig {
-        self.retry.clone().unwrap_or_default()
+        self.faults.is_empty() && self.windows.is_empty()
     }
 
     /// Parses the DSL text. See the module docs for the grammar.
@@ -280,26 +268,22 @@ impl FaultPlan {
                              (timeout * backoff^max)"
                         )));
                     }
-                    plan.retry = Some(retry);
+                    plan.retry = retry;
                 }
                 "crash" => {
-                    let spec = FaultSpec::ServerCrash {
-                        server: args.int("server")? as usize,
-                        at: args.duration("at")?,
-                        restart_after: args.duration("restart")?,
-                    };
-                    if let FaultSpec::ServerCrash { restart_after, .. } = &spec {
-                        if *restart_after == SimDuration::ZERO {
-                            return Err(err("restart must be > 0".into()));
-                        }
+                    let server = args.int("server")? as usize;
+                    let at = args.duration("at")?;
+                    let restart = args.duration("restart")?;
+                    if restart == SimDuration::ZERO {
+                        return Err(err("restart must be > 0".into()));
                     }
-                    plan.specs.push(spec);
+                    plan.faults.push((at, TimedFault::Crash { server }));
+                    plan.faults.push((at + restart, TimedFault::Restart { server }));
                 }
                 "ssd-loss" => {
-                    plan.specs.push(FaultSpec::SsdLoss {
-                        server: args.int("server")? as usize,
-                        at: args.duration("at")?,
-                    });
+                    let server = args.int("server")? as usize;
+                    let at = args.duration("at")?;
+                    plan.faults.push((at, TimedFault::SsdLoss { server }));
                 }
                 "fail-slow" => {
                     let from = args.duration("from")?;
@@ -307,13 +291,18 @@ impl FaultPlan {
                     if until <= from {
                         return Err(err(format!("until ({until}) must be after from ({from})")));
                     }
-                    plan.specs.push(FaultSpec::FailSlow {
-                        server: args.int("server")? as usize,
-                        dev: args.dev("dev")?,
+                    let server = args.int("server")? as usize;
+                    let dev = args.dev("dev")?;
+                    let factor = args.float("factor", 1.0, 1e6)?;
+                    plan.faults.push((
                         from,
-                        until,
-                        factor: args.float("factor", 1.0, 1e6)?,
-                    });
+                        TimedFault::SlowStart {
+                            server,
+                            dev,
+                            factor,
+                        },
+                    ));
+                    plan.faults.push((until, TimedFault::SlowEnd { server, dev }));
                 }
                 "net" => {
                     let from = args.duration("from")?;
@@ -333,23 +322,25 @@ impl FaultPlan {
                     if imp.delay > 0.0 && imp.delay_by == SimDuration::ZERO {
                         return Err(err("delay > 0 requires delay-by=<duration>".into()));
                     }
-                    plan.specs.push(FaultSpec::NetFault { from, until, imp });
+                    plan.windows.push((from, until, imp));
                 }
                 "torn-write" => {
-                    let restart_after = args.duration("restart")?;
-                    if restart_after == SimDuration::ZERO {
+                    let restart = args.duration("restart")?;
+                    if restart == SimDuration::ZERO {
                         return Err(err("restart must be > 0".into()));
                     }
                     let records = args.u32_or("records", 1)?;
                     if records == 0 {
                         return Err(err("records must be > 0".into()));
                     }
-                    plan.specs.push(FaultSpec::TornWrite {
-                        server: args.int("server")? as usize,
-                        at: args.duration("at")?,
-                        restart_after,
-                        records,
-                    });
+                    let server = args.int("server")? as usize;
+                    let at = args.duration("at")?;
+                    // The tear precedes its crash at the same instant;
+                    // the injector's stable sort keeps that order.
+                    plan.faults
+                        .push((at, TimedFault::TornWrite { server, records }));
+                    plan.faults.push((at, TimedFault::Crash { server }));
+                    plan.faults.push((at + restart, TimedFault::Restart { server }));
                 }
                 "bit-rot" => {
                     let sectors = args.u32_or("sectors", 1)?;
@@ -366,22 +357,26 @@ impl FaultPlan {
                             )));
                         }
                     };
-                    plan.specs.push(FaultSpec::BitRot {
-                        server: args.int("server")? as usize,
-                        at: args.duration("at")?,
-                        sectors,
-                        target,
-                    });
+                    let server = args.int("server")? as usize;
+                    let at = args.duration("at")?;
+                    plan.faults.push((
+                        at,
+                        TimedFault::BitRot {
+                            server,
+                            sectors,
+                            seed: 0,
+                            target,
+                        },
+                    ));
                 }
                 "mds-crash" => {
-                    let restart_after = args.duration("restart")?;
-                    if restart_after == SimDuration::ZERO {
+                    let restart = args.duration("restart")?;
+                    if restart == SimDuration::ZERO {
                         return Err(err("restart must be > 0".into()));
                     }
-                    plan.specs.push(FaultSpec::MdsCrash {
-                        at: args.duration("at")?,
-                        restart_after,
-                    });
+                    let at = args.duration("at")?;
+                    plan.faults.push((at, TimedFault::MdsCrash));
+                    plan.faults.push((at + restart, TimedFault::MdsRestart));
                 }
                 _ => unreachable!("directive validated above"),
             }
@@ -541,11 +536,11 @@ impl<'a> Args<'a> {
         Ok(SimDuration::from_secs_f64(f * scale))
     }
 
-    fn dev(&mut self, key: &str) -> Result<FaultDev, PlanError> {
+    fn dev(&mut self, key: &str) -> Result<DevKind, PlanError> {
         let v = self.required(key)?;
         match v {
-            "primary" => Ok(FaultDev::Primary),
-            "cache" => Ok(FaultDev::Cache),
+            "primary" => Ok(DevKind::Primary),
+            "cache" => Ok(DevKind::Cache),
             _ => Err(self.err(format!("'{key}' must be 'primary' or 'cache', got '{v}'"))),
         }
     }
@@ -648,6 +643,10 @@ pub fn builtin(name: &str) -> Option<&'static str> {
 mod tests {
     use super::*;
 
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
     #[test]
     fn parses_full_grammar() {
         let plan = FaultPlan::parse(
@@ -660,18 +659,63 @@ mod tests {
              net from=50ms until=350ms drop=0.03 delay=0.05 delay-by=2ms dup=0.02\n",
         )
         .expect("plan must parse");
-        assert_eq!(plan.specs.len(), 4);
-        let retry = plan.retry_config();
-        assert_eq!(retry.timeout, SimDuration::from_millis(400));
-        assert_eq!(retry.max_retries, 8);
         assert_eq!(
-            plan.specs[0],
-            FaultSpec::ServerCrash {
-                server: 1,
-                at: SimDuration::from_millis(120),
-                restart_after: SimDuration::from_millis(60),
+            plan.retry,
+            RetryConfig {
+                timeout: ms(400),
+                backoff: 2.0,
+                max_retries: 8,
             }
         );
+        // Directive order; each closing event right after its opening one.
+        let dev = DevKind::Primary;
+        assert_eq!(
+            plan.faults,
+            vec![
+                (ms(120), TimedFault::Crash { server: 1 }),
+                (ms(180), TimedFault::Restart { server: 1 }),
+                (ms(100), TimedFault::SsdLoss { server: 0 }),
+                (
+                    ms(80),
+                    TimedFault::SlowStart {
+                        server: 2,
+                        dev,
+                        factor: 6.0
+                    }
+                ),
+                (ms(300), TimedFault::SlowEnd { server: 2, dev }),
+            ]
+        );
+        assert_eq!(
+            plan.windows,
+            vec![(
+                ms(50),
+                ms(350),
+                Impairment {
+                    drop: 0.03,
+                    delay: 0.05,
+                    delay_by: ms(2),
+                    dup: 0.02,
+                }
+            )]
+        );
+        assert!(!plan.is_faultless());
+    }
+
+    #[test]
+    fn retry_defaults_without_a_retry_directive() {
+        let plan = FaultPlan::parse("ssd-loss server=0 at=1ms\n").unwrap();
+        assert_eq!(plan.retry, RetryConfig::default());
+        // A retry directive alone schedules nothing.
+        let retry_only = FaultPlan::parse("retry timeout=5ms\n").unwrap();
+        assert!(retry_only.is_faultless());
+        assert_eq!(retry_only.retry.timeout, ms(5));
+    }
+
+    #[test]
+    fn a_net_window_alone_is_not_faultless() {
+        let plan = FaultPlan::parse("net from=0ms until=1ms drop=0.5\n").unwrap();
+        assert!(plan.faults.is_empty());
         assert!(!plan.is_faultless());
     }
 
@@ -744,30 +788,31 @@ mod tests {
         )
         .expect("plan must parse");
         assert_eq!(
-            plan.specs[0],
-            FaultSpec::TornWrite {
-                server: 1,
-                at: SimDuration::from_millis(150),
-                restart_after: SimDuration::from_millis(60),
-                records: 2,
-            }
-        );
-        // `records`/`sectors` default to 1 when omitted.
-        assert_eq!(
-            plan.specs[1],
-            FaultSpec::BitRot {
-                server: 0,
-                at: SimDuration::from_millis(100),
-                sectors: 1,
-                target: RotTarget::Any,
-            }
-        );
-        assert_eq!(
-            plan.specs[2],
-            FaultSpec::MdsCrash {
-                at: SimDuration::from_millis(80),
-                restart_after: SimDuration::from_millis(120),
-            }
+            plan.faults,
+            vec![
+                // The tear comes before its crash at the same instant.
+                (
+                    ms(150),
+                    TimedFault::TornWrite {
+                        server: 1,
+                        records: 2
+                    }
+                ),
+                (ms(150), TimedFault::Crash { server: 1 }),
+                (ms(210), TimedFault::Restart { server: 1 }),
+                // `records`/`sectors` default to 1 when omitted.
+                (
+                    ms(100),
+                    TimedFault::BitRot {
+                        server: 0,
+                        sectors: 1,
+                        seed: 0,
+                        target: RotTarget::Any,
+                    }
+                ),
+                (ms(80), TimedFault::MdsCrash),
+                (ms(200), TimedFault::MdsRestart),
+            ]
         );
     }
 
@@ -919,25 +964,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            plan.specs[0],
-            FaultSpec::SsdLoss {
-                server: 0,
-                at: SimDuration::from_micros(1500)
-            }
-        );
-        assert_eq!(
-            plan.specs[1],
-            FaultSpec::SsdLoss {
-                server: 1,
-                at: SimDuration::from_secs(2)
-            }
-        );
-        assert_eq!(
-            plan.specs[2],
-            FaultSpec::SsdLoss {
-                server: 2,
-                at: SimDuration::from_nanos(250)
-            }
+            plan.faults,
+            vec![
+                (
+                    SimDuration::from_micros(1500),
+                    TimedFault::SsdLoss { server: 0 }
+                ),
+                (SimDuration::from_secs(2), TimedFault::SsdLoss { server: 1 }),
+                (
+                    SimDuration::from_nanos(250),
+                    TimedFault::SsdLoss { server: 2 }
+                ),
+            ]
         );
     }
 }

@@ -30,7 +30,7 @@ pub use device::{Action, ActionList, BlockDevice, DevStats, StorageDev};
 pub use ibridge_obs::DispatchTracer;
 pub use noop::Noop;
 
-use ibridge_des::SimTime;
+use ibridge_des::{InlineVec, SimTime};
 use ibridge_device::{DevOp, IoDir, Lbn};
 
 /// Largest merged request, in sectors (128 KB): every scheduler caps
@@ -51,114 +51,9 @@ pub type JobTag = u64;
 /// sub-requests, so the common case never allocates.
 pub const TAG_INLINE: usize = 4;
 
-/// An inline-first list of [`JobTag`]s.
-///
-/// Stores up to [`TAG_INLINE`] tags in place; the `spill` vector takes
-/// over (holding *all* tags) once a merge chain grows past that. Mirrors
-/// the `ExtentList` used by the file-system layer.
-#[derive(Clone)]
-pub struct TagList {
-    inline: [JobTag; TAG_INLINE],
-    len: u8,
-    spill: Vec<JobTag>,
-}
-
-impl TagList {
-    /// An empty list.
-    pub const fn new() -> Self {
-        TagList {
-            inline: [0; TAG_INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    /// A list holding one tag.
-    pub const fn one(tag: JobTag) -> Self {
-        let mut inline = [0; TAG_INLINE];
-        inline[0] = tag;
-        TagList {
-            inline,
-            len: 1,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends a tag, spilling to the heap past the inline capacity.
-    pub fn push(&mut self, tag: JobTag) {
-        if !self.spill.is_empty() {
-            self.spill.push(tag);
-        } else if (self.len as usize) < TAG_INLINE {
-            self.inline[self.len as usize] = tag;
-            self.len += 1;
-        } else {
-            self.spill.reserve(TAG_INLINE * 2);
-            self.spill
-                .extend_from_slice(&self.inline[..self.len as usize]);
-            self.spill.push(tag);
-            self.len = 0;
-        }
-    }
-
-    /// The tags as a slice.
-    pub fn as_slice(&self) -> &[JobTag] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// True once the list has spilled to the heap (diagnostics).
-    pub fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-}
-
-impl Default for TagList {
-    fn default() -> Self {
-        TagList::new()
-    }
-}
-
-impl std::ops::Deref for TagList {
-    type Target = [JobTag];
-    fn deref(&self) -> &[JobTag] {
-        self.as_slice()
-    }
-}
-
-impl std::fmt::Debug for TagList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-impl PartialEq for TagList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for TagList {}
-
-impl<'a> IntoIterator for &'a TagList {
-    type Item = &'a JobTag;
-    type IntoIter = std::slice::Iter<'a, JobTag>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl FromIterator<JobTag> for TagList {
-    fn from_iter<I: IntoIterator<Item = JobTag>>(iter: I) -> Self {
-        let mut list = TagList::new();
-        for tag in iter {
-            list.push(tag);
-        }
-        list
-    }
-}
+/// An inline-first list of [`JobTag`]s: up to [`TAG_INLINE`] in place,
+/// all of them on the heap once a merge chain grows past that.
+pub type TagList = InlineVec<JobTag, TAG_INLINE>;
 
 /// A block-level request as seen by an I/O scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]

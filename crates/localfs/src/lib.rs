@@ -23,6 +23,7 @@
 //! ```
 
 use ibridge_des::fxhash::FxHashMap as HashMap;
+use ibridge_des::InlineVec;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -38,7 +39,7 @@ pub const SECTOR_SIZE: u64 = 512;
 pub struct FileHandle(pub u64);
 
 /// A contiguous run of sectors on the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Extent {
     /// First sector.
     pub lbn: Lbn,
@@ -68,172 +69,7 @@ pub const EXTENT_INLINE: usize = 2;
 /// mappings, SSD-log placements and per-entry bookkeeping all pass
 /// `ExtentList`s, so the per-I/O `Vec` allocation the old `Vec<Extent>`
 /// returns imposed only happens for genuinely fragmented ranges.
-/// Dereferences to `[Extent]` for iteration and indexing.
-#[derive(Clone)]
-pub struct ExtentList {
-    /// Valid in `..len` while `spill` is empty.
-    inline: [Extent; EXTENT_INLINE],
-    /// Inline length; once the list spills, `spill.len()` is the truth.
-    len: u8,
-    /// Heap storage after overflow; holds *all* extents then.
-    spill: Vec<Extent>,
-}
-
-impl Default for ExtentList {
-    fn default() -> Self {
-        ExtentList::new()
-    }
-}
-
-impl ExtentList {
-    const ZERO: Extent = Extent { lbn: 0, sectors: 0 };
-
-    /// Creates an empty list (no allocation).
-    pub const fn new() -> Self {
-        ExtentList {
-            inline: [Self::ZERO; EXTENT_INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Creates a list holding one extent (no allocation).
-    pub const fn one(e: Extent) -> Self {
-        let mut inline = [Self::ZERO; EXTENT_INLINE];
-        inline[0] = e;
-        ExtentList {
-            inline,
-            len: 1,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Creates a list holding two extents (no allocation).
-    pub const fn two(a: Extent, b: Extent) -> Self {
-        ExtentList {
-            inline: [a, b],
-            len: 2,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends an extent, spilling to the heap past [`EXTENT_INLINE`].
-    pub fn push(&mut self, e: Extent) {
-        if self.spill.is_empty() && (self.len as usize) < EXTENT_INLINE {
-            self.inline[self.len as usize] = e;
-            self.len += 1;
-        } else {
-            if self.spill.is_empty() {
-                self.spill.reserve(EXTENT_INLINE * 2);
-                self.spill
-                    .extend_from_slice(&self.inline[..self.len as usize]);
-                self.len = 0;
-            }
-            self.spill.push(e);
-        }
-    }
-
-    /// Removes and returns the last extent.
-    pub fn pop(&mut self) -> Option<Extent> {
-        if !self.spill.is_empty() {
-            // Draining the spill below the inline capacity is fine: the
-            // spill stays authoritative while non-empty, and an empty
-            // spill with `len == 0` reads as an empty list.
-            return self.spill.pop();
-        }
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        Some(self.inline[self.len as usize])
-    }
-
-    /// Empties the list, keeping any spill capacity for reuse.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
-    /// The extents as a slice.
-    pub fn as_slice(&self) -> &[Extent] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// The extents as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [Extent] {
-        if self.spill.is_empty() {
-            &mut self.inline[..self.len as usize]
-        } else {
-            &mut self.spill
-        }
-    }
-
-    /// True when the list heap-allocated (diagnostics/tests).
-    pub fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-}
-
-impl std::ops::Deref for ExtentList {
-    type Target = [Extent];
-    fn deref(&self) -> &[Extent] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for ExtentList {
-    fn deref_mut(&mut self) -> &mut [Extent] {
-        self.as_mut_slice()
-    }
-}
-
-impl fmt::Debug for ExtentList {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-impl PartialEq for ExtentList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for ExtentList {}
-
-impl FromIterator<Extent> for ExtentList {
-    fn from_iter<I: IntoIterator<Item = Extent>>(iter: I) -> Self {
-        let mut out = ExtentList::new();
-        for e in iter {
-            out.push(e);
-        }
-        out
-    }
-}
-
-impl From<Vec<Extent>> for ExtentList {
-    fn from(v: Vec<Extent>) -> Self {
-        v.into_iter().collect()
-    }
-}
-
-impl<const N: usize> From<[Extent; N]> for ExtentList {
-    fn from(a: [Extent; N]) -> Self {
-        a.into_iter().collect()
-    }
-}
-
-impl<'a> IntoIterator for &'a ExtentList {
-    type Item = &'a Extent;
-    type IntoIter = std::slice::Iter<'a, Extent>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
+pub type ExtentList = InlineVec<Extent, EXTENT_INLINE>;
 
 /// Allocation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -33,10 +33,12 @@ use std::fmt::Write as _;
 use std::mem;
 use std::sync::Mutex;
 
-/// Node number used for client-side spans.
+/// Node number of the client/MDS coordinator, in the cluster's event
+/// calendar and in traces alike.
 pub const CLIENT_NODE: u16 = 0;
 
-/// Node number for server `s` (clients are node 0).
+/// Node number of data server `s`: the coordinator is node 0, so server
+/// `s` is node `s + 1`.
 pub fn server_node(server: usize) -> u16 {
     (server as u16).saturating_add(1)
 }

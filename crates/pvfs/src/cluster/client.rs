@@ -2,9 +2,10 @@
 //! collects the replies, retransmits on timeout and waits at barriers.
 
 use super::faults::net_decision;
-use super::{srv_node, Ev, PendingJob, Run, COORD};
+use super::{Ev, PendingJob, Run};
 use crate::proto::{FileRequest, SubRequest};
 use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use ibridge_net::NetDecision;
 use rand::Rng;
 
@@ -105,9 +106,9 @@ impl Run<'_> {
                 // calendar drains to empty.
                 let l = sim.lookahead();
                 for server in 0..self.cfg.n_servers {
-                    sim.post_at(COORD, srv_node(server), now + l, Ev::DrainTick { server });
+                    sim.post_at(CLIENT_NODE, server_node(server), now + l, Ev::DrainTick { server });
                 }
-                for id in self.fault_ids[usize::from(COORD)].drain(..) {
+                for id in self.fault_ids[usize::from(CLIENT_NODE)].drain(..) {
                     sim.cancel(id);
                 }
             } else if self.use_barrier {
@@ -121,8 +122,8 @@ impl Run<'_> {
         let jitter =
             SimDuration::from_nanos(self.coord.jitter_rng.gen_range(0..CLIENT_JITTER.as_nanos()));
         sim.post_in(
-            COORD,
-            COORD,
+            CLIENT_NODE,
+            CLIENT_NODE,
             item.think + jitter,
             Ev::Issue {
                 proc,
@@ -171,8 +172,8 @@ impl Run<'_> {
             let sub_idx = idx as u32;
             if self.faults {
                 let tid = sim.schedule_at(
-                    COORD,
-                    COORD,
+                    CLIENT_NODE,
+                    CLIENT_NODE,
                     now + self.retry.timeout,
                     Ev::SubTimeout { parent, sub_idx },
                 );
@@ -247,7 +248,7 @@ impl Run<'_> {
             self.proc_state[proc] = ProcState::AtBarrier;
             self.maybe_release_barrier(sim);
         } else {
-            sim.post_now(COORD, COORD, Ev::Wake { proc });
+            sim.post_now(CLIENT_NODE, CLIENT_NODE, Ev::Wake { proc });
         }
     }
 
@@ -276,8 +277,8 @@ impl Run<'_> {
             // makes progress.
             self.fstats.failed_subs += 1;
             sim.post_now(
-                COORD,
-                COORD,
+                CLIENT_NODE,
+                CLIENT_NODE,
                 Ev::Reply {
                     proc,
                     parent,
@@ -290,7 +291,7 @@ impl Run<'_> {
         self.fstats.retries += 1;
         let wait = self.retry.backoff_delay(st.attempt);
         st.timeout =
-            Some(sim.schedule_at(COORD, COORD, now + wait, Ev::SubTimeout { parent, sub_idx }));
+            Some(sim.schedule_at(CLIENT_NODE, CLIENT_NODE, now + wait, Ev::SubTimeout { parent, sub_idx }));
         let sub = st.sub.clone();
         self.send_sub(sim, now, proc, parent, sub_idx, sub);
     }
@@ -313,7 +314,7 @@ impl Run<'_> {
         let server = sub.server;
         #[cfg(feature = "obs")]
         obs_net_req(now, arrive, proc, parent, sub_idx, server);
-        let node = srv_node(server);
+        let node = server_node(server);
         let mut job = self.coord.next_job;
         self.coord.next_job += 1;
         let pj = PendingJob {
@@ -341,14 +342,14 @@ impl Run<'_> {
                 // The copy travels as its own job so the server can hold
                 // both at once; the client deduplicates on reply.
                 self.jobs.insert(job, pj.clone());
-                sim.post_at(COORD, node, arrive, Ev::SubArrive { server, job });
+                sim.post_at(CLIENT_NODE, node, arrive, Ev::SubArrive { server, job });
                 job = self.coord.next_job;
                 self.coord.next_job += 1;
                 arrive
             }
         };
         self.jobs.insert(job, pj);
-        sim.post_at(COORD, node, at, Ev::SubArrive { server, job });
+        sim.post_at(CLIENT_NODE, node, at, Ev::SubArrive { server, job });
     }
 
     fn maybe_release_barrier(&mut self, sim: &mut Simulation<Ev>) {
@@ -364,7 +365,7 @@ impl Run<'_> {
         for (proc, st) in self.proc_state.iter_mut().enumerate() {
             if *st == ProcState::AtBarrier {
                 *st = ProcState::Running;
-                sim.post_now(COORD, COORD, Ev::Wake { proc });
+                sim.post_now(CLIENT_NODE, CLIENT_NODE, Ev::Wake { proc });
             }
         }
     }

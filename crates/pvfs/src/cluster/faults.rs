@@ -1,19 +1,12 @@
 //! Fault glue (scheduled faults, network impairments, degraded time)
 //! and the online invariant auditor.
 
-use super::{srv_node, Ev, Run, ServerCell, COORD};
+use super::{Ev, Run, ServerCell};
 use crate::policy::LogCorruption;
-use crate::server::DevKind;
 use ibridge_des::{SimDuration, SimTime, Simulation};
-use ibridge_faults::{FaultDev, FaultStats, NetDecider, TimedFault};
+use ibridge_faults::{FaultStats, NetDecider, TimedFault};
 use ibridge_net::NetDecision;
-
-fn devkind(dev: FaultDev) -> DevKind {
-    match dev {
-        FaultDev::Primary => DevKind::Primary,
-        FaultDev::Cache => DevKind::Cache,
-    }
-}
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 
 impl Run<'_> {
     /// Applies one scheduled fault on the node it targets.
@@ -53,7 +46,7 @@ impl Run<'_> {
                         // Replayed dirty entries must still be written
                         // back for the run to quiesce. The restart runs
                         // on the server's own node, so the kick is local.
-                        let node = srv_node(server);
+                        let node = server_node(server);
                         sim.post_now(node, node, Ev::DrainTick { server });
                     }
                 }
@@ -73,8 +66,8 @@ impl Run<'_> {
                     // Tell the MDS to stop steering fragments at this
                     // server; its table lives on the coordinator, one
                     // lookahead away.
-                    let node = srv_node(server);
-                    sim.post_at(node, COORD, now + sim.lookahead(), Ev::SteerOff { server });
+                    let node = server_node(server);
+                    sim.post_at(node, CLIENT_NODE, now + sim.lookahead(), Ev::SteerOff { server });
                     degrade_start(cell, now);
                 }
             }
@@ -85,12 +78,12 @@ impl Run<'_> {
             } => {
                 self.fstats.slow_windows += 1;
                 let cell = &mut self.cells[server];
-                cell.server.set_slow_factor(devkind(dev), factor);
+                cell.server.set_slow_factor(dev, factor);
                 degrade_start(cell, now);
             }
             TimedFault::SlowEnd { server, dev } => {
                 let cell = &mut self.cells[server];
-                cell.server.set_slow_factor(devkind(dev), 1.0);
+                cell.server.set_slow_factor(dev, 1.0);
                 degrade_end(&mut self.fstats, cell, now);
             }
             TimedFault::TornWrite { server, records } => {

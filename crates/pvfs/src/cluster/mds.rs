@@ -8,8 +8,9 @@
 //! table they were sent. Every applied update bumps the table's version,
 //! which stamps the broadcasts.
 
-use super::{srv_node, Ev, Run, COORD};
+use super::{Ev, Run};
 use ibridge_des::{SimTime, Simulation};
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use std::sync::Arc;
 
 /// An MDS outage edge: an `mds:leader` span on the client node's MDS
@@ -95,8 +96,8 @@ impl Run<'_> {
                 .mds_link
                 .send(now, 64 * self.cfg.n_servers as u64);
             sim.post_at(
-                COORD,
-                srv_node(dest),
+                CLIENT_NODE,
+                server_node(dest),
                 arrive,
                 Ev::Broadcast {
                     server: dest,

@@ -51,6 +51,7 @@ use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
 use ibridge_faults::{FaultInjector, FaultPlan, FaultStats, NetDecider, RetryConfig, TimedFault};
 use ibridge_localfs::FileHandle;
 use ibridge_net::{Link, LinkConfig};
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use rand::rngs::StdRng;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -133,14 +134,6 @@ impl Default for ClusterConfig {
 
 /// Interval of each server's writeback daemon (its idle check).
 const WRITEBACK_INTERVAL: SimDuration = SimDuration::from_millis(100);
-
-/// Node id of the client/MDS coordinator.
-const COORD: u16 = 0;
-
-/// Node id of data server `s` (the coordinator is node 0).
-fn srv_node(s: usize) -> u16 {
-    s as u16 + 1
-}
 
 #[derive(Debug)]
 enum Ev {
@@ -348,9 +341,9 @@ impl Cluster {
         self.injector = (!plan.is_faultless()).then(|| FaultInjector::new(plan, self.cfg.seed));
         let seed = self.cfg.seed;
         let inj = self.injector.as_ref();
-        self.coord.decider = inj.and_then(|inj| inj.net_decider(seed, COORD));
+        self.coord.decider = inj.and_then(|inj| inj.net_decider(seed, CLIENT_NODE));
         for (s, cell) in self.servers.iter_mut().enumerate() {
-            cell.decider = inj.and_then(|inj| inj.net_decider(seed, srv_node(s)));
+            cell.decider = inj.and_then(|inj| inj.net_decider(seed, server_node(s)));
         }
     }
 
@@ -421,9 +414,9 @@ impl Cluster {
                 let node = match f.server_mut() {
                     Some(s) => {
                         *s %= n_servers;
-                        srv_node(*s)
+                        server_node(*s)
                     }
-                    None => COORD,
+                    None => CLIENT_NODE,
                 };
                 let id = self.sim.schedule_at(node, node, start + off, Ev::Fault(f));
                 fault_ids[usize::from(node)].push(id);
@@ -461,13 +454,13 @@ impl Cluster {
         let barrier_mask: Vec<bool> = (0..n_procs).map(|p| workload.in_barrier(p)).collect();
 
         for proc in 0..n_procs {
-            self.sim.post_now(COORD, COORD, Ev::Wake { proc });
+            self.sim.post_now(CLIENT_NODE, CLIENT_NODE, Ev::Wake { proc });
         }
         #[cfg(feature = "obs")]
         let mds_version0 = self.coord.mds_version;
         if ibridge {
             for server in 0..n_servers {
-                let node = srv_node(server);
+                let node = server_node(server);
                 self.sim
                     .post_in(node, node, self.cfg.report_interval, Ev::Report { server });
                 self.sim

@@ -2,9 +2,10 @@
 //! post-event tail that follows every server event.
 
 use super::faults::net_decision;
-use super::{srv_node, Ev, Run, COORD, WRITEBACK_INTERVAL};
+use super::{Ev, Run, WRITEBACK_INTERVAL};
 use crate::server::{DataServer, DevKind, JobId, ServerOut};
 use ibridge_des::{SimTime, Simulation};
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use ibridge_iosched::Action;
 use ibridge_net::NetDecision;
 
@@ -79,7 +80,7 @@ impl Run<'_> {
         #[cfg(feature = "obs")]
         obs_srv_queue(now, exec_at, server, job);
         let epoch = self.cells[server].srv_epoch;
-        let node = srv_node(server);
+        let node = server_node(server);
         sim.post_at(node, node, exec_at, Ev::SubExec { server, job, epoch });
     }
 
@@ -149,12 +150,12 @@ impl Run<'_> {
         // A crashed server cannot report; a degraded one (lost SSD) stays
         // silent so the MDS keeps its slot zeroed and fragments stop being
         // steered at it.
-        let node = srv_node(server);
+        let node = server_node(server);
         let cell = &mut self.cells[server];
         if !cell.down && !cell.server.policy().is_degraded() {
             let t = cell.server.policy().report_t();
             let arrive = cell.link.send(now, 128);
-            sim.post_at(node, COORD, arrive, Ev::ReportArrive { server, t });
+            sim.post_at(node, CLIENT_NODE, arrive, Ev::ReportArrive { server, t });
         }
         if !self.draining {
             sim.post_in(node, node, self.cfg.report_interval, Ev::Report { server });
@@ -183,7 +184,7 @@ impl Run<'_> {
             });
         }
         if !self.draining {
-            let node = srv_node(server);
+            let node = server_node(server);
             sim.post_in(node, node, WRITEBACK_INTERVAL, Ev::WritebackTick { server });
         }
     }
@@ -227,7 +228,7 @@ impl Run<'_> {
         server: usize,
         out: &mut ServerOut,
     ) {
-        let node = srv_node(server);
+        let node = server_node(server);
         for (kind, action) in out.dev_actions.drain(..) {
             let epoch = self.cells[server].dev_epoch[dev_idx(kind)];
             match action {
@@ -270,7 +271,7 @@ impl Run<'_> {
                 sub_idx,
             };
             match net_decision(&mut self.cells[server].decider, now - self.start) {
-                NetDecision::Deliver => sim.post_at(node, COORD, arrive, reply),
+                NetDecision::Deliver => sim.post_at(node, CLIENT_NODE, arrive, reply),
                 NetDecision::Drop => {
                     // The client's timeout retransmits; the server will
                     // serve the retry again.
@@ -278,13 +279,13 @@ impl Run<'_> {
                 }
                 NetDecision::Delay(d) => {
                     self.fstats.delayed_messages += 1;
-                    sim.post_at(node, COORD, arrive + d, reply);
+                    sim.post_at(node, CLIENT_NODE, arrive + d, reply);
                 }
                 NetDecision::Duplicate => {
                     self.fstats.duplicated_messages += 1;
                     sim.post_at(
                         node,
-                        COORD,
+                        CLIENT_NODE,
                         arrive,
                         Ev::Reply {
                             proc,
@@ -292,7 +293,7 @@ impl Run<'_> {
                             sub_idx,
                         },
                     );
-                    sim.post_at(node, COORD, arrive, reply);
+                    sim.post_at(node, CLIENT_NODE, arrive, reply);
                 }
             }
         }
@@ -325,7 +326,7 @@ impl Run<'_> {
                     // This server just went quiescent: faults still
                     // scheduled against it can no longer affect the run;
                     // unschedule them so the calendar drains to empty.
-                    for id in self.fault_ids[usize::from(srv_node(s))].drain(..) {
+                    for id in self.fault_ids[usize::from(server_node(s))].drain(..) {
                         sim.cancel(id);
                     }
                 }

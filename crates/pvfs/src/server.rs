@@ -54,14 +54,7 @@ const RA_FILL: u64 = 64 * 1024;
 /// Bytes per local file system block.
 const BLOCK_BYTES: u64 = BLOCK_SECTORS * SECTOR_SIZE;
 
-/// Which of the server's block devices an action belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DevKind {
-    /// The device holding the datafiles (disk, or SSD in SSD-only mode).
-    Primary,
-    /// The iBridge SSD cache.
-    Cache,
-}
+pub use ibridge_faults::DevKind;
 
 /// Which I/O scheduler fronts the primary disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -337,10 +330,10 @@ impl DataServer {
         srv
     }
 
-    /// Labels this server's devices for observability output: trace node
-    /// = server id + 1, lane 1 = primary device, lane 2 = cache device.
+    /// Labels this server's devices for observability output: the
+    /// server's trace node, lane 1 = primary device, lane 2 = cache device.
     fn obs_label_devices(&mut self) {
-        let node = (self.id as u16).saturating_add(1);
+        let node = ibridge_obs::trace::server_node(self.id);
         self.primary.set_obs_label(node, 1);
         if let Some(c) = self.cache.as_mut() {
             c.set_obs_label(node, 2);
