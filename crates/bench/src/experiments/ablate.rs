@@ -184,7 +184,7 @@ fn eq3_degraded(scale: &Scale) -> String {
     };
     let mut t = Table::new(
         "Ablation — Eq. (3) with one degraded server (65 KB writes, 64 procs)",
-        &["variant", "throughput(MB/s)", "p99-ish latency(ms)"],
+        &["variant", "throughput(MB/s)", "p99 latency(ms)"],
     );
     for (label, eq3_on) in [("with Eq.3", true), ("without Eq.3", false)] {
         let mut cfg = scale.cluster(8);
@@ -214,7 +214,11 @@ fn eq3_degraded(scale: &Scale) -> String {
         t.row(&[
             label.to_string(),
             mbps(stats.throughput_mbps()),
-            format!("{:.1}", stats.latency_ms.max().unwrap_or(0.0)),
+            stats
+                .latency_hist_ms
+                .quantile(0.99)
+                .unwrap_or(0)
+                .to_string(),
         ]);
     }
     format!(
