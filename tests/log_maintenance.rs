@@ -233,3 +233,47 @@ proptest! {
         prop_assert_eq!(slots_hitting_ssd(&mut p, 3), 3);
     }
 }
+
+/// The scrubber's repair path: bit-rot planned against a live record
+/// that then sits on a sealed tail segment is caught by the idle-time
+/// CRC walk and rewritten in place, so the next restart finds nothing
+/// to quarantine.
+#[test]
+fn scrubber_repairs_rot_on_a_sealed_tail_segment() {
+    let (mut p, _cfg) = policy(0); // no checkpoints: every record is tail
+    overwrite(&mut p, 0);
+    // Slot 0's record is the only live one, so the rot must land on it.
+    let hit = CachePolicy::inject_corruption(
+        &mut p,
+        SimTime::ZERO,
+        LogCorruption::BitRot {
+            sectors: 1,
+            seed: 42,
+            target: RotTarget::Tail,
+        },
+    );
+    assert_eq!(hit, 1);
+    // Fresh slots (no overwrites, so nothing to compact) until segment
+    // 0, holding slot 0's record, seals.
+    let mut slots = 1;
+    while p.maint_stats().segments_sealed == 0 {
+        overwrite(&mut p, slots);
+        slots += 1;
+        assert!(slots < 64, "fresh writes must seal the 2 KB segment");
+    }
+    let mut ticks = 0;
+    while p.maint_stats().scrub_segments == 0 {
+        p.log_maintenance(SimTime::ZERO, true);
+        ticks += 1;
+        assert!(ticks < 8, "an idle tick must reach the scrubber");
+    }
+    let m = p.maint_stats();
+    assert_eq!(m.segments_compacted, 0, "segment 0 is all live");
+    assert_eq!(m.scrub_repairs, 1, "the scrubber repairs the rotted record");
+
+    let r = p.server_restart(SimTime::ZERO);
+    assert_eq!(r.records_quarantined, 0, "the repaired record verifies");
+    assert_eq!(r.dirty_bytes_lost, 0);
+    assert_eq!(r.dirty_entries_kept, slots);
+    p.audit().expect("post-restart state is consistent");
+}
