@@ -179,24 +179,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stays_inline_to_capacity_then_spills_everything() {
-        let mut l: InlineVec<u64, 2> = InlineVec::new();
-        assert!(l.is_empty() && !l.spilled());
-        l.push(1);
-        l.push(2);
-        assert!(!l.spilled(), "two elements must not allocate");
-        assert_eq!(l.as_slice(), &[1, 2]);
-        l.push(3);
-        assert!(l.spilled());
-        assert_eq!(l.as_slice(), &[1, 2, 3]);
-        assert_eq!(l, InlineVec::from(vec![1, 2, 3]));
-        assert_eq!(l.pop(), Some(3));
-        l.as_mut_slice()[0] = 9;
-        assert_eq!(&l[..], &[9, 2]);
-        assert_eq!(format!("{l:?}"), "[9, 2]");
-    }
-
-    #[test]
     fn clear_keeps_the_spill_capacity() {
         let mut l: InlineVec<u64, 2> = [1, 2, 3].into();
         let cap = l.spill.capacity();
@@ -213,10 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn constructors_and_pop_to_empty() {
+    fn pop_drains_the_spill_then_the_inline_elements() {
+        let mut l: InlineVec<u64, 2> = [1, 2, 3].into();
+        assert_eq!(l.pop(), Some(3));
+        assert!(l.spilled(), "the spill stays the storage while non-empty");
+        assert_eq!(&l[..], &[1, 2]);
         let mut l = InlineVec::<u64, 4>::two(7, 8);
-        assert_eq!(l.as_slice(), &[7, 8]);
-        assert_eq!(InlineVec::<u64, 4>::one(7).as_slice(), &[7]);
         assert_eq!(l.pop(), Some(8));
         assert_eq!(l.pop(), Some(7));
         assert_eq!(l.pop(), None);

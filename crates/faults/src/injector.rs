@@ -256,7 +256,7 @@ mod tests {
                     SimDuration::from_millis(120),
                     TimedFault::Crash { server: 1 }
                 ),
-                // Both recover at 180ms; the torn-write spec comes first
+                // Both recover at 180ms; the torn-write directive comes first
                 // in the plan, so the stable sort keeps its Restart first.
                 (
                     SimDuration::from_millis(180),
@@ -302,13 +302,19 @@ mod tests {
         let seed_of = |server: usize| {
             tl.iter()
                 .find_map(|(_, f)| match *f {
-                    TimedFault::BitRot { server: s, seed, .. } if s == server => Some(seed),
+                    TimedFault::BitRot {
+                        server: s, seed, ..
+                    } if s == server => Some(seed),
                     _ => None,
                 })
                 .expect("both rots scheduled")
         };
         assert!(matches!(tl[0].1, TimedFault::BitRot { server: 1, .. }));
-        assert_eq!(seed_of(0), first, "the first directive takes the first draw");
+        assert_eq!(
+            seed_of(0),
+            first,
+            "the first directive takes the first draw"
+        );
         assert_eq!(seed_of(1), second);
     }
 

@@ -128,7 +128,7 @@ impl TimedFault {
     }
 }
 
-/// Which backup-media region a `bit-rot` spec aims at. The segmented
+/// Which backup-media region a `bit-rot` directive aims at. The segmented
 /// backup keeps two kinds of media: log-tail segments and the indexed
 /// checkpoint image; plans can rot either specifically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -278,7 +278,8 @@ impl FaultPlan {
                         return Err(err("restart must be > 0".into()));
                     }
                     plan.faults.push((at, TimedFault::Crash { server }));
-                    plan.faults.push((at + restart, TimedFault::Restart { server }));
+                    plan.faults
+                        .push((at + restart, TimedFault::Restart { server }));
                 }
                 "ssd-loss" => {
                     let server = args.int("server")? as usize;
@@ -302,7 +303,8 @@ impl FaultPlan {
                             factor,
                         },
                     ));
-                    plan.faults.push((until, TimedFault::SlowEnd { server, dev }));
+                    plan.faults
+                        .push((until, TimedFault::SlowEnd { server, dev }));
                 }
                 "net" => {
                     let from = args.duration("from")?;
@@ -340,7 +342,8 @@ impl FaultPlan {
                     plan.faults
                         .push((at, TimedFault::TornWrite { server, records }));
                     plan.faults.push((at, TimedFault::Crash { server }));
-                    plan.faults.push((at + restart, TimedFault::Restart { server }));
+                    plan.faults
+                        .push((at + restart, TimedFault::Restart { server }));
                 }
                 "bit-rot" => {
                     let sectors = args.u32_or("sectors", 1)?;

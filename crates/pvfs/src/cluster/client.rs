@@ -5,8 +5,8 @@ use super::faults::net_decision;
 use super::{Ev, PendingJob, Run};
 use crate::proto::{FileRequest, SubRequest};
 use ibridge_des::{EventId, SimDuration, SimTime, Simulation};
-use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use ibridge_net::NetDecision;
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use rand::Rng;
 
 /// Maximum per-request client-side jitter (OS scheduling noise, network
@@ -106,7 +106,12 @@ impl Run<'_> {
                 // calendar drains to empty.
                 let l = sim.lookahead();
                 for server in 0..self.cfg.n_servers {
-                    sim.post_at(CLIENT_NODE, server_node(server), now + l, Ev::DrainTick { server });
+                    sim.post_at(
+                        CLIENT_NODE,
+                        server_node(server),
+                        now + l,
+                        Ev::DrainTick { server },
+                    );
                 }
                 for id in self.fault_ids[usize::from(CLIENT_NODE)].drain(..) {
                     sim.cancel(id);
@@ -290,8 +295,12 @@ impl Run<'_> {
         st.attempt += 1;
         self.fstats.retries += 1;
         let wait = self.retry.backoff_delay(st.attempt);
-        st.timeout =
-            Some(sim.schedule_at(CLIENT_NODE, CLIENT_NODE, now + wait, Ev::SubTimeout { parent, sub_idx }));
+        st.timeout = Some(sim.schedule_at(
+            CLIENT_NODE,
+            CLIENT_NODE,
+            now + wait,
+            Ev::SubTimeout { parent, sub_idx },
+        ));
         let sub = st.sub.clone();
         self.send_sub(sim, now, proc, parent, sub_idx, sub);
     }

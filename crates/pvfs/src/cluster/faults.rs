@@ -67,7 +67,12 @@ impl Run<'_> {
                     // server; its table lives on the coordinator, one
                     // lookahead away.
                     let node = server_node(server);
-                    sim.post_at(node, CLIENT_NODE, now + sim.lookahead(), Ev::SteerOff { server });
+                    sim.post_at(
+                        node,
+                        CLIENT_NODE,
+                        now + sim.lookahead(),
+                        Ev::SteerOff { server },
+                    );
                     degrade_start(cell, now);
                 }
             }

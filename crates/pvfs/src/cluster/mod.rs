@@ -454,7 +454,8 @@ impl Cluster {
         let barrier_mask: Vec<bool> = (0..n_procs).map(|p| workload.in_barrier(p)).collect();
 
         for proc in 0..n_procs {
-            self.sim.post_now(CLIENT_NODE, CLIENT_NODE, Ev::Wake { proc });
+            self.sim
+                .post_now(CLIENT_NODE, CLIENT_NODE, Ev::Wake { proc });
         }
         #[cfg(feature = "obs")]
         let mds_version0 = self.coord.mds_version;

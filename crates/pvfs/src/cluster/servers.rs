@@ -5,9 +5,9 @@ use super::faults::net_decision;
 use super::{Ev, Run, WRITEBACK_INTERVAL};
 use crate::server::{DataServer, DevKind, JobId, ServerOut};
 use ibridge_des::{SimTime, Simulation};
-use ibridge_obs::trace::{server_node, CLIENT_NODE};
 use ibridge_iosched::Action;
 use ibridge_net::NetDecision;
+use ibridge_obs::trace::{server_node, CLIENT_NODE};
 
 /// Server CPU admission queue: `SrvQueue` metric + `srv:queue` span.
 #[cfg(feature = "obs")]
