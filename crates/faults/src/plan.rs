@@ -107,7 +107,8 @@ pub enum TimedFault {
     /// The metadata server crashes: T-value reports and broadcasts
     /// stall, and data servers keep serving with last-known T values.
     MdsCrash,
-    /// The metadata server restarts and reporting resumes.
+    /// The metadata server restarts with the T table it had, and
+    /// reporting resumes.
     MdsRestart,
 }
 
